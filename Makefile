@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve bench bench-coarse bench-json bench-scale bench-shard bench-lifecycle bench-all profile-scale experiments
+.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf bench bench-coarse bench-json bench-scale bench-shard bench-lifecycle bench-all profile-scale experiments
 
 ## check: the full gate — vet (go vet + infoshield-vet), build, and
 ## race-enabled tests.
@@ -64,13 +64,20 @@ fuzz-serve:
 	$(GO) test -fuzz 'FuzzServe$$' -fuzztime 30s ./internal/serve
 	$(GO) test -fuzz 'FuzzServeSharded$$' -fuzztime 30s ./internal/serve
 
+## fuzz-tfidf: a bounded burst of the tf-idf kernel fuzzer (random
+## small corpora over a 4-6 word vocabulary and a random worker count,
+## selections checked against the string-key reference extractor).
+fuzz-tfidf:
+	$(GO) test -fuzz FuzzTopPhraseIDs -fuzztime 30s ./internal/tfidf
+
 ## bench: the end-to-end pipeline benchmark at both corpus sizes,
 ## repeated for stable numbers.
 bench:
 	$(GO) test -bench=PipelineEndToEnd -benchmem -count=5 -run '^$$'
 
 ## bench-coarse: the coarse-pass microbenchmarks, including the
-## 1/2/4/8-worker scaling sweep.
+## 1/2/4/8-worker scaling sweep and the tf-idf kernel at the detect-batch
+## benchmark's 8000-tweet shape (BenchmarkTopPhraseIDs/accounts=800x10).
 bench-coarse:
 	$(GO) test -bench='Coarse|TopPhrase' -benchmem -run '^$$'
 

@@ -177,21 +177,34 @@ func BenchmarkTopPhrases(b *testing.B) {
 }
 
 // BenchmarkTopPhraseIDs measures the hashed-key extraction path the
-// pipeline actually runs (no string materialization at all).
+// pipeline actually runs (no string materialization at all), on the mixed
+// 50-account corpus and at the detect-batch benchmark's shape: 400 genuine
+// plus 400 bot accounts of 10 tweets each (8000 documents).
 func BenchmarkTopPhraseIDs(b *testing.B) {
-	texts := twitterTexts(b, 50)
-	var tk tokenize.Tokenizer
-	words := tk.All(texts, 0)
-	vocab := tokenize.NewVocab()
-	tokens := make([][]int, len(words))
-	for i, w := range words {
-		tokens[i] = vocab.Encode(w)
+	corpora := []struct {
+		name  string
+		texts []string
+	}{
+		{"accounts=50", twitterTexts(b, 50)},
+		{"accounts=800x10", datagen.Twitter(datagen.TwitterConfig{Seed: 1,
+			GenuineAccounts: 400, BotAccounts: 400,
+			TweetsPerAccountMin: 10, TweetsPerAccountMax: 10}).Texts()},
 	}
-	ex := &tfidf.Extractor{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.TopPhraseIDs(tokens, vocab)
+	for _, c := range corpora {
+		var tk tokenize.Tokenizer
+		words := tk.All(c.texts, 0)
+		vocab := tokenize.NewVocab()
+		tokens := make([][]int, len(words))
+		for i, w := range words {
+			tokens[i] = vocab.Encode(w)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			ex := &tfidf.Extractor{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ex.TopPhraseIDs(tokens, vocab)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,12 @@ package infoshield
 
 import (
 	"bytes"
+	"hash/fnv"
+	"strconv"
 	"strings"
 	"testing"
+
+	"infoshield/internal/datagen"
 )
 
 // TestGoldenTableIV pins the exact plain-text rendering of the paper's
@@ -30,6 +34,37 @@ func TestGoldenTableIV(t *testing.T) {
 	for _, line := range golden {
 		if !strings.Contains(out, line) {
 			t.Errorf("golden line missing:\n  want %q\n  in:\n%s", line, out)
+		}
+	}
+}
+
+// TestGoldenDetectTwitter pins Detect's per-document template assignment
+// on a 1000-tweet synthetic Twitter corpus (50 genuine + 50 bot accounts,
+// 10 tweets each, seed 1) as an FNV-1a hash of the comma-joined template
+// ids, plus the template count. Any change to phrase extraction, DF
+// counting or selection that alters the end-to-end output fails here, for
+// any worker count.
+func TestGoldenDetectTwitter(t *testing.T) {
+	const (
+		wantHash      = 0xc29b0d3d321fed97
+		wantTemplates = 74
+	)
+	c := datagen.Twitter(datagen.TwitterConfig{Seed: 1, GenuineAccounts: 50, BotAccounts: 50,
+		TweetsPerAccountMin: 10, TweetsPerAccountMax: 10})
+	for _, workers := range []int{1, 2, 8} {
+		res := Detect(c.Texts(), Config{Workers: workers})
+		h := fnv.New64a()
+		var b []byte
+		for _, tpl := range res.DocTemplate() {
+			b = strconv.AppendInt(b[:0], int64(tpl), 10)
+			b = append(b, ',')
+			_, _ = h.Write(b)
+		}
+		if got := h.Sum64(); got != wantHash {
+			t.Errorf("workers=%d: DocTemplate hash %#x, want %#x", workers, got, uint64(wantHash))
+		}
+		if got := res.NumTemplates(); got != wantTemplates {
+			t.Errorf("workers=%d: %d templates, want %d", workers, got, wantTemplates)
 		}
 	}
 }

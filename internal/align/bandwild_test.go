@@ -64,10 +64,10 @@ func checkBandedEqual(t *testing.T, ref []int, wild []bool, doc []int, dist int)
 // widen-and-retry path must still converge to the identical alignment).
 func FuzzWildBanded(f *testing.F) {
 	f.Add([]byte{10, 12, 3, 1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{70, 80, 2, 9, 9, 1, 0, 0, 3})     // refLen > WildBitCap
-	f.Add([]byte{64, 64, 1, 0})                    // refLen == WildBitCap, all-equal
-	f.Add([]byte{5, 0, 4, 1, 2})                   // empty document
-	f.Add([]byte{1, 95, 5, 200, 100, 50, 25, 12})  // near-empty reference
+	f.Add([]byte{70, 80, 2, 9, 9, 1, 0, 0, 3})    // refLen > WildBitCap
+	f.Add([]byte{64, 64, 1, 0})                   // refLen == WildBitCap, all-equal
+	f.Add([]byte{5, 0, 4, 1, 2})                  // empty document
+	f.Add([]byte{1, 95, 5, 200, 100, 50, 25, 12}) // near-empty reference
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, wild, doc := bandedInput(data)
 		if ref == nil {

@@ -81,7 +81,7 @@ type minePhrase struct {
 }
 
 // minePhrases builds the distinct phrase set (n-grams of 1..maxN token
-// ids) of one document — the rolling-hash mirror of tfidf.phraseSet,
+// ids) of one document — the rolling-hash mirror of the tfidf extractor,
 // with hash equality as identity (see the package comment above).
 func minePhrases(toks []int, maxN int) []minePhrase {
 	idx := make(map[uint64]int, len(toks)*maxN)

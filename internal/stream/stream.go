@@ -151,7 +151,7 @@ type Detector struct {
 	pendingSet   map[int]int // doc id -> position in pendingIDs (O(1) lookups)
 
 	nextID      int
-	ingested    bool // a document has been ingested through apply
+	ingested    bool        // a document has been ingested through apply
 	assignments map[int]int // doc id -> template index
 
 	sc      matchScratch    // serial probe scratch (Add)

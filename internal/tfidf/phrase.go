@@ -1,13 +1,13 @@
 package tfidf
 
-// Hashed phrase identity. The extractor used to key every n-gram
-// occurrence by strings.Join of its tokens — one string allocation per
-// occurrence, O(L·MaxN) per document. Phrases are now keyed by a rolling
-// 64-bit hash over token ids, extended one token at a time so all MaxN
-// n-grams starting at a position cost one multiply-add each and zero
-// allocations. Hashing is NOT trusted for identity: every table in this
-// package chains colliding phrases and disambiguates them by comparing
-// the actual token sequences, so phrase identity is exact, never
+import "slices"
+
+// Hashed phrase identity and the flat phrase tables. Phrases are keyed by
+// a rolling 64-bit hash over token ids, extended one token at a time so
+// all MaxN n-grams starting at a position cost one multiply-add each and
+// zero allocations. Hashing is NOT trusted for identity: both tables in
+// this file settle equal keys by comparing the actual token sequences and
+// keep colliding phrases apart, so phrase identity is exact, never
 // probabilistic.
 
 // PhraseID identifies one distinct phrase of the corpus exactly. Hash is
@@ -29,7 +29,7 @@ func extendHash(h uint64, id int) uint64 {
 }
 
 // mix64 is the SplitMix64 finalizer, applied to the rolling hash before
-// it is used as a map key or shard selector.
+// it is used as a table key or shard selector.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -59,128 +59,193 @@ func hashIDs(ids []int) uint64 {
 }
 
 // dfShards is the number of key-range shards the document-frequency
-// table is split into. Workers pre-shard their local counts by the top
-// hash bits, so the merge runs shard-parallel with no shared state and
-// no lock on the counting hot path. The count is fixed (not a function
-// of the worker knob) so the table layout is identical for any Workers.
+// table is split into, so the shards are counted in parallel with no
+// shared state and no lock. The count is fixed (not a function of the
+// worker knob) so the table layout is identical for any Workers.
 const dfShards = 16
 
-// dfShard selects the shard for a mixed hash by its top bits.
-func dfShard(h uint64) int { return int(h >> 60) }
+// shardOf selects the DF shard for a mixed hash by its top bits. Both
+// tables pick slots by the low bits, which stay uniform within a shard.
+func shardOf(h uint64) int { return int(h >> 60) }
 
-// phraseInfo records one phrase's statistics within one document.
-type phraseInfo struct {
-	tf  int32 // term frequency
-	pos int32 // start of the first occurrence
-	n   int32 // phrase length in tokens
+// phraseEntry is one distinct phrase of one document.
+type phraseEntry struct {
+	hash uint64
+	tf   int32 // term frequency in the document
+	pos  int32 // start of the first occurrence
+	n    int32 // phrase length in tokens
+	cell int32 // the phrase's cell in DF shard shardOf(hash)
 }
 
-// dfRef is one document-frequency cell: the running count plus a
-// canonical occurrence (doc, pos, n) used to compare token sequences
-// when hashes collide.
-type dfRef struct {
-	df       int32
-	doc, pos int32
-	n        int32
+// occurrences is the number of 1..maxN-gram occurrences in a document of
+// length l: an upper bound on its distinct phrases.
+func occurrences(l, maxN int) int {
+	m := min(l, maxN)
+	return m*l - m*(m-1)/2
 }
 
-// dfCell is the table entry for one hash value: the first phrase inline
-// plus the (virtually always empty) collision chain.
+// docTable is a worker's reusable open-addressing table (linear probing)
+// that dedupes one document's n-gram occurrences into entries. A slot
+// holds an index into the entry array plus one; 0 is empty. The table is
+// cleared and resized per document, so it is never larger than twice the
+// longest document's occurrence count, rounded up to a power of two.
+type docTable struct {
+	slots []int32
+}
+
+// reset empties the table for a document of occ n-gram occurrences.
+func (t *docTable) reset(occ int) {
+	size := 16
+	for size < 2*occ {
+		size <<= 1
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+		return
+	}
+	t.slots = t.slots[:size]
+	clear(t.slots)
+}
+
+// add counts one occurrence of the n-gram ids[pos:pos+n] under key: the
+// entry of the same phrase gains a tf, or a new entry is appended. An
+// equal key with a different token sequence probes on, so two distinct
+// phrases that share a hash get separate entries.
+func (t *docTable) add(ents []phraseEntry, ids []int, key uint64, pos, n int32) []phraseEntry {
+	mask := uint64(len(t.slots) - 1)
+	for i := key & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			t.slots[i] = int32(len(ents) + 1)
+			return append(ents, phraseEntry{hash: key, tf: 1, pos: pos, n: n})
+		}
+		if e := &ents[s-1]; e.hash == key && slices.Equal(ids[e.pos:e.pos+e.n], ids[pos:pos+n]) {
+			e.tf++
+			return ents
+		}
+	}
+}
+
+// addDoc appends the distinct 1..maxN-grams of one tokenized document to
+// ents, in order of first occurrence (by start position, then length),
+// with term frequencies and first-occurrence positions. Each n-gram costs
+// one rolling-hash step and one probe; nothing is allocated beyond ents.
+func (t *docTable) addDoc(ents []phraseEntry, ids []int, maxN int) []phraseEntry {
+	t.reset(occurrences(len(ids), maxN))
+	for i := range ids {
+		var h uint64
+		for n := 1; n <= maxN && i+n <= len(ids); n++ {
+			h = extendHash(h, ids[i+n-1])
+			ents = t.add(ents, ids, mix64(h), int32(i), int32(n))
+		}
+	}
+	return ents
+}
+
+// dfCell is one distinct phrase of the corpus.
 type dfCell struct {
-	dfRef
-	more []dfRef
+	idf         float64 // log(numDocs/df), set once counting is done
+	df          int32
+	doc, pos, n int32  // canonical (first) occurrence
+	next        int32  // next cell with the same hash; 0 ends the chain
+	alt         uint16 // position in the chain: PhraseID.Alt
 }
 
-// sameSeq reports whether two occurrences spell the same token sequence.
-func sameSeq(docs [][]int, d1, p1, n1, d2, p2, n2 int32) bool {
-	if n1 != n2 {
-		return false
-	}
-	a := docs[d1][p1 : p1+n1]
-	b := docs[d2][p2 : p2+n2]
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// dfTable is one DF shard: a dense open-addressing table (linear probing)
+// from hash to the head of that hash's collision chain, over flat cells.
+// A head holds a cell index plus one; 0 is an empty slot. Cell 0 always
+// heads a chain, so next == 0 can mean "end of chain". The slot arrays
+// double whenever the cells would fill more than half of them (cells
+// bound the occupied slots: every head is a cell).
+type dfTable struct {
+	keys  []uint64
+	heads []int32
+	cells []dfCell
 }
 
-// dfAdd counts one (phrase, document) pair into a shard map, chaining on
-// hash collision. docs backs the token-sequence identity checks.
-func dfAdd(m map[uint64]dfCell, key uint64, docs [][]int, doc, pos, n int32) {
-	c, ok := m[key]
-	if !ok {
-		m[key] = dfCell{dfRef: dfRef{df: 1, doc: doc, pos: pos, n: n}}
-		return
+// newDFTable sizes a table for a shard that will count hint (document,
+// phrase) pairs: hint/2 distinct phrases fit before it first grows.
+func newDFTable(hint int) dfTable {
+	size := 16
+	for size < hint {
+		size <<= 1
 	}
-	if sameSeq(docs, c.doc, c.pos, c.n, doc, pos, n) {
-		c.df++
-		m[key] = c
-		return
+	return dfTable{
+		keys:  make([]uint64, size),
+		heads: make([]int32, size),
+		cells: make([]dfCell, 0, hint/2),
 	}
-	for i := range c.more {
-		r := &c.more[i]
-		if sameSeq(docs, r.doc, r.pos, r.n, doc, pos, n) {
-			r.df++
-			m[key] = c
-			return
-		}
-	}
-	c.more = append(c.more, dfRef{df: 1, doc: doc, pos: pos, n: n})
-	m[key] = c
 }
 
-// dfMergeCell folds one worker-local cell into the global shard map.
-// Chains keep first-seen order across workers, which — with contiguous
-// document ranges merged in worker order — is first-occurrence document
-// order, independent of the worker count.
-func dfMergeCell(m map[uint64]dfCell, key uint64, docs [][]int, src dfCell) {
-	dst, ok := m[key]
-	if !ok {
-		// Copy the chain so later merges never alias the source slice.
-		if len(src.more) > 0 {
-			src.more = append([]dfRef(nil), src.more...)
-		}
-		m[key] = src
-		return
+// slot returns the slot holding key, or the empty slot where it belongs.
+func (t *dfTable) slot(key uint64) uint64 {
+	mask := uint64(len(t.heads) - 1)
+	i := key & mask
+	for t.heads[i] != 0 && t.keys[i] != key {
+		i = (i + 1) & mask
 	}
-	dst = dfMergeRef(dst, docs, src.dfRef)
-	for _, r := range src.more {
-		dst = dfMergeRef(dst, docs, r)
-	}
-	m[key] = dst
+	return i
 }
 
-// dfMergeRef adds one source cell's count into the matching chain entry
-// of dst, appending a new entry for a previously unseen collision.
-func dfMergeRef(dst dfCell, docs [][]int, src dfRef) dfCell {
-	if sameSeq(docs, dst.doc, dst.pos, dst.n, src.doc, src.pos, src.n) {
-		dst.df += src.df
-		return dst
-	}
-	for i := range dst.more {
-		r := &dst.more[i]
-		if sameSeq(docs, r.doc, r.pos, r.n, src.doc, src.pos, src.n) {
-			r.df += src.df
-			return dst
+// grow doubles the slot arrays and reinserts every chain head.
+func (t *dfTable) grow() {
+	keys, heads := t.keys, t.heads
+	t.keys, t.heads = make([]uint64, 2*len(keys)), make([]int32, 2*len(heads))
+	for i, h := range heads {
+		if h != 0 {
+			j := t.slot(keys[i])
+			t.keys[j], t.heads[j] = keys[i], h
 		}
 	}
-	dst.more = append(dst.more, src)
-	return dst
 }
 
-// lookup resolves the document frequency and collision-chain index of
-// the phrase spelled at docs[doc][pos:pos+n].
-func (c *dfCell) lookup(docs [][]int, doc, pos, n int32) (df int32, alt uint16) {
-	if sameSeq(docs, c.doc, c.pos, c.n, doc, pos, n) {
-		return c.df, 0
-	}
-	for i := range c.more {
-		r := &c.more[i]
-		if sameSeq(docs, r.doc, r.pos, r.n, doc, pos, n) {
-			return r.df, uint16(i + 1)
+// newCell appends a cell for a phrase first seen at docs[doc][pos:pos+n].
+func (t *dfTable) newCell(doc, pos, n int32, alt uint16) int32 {
+	t.cells = append(t.cells, dfCell{df: 1, doc: doc, pos: pos, n: n, alt: alt})
+	return int32(len(t.cells) - 1)
+}
+
+// add counts one document containing the phrase docs[doc][pos:pos+n]
+// under key and returns the phrase's cell. A phrase whose key is taken by
+// a different token sequence joins the end of that key's chain, so Alt
+// numbers a hash's phrases in the order add first meets them.
+func (t *dfTable) add(docs [][]int, key uint64, doc, pos, n int32) int32 {
+	i := t.slot(key)
+	if h := t.heads[i]; h != 0 {
+		c := h - 1
+		for {
+			cl := &t.cells[c]
+			if slices.Equal(docs[cl.doc][cl.pos:cl.pos+cl.n], docs[doc][pos:pos+n]) {
+				cl.df++
+				return c
+			}
+			if cl.next == 0 {
+				nc := t.newCell(doc, pos, n, cl.alt+1)
+				t.cells[c].next = nc
+				return nc
+			}
+			c = cl.next
 		}
 	}
-	return 0, 0
+	if 2*(len(t.cells)+1) > len(t.heads) {
+		t.grow()
+		i = t.slot(key)
+	}
+	c := t.newCell(doc, pos, n, 0)
+	t.keys[i], t.heads[i] = key, c+1
+	return c
+}
+
+// find returns the cell of a phrase id, or -1 for an unknown id.
+func (t *dfTable) find(id PhraseID) int32 {
+	if len(t.heads) == 0 {
+		return -1
+	}
+	c := t.heads[t.slot(id.Hash)] - 1
+	for c >= 0 && t.cells[c].alt != id.Alt {
+		if c = t.cells[c].next; c == 0 {
+			return -1
+		}
+	}
+	return c
 }

@@ -4,17 +4,26 @@
 // and the top ~10% of each document's phrases, making the count a function
 // of document size so results are not dominated by document length.
 //
-// The extractor is parallel and allocation-lean: documents are fanned out
-// over a worker pool in contiguous ranges, phrases are keyed by rolling
-// 64-bit hashes over token ids instead of joined strings (see phrase.go),
-// and document frequencies are counted into worker-local key-range shards
-// merged without any global lock. Output is deterministic and identical
-// for any worker count.
+// The extractor runs on flat, reusable tables rather than Go maps (see
+// phrase.go). Phrases are keyed by rolling 64-bit hashes over token ids,
+// never by joined strings. Three passes, each over contiguous document
+// ranges or key-range shards:
+//
+//   - Extract: each worker dedupes its documents' n-grams through one
+//     reusable open-addressing table into a flat entry array (hash, tf,
+//     first position, length), and groups the entry indices by DF shard.
+//   - Count: the 16 DF shards are counted in parallel, each from every
+//     range's entries for it in document order, into a dense table over
+//     flat cells. Each entry records its cell, so scoring never hashes.
+//   - Score: per document, tf times the cell's idf, a typed sort, and the
+//     budgeted, position-diverse selection.
+//
+// Output is deterministic and identical for any worker count.
 package tfidf
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,147 +100,146 @@ func (e *Extractor) relativeFloor() float64 {
 	return e.RelativeFloor
 }
 
-// docSet is the distinct-phrase set of one document, keyed by mixed
-// rolling hash. overflow chains within-document hash collisions and is
-// nil in essentially every document ever processed.
-type docSet struct {
-	set      map[uint64]phraseInfo
-	overflow map[uint64][]phraseInfo
-	distinct int32
-}
-
-// sameLocal reports whether two n-grams of one document spell the same
-// token sequence.
-func sameLocal(ids []int, p1, n1, p2, n2 int32) bool {
-	if n1 != n2 {
-		return false
-	}
-	a := ids[p1 : p1+n1]
-	b := ids[p2 : p2+n2]
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// phraseSet builds the distinct phrase set of one tokenized document with
-// term frequencies and first-occurrence positions. The inner loop extends
-// a rolling hash one token at a time, so the O(L·MaxN) n-gram occurrences
-// cost no allocations beyond map growth.
-func (e *Extractor) phraseSet(ids []int) docSet {
-	maxN := e.maxN()
-	ds := docSet{set: make(map[uint64]phraseInfo, len(ids)*maxN)}
-	for i := 0; i < len(ids); i++ {
-		var h uint64
-		for n := 1; n <= maxN && i+n <= len(ids); n++ {
-			h = extendHash(h, ids[i+n-1])
-			k := mix64(h)
-			info, ok := ds.set[k]
-			if !ok {
-				ds.set[k] = phraseInfo{tf: 1, pos: int32(i), n: int32(n)}
-				ds.distinct++
-				continue
-			}
-			if sameLocal(ids, info.pos, info.n, int32(i), int32(n)) {
-				info.tf++
-				ds.set[k] = info
-				continue
-			}
-			// Within-document hash collision: chain in the overflow map.
-			chain := ds.overflow[k]
-			matched := false
-			for ci := range chain {
-				if sameLocal(ids, chain[ci].pos, chain[ci].n, int32(i), int32(n)) {
-					chain[ci].tf++
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				if ds.overflow == nil {
-					ds.overflow = make(map[uint64][]phraseInfo)
-				}
-				ds.overflow[k] = append(chain, phraseInfo{tf: 1, pos: int32(i), n: int32(n)})
-				ds.distinct++
-			}
-		}
-	}
-	return ds
-}
-
 // Selection is the output of TopPhraseIDs: each document's selected
 // phrases plus the corpus-wide phrase table and per-stage wall times.
 type Selection struct {
 	// Top[i] holds document i's selected phrases, best first.
 	Top [][]PhraseID
-	// Extract and Score time the two passes (phrase sets + DF counting,
-	// then scoring + selection).
+	// Extract and Score time the two halves (phrase entries + DF
+	// counting, then scoring + selection).
 	Extract, Score time.Duration
 
 	docs   [][]int
-	shards [dfShards]map[uint64]dfCell
+	shards [dfShards]dfTable
 }
 
 // PhraseTokens returns the token-id sequence of a phrase selected by this
 // extraction, or nil for an unknown id.
 func (s *Selection) PhraseTokens(id PhraseID) []int {
-	c, ok := s.shards[dfShard(id.Hash)][id.Hash]
-	if !ok {
+	t := &s.shards[shardOf(id.Hash)]
+	c := t.find(id)
+	if c < 0 {
 		return nil
 	}
-	r := c.dfRef
-	if id.Alt > 0 {
-		i := int(id.Alt) - 1
-		if i >= len(c.more) {
-			return nil
-		}
-		r = c.more[i]
-	}
-	return s.docs[r.doc][r.pos : r.pos+r.n]
+	cl := &t.cells[c]
+	return s.docs[cl.doc][cl.pos : cl.pos+cl.n]
 }
 
 // DF returns the document frequency of a phrase, or 0 for an unknown id.
 func (s *Selection) DF(id PhraseID) int {
-	c, ok := s.shards[dfShard(id.Hash)][id.Hash]
-	if !ok {
+	t := &s.shards[shardOf(id.Hash)]
+	c := t.find(id)
+	if c < 0 {
 		return 0
 	}
-	if id.Alt == 0 {
-		return int(c.df)
+	return int(t.cells[c].df)
+}
+
+// phraseRange is one worker's contiguous document range [lo, hi) after
+// the extract pass.
+type phraseRange struct {
+	lo, hi int
+	// ents holds the range's distinct (document, phrase) pairs, document
+	// by document; document lo+j owns ents[bounds[j]:bounds[j+1]].
+	ents   []phraseEntry
+	bounds []int32
+	// byShard lists entry indices grouped by DF shard, ascending within a
+	// group; shard s's group is byShard[shardOff[s]:shardOff[s+1]].
+	byShard  []int32
+	shardOff [dfShards + 1]int32
+}
+
+// extract fills the range from docs[lo:hi] through one reused table.
+func (r *phraseRange) extract(docs [][]int, lo, hi, maxN int) {
+	var tab docTable
+	r.lo, r.hi = lo, hi
+	occ := 0
+	for _, ids := range docs[lo:hi] {
+		occ += occurrences(len(ids), maxN)
 	}
-	i := int(id.Alt) - 1
-	if i >= len(c.more) {
-		return 0
+	r.ents = make([]phraseEntry, 0, occ)
+	r.bounds = make([]int32, hi-lo+1)
+	for i := lo; i < hi; i++ {
+		r.ents = tab.addDoc(r.ents, docs[i], maxN)
+		r.bounds[i-lo+1] = int32(len(r.ents))
 	}
-	return int(c.more[i].df)
+	r.groupByShard()
+}
+
+// groupByShard counting-sorts the entry indices by DF shard. The sort is
+// stable, so each shard's group stays in document order.
+func (r *phraseRange) groupByShard() {
+	var next [dfShards + 1]int32
+	for _, e := range r.ents {
+		next[shardOf(e.hash)+1]++
+	}
+	for s := 1; s <= dfShards; s++ {
+		next[s] += next[s-1]
+	}
+	r.shardOff = next
+	r.byShard = make([]int32, len(r.ents))
+	for j, e := range r.ents {
+		s := shardOf(e.hash)
+		r.byShard[next[s]] = int32(j)
+		next[s]++
+	}
+}
+
+// countShard builds DF shard s from every range's entries for it and
+// points each entry at its cell. Ranges are contiguous and visited in
+// order, and each range's group is in document order, so cells meet the
+// (document, phrase) pairs in global document order whatever the worker
+// count: a collision chain lists a hash's phrases by first occurrence.
+func countShard(docs [][]int, ranges []phraseRange, s int) dfTable {
+	size := 0
+	for i := range ranges {
+		size += int(ranges[i].shardOff[s+1] - ranges[i].shardOff[s])
+	}
+	t := newDFTable(size)
+	for i := range ranges {
+		r := &ranges[i]
+		doc := 0
+		for _, j := range r.byShard[r.shardOff[s]:r.shardOff[s+1]] {
+			for r.bounds[doc+1] <= j {
+				doc++
+			}
+			e := &r.ents[j]
+			e.cell = t.add(docs, e.hash, int32(r.lo+doc), e.pos, e.n)
+		}
+	}
+	for c := range t.cells {
+		t.cells[c].idf = math.Log(float64(len(docs)) / float64(t.cells[c].df))
+	}
+	return t
 }
 
 // scored is one candidate phrase of one document during selection.
 type scored struct {
-	id    PhraseID
-	info  phraseInfo
-	idf   float64
 	score float64
+	first int32 // lexicographic rank of the phrase's first token
+	pos   int32 // start of the first occurrence
+	n     int32 // length in tokens
+	ent   int32 // index of the phrase's entry within the document
 }
 
-// lexLess orders two phrases of one document by the lexicographic order
+// lexCmp orders two phrases of one document by the lexicographic order
 // of their token strings (token-wise, shorter prefix first), using the
 // precomputed per-id ranks. This reproduces the joined-string-key order
 // of the old extractor for every token ordinary tokenization can emit
 // (tokens containing raw control bytes below U+001F could in principle
 // order differently; such bytes never survive tokenization of text).
-func lexLess(ids []int, rank []int32, a, b phraseInfo) bool {
-	la, lb := int(a.n), int(b.n)
-	for i := 0; i < la && i < lb; i++ {
-		ra := rank[ids[int(a.pos)+i]]
-		rb := rank[ids[int(b.pos)+i]]
+func lexCmp(ids []int, rank []int32, a, b *scored) int {
+	if a.first != b.first {
+		return int(a.first - b.first)
+	}
+	for i := int32(1); i < a.n && i < b.n; i++ {
+		ra := rank[ids[a.pos+i]]
+		rb := rank[ids[b.pos+i]]
 		if ra != rb {
-			return ra < rb
+			return int(ra - rb)
 		}
 	}
-	return la < lb
+	return int(a.n - b.n)
 }
 
 // lexRank returns each token id's rank in the lexicographic order of the
@@ -241,7 +249,7 @@ func lexRank(v *tokenize.Vocab) []int32 {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.Slice(ids, func(a, b int) bool { return v.Word(ids[a]) < v.Word(ids[b]) })
+	slices.SortFunc(ids, func(a, b int) int { return strings.Compare(v.Word(a), v.Word(b)) })
 	rank := make([]int32, len(ids))
 	for r, id := range ids {
 		rank[id] = int32(r)
@@ -274,144 +282,115 @@ func (e *Extractor) TopPhraseIDs(docs [][]int, vocab *tokenize.Vocab) *Selection
 	}
 	workers := par.Workers(e.Workers)
 
-	// Pass 1: per-document phrase sets and sharded document frequencies.
-	// Each worker owns a contiguous document range and counts into its own
-	// shard maps; no shared state is touched.
+	// Extract each range's phrase entries, then count the DF shards. Each
+	// worker owns its range or shard outright; no state is shared.
 	start := time.Now()
-	sets := make([]docSet, n)
-	locals := make([][]map[uint64]dfCell, workers)
+	maxN := e.maxN()
+	ranges := make([]phraseRange, min(workers, n))
 	par.IndexedRanges(n, workers, func(w, lo, hi int) {
-		shards := make([]map[uint64]dfCell, dfShards)
-		for s := range shards {
-			shards[s] = make(map[uint64]dfCell)
-		}
-		for i := lo; i < hi; i++ {
-			ds := e.phraseSet(docs[i])
-			sets[i] = ds
-			for k, info := range ds.set {
-				dfAdd(shards[dfShard(k)], k, docs, int32(i), info.pos, info.n)
-			}
-			for k, chain := range ds.overflow {
-				for _, info := range chain {
-					dfAdd(shards[dfShard(k)], k, docs, int32(i), info.pos, info.n)
-				}
-			}
-		}
-		locals[w] = shards
+		ranges[w].extract(docs, lo, hi, maxN)
 	})
-	// Merge per key-range shard, workers in document order so collision
-	// chains are ordered by first occurrence whatever the worker count.
 	par.Each(dfShards, workers, func(s int) {
-		size := 0
-		for _, shards := range locals {
-			if shards != nil {
-				size += len(shards[s])
-			}
-		}
-		g := make(map[uint64]dfCell, size)
-		for _, shards := range locals {
-			if shards == nil {
-				continue
-			}
-			for k, c := range shards[s] {
-				dfMergeCell(g, k, docs, c)
-			}
-		}
-		sel.shards[s] = g
+		sel.shards[s] = countShard(docs, ranges, s)
 	})
 	sel.Extract = time.Since(start)
 
-	// Pass 2: score and select, embarrassingly parallel per document.
+	// Score and select, embarrassingly parallel per range.
 	start = time.Now()
 	rank := lexRank(vocab)
-	frac := e.topFraction()
-	floorFrac := e.relativeFloor()
-	par.Ranges(n, workers, func(lo, hi int) {
-		var cand []scored
-		var covered []bool
-		for i := lo; i < hi; i++ {
-			ds := &sets[i]
-			if ds.distinct == 0 {
-				continue
-			}
-			cand = cand[:0]
-			maxIdf := 0.0
-			add := func(k uint64, info phraseInfo) {
-				cell := sel.shards[dfShard(k)][k]
-				df, alt := cell.lookup(docs, int32(i), info.pos, info.n)
-				idf := math.Log(float64(n) / float64(df))
-				score := float64(info.tf) * idf
-				if score <= 0 {
-					return
-				}
-				if idf > maxIdf {
-					maxIdf = idf
-				}
-				cand = append(cand, scored{PhraseID{k, alt}, info, idf, score})
-			}
-			for k, info := range ds.set {
-				add(k, info)
-			}
-			for k, chain := range ds.overflow {
-				for _, info := range chain {
-					add(k, info)
-				}
-			}
-			if len(cand) == 0 {
-				continue
-			}
-			sort.Slice(cand, func(a, b int) bool {
-				if cand[a].score != cand[b].score {
-					return cand[a].score > cand[b].score
-				}
-				return lexLess(docs[i], rank, cand[a].info, cand[b].info)
-			})
-			// The budget is a fraction of the document's total phrase count
-			// (a function of document size, per the paper).
-			k := int(math.Ceil(frac * float64(ds.distinct)))
-			if k < 1 {
-				k = 1
-			}
-			// Positional diversity: a phrase is only selected if every token
-			// of its first occurrence is still uncovered. Without this, the
-			// O(MaxN²) overlapping n-grams around a single rare token exhaust
-			// the budget and the document never exposes the phrases it shares
-			// with its near-duplicates.
-			if cap(covered) >= len(docs[i]) {
-				covered = covered[:len(docs[i])]
-				clear(covered)
-			} else {
-				covered = make([]bool, len(docs[i]))
-			}
-			floor := maxIdf * floorFrac
-			var top []PhraseID
-			for _, c := range cand {
-				if len(top) >= k {
-					break
-				}
-				if c.idf < floor {
-					continue
-				}
-				fresh := true
-				for p := c.info.pos; p < c.info.pos+c.info.n; p++ {
-					if covered[p] {
-						fresh = false
-						break
-					}
-				}
-				if !fresh {
-					continue
-				}
-				for p := c.info.pos; p < c.info.pos+c.info.n; p++ {
-					covered[p] = true
-				}
-				top = append(top, c.id)
-			}
-			sel.Top[i] = top
-		}
+	frac, floorFrac := e.topFraction(), e.relativeFloor()
+	par.Each(len(ranges), workers, func(w int) {
+		sel.selectRange(&ranges[w], rank, frac, floorFrac)
 	})
 	sel.Score = time.Since(start)
 	return sel
+}
+
+// cell returns the DF cell an entry points at.
+func (s *Selection) cell(e *phraseEntry) *dfCell {
+	return &s.shards[shardOf(e.hash)].cells[e.cell]
+}
+
+// selectRange scores the phrases of one range's documents and fills
+// their Top rows, which share one backing array sized by the budgets.
+func (s *Selection) selectRange(r *phraseRange, rank []int32, frac, floorFrac float64) {
+	// The budget is a fraction of the document's distinct phrase count (a
+	// function of document size, per the paper).
+	budget := func(distinct int) int {
+		return max(1, int(math.Ceil(frac*float64(distinct))))
+	}
+	room := 0
+	for j := range r.hi - r.lo {
+		if d := int(r.bounds[j+1] - r.bounds[j]); d > 0 {
+			room += budget(d)
+		}
+	}
+	picked := make([]PhraseID, 0, room)
+	var cand []scored
+	var covered []bool
+	for j := range r.hi - r.lo {
+		ents := r.ents[r.bounds[j]:r.bounds[j+1]]
+		ids := s.docs[r.lo+j]
+		maxIdf := 0.0
+		for i := range ents {
+			maxIdf = max(maxIdf, s.cell(&ents[i]).idf)
+		}
+		// Phrases below the floor are never selected, so they are left
+		// out before sorting; the survivors keep their relative order.
+		floor := maxIdf * floorFrac
+		cand = cand[:0]
+		for i := range ents {
+			e := &ents[i]
+			idf := s.cell(e).idf
+			score := float64(e.tf) * idf
+			if score <= 0 || idf < floor {
+				continue
+			}
+			cand = append(cand, scored{score, rank[ids[e.pos]], e.pos, e.n, int32(i)})
+		}
+		if len(cand) == 0 {
+			continue
+		}
+		slices.SortFunc(cand, func(a, b scored) int {
+			if a.score != b.score {
+				if a.score > b.score {
+					return -1
+				}
+				return 1
+			}
+			return lexCmp(ids, rank, &a, &b)
+		})
+		k := budget(len(ents))
+		// Positional diversity: a phrase is only selected if every token
+		// of its first occurrence is still uncovered. Without this, the
+		// O(MaxN²) overlapping n-grams around a single rare token exhaust
+		// the budget and the document never exposes the phrases it shares
+		// with its near-duplicates.
+		if cap(covered) >= len(ids) {
+			covered = covered[:len(ids)]
+			clear(covered)
+		} else {
+			covered = make([]bool, len(ids))
+		}
+		row := len(picked)
+		for _, c := range cand {
+			if len(picked)-row >= k {
+				break
+			}
+			span := covered[c.pos : c.pos+c.n]
+			if slices.Contains(span, true) {
+				continue
+			}
+			for p := range span {
+				span[p] = true
+			}
+			e := &ents[c.ent]
+			picked = append(picked, PhraseID{e.hash, s.cell(e).alt})
+		}
+		if len(picked) > row {
+			s.Top[r.lo+j] = picked[row:len(picked):len(picked)]
+		}
+	}
 }
 
 // TopPhrases is the string-keyed compatibility form of TopPhraseIDs: it

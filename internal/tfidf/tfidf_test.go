@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"infoshield/internal/datagen"
+	"infoshield/internal/par"
 	"infoshield/internal/tokenize"
 )
 
@@ -35,35 +37,42 @@ func hashOf(v *tokenize.Vocab, words ...string) uint64 {
 }
 
 func TestPhraseSetCounts(t *testing.T) {
-	e := &Extractor{MaxN: 2}
 	v := tokenize.NewVocab()
 	ids := v.Encode(tok("a b a b"))
-	ds := e.phraseSet(ids)
-	// unigrams: a(2) b(2); bigrams: "a b"(2) "b a"(1)
-	if got := ds.set[hashOf(v, "a")]; got.tf != 2 || got.pos != 0 || got.n != 1 {
-		t.Errorf("info(a) = %+v", got)
+	var tab docTable
+	ents := tab.addDoc(nil, ids, 2)
+	// unigrams: a(2) b(2); bigrams: "a b"(2) "b a"(1), in order of first
+	// occurrence (start position, then length).
+	want := []phraseEntry{
+		{hash: hashOf(v, "a"), tf: 2, pos: 0, n: 1},
+		{hash: hashOf(v, "a", "b"), tf: 2, pos: 0, n: 2},
+		{hash: hashOf(v, "b"), tf: 2, pos: 1, n: 1},
+		{hash: hashOf(v, "b", "a"), tf: 1, pos: 1, n: 2},
 	}
-	if got := ds.set[hashOf(v, "a", "b")]; got.tf != 2 || got.pos != 0 || got.n != 2 {
-		t.Errorf("info(a b) = %+v", got)
+	if !reflect.DeepEqual(ents, want) {
+		t.Errorf("entries = %+v\nwant %+v", ents, want)
 	}
-	if got := ds.set[hashOf(v, "b", "a")]; got.tf != 1 || got.pos != 1 {
-		t.Errorf("info(b a) = %+v", got)
-	}
-	if ds.distinct != 4 {
-		t.Errorf("distinct phrases = %d, want 4", ds.distinct)
-	}
-	if ds.overflow != nil {
-		t.Errorf("unexpected collision overflow: %v", ds.overflow)
+	// The table is reused: a second document starts from an empty table
+	// and appends after the first document's entries.
+	ents = tab.addDoc(ents, v.Encode(tok("b")), 2)
+	if got := ents[4:]; len(got) != 1 || got[0].hash != hashOf(v, "b") || got[0].tf != 1 {
+		t.Errorf("second document entries = %+v", got)
 	}
 }
 
 func TestPhraseSetShortDoc(t *testing.T) {
-	e := &Extractor{MaxN: 5}
 	v := tokenize.NewVocab()
-	ds := e.phraseSet(v.Encode(tok("only two")))
+	var tab docTable
+	ents := tab.addDoc(nil, v.Encode(tok("only two")), 5)
 	// 2 unigrams + 1 bigram; no 3..5-grams possible.
-	if ds.distinct != 3 {
-		t.Errorf("distinct phrases = %d, want 3", ds.distinct)
+	if len(ents) != 3 {
+		t.Errorf("distinct phrases = %d, want 3", len(ents))
+	}
+	if got := occurrences(2, 5); got != 3 {
+		t.Errorf("occurrences(2, 5) = %d, want 3", got)
+	}
+	if got := occurrences(10, 5); got != 10+9+8+7+6 {
+		t.Errorf("occurrences(10, 5) = %d, want 40", got)
 	}
 }
 
@@ -87,28 +96,167 @@ func TestRollingHashMatchesReference(t *testing.T) {
 }
 
 // TestDFChainHandlesForcedCollisions drives the collision-chain paths of
-// the DF table directly: genuine 64-bit collisions are too rare to
-// construct, so two different phrases are counted under one fabricated
-// key and must keep exact, separate counts.
+// both tables directly: genuine 64-bit collisions are too rare to
+// construct, so different phrases are counted under one forged key and
+// must keep exact, separate counts.
 func TestDFChainHandlesForcedCollisions(t *testing.T) {
-	docs := [][]int{{1, 2, 3}, {4, 5, 6}, {1, 2, 9}}
 	const key = uint64(0xdeadbeef)
-	local1 := map[uint64]dfCell{}
-	dfAdd(local1, key, docs, 0, 0, 2) // phrase [1 2] in doc 0
-	dfAdd(local1, key, docs, 1, 0, 2) // phrase [4 5] in doc 1: collides
-	local2 := map[uint64]dfCell{}
-	dfAdd(local2, key, docs, 2, 0, 2) // phrase [1 2] again, other worker
 
-	global := map[uint64]dfCell{}
-	dfMergeCell(global, key, docs, local1[key])
-	dfMergeCell(global, key, docs, local2[key])
-
-	c := global[key]
-	if df, alt := c.lookup(docs, 0, 0, 2); df != 2 || alt != 0 {
-		t.Errorf("phrase [1 2]: df=%d alt=%d, want 2,0", df, alt)
+	// Across documents: the DF table chains [4 5] behind [1 2].
+	docs := [][]int{{1, 2, 3}, {4, 5, 6}, {1, 2, 9}}
+	tab := newDFTable(0)
+	c0 := tab.add(docs, key, 0, 0, 2) // phrase [1 2] in doc 0
+	c1 := tab.add(docs, key, 1, 0, 2) // phrase [4 5] in doc 1: collides
+	if c := tab.add(docs, key, 2, 0, 2); c != c0 {
+		t.Errorf("phrase [1 2] again: cell %d, want %d", c, c0)
 	}
-	if df, alt := c.lookup(docs, 1, 0, 2); df != 1 || alt != 1 {
-		t.Errorf("phrase [4 5]: df=%d alt=%d, want 1,1", df, alt)
+	sel := &Selection{docs: docs}
+	sel.shards[shardOf(key)] = tab
+	for _, tc := range []struct {
+		cell int32
+		alt  uint16
+		df   int
+		toks []int
+	}{{c0, 0, 2, []int{1, 2}}, {c1, 1, 1, []int{4, 5}}} {
+		id := PhraseID{key, tc.alt}
+		if got := tab.cells[tc.cell].alt; got != tc.alt {
+			t.Errorf("cell %d: alt %d, want %d", tc.cell, got, tc.alt)
+		}
+		if got := sel.DF(id); got != tc.df {
+			t.Errorf("DF(%v) = %d, want %d", id, got, tc.df)
+		}
+		if got := sel.PhraseTokens(id); !reflect.DeepEqual(got, tc.toks) {
+			t.Errorf("PhraseTokens(%v) = %v, want %v", id, got, tc.toks)
+		}
+	}
+	for _, id := range []PhraseID{{key, 2}, {key + 1, 0}} {
+		if sel.DF(id) != 0 || sel.PhraseTokens(id) != nil {
+			t.Errorf("unknown id %v resolved", id)
+		}
+	}
+
+	// Within one document: the dedupe table keeps [1 2], [2 1] and [2 3]
+	// apart under one key and counts each one's occurrences.
+	ids := []int{1, 2, 1, 2, 3}
+	var dt docTable
+	dt.reset(occurrences(len(ids), 2))
+	var ents []phraseEntry
+	for p := 0; p+2 <= len(ids); p++ {
+		ents = dt.add(ents, ids, key, int32(p), 2)
+	}
+	want := []phraseEntry{{hash: key, tf: 2, pos: 0, n: 2}, {hash: key, tf: 1, pos: 1, n: 2}, {hash: key, tf: 1, pos: 3, n: 2}}
+	if !reflect.DeepEqual(ents, want) {
+		t.Errorf("in-document collisions: entries %+v, want %+v", ents, want)
+	}
+}
+
+// forgedBigramKey replaces the hash of every bigram in the forged
+// extractions below, so all bigrams of a corpus share one chain.
+const forgedBigramKey = uint64(0x3) << 60
+
+// forgedExtract mirrors TopPhraseIDs's extract and count passes, split
+// over workers the same way, with every bigram keyed by forgedBigramKey.
+func forgedExtract(docs [][]int, maxN, workers int) (*Selection, []phraseRange) {
+	n := len(docs)
+	ranges := make([]phraseRange, min(workers, n))
+	par.IndexedRanges(n, workers, func(w, lo, hi int) {
+		r := &ranges[w]
+		r.lo, r.hi = lo, hi
+		r.bounds = make([]int32, hi-lo+1)
+		var tab docTable
+		for i := lo; i < hi; i++ {
+			ids := docs[i]
+			tab.reset(occurrences(len(ids), maxN))
+			for p := range ids {
+				for l := 1; l <= maxN && p+l <= len(ids); l++ {
+					key := hashIDs(ids[p : p+l])
+					if l == 2 {
+						key = forgedBigramKey
+					}
+					r.ents = tab.add(r.ents, ids, key, int32(p), int32(l))
+				}
+			}
+			r.bounds[i-lo+1] = int32(len(r.ents))
+		}
+		r.groupByShard()
+	})
+	sel := &Selection{Top: make([][]PhraseID, n), docs: docs}
+	par.Each(dfShards, workers, func(s int) { sel.shards[s] = countShard(docs, ranges, s) })
+	return sel, ranges
+}
+
+// TestForgedChainOrder forces every bigram of a real-shaped corpus into
+// one collision chain and checks, for several worker counts, that Alt
+// numbers the bigrams by first occurrence in document order, that DF and
+// PhraseTokens resolve every Alt, that every entry points at its own
+// phrase's cell, and that selection over the forged tables still equals
+// the string-key reference.
+func TestForgedChainOrder(t *testing.T) {
+	words := fixtureCorpus(42, 3, 5, 30)
+	vocab := tokenize.NewVocab()
+	docs := make([][]int, len(words))
+	for i, w := range words {
+		docs[i] = vocab.Encode(w)
+	}
+	// Reference: distinct bigrams by first occurrence, and their df.
+	var order []string
+	df := map[string]int{}
+	for _, w := range words {
+		seen := map[string]bool{}
+		for p := 0; p+2 <= len(w); p++ {
+			k := Key(w[p : p+2])
+			if _, ok := df[k]; !ok {
+				order = append(order, k)
+			}
+			if !seen[k] {
+				seen[k] = true
+				df[k]++
+			}
+		}
+	}
+	if len(order) < 50 {
+		t.Fatalf("only %d distinct bigrams; the chain should be long", len(order))
+	}
+	e := &Extractor{MaxN: 3, TopFraction: 0.3}
+	want := referenceTopPhrases(e, words)
+	for _, workers := range []int{1, 2, 5} {
+		sel, ranges := forgedExtract(docs, 3, workers)
+		for alt, k := range order {
+			id := PhraseID{forgedBigramKey, uint16(alt)}
+			if got := Key(vocab.Decode(sel.PhraseTokens(id))); got != k {
+				t.Fatalf("workers=%d: Alt %d spells %q, want %q", workers, alt, got, k)
+			}
+			if got := sel.DF(id); got != df[k] {
+				t.Fatalf("workers=%d: DF(%q) = %d, want %d", workers, k, got, df[k])
+			}
+		}
+		if id := (PhraseID{forgedBigramKey, uint16(len(order))}); sel.PhraseTokens(id) != nil {
+			t.Fatalf("workers=%d: Alt past the chain end resolved", workers)
+		}
+		for _, r := range ranges {
+			for j := range r.hi - r.lo {
+				ids := docs[r.lo+j]
+				for _, en := range r.ents[r.bounds[j]:r.bounds[j+1]] {
+					c := sel.shards[shardOf(en.hash)].cells[en.cell]
+					if !reflect.DeepEqual(docs[c.doc][c.pos:c.pos+c.n], ids[en.pos:en.pos+en.n]) {
+						t.Fatalf("workers=%d: doc %d entry at %d points at another phrase's cell", workers, r.lo+j, en.pos)
+					}
+				}
+			}
+		}
+		rank := lexRank(vocab)
+		for w := range ranges {
+			sel.selectRange(&ranges[w], rank, e.topFraction(), e.relativeFloor())
+		}
+		got := make([][]string, len(docs))
+		for i, ps := range sel.Top {
+			for _, p := range ps {
+				got[i] = append(got[i], Key(vocab.Decode(sel.PhraseTokens(p))))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: selection over forged tables diverged from the string reference", workers)
+		}
 	}
 }
 
@@ -470,6 +618,80 @@ func TestTopPhraseIDsWorkerInvariance(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.PhraseTokens(p), ref.PhraseTokens(p)) {
 					t.Fatalf("workers=%d: tokens(%v) differ", workers, p)
+				}
+			}
+		}
+	}
+}
+
+// twitterWords tokenizes a small synthetic Twitter corpus: 30 genuine
+// accounts tweeting in all four languages plus 30 bot accounts, 10 tweets
+// each.
+func twitterWords() [][]string {
+	c := datagen.Twitter(datagen.TwitterConfig{Seed: 3, GenuineAccounts: 30, BotAccounts: 30,
+		TweetsPerAccountMin: 10, TweetsPerAccountMax: 10})
+	var tk tokenize.Tokenizer
+	return tk.All(c.Texts(), 1)
+}
+
+// TestTwitterSelectionMatchesStringReference is the equivalence gate on
+// real-shaped input: multilingual tweets with campaign near-duplicates.
+func TestTwitterSelectionMatchesStringReference(t *testing.T) {
+	words := twitterWords()
+	for _, base := range []Extractor{{}, {MaxN: 3, TopFraction: 0.25}} {
+		want := referenceTopPhrases(&base, words)
+		for _, workers := range []int{1, 2, 3, 8} {
+			e := base
+			e.Workers = workers
+			if got := e.TopPhrases(words); !reflect.DeepEqual(got, want) {
+				t.Errorf("maxN=%d frac=%v workers=%d: selection diverged from string reference",
+					base.MaxN, base.TopFraction, workers)
+			}
+		}
+	}
+}
+
+// TestSelectionTablesMatchMapCount checks DF and PhraseTokens for every
+// phrase of the Twitter corpus against a plain string-keyed count.
+func TestSelectionTablesMatchMapCount(t *testing.T) {
+	words := twitterWords()
+	vocab := tokenize.NewVocab()
+	docs := make([][]int, len(words))
+	for i, w := range words {
+		docs[i] = vocab.Encode(w)
+	}
+	df := map[string]int{}
+	for _, w := range words {
+		seen := map[string]bool{}
+		for p := range w {
+			for l := 1; l <= DefaultMaxN && p+l <= len(w); l++ {
+				if k := Key(w[p : p+l]); !seen[k] {
+					seen[k] = true
+					df[k]++
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		sel := (&Extractor{Workers: workers}).TopPhraseIDs(docs, vocab)
+		cells := 0
+		for s := range sel.shards {
+			cells += len(sel.shards[s].cells)
+		}
+		if cells != len(df) {
+			t.Errorf("workers=%d: %d DF cells, want %d distinct phrases", workers, cells, len(df))
+		}
+		for _, ids := range docs {
+			for p := range ids {
+				for l := 1; l <= DefaultMaxN && p+l <= len(ids); l++ {
+					id := PhraseID{Hash: hashIDs(ids[p : p+l])}
+					k := Key(vocab.Decode(ids[p : p+l]))
+					if got := sel.DF(id); got != df[k] {
+						t.Fatalf("workers=%d: DF(%q) = %d, want %d", workers, k, got, df[k])
+					}
+					if got := sel.PhraseTokens(id); !reflect.DeepEqual(got, ids[p:p+l]) {
+						t.Fatalf("workers=%d: PhraseTokens(%q) = %v", workers, k, got)
+					}
 				}
 			}
 		}
