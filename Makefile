@@ -48,11 +48,15 @@ race-short:
 fuzz:
 	$(GO) test -fuzz FuzzDetectDeterminism -fuzztime 30s .
 
-## fuzz-stream: a bounded burst of the streaming serve-path fuzzer
-## (interleaved Add / AddBatch / Flush / persist round-trips, serial vs
-## batched-parallel equivalence).
+## fuzz-stream: bounded bursts of both streaming fuzzers — the serve-path
+## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,
+## serial vs batched-parallel equivalence, optionally with the
+## incremental miner and lifecycle on) and the incremental miner's
+## window DF table (random inc/dec against a map over forged colliding
+## keys). Anchored patterns, as in fuzz-serve.
 fuzz-stream:
-	$(GO) test -fuzz FuzzStreamOps -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/stream
 
 ## fuzz-serve: bounded bursts of both daemon fuzzers — the single-shard
 ## HTTP fuzzer (interleaved single/batch/flush/snapshot requests,
@@ -129,10 +133,11 @@ bench-shard:
 ## drifting-campaign stream (BenchmarkStreamLifecycleFlush) with the
 ## template cap, TTL, MDL merge, and incremental miner on — flush p50/p99
 ## latency (promoted to first-class JSON fields), bytes/op as the RSS
-## proxy, the steady-state live-template count, and the incremental
-## variant against the from-scratch re-clustering baseline — archived as
-## BENCH_lifecycle.{txt,json}. CI runs this with BENCH_COUNT=1 and
-## uploads both as artifacts.
+## proxy, the steady-state live-template count, the incremental
+## variant against the from-scratch re-clustering baseline, and the
+## mine-drift sub-benchmark (the daemon workload's shape, with ns/doc) —
+## archived as BENCH_lifecycle.{txt,json} (committed). CI runs this with
+## BENCH_COUNT=1 and uploads both as artifacts.
 bench-lifecycle:
 	$(GO) test -bench='StreamLifecycleFlush' -benchmem -count=$(BENCH_COUNT) -run '^$$' -timeout 30m ./internal/stream > BENCH_lifecycle.txt
 	$(GO) run ./cmd/benchjson -o BENCH_lifecycle.json < BENCH_lifecycle.txt

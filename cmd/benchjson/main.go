@@ -9,7 +9,11 @@
 // Each "BenchmarkX ... N iter ... ns/op ..." result line becomes one
 // entry; repeated names (from -count=N) stay separate entries so
 // downstream tooling can aggregate however it likes. The goos / goarch /
-// pkg / cpu header lines are captured as run metadata.
+// pkg / cpu header lines are captured as run metadata, and the header
+// also stamps the machine: nproc (the logical CPUs of the machine
+// running benchjson, which runs beside the benchmark) and the GOMAXPROCS
+// of the run, read from the -N suffix go test appends to benchmark names
+// (no suffix means 1; under a -cpu list the first result's value).
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -47,11 +52,13 @@ type result struct {
 }
 
 type report struct {
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []result `json:"results"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	Pkg        string   `json:"pkg,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	Nproc      int      `json:"nproc"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Results    []result `json:"results"`
 }
 
 func main() {
@@ -84,7 +91,7 @@ func main() {
 }
 
 func parse(r io.Reader) (*report, error) {
-	rep := &report{Results: []result{}}
+	rep := &report{Nproc: runtime.NumCPU(), Results: []result{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -101,6 +108,9 @@ func parse(r io.Reader) (*report, error) {
 		case strings.HasPrefix(line, "Benchmark"):
 			res, ok := parseResult(line)
 			if ok {
+				if len(rep.Results) == 0 {
+					rep.GOMAXPROCS = procsSuffix(res.Name)
+				}
 				rep.Results = append(rep.Results, res)
 			}
 		}
@@ -109,6 +119,20 @@ func parse(r io.Reader) (*report, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// procsSuffix returns the GOMAXPROCS go test encodes as a "-N" suffix of
+// a benchmark name, or 1 when the name has none (go test omits it at 1).
+func procsSuffix(name string) int {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return 1
+	}
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || n < 1 {
+		return 1
+	}
+	return n
 }
 
 // parseResult parses one benchmark result line:

@@ -66,4 +66,47 @@ func BenchmarkStreamLifecycleFlush(b *testing.B) {
 			b.ReportMetric(float64(len(d.templates)), "template-slots")
 		})
 	}
+
+	// mine-drift is the daemon's mine-drift shape: DriftConfig defaults,
+	// BatchSize 256 with flushes firing inside AddBatch, 16-document
+	// calls. One op is 256 documents (16 calls), generated before the
+	// timer starts. flush-p50-ns is the median of the calls that ran a
+	// mining pass, so it includes that call's matching of ≤16 documents.
+	b.Run("mine-drift", func(b *testing.B) {
+		const call, perOp = 16, 256
+		drift := datagen.NewDriftStream(datagen.DriftConfig{Seed: 42})
+		d := New(core.Options{})
+		d.BatchSize = 256
+		d.Lifecycle = Lifecycle{MaxTemplates: 64, TTL: 50000, Merge: true, Incremental: true}
+		k := 0
+		for k < 4096 {
+			d.AddBatch(drift.Docs(k, k+call))
+			k += call
+		}
+
+		var lat []time.Duration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			docs := drift.Docs(k, k+perOp)
+			k += perOp
+			b.StartTimer()
+			for lo := 0; lo < perOp; lo += call {
+				flushes := d.stats.Flushes
+				t0 := time.Now()
+				d.AddBatch(docs[lo : lo+call])
+				if d.stats.Flushes != flushes {
+					lat = append(lat, time.Since(t0))
+				}
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/doc")
+		if len(lat) > 0 {
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(lat[len(lat)/2]), "flush-p50-ns")
+		}
+		b.ReportMetric(float64(d.NumLive()), "live-templates")
+	})
 }

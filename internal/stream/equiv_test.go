@@ -286,20 +286,41 @@ func fuzzStreamDocs(data string) []string {
 // round-trips on two detectors — one fed serially, one in batches with
 // Workers: 4 — and requires identical verdicts, templates, and stats at
 // every step. This generalizes the two equivalence gates above from
-// pinned corpora to arbitrary interleavings.
+// pinned corpora to arbitrary interleavings. The lifecycle bit turns on
+// the incremental miner, MDL merge and a 3-template cap, whose window DF
+// table is checked against a fresh count after every step.
 func FuzzStreamOps(f *testing.F) {
-	f.Add("big sale call now 555-0101\nbig sale call now 555-0102\nbig sale call now 555-0103\nunrelated chatter", uint32(0b10110))
-	f.Add("a b c d e\na b c d e\na b x d e\nnoise one two", uint32(0xffff))
-	f.Add("", uint32(1))
-	f.Fuzz(func(t *testing.T, data string, schedule uint32) {
+	f.Add("big sale call now 555-0101\nbig sale call now 555-0102\nbig sale call now 555-0103\nunrelated chatter", uint32(0b10110), false)
+	f.Add("a b c d e\na b c d e\na b x d e\nnoise one two", uint32(0xffff), false)
+	f.Add("", uint32(1), false)
+	f.Add("big sale call now 555-0101\nbig sale call now 555-0102\nbig sale call now 555-0103\nunrelated chatter", uint32(0b10110), true)
+	// Four campaigns against a 3-template cap: mines and reuses the
+	// window across flushes, and evicts (one doc per step) or snapshots
+	// the window mid-stream.
+	campaigns := "win a cruise to bahamas call 555 now code a1\nnq1a nq1b nq1c nq1d\n" +
+		"win a cruise to bahamas call 555 now code b2\nnq2a nq2b nq2c nq2d\n" +
+		"win a cruise to bahamas call 555 now code c3\ncheap pills online fast ship rx 11\n" +
+		"nq3a nq3b nq3c\ncheap pills online fast ship rx 22\ncheap pills online fast ship rx 33\n" +
+		"hot singles near you tap here z1\nhot singles near you tap here z2\nnq4a nq4b nq4c\n" +
+		"hot singles near you tap here z3\nfree bitcoin giveaway send wallet now t1\n" +
+		"free bitcoin giveaway send wallet now t2\nfree bitcoin giveaway send wallet now t3"
+	f.Add(campaigns, uint32(0), true)
+	f.Add(campaigns, uint32(0x24924924), true)
+	f.Fuzz(func(t *testing.T, data string, schedule uint32, lifecycle bool) {
 		texts := fuzzStreamDocs(data)
 		if len(texts) == 0 {
 			t.Skip("no docs")
 		}
+		var lc Lifecycle
+		if lifecycle {
+			lc = Lifecycle{Incremental: true, Merge: true, MaxTemplates: 3}
+		}
 		a := New(core.Options{})
 		a.BatchSize = 4
+		a.Lifecycle = lc
 		b := New(core.Options{Workers: 4})
 		b.BatchSize = 4
+		b.Lifecycle = lc
 
 		roundTrip := func(d *Detector) *Detector {
 			// No flush: Save carries the pending buffer (texts + ids), so
@@ -310,6 +331,7 @@ func FuzzStreamOps(f *testing.F) {
 			}
 			fresh := New(d.Options)
 			fresh.BatchSize = d.BatchSize
+			fresh.Lifecycle = d.Lifecycle
 			if err := fresh.Load(&buf); err != nil {
 				t.Fatal(err)
 			}
@@ -344,6 +366,8 @@ func FuzzStreamOps(f *testing.F) {
 				a = roundTrip(a)
 				b = roundTrip(b)
 			}
+			checkMineDF(t, fmt.Sprintf("step %d serial", step), a)
+			checkMineDF(t, fmt.Sprintf("step %d batched", step), b)
 			i += k
 			step++
 		}

@@ -143,6 +143,19 @@ func (ps *postingStore) grow(tok int) {
 	}
 }
 
+// reset empties the store in place, keeping its tables and chunk slab so
+// that re-registering the live set allocates nothing for the tokens the
+// store has already seen. A token past the old tables and a reset token
+// read the same to a probe: no postings, not saturated.
+func (ps *postingStore) reset() {
+	for i := range ps.heads {
+		ps.heads[i], ps.tails[i] = noHead, noHead
+	}
+	clear(ps.counts)
+	clear(ps.bsets)
+	ps.chunks = ps.chunks[:0]
+}
+
 // add appends one posting, saturating the token once its chain would
 // exceed satThreshold (the chain is abandoned in place; orphaned chunks
 // cost memory, not probe time).

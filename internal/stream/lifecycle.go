@@ -215,10 +215,15 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 // index and fresh arenas, zeroing tombstoned payloads so their postings,
 // bucket aggregates, and arena bytes are actually reclaimed. Template
 // indices are preserved (tombstones keep a dead meta slot), so nothing
-// outside the index changes.
+// outside the index changes. The posting store is emptied in place rather
+// than reallocated: its token tables span the whole vocabulary, and
+// regrowing them on every rebuild was the largest allocation of a
+// continuously mining detector.
 func (d *Detector) rebuildIndex() {
 	old := &d.index
+	old.store.reset()
 	fresh := tmplIndex{
+		store:    old.store,
 		regCount: old.regCount, // pooled registration scratch (all-zero between adds)
 		regMask:  old.regMask,
 		regOrder: old.regOrder,

@@ -256,6 +256,8 @@ func TestLifecycleBounded(t *testing.T) {
 		d.AddBatch(drift.Docs(k, k+batch))
 		k += batch
 		d.Flush()
+		checkMineDF(t, fmt.Sprintf("cycle %d", cycle), d)
+		checkIndex(t, fmt.Sprintf("cycle %d", cycle), d)
 		if live := d.NumLive(); live > 16 {
 			t.Fatalf("cycle %d: live = %d > cap 16", cycle, live)
 		}
@@ -312,6 +314,7 @@ func TestIncrementalEmergence(t *testing.T) {
 	first := d.Add(raffle(0))
 	d.AddBatch(noise(5, 41))
 	d.Flush()
+	checkMineDF(t, "flush 1", d)
 	if a := d.Assignment(first); a.Template != -1 || a.Pending {
 		t.Fatalf("singleton campaign member should be unmatched after flush 1: %+v", a)
 	}
@@ -320,6 +323,7 @@ func TestIncrementalEmergence(t *testing.T) {
 	third := d.Add(raffle(2))
 	d.AddBatch(noise(5, 42))
 	d.Flush()
+	checkMineDF(t, "flush 2", d)
 	a1, a2, a3 := d.Assignment(first), d.Assignment(second), d.Assignment(third)
 	if a1.Template < 0 {
 		t.Fatalf("flush-1 member not upgraded by the cross-flush component: %+v", a1)
@@ -354,6 +358,8 @@ func TestIncrementalTouchedOnly(t *testing.T) {
 		all.AddBatch(docs)
 		inc.Flush()
 		all.Flush()
+		checkMineDF(t, fmt.Sprintf("touched-only cycle %d", cycle), inc)
+		checkMineDF(t, fmt.Sprintf("mineAll cycle %d", cycle), all)
 	}
 	si, sa := inc.Stats(), all.Stats()
 	if si.MineClusteredDocs >= sa.MineClusteredDocs {
@@ -382,6 +388,7 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 		d1.AddBatch(drift.Docs(k, k+32))
 		k += 32
 		d1.Flush()
+		checkMineDF(t, fmt.Sprintf("d1 cycle %d", cycle), d1)
 	}
 	d1.AddBatch(drift.Docs(k, k+10)) // leave a pending buffer in the snapshot
 	k += 10
@@ -430,6 +437,7 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 		t.Fatalf("retained window %d restored as %d", len(d1.mine.docs), len(d2.mine.docs))
 	}
 	checkIndex(t, "d2 after load", d2)
+	checkMineDF(t, "d2 after load", d2)
 
 	// Two restores of the same state must stay byte-identical through
 	// further churn, including new lifecycle retirements.
@@ -440,6 +448,8 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 		d3.AddBatch(docs)
 		d2.Flush()
 		d3.Flush()
+		checkMineDF(t, fmt.Sprintf("d2 cycle %d", cycle), d2)
+		checkMineDF(t, fmt.Sprintf("d3 cycle %d", cycle), d3)
 	}
 	compareDetectors(t, "restored twins after churn", d2, d3)
 	if d2.NumLive() > 12 {

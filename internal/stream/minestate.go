@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"infoshield/internal/core"
 	"infoshield/internal/tfidf"
@@ -29,17 +30,33 @@ import (
 // upgrading their noise verdicts, which the batch path would have
 // frozen at -1.
 //
-// Two deliberate simplifications versus the batch coarse pass, both
-// deterministic: phrase identity is the 64-bit mixed rolling hash
-// (collisions merge two phrases instead of chaining — across a bounded
-// window the probability is negligible, and a merge only over-connects
-// a component, never corrupts state), and component growth always uses
-// the permissive single-shared-phrase rule (Options.MinSharedPhrases is
-// a batch-pipeline ablation knob). Score ties break by (position,
-// length, hash) instead of the batch extractor's lexicographic token
-// order. Incremental mining is therefore equivalent in mechanism, not
-// byte-identical in output, to the batch path — the byte-identity gate
-// covers the default (non-incremental) configuration.
+// The flush path runs on flat tables, not Go maps. The window DF table is
+// a hashTable: dense []uint64 keys and []int32 counts, linear probing,
+// count 0 marking an empty slot, doubling once half full. When a count
+// drops to zero the entry is removed by backward shift — later members of
+// its probe run move back into the hole — so the table never holds
+// tombstones and never needs a rebuild, and its size stays bounded by the
+// retained window. Each document's 1..MaxN-grams are deduped through the
+// tf-idf kernel's reusable table (tfidf.PhraseTable); the phrase,
+// candidate, covered and selection buffers are reused across flushes; and
+// the flush's selected phrases (first the set touched by new documents,
+// then each phrase's union-find owner) live in a second hashTable,
+// cleared per flush.
+//
+// Three deliberate simplifications versus the batch coarse pass, all
+// deterministic. Across documents, phrase identity is the 64-bit mixed
+// rolling hash: the DF table keys on the hash alone, so a collision
+// merges two phrases instead of chaining — across a bounded window the
+// probability is negligible, and a merge only over-connects a component,
+// never corrupts state. Within one document the dedupe compares tokens,
+// so two different n-grams there that share all 64 hash bits stay two
+// phrases with one hash (both counted, both selectable). Component growth
+// always uses the permissive single-shared-phrase rule
+// (Options.MinSharedPhrases is a batch-pipeline ablation knob), and score
+// ties break by (position, length, hash) instead of the batch extractor's
+// lexicographic token order. Incremental mining is therefore equivalent
+// in mechanism, not byte-identical in output, to the batch path — the
+// byte-identity gate covers the default (non-incremental) configuration.
 
 // mineDoc is one unmatched document retained in the miner's window.
 type mineDoc struct {
@@ -57,126 +74,215 @@ type mineState struct {
 	// plus, transiently inside a flush, the new batch's contributions —
 	// every document that leaves the window (matched, aged, capped)
 	// decrements its dist from df.
-	df    map[uint64]int
+	df    hashTable
 	docs  []mineDoc // retained unmatched docs, ascending id
 	epoch int
+
+	// Scratch reused across flushes (and by Load).
+	tab     tfidf.PhraseTable
+	phr     []tfidf.Phrase // the extracted documents' phrases, flat
+	bounds  []int32        // document i owns phr[bounds[i]:bounds[i+1]]
+	tmp     []tfidf.Phrase // one retained document's phrases (mineAll)
+	cand    []mineCand
+	covered []bool
+	sel     []uint64         // this flush's selections, flat
+	ids     []tfidf.PhraseID // core.Refine's top phrases, flat
+	owner   hashTable        // selected phrase → document (see flushIncremental)
+}
+
+// hashTable is a dense open-addressing table from a 64-bit phrase hash to
+// a nonzero int32 (linear probing; value 0 marks an empty slot). It stays
+// at most half full, doubling as it grows, and dec deletes by backward
+// shift, so lookups never step over tombstones.
+type hashTable struct {
+	keys []uint64
+	vals []int32
+	n    int // occupied slots
+}
+
+// slot returns the slot holding key, or the empty slot where it belongs.
+func (t *hashTable) slot(key uint64) uint64 {
+	mask := uint64(len(t.keys) - 1)
+	i := key & mask
+	for t.vals[i] != 0 && t.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the value under key, or 0 for an absent key.
+func (t *hashTable) get(key uint64) int32 {
+	if t.n == 0 {
+		return 0
+	}
+	return t.vals[t.slot(key)]
+}
+
+// reserve grows the table if one more key would fill over half of it.
+func (t *hashTable) reserve() {
+	if 2*(t.n+1) <= len(t.keys) {
+		return
+	}
+	keys, vals := t.keys, t.vals
+	size := max(16, 2*len(keys))
+	t.keys, t.vals = make([]uint64, size), make([]int32, size)
+	for i, v := range vals {
+		if v != 0 {
+			j := t.slot(keys[i])
+			t.keys[j], t.vals[j] = keys[i], v
+		}
+	}
+}
+
+// inc adds one to key's count.
+func (t *hashTable) inc(key uint64) {
+	t.reserve()
+	i := t.slot(key)
+	if t.vals[i] == 0 {
+		t.keys[i] = key
+		t.n++
+	}
+	t.vals[i]++
+}
+
+// dec subtracts one from key's count, which must be positive. A count
+// that reaches zero leaves the table: each later entry of the probe run
+// whose home slot is not cyclically within (hole, entry] moves back into
+// the hole, which then continues from the moved entry's slot, until an
+// empty slot ends the run.
+func (t *hashTable) dec(key uint64) {
+	var i uint64
+	if t.n > 0 {
+		i = t.slot(key)
+	}
+	if t.n == 0 || t.vals[i] == 0 {
+		panic("stream: window DF decrement of an uncounted phrase")
+	}
+	if t.vals[i]--; t.vals[i] > 0 {
+		return
+	}
+	t.n--
+	mask := uint64(len(t.keys) - 1)
+	for j := (i + 1) & mask; t.vals[j] != 0; j = (j + 1) & mask {
+		if home := t.keys[j] & mask; (j-home)&mask >= (j-i)&mask {
+			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
+			i = j
+		}
+	}
+	t.vals[i] = 0
+}
+
+// insert stores v (nonzero) under key and returns 0 if key is absent;
+// otherwise it leaves the table unchanged and returns key's value.
+func (t *hashTable) insert(key uint64, v int32) int32 {
+	t.reserve()
+	i := t.slot(key)
+	if old := t.vals[i]; old != 0 {
+		return old
+	}
+	t.keys[i], t.vals[i] = key, v
+	t.n++
+	return 0
+}
+
+// reset empties the table, keeping its size.
+func (t *hashTable) reset() {
+	clear(t.vals)
+	t.n = 0
 }
 
 func (ms *mineState) decDF(dist []uint64) {
 	for _, h := range dist {
-		if c := ms.df[h] - 1; c > 0 {
-			ms.df[h] = c
-		} else {
-			delete(ms.df, h)
-		}
+		ms.df.dec(h)
 	}
 }
 
-// minePhrase is one distinct phrase of one document during extraction.
-type minePhrase struct {
-	hash uint64
-	tf   int32
-	pos  int32 // first occurrence
-	n    int32 // length in tokens
+// extract fills phr and bounds with each document's distinct phrases and
+// counts them into the DF table.
+func (ms *mineState) extract(docs [][]int, maxN int) {
+	ms.phr = ms.phr[:0]
+	ms.bounds = append(ms.bounds[:0], 0)
+	for _, toks := range docs {
+		ms.phr = ms.tab.AppendDoc(ms.phr, toks, maxN)
+		ms.bounds = append(ms.bounds, int32(len(ms.phr)))
+	}
+	for i := range ms.phr {
+		ms.df.inc(ms.phr[i].Hash)
+	}
 }
 
-// minePhrases builds the distinct phrase set (n-grams of 1..maxN token
-// ids) of one document — the rolling-hash mirror of the tfidf extractor,
-// with hash equality as identity (see the package comment above).
-func minePhrases(toks []int, maxN int) []minePhrase {
-	idx := make(map[uint64]int, len(toks)*maxN)
-	var list []minePhrase
-	for i := 0; i < len(toks); i++ {
-		var h uint64
-		for n := 1; n <= maxN && i+n <= len(toks); n++ {
-			h = tfidf.PhraseHashExtend(h, toks[i+n-1])
-			k := tfidf.PhraseHashMix(h)
-			if li, ok := idx[k]; ok {
-				list[li].tf++
-				continue
-			}
-			idx[k] = len(list)
-			list = append(list, minePhrase{hash: k, tf: 1, pos: int32(i), n: int32(n)})
-		}
-	}
-	return list
+// phrases returns document i's phrases from the last extract.
+func (ms *mineState) phrases(i int) []tfidf.Phrase {
+	return ms.phr[ms.bounds[i]:ms.bounds[i+1]]
 }
 
-// mineSelect picks a document's top phrases against the window DF table,
-// mirroring the batch extractor's selection dynamics: budget is
-// ⌈frac·distinct⌉ (min 1), zero-score phrases (df = N) are excluded, an
-// idf floor at floorFrac of the document's best keeps quota-filler
-// phrases out, and positional diversity admits a phrase only when its
-// first occurrence covers no already-covered token.
-func mineSelect(phrases []minePhrase, df map[uint64]int, nDocs, docLen int, frac, floorFrac float64) []uint64 {
-	if len(phrases) == 0 {
-		return nil
-	}
-	type scored struct {
-		p     minePhrase
-		idf   float64
-		score float64
-	}
-	cand := make([]scored, 0, len(phrases))
+// mineCand is one scored phrase of one document during selection.
+type mineCand struct {
+	score, idf float64
+	pos, n     int32
+	hash       uint64
+}
+
+// selectTop appends a document's top phrases to sel and returns the
+// extended slice, mirroring the batch extractor's selection dynamics
+// against the window DF table: budget is ⌈frac·distinct⌉ (min 1),
+// zero-score phrases (df = N) are excluded, an idf floor at floorFrac of
+// the document's best keeps quota-filler phrases out, and positional
+// diversity admits a phrase only when its first occurrence covers no
+// already-covered token. Below-floor phrases are dropped before the sort;
+// (score desc, pos, n, hash) is a total order over one document's
+// phrases, so the survivors keep the order the greedy scan sees.
+func (ms *mineState) selectTop(sel []uint64, phrases []tfidf.Phrase, nDocs, docLen int, frac, floorFrac float64) []uint64 {
+	cand := ms.cand[:0]
 	maxIdf := 0.0
-	for _, p := range phrases {
-		d := df[p.hash]
+	for i := range phrases {
+		p := &phrases[i]
+		d := ms.df.get(p.Hash)
 		if d <= 0 {
 			continue
 		}
 		idf := math.Log(float64(nDocs) / float64(d))
-		score := float64(p.tf) * idf
+		score := float64(p.TF) * idf
 		if score <= 0 {
 			continue
 		}
-		if idf > maxIdf {
-			maxIdf = idf
-		}
-		cand = append(cand, scored{p, idf, score})
+		maxIdf = max(maxIdf, idf)
+		cand = append(cand, mineCand{score, idf, p.Pos, p.N, p.Hash})
 	}
-	if len(cand) == 0 {
-		return nil
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].score != cand[b].score {
-			return cand[a].score > cand[b].score
-		}
-		if cand[a].p.pos != cand[b].p.pos {
-			return cand[a].p.pos < cand[b].p.pos
-		}
-		if cand[a].p.n != cand[b].p.n {
-			return cand[a].p.n < cand[b].p.n
-		}
-		return cand[a].p.hash < cand[b].p.hash
-	})
-	k := int(math.Ceil(frac * float64(len(phrases))))
-	if k < 1 {
-		k = 1
-	}
+	ms.cand = cand
 	floor := maxIdf * floorFrac
-	covered := make([]bool, docLen)
-	var sel []uint64
+	kept := cand[:0]
 	for _, c := range cand {
-		if len(sel) >= k {
+		if c.idf >= floor {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) == 0 {
+		return sel
+	}
+	slices.SortFunc(kept, func(a, b mineCand) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.pos, b.pos),
+			cmp.Compare(a.n, b.n), cmp.Compare(a.hash, b.hash))
+	})
+	k := max(1, int(math.Ceil(frac*float64(len(phrases)))))
+	if cap(ms.covered) < docLen {
+		ms.covered = make([]bool, docLen)
+	}
+	covered := ms.covered[:docLen]
+	clear(covered)
+	start := len(sel)
+	for _, c := range kept {
+		if len(sel)-start >= k {
 			break
 		}
-		if c.idf < floor {
+		span := covered[c.pos : c.pos+c.n]
+		if slices.Contains(span, true) {
 			continue
 		}
-		fresh := true
-		for p := c.p.pos; p < c.p.pos+c.p.n; p++ {
-			if covered[p] {
-				fresh = false
-				break
-			}
+		for p := range span {
+			span[p] = true
 		}
-		if !fresh {
-			continue
-		}
-		for p := c.p.pos; p < c.p.pos+c.p.n; p++ {
-			covered[p] = true
-		}
-		sel = append(sel, c.p.hash)
+		sel = append(sel, c.hash)
 	}
 	return sel
 }
@@ -209,13 +315,36 @@ func (d *Detector) retainDocs() int {
 	return 8 * d.batchSize()
 }
 
-// distinctHashes lists a phrase set's hashes — the doc's DF footprint.
-func distinctHashes(phrases []minePhrase) []uint64 {
-	out := make([]uint64, len(phrases))
-	for i, p := range phrases {
-		out[i] = p.hash
+// retain appends extracted document i to the window with selection sel.
+// Its dist and sel are copied into the front of slab, which must have
+// room; the rest of slab is returned.
+func (ms *mineState) retain(slab []uint64, i, id int, toks []int, sel []uint64, epoch int) []uint64 {
+	ps := ms.phrases(i)
+	dist := slab[:len(ps):len(ps)]
+	for j := range ps {
+		dist[j] = ps[j].Hash
 	}
-	return out
+	slab = slab[len(ps):]
+	kept := slab[:len(sel):len(sel)]
+	copy(kept, sel)
+	ms.docs = append(ms.docs, mineDoc{id: id, toks: toks, dist: dist, sel: kept, epoch: epoch})
+	return slab[len(sel):]
+}
+
+// setDocs replaces the window with keep, a prefix of its own backing
+// array, dropping the references the array's tail still holds.
+func (ms *mineState) setDocs(keep []mineDoc) {
+	clear(ms.docs[len(keep):])
+	ms.docs = keep
+}
+
+// root returns x's union-find root, halving the path on the way.
+func root(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
 }
 
 // flushIncremental is the incremental mining pass; see the package
@@ -223,7 +352,7 @@ func distinctHashes(phrases []minePhrase) []uint64 {
 // indices for the lifecycle pass.
 func (d *Detector) flushIncremental() []int {
 	if d.mine == nil {
-		d.mine = &mineState{df: make(map[uint64]int)}
+		d.mine = &mineState{}
 	}
 	ms := d.mine
 	ms.epoch++
@@ -243,31 +372,27 @@ func (d *Detector) flushIncremental() []int {
 		for i := 0; i < over; i++ {
 			ms.decDF(keep[i].dist)
 		}
-		n := copy(keep, keep[over:])
-		keep = keep[:n]
+		keep = keep[:copy(keep, keep[over:])]
 	}
-	ms.docs = keep
+	ms.setDocs(keep)
 
 	// Extract the new batch's phrases and fold them into the DF table
-	// before selection, so new near-duplicates see each other's df.
+	// before selection, so new near-duplicates see each other's df. The
+	// owner table first records the phrases the new documents select —
+	// the touched set — under -(i+1) for pending document i.
 	maxN := d.mineMaxN()
-	newPhrases := make([][]minePhrase, len(d.pendingToks))
-	for i, toks := range d.pendingToks {
-		ps := minePhrases(toks, maxN)
-		newPhrases[i] = ps
-		for _, p := range ps {
-			ms.df[p.hash]++
-		}
-	}
+	ms.extract(d.pendingToks, maxN)
 	nWindow := len(ms.docs) + len(d.pendingToks)
 	frac, floorFrac := d.mineTopFraction(), tfidf.DefaultRelativeFloor
+	ms.sel = ms.sel[:0]
+	ms.owner.reset()
 	newSel := make([][]uint64, len(d.pendingToks))
-	touched := make(map[uint64]struct{})
 	for i, toks := range d.pendingToks {
-		sel := mineSelect(newPhrases[i], ms.df, nWindow, len(toks), frac, floorFrac)
-		newSel[i] = sel
-		for _, h := range sel {
-			touched[h] = struct{}{}
+		start := len(ms.sel)
+		ms.sel = ms.selectTop(ms.sel, ms.phrases(i), nWindow, len(toks), frac, floorFrac)
+		newSel[i] = ms.sel[start:len(ms.sel):len(ms.sel)]
+		for _, h := range newSel[i] {
+			ms.owner.insert(h, int32(-i-1))
 		}
 	}
 
@@ -288,19 +413,12 @@ func (d *Detector) flushIncremental() []int {
 		doc := &ms.docs[i]
 		sel := doc.sel
 		if d.mineAll {
-			ps := minePhrases(doc.toks, maxN)
-			sel = mineSelect(ps, ms.df, nWindow, len(doc.toks), frac, floorFrac)
-		} else {
-			hit := false
-			for _, h := range doc.sel {
-				if _, ok := touched[h]; ok {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
+			ms.tmp = ms.tab.AppendDoc(ms.tmp[:0], doc.toks, maxN)
+			start := len(ms.sel)
+			ms.sel = ms.selectTop(ms.sel, ms.tmp, nWindow, len(doc.toks), frac, floorFrac)
+			sel = ms.sel[start:len(ms.sel):len(ms.sel)]
+		} else if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.owner.get(h) != 0 }) {
+			continue
 		}
 		candIdx = append(candIdx, i)
 		localToks = append(localToks, doc.toks)
@@ -309,74 +427,82 @@ func (d *Detector) flushIncremental() []int {
 	}
 	reused := len(candIdx)
 	newBase := len(localIDs)
-	for i := range d.pendingToks {
-		localToks = append(localToks, d.pendingToks[i])
-		localSel = append(localSel, newSel[i])
-		localIDs = append(localIDs, d.pendingIDs[i])
-	}
+	localToks = append(localToks, d.pendingToks...)
+	localSel = append(localSel, newSel...)
+	localIDs = append(localIDs, d.pendingIDs...)
 	d.stats.MineReusedDocs += reused
 	d.stats.MineClusteredDocs += len(localIDs)
 
-	// Components over the shared-phrase graph (union-find keyed by
-	// first-seen phrase owner), ≥ 2 members, ordered by least member.
-	parent := make([]int, len(localIDs))
-	for i := range parent {
-		parent[i] = i
+	// Components over the shared-phrase graph: union-find, joining each
+	// document to its phrases' owners (the first local document holding
+	// the phrase, or a new document recorded above — any holder yields
+	// the same components). The larger root always hangs under the
+	// smaller, so a component's root is its least member.
+	nLocal := len(localIDs)
+	parent := make([]int32, nLocal)
+	for l := range parent {
+		parent[l] = int32(l)
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	owner := make(map[uint64]int, len(touched))
 	for l, sel := range localSel {
 		for _, h := range sel {
-			if o, ok := owner[h]; ok {
-				ra, rb := find(o), find(l)
-				if ra != rb {
-					if ra > rb {
-						ra, rb = rb, ra
-					}
-					parent[rb] = ra
-				}
-			} else {
-				owner[h] = l
+			var o int32
+			switch v := ms.owner.insert(h, int32(l+1)); {
+			case v == 0:
+				continue
+			case v > 0:
+				o = v - 1
+			default: // v = -(i+1) for pending document i
+				o = int32(newBase) - v - 1
 			}
+			ra, rb := root(parent, o), root(parent, int32(l))
+			if ra > rb {
+				ra, rb = rb, ra
+			}
+			parent[rb] = ra
 		}
 	}
-	groups := make(map[int][]int)
-	for l := range localIDs {
-		r := find(l)
-		groups[r] = append(groups[r], l)
+	// Components of ≥ 2 members in least-member order, members ascending:
+	// count at each root, turn the counts into offsets (-1 for roots of
+	// singletons and non-roots), then place the documents.
+	pos := make([]int32, nLocal)
+	for l := range parent {
+		parent[l] = root(parent, int32(l))
+		pos[parent[l]]++
 	}
-	roots := make([]int, 0, len(groups))
-	for r, g := range groups {
-		if len(g) >= 2 {
-			roots = append(roots, r)
+	members := make([]int, nLocal)
+	var coarse [][]int
+	off := int32(0)
+	for r, c := range pos {
+		if c < 2 {
+			pos[r] = -1
+			continue
 		}
+		coarse = append(coarse, members[off:off+c:off+c])
+		pos[r] = off
+		off += c
 	}
-	sort.Ints(roots) // root is the least member, so this is least-member order
-	coarse := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		coarse = append(coarse, groups[r])
+	for l, r := range parent {
+		if o := pos[r]; o >= 0 {
+			members[o] = l
+			pos[r]++
+		}
 	}
 
 	// Fine pass: same MDL mining as the batch pipeline, over detector-
 	// vocab tokens, so accepted templates register without re-encoding.
-	topLocal := make([][]tfidf.PhraseID, len(localIDs))
-	for l, sel := range localSel {
-		ps := make([]tfidf.PhraseID, len(sel))
-		for j, h := range sel {
-			ps[j] = tfidf.PhraseID{Hash: h}
+	// Refine reads the top phrases of component members only.
+	topLocal := make([][]tfidf.PhraseID, nLocal)
+	ms.ids = ms.ids[:0]
+	for _, l := range members[:off] {
+		start := len(ms.ids)
+		for _, h := range localSel[l] {
+			ms.ids = append(ms.ids, tfidf.PhraseID{Hash: h})
 		}
-		topLocal[l] = ps
+		topLocal[l] = ms.ids[start:len(ms.ids):len(ms.ids)]
 	}
 	refined, _ := core.Refine(coarse, localToks, topLocal, d.vocab.Size(), d.Options)
 
-	matched := make([]bool, len(localIDs))
+	matched := make([]bool, nLocal)
 	var newTIs []int
 	for ci := range refined {
 		for _, tr := range refined[ci] {
@@ -409,38 +535,35 @@ func (d *Detector) flushIncremental() []int {
 	}
 
 	// Matched documents leave the window (with their DF contributions);
-	// unmatched new documents join it.
-	if reused > 0 {
-		rm := make(map[int]bool, reused)
-		for k := 0; k < reused; k++ {
-			if matched[k] {
-				rm[candIdx[k]] = true
+	// unmatched new documents join it, their dist and sel copied into one
+	// slab per flush. candIdx ascends, so one walk pairs it with docs.
+	keep, k := ms.docs[:0], 0
+	for i := range ms.docs {
+		if k < reused && candIdx[k] == i {
+			k++
+			if matched[k-1] {
+				ms.decDF(ms.docs[i].dist)
+				continue
 			}
 		}
-		if len(rm) > 0 {
-			keep := ms.docs[:0]
-			for i := range ms.docs {
-				if rm[i] {
-					ms.decDF(ms.docs[i].dist)
-					continue
-				}
-				keep = append(keep, ms.docs[i])
-			}
-			ms.docs = keep
+		keep = append(keep, ms.docs[i])
+	}
+	ms.setDocs(keep)
+	size := 0
+	for i := range d.pendingToks {
+		if !matched[newBase+i] {
+			size += len(ms.phrases(i)) + len(newSel[i])
 		}
 	}
+	slab := make([]uint64, size)
 	for i := range d.pendingToks {
 		if matched[newBase+i] {
-			ms.decDF(distinctHashes(newPhrases[i]))
+			for _, p := range ms.phrases(i) {
+				ms.df.dec(p.Hash)
+			}
 			continue
 		}
-		ms.docs = append(ms.docs, mineDoc{
-			id:    d.pendingIDs[i],
-			toks:  d.pendingToks[i],
-			dist:  distinctHashes(newPhrases[i]),
-			sel:   newSel[i],
-			epoch: ms.epoch,
-		})
+		slab = ms.retain(slab, i, d.pendingIDs[i], d.pendingToks[i], newSel[i], ms.epoch)
 	}
 	return newTIs
 }

@@ -201,34 +201,29 @@ func (d *Detector) Load(r io.Reader) error {
 		}
 	}
 	if len(st.Retained) > 0 {
-		ms := &mineState{df: make(map[uint64]int)}
-		maxN := d.mineMaxN()
-		phrases := make([][]minePhrase, len(st.Retained))
+		toks := make([][]int, len(st.Retained))
 		for i, rd := range st.Retained {
 			if rd.ID < 0 {
 				return fmt.Errorf("stream: retained document with negative id %d", rd.ID)
 			}
-			toks := d.vocab.Encode(rd.Words)
-			ps := minePhrases(toks, maxN)
-			phrases[i] = ps
-			for _, p := range ps {
-				ms.df[p.hash]++
-			}
-			ms.docs = append(ms.docs, mineDoc{
-				id:    rd.ID,
-				toks:  toks,
-				dist:  distinctHashes(ps),
-				epoch: -rd.Age,
-			})
+			toks[i] = d.vocab.Encode(rd.Words)
 			if rd.ID >= d.nextID {
 				d.nextID = rd.ID + 1
 			}
 		}
+		ms := &mineState{}
+		ms.extract(toks, d.mineMaxN())
 		// Selections are recomputed against the restored window — a
 		// deterministic function of the file, like everything above.
 		frac, floorFrac := d.mineTopFraction(), tfidf.DefaultRelativeFloor
-		for i := range ms.docs {
-			ms.docs[i].sel = mineSelect(phrases[i], ms.df, len(ms.docs), len(ms.docs[i].toks), frac, floorFrac)
+		sels := make([]int32, len(toks)+1)
+		for i := range toks {
+			ms.sel = ms.selectTop(ms.sel, ms.phrases(i), len(toks), len(toks[i]), frac, floorFrac)
+			sels[i+1] = int32(len(ms.sel))
+		}
+		slab := make([]uint64, len(ms.phr)+len(ms.sel))
+		for i, rd := range st.Retained {
+			slab = ms.retain(slab, i, rd.ID, toks[i], ms.sel[sels[i]:sels[i+1]], -rd.Age)
 		}
 		d.mine = ms
 	}

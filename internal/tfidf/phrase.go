@@ -38,16 +38,6 @@ func mix64(h uint64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// PhraseHashExtend rolls one token id into a polynomial prefix hash —
-// the exported form of extendHash for callers that maintain phrase
-// identity outside this package (the streaming incremental miner keeps
-// cross-flush document-frequency state keyed by the same rolling hash).
-func PhraseHashExtend(h uint64, id int) uint64 { return extendHash(h, id) }
-
-// PhraseHashMix finalizes a rolling prefix hash into the mixed key form
-// (the exported mix64).
-func PhraseHashMix(h uint64) uint64 { return mix64(h) }
-
 // hashIDs hashes a whole token-id sequence (the non-rolling reference,
 // used by tests and one-off callers).
 func hashIDs(ids []int) uint64 {
@@ -140,6 +130,36 @@ func (t *docTable) addDoc(ents []phraseEntry, ids []int, maxN int) []phraseEntry
 		}
 	}
 	return ents
+}
+
+// Phrase is one distinct phrase of one document, as PhraseTable lists it.
+type Phrase struct {
+	Hash uint64 // mixed rolling hash of the token-id sequence
+	TF   int32  // term frequency in the document
+	Pos  int32  // start of the first occurrence
+	N    int32  // length in tokens
+}
+
+// PhraseTable is the n-gram dedupe of TopPhraseIDs for callers that keep
+// phrase statistics of their own (the streaming incremental miner). It
+// reuses one table across documents, and equal hashes are settled by
+// comparing tokens, so two different n-grams of one document that share
+// all 64 hash bits stay two phrases (with equal Hash). The zero value is
+// ready to use.
+type PhraseTable struct {
+	tab  docTable
+	ents []phraseEntry
+}
+
+// AppendDoc appends the distinct 1..maxN-grams of ids to dst in order of
+// first occurrence (by start position, then length) and returns dst.
+func (t *PhraseTable) AppendDoc(dst []Phrase, ids []int, maxN int) []Phrase {
+	t.ents = t.tab.addDoc(t.ents[:0], ids, maxN)
+	for i := range t.ents {
+		e := &t.ents[i]
+		dst = append(dst, Phrase{Hash: e.hash, TF: e.tf, Pos: e.pos, N: e.n})
+	}
+	return dst
 }
 
 // dfCell is one distinct phrase of the corpus.
