@@ -13,8 +13,9 @@ build:
 
 ## vet: go vet plus the project's own static-analysis suite
 ## (cmd/infoshield-vet: maporder, looprace, floateq, ctxerr, and the
-## interprocedural scratchalias, goleak, atomicmix, chanproto). Must
-## exit 0 with zero unsuppressed findings. Pass extra infoshield-vet
+## interprocedural scratchalias, goleak, atomicmix, chanproto; copies of
+## lock-bearing values are go vet's copylocks pass). Must exit 0 with
+## zero unsuppressed findings. Pass extra infoshield-vet
 ## flags through VET_FLAGS, e.g.
 ## `make vet VET_FLAGS='-json -sarif infoshield-vet.sarif'`.
 VET_FLAGS ?=
@@ -133,9 +134,8 @@ bench-shard:
 ## drifting-campaign stream (BenchmarkStreamLifecycleFlush) with the
 ## template cap, TTL, MDL merge, and incremental miner on — flush p50/p99
 ## latency (promoted to first-class JSON fields), bytes/op as the RSS
-## proxy, the steady-state live-template count, the incremental
-## variant against the from-scratch re-clustering baseline, and the
-## mine-drift sub-benchmark (the daemon workload's shape, with ns/doc) —
+## proxy, the steady-state live-template count, and the mine-drift
+## sub-benchmark (the daemon workload's shape, with ns/doc) —
 ## archived as BENCH_lifecycle.{txt,json} (committed). CI runs this with
 ## BENCH_COUNT=1 and uploads both as artifacts.
 bench-lifecycle:

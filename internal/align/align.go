@@ -131,83 +131,11 @@ func Pairwise(ref, doc []int) Alignment {
 	return a
 }
 
-// PairwiseWild is Pairwise against a reference with wildcard positions:
-// ref[i] with wild[i] set matches any document token at zero cost (a
-// template's slot). Used by the streaming detector to test new documents
-// against already-mined templates.
-func PairwiseWild(ref []int, wild []bool, doc []int) Alignment {
-	n, m := len(ref), len(doc)
-	dp := make([][]int32, n+1)
-	for i := range dp {
-		dp[i] = make([]int32, m+1)
-	}
-	for i := 1; i <= n; i++ {
-		dp[i][0] = int32(i)
-	}
-	for j := 1; j <= m; j++ {
-		dp[0][j] = int32(j)
-	}
-	matches := func(i, j int) bool {
-		return wild[i-1] || ref[i-1] == doc[j-1]
-	}
-	for i := 1; i <= n; i++ {
-		row, prev := dp[i], dp[i-1]
-		for j := 1; j <= m; j++ {
-			diag := prev[j-1]
-			if !matches(i, j) {
-				diag++
-			}
-			best := diag
-			if v := prev[j] + 1; v < best {
-				best = v
-			}
-			if v := row[j-1] + 1; v < best {
-				best = v
-			}
-			row[j] = best
-		}
-	}
-	var rev []Edit
-	a := Alignment{}
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch {
-		case i > 0 && j > 0 && matches(i, j) && dp[i][j] == dp[i-1][j-1]:
-			rev = append(rev, Edit{Op: Match, RefPos: i - 1, Token: doc[j-1]})
-			a.Matches++
-			i, j = i-1, j-1
-		case i > 0 && j > 0 && dp[i][j] == dp[i-1][j-1]+1 && !matches(i, j):
-			rev = append(rev, Edit{Op: Sub, RefPos: i - 1, Token: doc[j-1]})
-			a.Subs++
-			i, j = i-1, j-1
-		case i > 0 && dp[i][j] == dp[i-1][j]+1:
-			rev = append(rev, Edit{Op: Del, RefPos: i - 1})
-			a.Dels++
-			i--
-		default:
-			rev = append(rev, Edit{Op: Ins, RefPos: i, Token: doc[j-1]})
-			a.Inss++
-			j--
-		}
-	}
-	a.Edits = make([]Edit, len(rev))
-	for k, e := range rev {
-		a.Edits[len(rev)-1-k] = e
-	}
-	return a
-}
-
-// ConditionalCost returns C(doc|ref): the MDL cost of encoding doc using
-// ref as a slot-free single template (Section IV-B.1 uses this to build
-// the candidate set: d joins when C(d|d1) < C(d)).
-func ConditionalCost(ref, doc []int, vocabSize int) float64 {
-	var sc Scratch
-	return ConditionalCostScratch(ref, doc, vocabSize, &sc)
-}
-
-// ConditionalCostScratch is ConditionalCost with a caller-owned Scratch:
-// the DP table is reused across calls and no edit script is built. The
-// returned cost is bit-identical to ConditionalCost's.
+// ConditionalCostScratch returns C(doc|ref): the MDL cost of encoding doc
+// using ref as a slot-free single template (Section IV-B.1 uses this to
+// build the candidate set: d joins when C(d|d1) < C(d)). The DP table
+// comes from the caller-owned Scratch and no edit script is built; the
+// cost is bit-identical to one derived from Pairwise's alignment.
 func ConditionalCostScratch(ref, doc []int, vocabSize int, sc *Scratch) float64 {
 	matches, subs, inss, dels := pairwiseStats(ref, doc, sc)
 	return mdl.DataCostMatched(mdl.AlignStats{

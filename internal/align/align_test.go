@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// ConditionalCost is ConditionalCostScratch with a throwaway Scratch.
+func ConditionalCost(ref, doc []int, vocabSize int) float64 {
+	var sc Scratch
+	return ConditionalCostScratch(ref, doc, vocabSize, &sc)
+}
+
 func TestPairwiseIdentical(t *testing.T) {
 	s := []int{1, 2, 3, 4}
 	a := Pairwise(s, s)

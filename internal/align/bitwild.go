@@ -1,7 +1,5 @@
 package align
 
-import "infoshield/internal/mdl"
-
 // WildBitCap is the longest reference (constants + slots) the single-word
 // bit-parallel wildcard distance handles: one template position per bit of
 // a uint64. Templates are mined from documents and sit well under this in
@@ -58,8 +56,8 @@ func maskIdx(eqToks []int32, tok int) int {
 // WildDistanceMasked returns the unit-cost global alignment distance
 // between a wildcard reference of length n — described by the mask table
 // from WildEqMasks — and doc, in O(len(doc)) word operations and zero
-// allocations. The value equals PairwiseWild(ref, wild, doc).Distance()
-// exactly: wildcard positions cost 0 against any token, everything else is
+// allocations. The value equals PairwiseWildScratch(ref, wild, doc,
+// sc).Distance() exactly: wildcard positions cost 0 against any token, everything else is
 // unit-cost Levenshtein.
 //
 // This is Myers' bit-parallel scheme in Hyyrö's global-distance form: the
@@ -100,46 +98,4 @@ func WildDistanceMasked(n int, wildMask uint64, eqToks []int32, eqMasks []uint64
 		mv = ph & xv & mask
 	}
 	return score
-}
-
-// WildDistance is the convenience form of WildDistanceMasked for callers
-// without a precomputed mask table. len(ref) must be at most WildBitCap.
-func WildDistance(ref []int, wild []bool, doc []int) int {
-	wildMask, eqToks, eqMasks := WildEqMasks(ref, wild)
-	return WildDistanceMasked(len(ref), wildMask, eqToks, eqMasks, doc)
-}
-
-// WildDistanceLowerBound turns the exact wildcard edit distance into an
-// admissible lower bound on the matched data cost — tighter than
-// WildConditionalLowerBound because dist counts every unmatched operation
-// of an optimal alignment, not just the token-multiset deficit.
-//
-// Admissibility (bound ≤ the cost of the alignment PairwiseWild returns):
-// that alignment also minimizes S+I+D (its scores are the unit-cost DP's),
-// so its unmatched count e = S+I+D equals dist exactly, and its length
-// l̂ = refLen + I ≥ max(refLen, docLen). Its added words are u = S+I =
-// dist − D, and D is bounded by the length identity I − D = docLen −
-// refLen: substituting into S + I + D = dist with S ≥ 0 gives
-// D ≤ ⌊(dist − (docLen − refLen)) / 2⌋, hence u ≥ dist − that floor
-// (dist ≥ |docLen − refLen| keeps the numerator nonnegative). Every term
-// of mdl.DataCostMatched is nondecreasing in (l̂, e, u), and the bound
-// evaluates the identical expression tree at the componentwise minima with
-// the same SlotWords slice, so the inequality holds in floating point,
-// not just exact arithmetic.
-func WildDistanceLowerBound(refLen, docLen, dist int, slotWords []int, numTemplates, vocabSize int) float64 {
-	alignLen := refLen
-	if docLen > alignLen {
-		alignLen = docLen
-	}
-	maxDels := (dist - (docLen - refLen)) / 2
-	added := dist - maxDels
-	if added < 0 {
-		added = 0
-	}
-	return mdl.DataCostMatched(mdl.AlignStats{
-		AlignLen:   alignLen,
-		Unmatched:  dist,
-		AddedWords: added,
-		SlotWords:  slotWords,
-	}, numTemplates, vocabSize)
 }

@@ -8,6 +8,35 @@ import (
 	"infoshield/internal/mdl"
 )
 
+// WildDistance is WildDistanceMasked with the mask table built on the
+// fly. len(ref) must be at most WildBitCap.
+func WildDistance(ref []int, wild []bool, doc []int) int {
+	wildMask, eqToks, eqMasks := WildEqMasks(ref, wild)
+	return WildDistanceMasked(len(ref), wildMask, eqToks, eqMasks, doc)
+}
+
+// WildDistanceLowerBound is the unhoisted form of WildBounder.DistBound
+// over an arbitrary SlotWords vector (see DistBound for the
+// admissibility argument) — the oracle TestWildBounderBitIdentical pins
+// DistBound to.
+func WildDistanceLowerBound(refLen, docLen, dist int, slotWords []int, numTemplates, vocabSize int) float64 {
+	alignLen := refLen
+	if docLen > alignLen {
+		alignLen = docLen
+	}
+	maxDels := (dist - (docLen - refLen)) / 2
+	added := dist - maxDels
+	if added < 0 {
+		added = 0
+	}
+	return mdl.DataCostMatched(mdl.AlignStats{
+		AlignLen:   alignLen,
+		Unmatched:  dist,
+		AddedWords: added,
+		SlotWords:  slotWords,
+	}, numTemplates, vocabSize)
+}
+
 // Property: the bit-parallel distance equals the DP's distance for every
 // reference up to WildBitCap — the invariant that lets the streaming
 // matcher use WildDistanceMasked as a pre-filter without changing any

@@ -153,59 +153,6 @@ func OverlapSorted(a, b []int) int {
 // InfoShield-Fine uses this to skip the full alignment for documents that
 // cannot possibly pass the C(d|d1) < C(d) candidate test — the common case
 // inside large, mostly heterogeneous coarse clusters.
-// WildConditionalLowerBound returns a lower bound on the matched data
-// cost of aligning a document against a wildcard template (the streaming
-// detector's C(d|T)), computable without running the O(len²) PairwiseWild
-// DP. Inputs: the template's full length refLen (constants + slots), the
-// document length docLen, the multiset overlap between the template's
-// *constant* tokens and the document, and the template's canned SlotWords
-// vector (len = slot count; passing the very slice the exact cost uses
-// keeps the slot term of the bound float-identical to the exact cost's).
-//
-// Admissibility (bound ≤ exact cost for the alignment PairwiseWild
-// returns): any global alignment has
-//
-//	l̂ = matches + subs + inss + dels ≥ max(refLen, docLen)
-//	matches ≤ overlap + slots       (a match consumes a wildcard position
-//	                                 or a constant equal to a doc token)
-//	matches ≤ min(refLen, docLen)
-//	e  = l̂ − matches               (unmatched operations)
-//	u  = docLen − matches          (each doc token is match, sub, or ins)
-//
-// and every term of mdl.DataCostMatched is nondecreasing in (l̂, e, u) —
-// in the spirit of Lemma 1's relative-length bound, extending
-// ConditionalLowerBound to slotted templates — so evaluating it at the
-// componentwise minima (l̂ = max lengths, matches = its upper bound)
-// cannot exceed the exact cost. Termwise domination plus an identical
-// summation order keeps the inequality true in floating point, not just
-// in exact arithmetic. The streaming detector skips the DP for templates
-// whose bound already reaches the best cost found so far, which cannot
-// change the winning template or its cost.
-func WildConditionalLowerBound(refLen, docLen, overlap int, slotWords []int, numTemplates, vocabSize int) float64 {
-	alignLen := refLen
-	if docLen > alignLen {
-		alignLen = docLen
-	}
-	maxMatches := overlap + len(slotWords)
-	if mn := min(refLen, docLen); maxMatches > mn {
-		maxMatches = mn
-	}
-	unmatched := alignLen - maxMatches
-	if unmatched < 0 {
-		unmatched = 0
-	}
-	added := docLen - maxMatches
-	if added < 0 {
-		added = 0
-	}
-	return mdl.DataCostMatched(mdl.AlignStats{
-		AlignLen:   alignLen,
-		Unmatched:  unmatched,
-		AddedWords: added,
-		SlotWords:  slotWords,
-	}, numTemplates, vocabSize)
-}
-
 func ConditionalLowerBound(refLen, docLen, overlap, vocabSize int) float64 {
 	alignLen := refLen
 	if docLen > alignLen {

@@ -9,6 +9,102 @@ import (
 	"infoshield/internal/mdl"
 )
 
+// PairwiseWild is the allocating reference aligner against a wildcard
+// reference: ref[i] with wild[i] set matches any document token at zero
+// cost (a template's slot), unit edit costs elsewhere, tie-break
+// match > sub > del > ins, with the full edit script. It is the oracle
+// PairwiseWildScratch, PairwiseWildBanded and WildDistanceMasked are
+// pinned to, and the stream package's reference scans rely on those pins.
+func PairwiseWild(ref []int, wild []bool, doc []int) Alignment {
+	n, m := len(ref), len(doc)
+	dp := make([][]int32, n+1)
+	for i := range dp {
+		dp[i] = make([]int32, m+1)
+	}
+	for i := 1; i <= n; i++ {
+		dp[i][0] = int32(i)
+	}
+	for j := 1; j <= m; j++ {
+		dp[0][j] = int32(j)
+	}
+	matches := func(i, j int) bool {
+		return wild[i-1] || ref[i-1] == doc[j-1]
+	}
+	for i := 1; i <= n; i++ {
+		row, prev := dp[i], dp[i-1]
+		for j := 1; j <= m; j++ {
+			diag := prev[j-1]
+			if !matches(i, j) {
+				diag++
+			}
+			best := diag
+			if v := prev[j] + 1; v < best {
+				best = v
+			}
+			if v := row[j-1] + 1; v < best {
+				best = v
+			}
+			row[j] = best
+		}
+	}
+	var rev []Edit
+	a := Alignment{}
+	i, j := n, m
+	for i > 0 || j > 0 {
+		switch {
+		case i > 0 && j > 0 && matches(i, j) && dp[i][j] == dp[i-1][j-1]:
+			rev = append(rev, Edit{Op: Match, RefPos: i - 1, Token: doc[j-1]})
+			a.Matches++
+			i, j = i-1, j-1
+		case i > 0 && j > 0 && dp[i][j] == dp[i-1][j-1]+1 && !matches(i, j):
+			rev = append(rev, Edit{Op: Sub, RefPos: i - 1, Token: doc[j-1]})
+			a.Subs++
+			i, j = i-1, j-1
+		case i > 0 && dp[i][j] == dp[i-1][j]+1:
+			rev = append(rev, Edit{Op: Del, RefPos: i - 1})
+			a.Dels++
+			i--
+		default:
+			rev = append(rev, Edit{Op: Ins, RefPos: i, Token: doc[j-1]})
+			a.Inss++
+			j--
+		}
+	}
+	a.Edits = make([]Edit, len(rev))
+	for k, e := range rev {
+		a.Edits[len(rev)-1-k] = e
+	}
+	return a
+}
+
+// WildConditionalLowerBound is the unhoisted form of WildBounder.Bound
+// over an arbitrary SlotWords vector (see Bound for the admissibility
+// argument) — the oracle TestWildBounderBitIdentical pins Bound to.
+func WildConditionalLowerBound(refLen, docLen, overlap int, slotWords []int, numTemplates, vocabSize int) float64 {
+	alignLen := refLen
+	if docLen > alignLen {
+		alignLen = docLen
+	}
+	maxMatches := overlap + len(slotWords)
+	if mn := min(refLen, docLen); maxMatches > mn {
+		maxMatches = mn
+	}
+	unmatched := alignLen - maxMatches
+	if unmatched < 0 {
+		unmatched = 0
+	}
+	added := docLen - maxMatches
+	if added < 0 {
+		added = 0
+	}
+	return mdl.DataCostMatched(mdl.AlignStats{
+		AlignLen:   alignLen,
+		Unmatched:  unmatched,
+		AddedWords: added,
+		SlotWords:  slotWords,
+	}, numTemplates, vocabSize)
+}
+
 func TestPairwiseWildMatchesAnywhere(t *testing.T) {
 	ref := []int{1, 2, 3}
 	wild := []bool{false, true, false}

@@ -1,13 +1,15 @@
 package align
 
-// PairwiseWildScratch is PairwiseWild with a caller-owned Scratch: the DP
-// table is reused across calls and no edit script is materialized. The
-// returned Alignment has nil Edits but identical Matches / Subs / Inss /
-// Dels — same scores, same match > sub > del > ins tie-break order — so
-// every MDL cost derived from the counts is bit-identical to
-// PairwiseWild's. The streaming detector runs one of these per surviving
-// template per probe; a Scratch is owned by exactly one goroutine at a
-// time (the batched serve path threads one per worker).
+// PairwiseWildScratch is Pairwise against a reference with wildcard
+// positions: ref[i] with wild[i] set matches any document token at zero
+// cost (a template's slot). The DP table comes from the caller-owned
+// Scratch and no edit script is materialized: the returned Alignment has
+// nil Edits, and its Matches / Subs / Inss / Dels follow the same scores
+// and match > sub > del > ins tie-break as the allocating reference
+// aligner the package tests pin it to. The streaming detector runs one
+// of these per surviving template per probe; a Scratch is owned by
+// exactly one goroutine at a time (the batched serve path threads one per
+// worker).
 func PairwiseWildScratch(ref []int, wild []bool, doc []int, sc *Scratch) Alignment {
 	n, m := len(ref), len(doc)
 	width := m + 1

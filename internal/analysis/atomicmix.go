@@ -5,38 +5,29 @@ import (
 	"go/types"
 )
 
-// AtomicMix enforces two memory-model invariants around the stats
-// counters and the sync-bearing structs the daemon carries:
+// AtomicMix enforces the mixed-access memory-model invariant around the
+// stats counters the daemon carries: a variable or field that any code
+// updates through sync/atomic (atomic.AddInt64(&c.hits, 1)) is owned by
+// the atomic protocol everywhere — a plain read or write elsewhere is a
+// data race the race detector only catches when the interleaving fires
+// in CI. The module-wide atomic index makes this check interprocedural:
+// the atomic site and the plain site can live in different packages.
+// Typed atomics (atomic.Int64, as serve's queueHW uses) are method-only
+// and immune by construction — preferring them is the suggested fix.
 //
-// Mixed access: a variable or field that any code updates through
-// sync/atomic (atomic.AddInt64(&c.hits, 1)) is owned by the atomic
-// protocol everywhere — a plain read or write elsewhere is a data race
-// the race detector only catches when the interleaving fires in CI. The
-// module-wide atomic index makes this check interprocedural: the atomic
-// site and the plain site can live in different packages. Typed atomics
-// (atomic.Int64, as serve's queueHW uses) are method-only and immune by
-// construction — preferring them is the suggested fix.
-//
-// Lock copies: a value whose type transitively holds a sync primitive
-// (Mutex, RWMutex, WaitGroup, Once, Cond, or a sync/atomic value type)
-// must not be copied — value-receiver methods, plain-value assignments,
-// by-value call arguments, by-value returns, and range-value copies are
-// flagged. Copying a locked mutex produces a mutex that can never be
-// unlocked; copying a WaitGroup forks its counter.
+// Copies of lock-bearing values are go vet's copylocks check, which
+// `make vet` and CI run alongside this suite.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "flags plain reads/writes of fields that are accessed via " +
-		"sync/atomic elsewhere, and copies of values holding sync " +
-		"primitives (mutexes, wait groups, typed atomics)",
+		"sync/atomic elsewhere",
 	Run: runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) {
-	facts := pass.Facts()
-	idx := facts.Index()
+	idx := pass.Facts().Index()
 	for _, file := range pass.Pkg.Files {
 		checkMixedAccess(pass, idx, file)
-		checkLockCopies(pass, facts, file)
 	}
 }
 
@@ -101,83 +92,4 @@ func siteFunc(site opSite) string {
 		return site.fn.Name.Name
 	}
 	return "another function"
-}
-
-// checkLockCopies flags copies of lock-bearing values.
-func checkLockCopies(pass *Pass, facts *Facts, file *ast.File) {
-	holds := func(e ast.Expr) bool {
-		return facts.holdsLock(typeOf(pass, e))
-	}
-	// isCopyRead: an existing storage location read by value — copying
-	// it duplicates the primitive. Literals, calls, and conversions
-	// construct fresh values and are fine.
-	isCopyRead := func(e ast.Expr) bool {
-		switch unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			return true
-		}
-		return false
-	}
-	report := func(pos ast.Node, what string, t types.Type) {
-		pass.Reportf(pos.Pos(),
-			"%s copies a value of type %s, which holds a sync primitive; the copy forks the lock/counter state — use a pointer",
-			what, t.String())
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			if x.Recv != nil && len(x.Recv.List) == 1 {
-				rt := pass.Pkg.Info.TypeOf(x.Recv.List[0].Type)
-				if rt != nil {
-					if _, isPtr := rt.Underlying().(*types.Pointer); !isPtr && facts.holdsLock(rt) {
-						report(x.Recv.List[0].Type, "value receiver", rt)
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range x.Rhs {
-				// `_ = x` is a no-op, not a copy worth flagging.
-				if len(x.Lhs) == len(x.Rhs) {
-					if id, ok := unparen(x.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-						continue
-					}
-				}
-				if isCopyRead(rhs) && holds(rhs) {
-					report(rhs, "assignment", typeOf(pass, rhs))
-				}
-			}
-		case *ast.CallExpr:
-			if pkgIsBuiltin(pass.Pkg, x, "len") || pkgIsBuiltin(pass.Pkg, x, "cap") {
-				return true
-			}
-			for _, arg := range x.Args {
-				if isCopyRead(arg) && holds(arg) {
-					report(arg, "call argument", typeOf(pass, arg))
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if isCopyRead(res) && holds(res) {
-					report(res, "return", typeOf(pass, res))
-				}
-			}
-		case *ast.RangeStmt:
-			if x.Value != nil {
-				t := typeOf(pass, x.Value)
-				if t == nil {
-					// The range value ident is a definition, absent from
-					// Info.Types — resolve through its object.
-					if id, ok := x.Value.(*ast.Ident); ok {
-						if obj := objectOf(pass, id); obj != nil {
-							t = obj.Type()
-						}
-					}
-				}
-				if facts.holdsLock(t) {
-					report(x.Value, "range value", t)
-				}
-			}
-		}
-		return true
-	})
 }

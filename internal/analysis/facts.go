@@ -45,21 +45,18 @@ type Facts struct {
 	sig     map[*types.Func][]signalFact
 	sigBusy map[*types.Func]bool
 
-	lockMemo map[types.Type]int // 0 unknown, 1 holds, 2 clean
-
 	idxVer int
 	idx    *opIndex
 }
 
 func newFacts(m *Module) *Facts {
 	return &Facts{
-		mod:      m,
-		version:  1,
-		ret:      make(map[*types.Func]uint64),
-		retBusy:  make(map[*types.Func]bool),
-		sig:      make(map[*types.Func][]signalFact),
-		sigBusy:  make(map[*types.Func]bool),
-		lockMemo: make(map[types.Type]int),
+		mod:     m,
+		version: 1,
+		ret:     make(map[*types.Func]uint64),
+		retBusy: make(map[*types.Func]bool),
+		sig:     make(map[*types.Func][]signalFact),
+		sigBusy: make(map[*types.Func]bool),
 	}
 }
 
@@ -722,58 +719,6 @@ func (ix *opIndex) commonLock(a, b *ast.FuncDecl) bool {
 		if lb[k] {
 			return true
 		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
-// Lock-bearing types (atomicmix)
-
-// holdsLock reports whether t transitively contains a sync or
-// sync/atomic value (Mutex, RWMutex, WaitGroup, Once, Cond, Pool, Map,
-// atomic.Int64, ...) by value — through struct fields, embedded fields,
-// and arrays, but not through pointers or slices. Such values must not
-// be copied.
-func (f *Facts) holdsLock(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if v, ok := f.lockMemo[t]; ok {
-		return v == 1
-	}
-	f.lockMemo[t] = 2 // breaks recursive types; overwritten below
-	held := f.computeHoldsLock(t)
-	if held {
-		f.lockMemo[t] = 1
-	} else {
-		f.lockMemo[t] = 2
-	}
-	return held
-}
-
-func (f *Facts) computeHoldsLock(t types.Type) bool {
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			path := obj.Pkg().Path()
-			if path == "sync" || path == "sync/atomic" {
-				if _, isIface := named.Underlying().(*types.Interface); !isIface {
-					return true
-				}
-				return false
-			}
-		}
-		return f.holdsLock(named.Underlying())
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if f.holdsLock(u.Field(i).Type()) {
-				return true
-			}
-		}
-	case *types.Array:
-		return f.holdsLock(u.Elem())
 	}
 	return false
 }

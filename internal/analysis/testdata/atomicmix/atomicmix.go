@@ -5,10 +5,7 @@
 // functions must stay clean.
 package atomicmix
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // counters is updated through sync/atomic in bump; that claims the hits
 // field for the atomic protocol everywhere in the module.
@@ -48,66 +45,6 @@ func (g *gauge) Observe(v int64) {
 	if v > g.hw.Load() {
 		g.hw.Store(v)
 	}
-}
-
-// guarded transitively holds a sync.Mutex, so copying it by value forks
-// the lock state.
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Snapshot has a value receiver: every call copies the mutex.
-func (g guarded) Snapshot() int { // want "value receiver"
-	return g.n
-}
-
-// Read takes the lock through a pointer receiver — clean.
-func (g *guarded) Read() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
-// CopyAssign dereferences into a plain value, copying the mutex.
-func CopyAssign(g *guarded) int {
-	snapshot := *g // want "assignment copies"
-	return snapshot.n
-}
-
-// takesValue has a by-value lock-bearing parameter; the analyzer flags
-// the call sites that feed it, not the declaration.
-func takesValue(g guarded) int { return g.n }
-
-// CopyArg passes the lock-bearing struct by value.
-func CopyArg(g *guarded) int {
-	return takesValue(*g) // want "call argument"
-}
-
-// takesPtr and PointerArg show the clean shape.
-func takesPtr(g *guarded) int { return g.n }
-
-func PointerArg(g *guarded) int {
-	return takesPtr(g)
-}
-
-// RangeCopy copies each element — and its mutex — into the loop
-// variable.
-func RangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range value"
-		total += g.n
-	}
-	return total
-}
-
-// RangeIndex iterates by index — clean.
-func RangeIndex(gs []guarded) int {
-	total := 0
-	for i := range gs {
-		total += gs[i].n
-	}
-	return total
 }
 
 // SuppressedSnapshot reads the counter plainly after all writers have

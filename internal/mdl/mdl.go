@@ -150,7 +150,7 @@ const opTypeBits = 2
 //	1 (template flag) + lg t + ⟨l̂⟩ + l̂ + e·(lg l̂ + 2) + u·lg V + Σ_j S(w_j)
 //
 // Monotonicity contract (relied on by align.ConditionalLowerBound and
-// align.WildConditionalLowerBound, pinned by TestDataCostMatchedMonotone):
+// align.WildBounder, pinned by TestDataCostMatchedMonotone):
 // with the other fields held fixed, the cost is nondecreasing in each of
 // AlignLen, Unmatched, and AddedWords — every term is a product of
 // nonnegative factors that are themselves nondecreasing in those fields

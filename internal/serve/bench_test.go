@@ -21,10 +21,10 @@ import (
 // hundreds of mined templates, every probe matching one of them.
 const benchCampaigns = 220
 
-// benchSlowCommit is the injected per-batch commit delay for the *-slow
+// benchCommitDelay is the injected per-batch commit delay for the *-slow
 // modes: large against per-document match cost, small against a
 // benchmark iteration budget.
-const benchSlowCommit = 200 * time.Microsecond
+const benchCommitDelay = 200 * time.Microsecond
 
 var (
 	benchSeedOnce  sync.Once
@@ -102,13 +102,14 @@ func benchSharded(b *testing.B, shards int, walDir string, opt Options) *Sharded
 // noteSingleCPU flags the blind spot of closed-loop coalescing
 // benchmarks on single-core machines: clients cannot overlap the
 // sequencer, so natural batches rarely form and mode=coalesce looks like
-// mode=mutex. The *-slow modes inject a per-batch commit delay
-// (Options.SlowCommit) so the amortization is measurable anyway —
-// clients queue while the sequencer "commits", and docs/batch grows.
+// mode=mutex. The *-slow modes inject a per-batch commit delay (an
+// Options.Commit hook that sleeps, where a WAL fsync would run) so the
+// amortization is measurable anyway — clients queue while the sequencer
+// "commits", and docs/batch grows.
 func noteSingleCPU(b *testing.B) {
 	b.Helper()
 	if runtime.GOMAXPROCS(0) == 1 {
-		b.Logf("GOMAXPROCS=1: natural batching needs client/sequencer overlap; trust the mode=*-slow variants (injected %v commit delay) on this machine", benchSlowCommit)
+		b.Logf("GOMAXPROCS=1: natural batching needs client/sequencer overlap; trust the mode=*-slow variants (injected %v commit delay) on this machine", benchCommitDelay)
 	}
 }
 
@@ -138,7 +139,7 @@ func BenchmarkServeCoalesce(b *testing.B) {
 			det := benchDetector(b)
 			c := NewCoalescer(det, Options{})
 			runClients(b, clients, func(text string) {
-				if _, err := c.Submit([]string{text}); err != nil {
+				if _, err := submit(c, []string{text}); err != nil {
 					b.Error(err)
 				}
 			})
@@ -154,15 +155,18 @@ func BenchmarkServeCoalesce(b *testing.B) {
 			runClients(b, clients, func(text string) {
 				mu.Lock()
 				det.Add(text)
-				time.Sleep(benchSlowCommit) // per-document commit cost
+				time.Sleep(benchCommitDelay) // per-document commit cost
 				mu.Unlock()
 			})
 		})
 		b.Run(fmt.Sprintf("mode=coalesce-slow/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
-			c := NewCoalescer(det, Options{SlowCommit: benchSlowCommit})
+			c := NewCoalescer(det, Options{Commit: func([]int, []string) error {
+				time.Sleep(benchCommitDelay) // per-batch commit cost
+				return nil
+			}})
 			runClients(b, clients, func(text string) {
-				if _, err := c.Submit([]string{text}); err != nil {
+				if _, err := submit(c, []string{text}); err != nil {
 					b.Error(err)
 				}
 			})

@@ -3,9 +3,9 @@
 // coalescer — the group-commit pattern: concurrent single-document
 // requests enqueue onto one bounded channel, a single sequencer
 // goroutine drains up to MaxBatch documents or a MaxWait latency budget
-// (whichever comes first), runs one Detector.AddBatch over the combined
-// slice (which fans matching across Options.Workers), and distributes
-// the per-document verdicts back to the blocked callers.
+// (whichever comes first), runs one Detector.AddBatchTokens over the
+// combined slice (which fans matching across Options.Workers), and
+// distributes the per-document verdicts back to the blocked callers.
 //
 // The detector stays single-writer: only the sequencer goroutine ever
 // touches it, so the ingest hot path takes no locks and N concurrent
@@ -19,7 +19,6 @@ package serve
 
 import (
 	"errors"
-	"io"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -70,12 +69,6 @@ type Options struct {
 	// returned error is counted (Counters.CommitErrs) but the batch is
 	// still acked: by then the detector has committed it.
 	Commit func(ids []int, texts []string) error
-	// SlowCommit injects a per-batch delay after each commit — a
-	// measurement hook that simulates slow commits (giant template sets,
-	// WAL fsync on spinning disks) so batching amortization is visible
-	// even on single-core machines, where natural batches otherwise never
-	// form. Zero (the default) for production; verdicts are unaffected.
-	SlowCommit time.Duration
 }
 
 func (o Options) maxBatch() int {
@@ -105,7 +98,7 @@ func (o Options) queueDepth() int {
 // detector without any locking.
 type request struct {
 	texts    []string
-	words    [][]string // pre-tokenized streams (SubmitTokens), or nil
+	words    [][]string // token streams, parallel to texts
 	verdicts chan []Verdict
 	ctl      func(d *stream.Detector)
 	ctlDone  chan struct{}
@@ -271,22 +264,13 @@ func NewCoalescer(det *stream.Detector, opt Options) *Coalescer {
 }
 
 // Submit ingests texts and blocks until their batch commits, returning
-// one verdict per text in order. All of a call's documents are assigned
-// contiguous ids: requests coalesce whole, they are never split across
-// batches. Returns ErrClosed once Close has begun.
-func (c *Coalescer) Submit(texts []string) ([]Verdict, error) {
-	return c.submit(texts, nil)
-}
-
-// SubmitTokens is Submit over pre-tokenized documents: words[i] must be
-// the package tokenizer's stream for texts[i]. The sharder tokenizes
-// once to compute each document's routing key and hands the streams
-// down here, so the detector's encode step never re-tokenizes.
-func (c *Coalescer) SubmitTokens(texts []string, words [][]string) ([]Verdict, error) {
-	return c.submit(texts, words)
-}
-
-func (c *Coalescer) submit(texts []string, words [][]string) ([]Verdict, error) {
+// one verdict per text in order. words[i] must be the package
+// tokenizer's stream for texts[i]: the sharder tokenizes once to compute
+// each document's routing key and hands the streams down here, so the
+// detector's encode step never re-tokenizes. All of a call's documents
+// are assigned contiguous ids: requests coalesce whole, they are never
+// split across batches. Returns ErrClosed once Close has begun.
+func (c *Coalescer) Submit(texts []string, words [][]string) ([]Verdict, error) {
 	if len(texts) == 0 {
 		return []Verdict{}, nil
 	}
@@ -325,11 +309,6 @@ func (c *Coalescer) enqueue(req request) error {
 		c.queueHW.Store(depth)
 	}
 	return nil
-}
-
-// Flush forces a mining pass over the detector's buffered documents.
-func (c *Coalescer) Flush() error {
-	return c.do(func(d *stream.Detector) { d.Flush() })
 }
 
 // Assignment returns the current verdict for a document id.
@@ -404,45 +383,6 @@ func (c *Coalescer) Stats() (Stats, error) {
 		st.Serve.QueueHighWater = int(c.queueHW.Load())
 	})
 	return st, err
-}
-
-// Snapshot serializes the detector state to w — mined templates,
-// lifecycle markers, and the pending buffer (texts and ids), so a plain
-// snapshot no longer loses buffered documents.
-func (c *Coalescer) Snapshot(w io.Writer) error {
-	var saveErr error
-	if err := c.do(func(d *stream.Detector) { saveErr = d.Save(w) }); err != nil {
-		return err
-	}
-	return saveErr
-}
-
-// SnapshotFlush mines the pending buffer, serializes the template state
-// to w, and returns the document-id high-water mark — all in one control
-// step, so the written state is self-contained at exactly hwm documents:
-// write-ahead-log replay can skip every record below hwm and reproduce
-// the pre-snapshot detector from the state file alone. This is the
-// per-shard primitive behind the sharded snapshot manifest.
-func (c *Coalescer) SnapshotFlush(w io.Writer) (hwm int, err error) {
-	var saveErr error
-	if derr := c.do(func(d *stream.Detector) {
-		d.Flush()
-		saveErr = d.Save(w)
-		hwm = d.NextID()
-	}); derr != nil {
-		return 0, derr
-	}
-	return hwm, saveErr
-}
-
-// Load restores templates saved by Snapshot (or stream.Detector.Save)
-// into the detector, merging after any templates it already holds.
-func (c *Coalescer) Load(r io.Reader) error {
-	var loadErr error
-	if err := c.do(func(d *stream.Detector) { loadErr = d.Load(r) }); err != nil {
-		return err
-	}
-	return loadErr
 }
 
 // Close stops accepting work, drains every already-accepted request —
@@ -542,25 +482,16 @@ collect:
 	return pending, hasPending, chClosed
 }
 
-// commit runs one AddBatch over the coalesced texts and distributes the
-// per-document verdicts back to the waiting submitters, whose verdict
-// channels are buffered so the sequencer never blocks on a slow reader.
-// When every request arrived pre-tokenized (SubmitTokens), the batch
-// goes through AddBatchTokens so no document is tokenized twice; a
-// single untokenized request falls the whole batch back to AddBatch.
+// commit runs one AddBatchTokens over the coalesced documents and
+// distributes the per-document verdicts back to the waiting submitters,
+// whose verdict channels are buffered so the sequencer never blocks on a
+// slow reader.
 func (c *Coalescer) commit(reqs []request, docs int, start time.Time, reason flushReason) {
 	texts := c.textbuf[:0]
 	words := c.wordbuf[:0]
-	tokenized := true
 	for _, r := range reqs {
 		texts = append(texts, r.texts...)
-		if r.words == nil {
-			tokenized = false
-			continue
-		}
-		if tokenized {
-			words = append(words, r.words...)
-		}
+		words = append(words, r.words...)
 	}
 	c.ctr.CoalesceWaitNs += time.Since(start).Nanoseconds()
 	c.ctr.Docs += int64(docs)
@@ -586,12 +517,7 @@ func (c *Coalescer) commit(reqs []request, docs int, start time.Time, reason flu
 	}
 	c.ctr.BatchSizeHist[bucket]++
 
-	var ids []int
-	if tokenized {
-		ids = c.det.AddBatchTokens(texts, words)
-	} else {
-		ids = c.det.AddBatch(texts)
-	}
+	ids := c.det.AddBatchTokens(texts, words)
 	if c.opt.Commit != nil {
 		// Write-ahead of the ack: the log record lands (and syncs) before
 		// any waiter learns its verdict, so an acked document survives a
@@ -599,9 +525,6 @@ func (c *Coalescer) commit(reqs []request, docs int, start time.Time, reason flu
 		if err := c.opt.Commit(ids, texts); err != nil {
 			c.ctr.CommitErrs++
 		}
-	}
-	if c.opt.SlowCommit > 0 {
-		time.Sleep(c.opt.SlowCommit)
 	}
 	k := 0
 	for _, r := range reqs {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,6 +10,7 @@ import (
 
 	"infoshield/internal/core"
 	"infoshield/internal/stream"
+	"infoshield/internal/tokenize"
 )
 
 // corpusFor emits a deterministic mix of campaign near-duplicates,
@@ -36,6 +36,13 @@ func corpusFor(seed int64, n int) []string {
 		}
 	}
 	return docs
+}
+
+// submit is Coalescer.Submit with the token streams computed here, as the
+// sharder computes them for routing.
+func submit(c *Coalescer, texts []string) ([]Verdict, error) {
+	var tk tokenize.Tokenizer
+	return c.Submit(texts, tk.All(texts, 1))
 }
 
 // compareToReplay replays texts (indexed by document id) through a fresh
@@ -110,7 +117,7 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 						if i+k > len(docs) {
 							k = len(docs) - i
 						}
-						vs, err := c.Submit(docs[i : i+k])
+						vs, err := submit(c, docs[i:i+k])
 						if err != nil {
 							t.Errorf("client %d: %v", cl, err)
 							return
@@ -175,7 +182,7 @@ func enqueueOrdered(t *testing.T, c *Coalescer, texts []string, out chan<- []Ver
 	t.Helper()
 	before := len(c.ch)
 	go func() {
-		vs, err := c.Submit(texts)
+		vs, err := submit(c, texts)
 		if err != nil {
 			t.Errorf("enqueueOrdered: %v", err)
 		}
@@ -327,7 +334,7 @@ func TestCoalesceDeadline(t *testing.T) {
 	c := NewCoalescer(det, Options{MaxBatch: 1 << 20, MaxWait: time.Millisecond})
 	defer c.Close()
 
-	vs, err := c.Submit([]string{"aa bb cc dd ee"})
+	vs, err := submit(c, []string{"aa bb cc dd ee"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,11 +411,11 @@ func TestCoalesceShutdownDrain(t *testing.T) {
 	}
 
 	// The queue stays rejecting after drain, for every entry point.
-	if _, err := c.Submit([]string{"x"}); err != ErrClosed {
+	if _, err := submit(c, []string{"x"}); err != ErrClosed {
 		t.Fatalf("Submit after Close: %v", err)
 	}
-	if err := c.Flush(); err != ErrClosed {
-		t.Fatalf("Flush after Close: %v", err)
+	if _, err := c.Templates(); err != ErrClosed {
+		t.Fatalf("Templates after Close: %v", err)
 	}
 	if _, err := c.Stats(); err != ErrClosed {
 		t.Fatalf("Stats after Close: %v", err)
@@ -439,7 +446,7 @@ func TestCoalesceChaoticShutdown(t *testing.T) {
 			defer wg.Done()
 			docs := corpusFor(int64(300+cl), 200)
 			for i := 0; i < len(docs); i++ {
-				vs, err := c.Submit(docs[i : i+1])
+				vs, err := submit(c, docs[i:i+1])
 				if err != nil {
 					if err != ErrClosed {
 						t.Errorf("client %d: %v", cl, err)
@@ -489,7 +496,7 @@ func TestCoalesceCounters(t *testing.T) {
 			defer wg.Done()
 			docs := corpusFor(int64(700+cl), 40)
 			for i := 0; i < len(docs); i += 2 {
-				if _, err := c.Submit(docs[i : i+2]); err != nil {
+				if _, err := submit(c, docs[i:i+2]); err != nil {
 					t.Errorf("client %d: %v", cl, err)
 					return
 				}
@@ -521,57 +528,5 @@ func TestCoalesceCounters(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCoalescePersistRoundTrip snapshots a serving coalescer and
-// restores into a fresh one: template reports and subsequent verdicts
-// must carry over.
-func TestCoalescePersistRoundTrip(t *testing.T) {
-	det := stream.New(core.Options{})
-	det.BatchSize = 1 << 30
-	c := NewCoalescer(det, Options{})
-	docs := corpusFor(7, 120)
-	if _, err := c.Submit(docs); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tmpls, err := c.Templates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tmpls) == 0 {
-		t.Fatal("no templates mined")
-	}
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	det2 := stream.New(core.Options{})
-	c2 := NewCoalescer(det2, Options{})
-	defer c2.Close()
-	if err := c2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tmpls2, err := c2.Templates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tmpls, tmpls2) {
-		t.Fatalf("templates differ after round trip:\n%+v\n%+v", tmpls, tmpls2)
-	}
-	// A campaign member must match the restored templates immediately.
-	vs, err := c2.Submit([]string{"limited offer buy the premium golden package today visit site0042.example now"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs[0].Template < 0 {
-		t.Fatalf("campaign doc did not match restored templates: %+v", vs[0])
 	}
 }

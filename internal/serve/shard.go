@@ -79,9 +79,8 @@ type ShardedConfig struct {
 	// WALNoSync skips the per-commit fsync (tests and benchmarks; a
 	// production log should sync).
 	WALNoSync bool
-	// StatePath, when set, is loaded at construction if present: either
-	// a version-2 sharded manifest or a legacy single-detector state
-	// (accepted only when Shards is 1).
+	// StatePath, when set, is loaded at construction if present: a
+	// version-2 sharded manifest as Snapshot and Drain write it.
 	StatePath string
 	// Coalescer tunes every shard's coalescer identically.
 	Coalescer Options
@@ -218,7 +217,7 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 	// Fast path — every single-document request, and any batch that
 	// routes whole: no goroutines, one sub-request.
 	if oneShard {
-		vs, err := s.shards[homes[0]].co.SubmitTokens(texts, words)
+		vs, err := s.shards[homes[0]].co.Submit(texts, words)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +251,7 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 				st[j] = texts[p]
 				sw[j] = words[p]
 			}
-			vs, err := s.shards[k].co.SubmitTokens(st, sw)
+			vs, err := s.shards[k].co.Submit(st, sw)
 			if err != nil {
 				errs[k] = err
 				return
@@ -480,10 +479,9 @@ type manifestV2 struct {
 	States  []json.RawMessage `json:"states,omitempty"`
 }
 
-// readManifest loads and validates the state at path: a version-2
-// manifest (shard files resolved relative to the manifest's directory)
-// or a legacy single-detector state, accepted only when wantShards is 1.
-// A missing file is a fresh start, not an error.
+// readManifest loads and validates the version-2 manifest at path,
+// resolving shard files relative to the manifest's directory. A missing
+// file is a fresh start, not an error.
 func readManifest(path string, wantShards int, wantRoute string) (*manifestV2, error) {
 	if path == "" {
 		return nil, nil
@@ -496,27 +494,6 @@ func readManifest(path string, wantShards int, wantRoute string) (*manifestV2, e
 		return nil, err
 	}
 	var man manifestV2
-	var probe struct {
-		Version   int             `json:"version"`
-		Templates json.RawMessage `json:"templates"`
-		NextID    int             `json:"next_id"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return nil, fmt.Errorf("serve: decode state %s: %w", path, err)
-	}
-	if probe.Templates != nil {
-		// Single-detector state (stream stateV1 or stateV2): the whole
-		// file is shard 0's state. The v2 format carries its own
-		// high-water mark (v1 recorded none, so next_id decodes as 0);
-		// echoing it keeps SetNextID a no-op rebase after Load.
-		if wantShards != 1 {
-			return nil, fmt.Errorf(
-				"serve: %s is a single-detector state; it loads only with 1 shard, not %d",
-				path, wantShards)
-		}
-		return &manifestV2{Version: 2, Shards: 1, Route: wantRoute,
-			HWM: []int{probe.NextID}, States: []json.RawMessage{b}}, nil
-	}
 	if err := json.Unmarshal(b, &man); err != nil {
 		return nil, fmt.Errorf("serve: decode manifest %s: %w", path, err)
 	}
@@ -595,10 +572,12 @@ func (s *Sharded) SnapshotTo(w io.Writer) error {
 	})
 }
 
-// collect runs each shard's flush+save+mark snapshot step (the
-// Coalescer.SnapshotFlush contract), with a WAL flush marker so the
-// mining pass survives a crash even when the manifest being written
-// here is not the one the next boot reads (snapshot-to-override-path).
+// collect runs each shard's snapshot step as one control op: flush the
+// pending buffer, save, and capture the document-id high-water mark, so
+// the state is self-contained at exactly that mark and write-ahead-log
+// replay can skip every record below it. A WAL flush marker makes the
+// mining pass survive a crash even when the manifest being written here
+// is not the one the next boot reads (snapshot-to-override-path).
 func (s *Sharded) collect() (states [][]byte, hwms []int, err error) {
 	states = make([][]byte, s.n)
 	hwms = make([]int, s.n)

@@ -95,7 +95,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, err := c.Submit(batch)
+			ws, err := submit(c, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -492,44 +492,57 @@ func TestShardedChaoticShutdown(t *testing.T) {
 	}
 }
 
-// TestShardedLegacyState: a PR 5 single-detector state file loads into a
-// 1-shard daemon and is rejected, with a clear error, for S>1.
-func TestShardedLegacyState(t *testing.T) {
-	det := stream.New(core.Options{})
-	det.BatchSize = 1 << 30
-	det.AddBatch(corpusFor(7, 120))
-	det.Flush()
-	if det.NumTemplates() == 0 {
-		t.Fatal("seed mined nothing")
+// TestShardedPersistRoundTrip snapshots a serving daemon to a path and
+// reboots from it with no write-ahead log: template reports and
+// subsequent verdicts must carry over.
+func TestShardedPersistRoundTrip(t *testing.T) {
+	cfg := ShardedConfig{
+		StatePath:   filepath.Join(t.TempDir(), "state.json"),
+		NewDetector: shardMineDetector(1 << 30),
 	}
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	f, err := os.Create(path)
+	sh, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.Save(f); err != nil {
+	if _, err := sh.Submit(corpusFor(7, 120)); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	sh, err := NewSharded(ShardedConfig{Shards: 1, StatePath: path})
-	if err != nil {
-		t.Fatalf("legacy state with 1 shard: %v", err)
+	if err := sh.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	tmpls, err := sh.Templates()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tmpls) != det.NumTemplates() {
-		t.Fatalf("restored %d templates, want %d", len(tmpls), det.NumTemplates())
+	if len(tmpls) == 0 {
+		t.Fatal("no templates mined")
+	}
+	if _, err := sh.Snapshot(cfg.StatePath); err != nil {
+		t.Fatal(err)
 	}
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := NewSharded(ShardedConfig{Shards: 2, StatePath: path}); err == nil ||
-		!strings.Contains(err.Error(), "single-detector") {
-		t.Fatalf("legacy state with 2 shards: err = %v, want single-detector rejection", err)
+	sh2, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh2.Close()
+	tmpls2, err := sh2.Templates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tmpls, tmpls2) {
+		t.Fatalf("templates differ after round trip:\n%+v\n%+v", tmpls, tmpls2)
+	}
+	// A campaign member must match the restored templates immediately.
+	vs, err := sh2.Submit([]string{"limited offer buy the premium golden package today visit site0042.example now"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs[0].Template < 0 {
+		t.Fatalf("campaign doc did not match restored templates: %+v", vs[0])
 	}
 }
 

@@ -14,13 +14,12 @@ import (
 )
 
 // referenceMatch is the retained pre-index reference scan: the full
-// PairwiseWild DP against every template with the per-probe slot-word
-// rebuild, exactly as the serving path worked before candidate pruning,
-// pooled alignment, and canned SlotWords. The equivalence gate below
-// checks the rebuilt path (bound + scratch DP + registration-time
-// SlotWords) probe-by-probe against this, which also asserts the
-// satellite refactor — SlotWords precomputed once at registration —
-// changed no cost.
+// wildcard DP (align.PairwiseWildScratch, pinned op-for-op to the
+// allocating PairwiseWild oracle by TestPairwiseWildScratchMatchesPairwiseWild)
+// against every template in ascending order, with the per-probe
+// slot-word rebuild — no candidate pruning, no bounds, no banding, no
+// canned SlotWords. The equivalence gate below checks the tiered path
+// probe-by-probe against this.
 func referenceMatch(d *Detector, toks []int) int {
 	if len(toks) == 0 || len(d.templates) == 0 {
 		return -1
@@ -29,9 +28,10 @@ func referenceMatch(d *Detector, toks []int) int {
 	standalone := mdl.DocCost(len(toks), V)
 	best, bestCost := -1, standalone
 	numT := len(d.templates)
+	var sc align.Scratch
 	for ti := range d.templates {
 		t := &d.templates[ti]
-		a := align.PairwiseWild(t.Tokens, t.Wild, toks)
+		a := align.PairwiseWildScratch(t.Tokens, t.Wild, toks, &sc)
 		slotWords := make([]int, 0, 4)
 		for _, w := range t.Wild {
 			if w {
@@ -121,14 +121,14 @@ func compareDetectors(t *testing.T, label string, a, b *Detector) {
 
 // TestStreamPruningEquivalence drives the tiered serving path — bucket
 // skips, saturated-token credits, best-first candidate ordering, the
-// bit-parallel distance refinement — against (1) the same scan with every
-// pruning tier disabled and (2) the retained reference scan, over
-// randomized corpora with interleaved flushes, then replays the corpus
-// through AddBatch at several worker counts against the same no-prune
-// oracle. Assignments, template order, and DocCounts must be
-// byte-identical everywhere: the bounds may only skip templates that
-// provably cannot win, and reordering may not change which template wins
-// a tie.
+// bit-parallel distance refinement — against the retained reference scan
+// probe by probe, over randomized corpora with interleaved flushes, then
+// replays the corpus through AddBatch at several worker counts against
+// the serially fed detector. Every verdict must equal the reference
+// scan's, and assignments, template order, and DocCounts must be
+// byte-identical across worker counts: the bounds may only skip
+// templates that provably cannot win, and reordering may not change
+// which template wins a tie.
 func TestStreamPruningEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -136,9 +136,6 @@ func TestStreamPruningEquivalence(t *testing.T) {
 
 		pruned := New(core.Options{})
 		pruned.BatchSize = 1 << 30
-		full := New(core.Options{})
-		full.BatchSize = 1 << 30
-		full.noPrune = true
 
 		var tk tokenize.Tokenizer
 		var scratch matchScratch
@@ -154,15 +151,11 @@ func TestStreamPruningEquivalence(t *testing.T) {
 					seed, i, verdict, ref, pruned.NumTemplates())
 			}
 			pruned.apply(text, toks, verdict)
-			full.Add(text)
 			if i == len(docs)/3 || i == 2*len(docs)/3 {
 				pruned.Flush()
-				full.Flush()
 			}
 		}
 		pruned.Flush()
-		full.Flush()
-		compareDetectors(t, fmt.Sprintf("seed %d", seed), pruned, full)
 
 		// The bound must have done real work on this corpus, and every
 		// candidate is either pruned or aligned — never both, never neither.
@@ -195,9 +188,8 @@ func TestStreamPruningEquivalence(t *testing.T) {
 		}
 
 		// The same corpus through the batched fan-out at several worker
-		// counts must land on the no-prune oracle's exact state too — the
-		// tiered path stays verdict-identical under both pruning and
-		// parallel scheduling.
+		// counts must land on the serial detector's exact state — the
+		// tiered path stays verdict-identical under parallel scheduling.
 		for _, workers := range []int{1, 2, 4} {
 			d := New(core.Options{Workers: workers})
 			d.BatchSize = 1 << 30
@@ -208,7 +200,7 @@ func TestStreamPruningEquivalence(t *testing.T) {
 				d.AddBatch(seg)
 				d.Flush()
 			}
-			compareDetectors(t, fmt.Sprintf("seed %d workers %d", seed, workers), full, d)
+			compareDetectors(t, fmt.Sprintf("seed %d workers %d", seed, workers), pruned, d)
 			st := d.Stats()
 			if st.DPPruned+st.DPRuns != st.Candidates {
 				t.Fatalf("seed %d workers %d: pruned %d + runs %d != candidates %d",

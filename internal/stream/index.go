@@ -366,9 +366,8 @@ type Stats struct {
 	// re-clustered from its cross-flush window without re-extracting
 	// their phrases; MineClusteredDocs counts all documents handed to the
 	// clustering stage across incremental flushes (reused + new). Their
-	// ratio is the incremental-coarse reuse rate; the from-scratch
-	// baseline would have re-clustered every retained document every
-	// flush.
+	// ratio is the incremental-coarse reuse rate; re-clustering the whole
+	// window would count every retained document every flush.
 	MineReusedDocs    int
 	MineClusteredDocs int
 	// CandHist is the log2 histogram of per-probe Examined sizes: bucket
@@ -456,8 +455,8 @@ type matchScratch struct {
 // bucketBound is the tier-0 admissible lower bound on the matched cost of
 // any member of bucket bi against a document of docLen tokens, given an
 // upper bound on any member's constant overlap. It evaluates the same
-// expression tree as align.WildConditionalLowerBound at componentwise-
-// dominated inputs — alignLen from the bucket-min reference length,
+// expression tree as the per-candidate bound align.WildBounder.Bound at
+// componentwise-dominated inputs — alignLen from the bucket-min reference length,
 // matches from the bucket-max constants and slots, the slot sum over the
 // bucket-min slot count (every member's cost sums the identical all-ones
 // S(1) terms, so dropped terms are nonnegative) — so bucketBound ≤ member
@@ -524,24 +523,6 @@ func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *Stats)
 			AddedWords: a.Subs + a.Inss,
 			SlotWords:  t.SlotWords,
 		}, numT, vocabSize)
-	}
-
-	if d.noPrune {
-		// Reference path: the full ascending scan with the DP forced on
-		// every live template — the oracle the pruning-equivalence gate
-		// drives.
-		for ti := 0; ti < total; ti++ {
-			if dead != nil && dead[ti] {
-				continue
-			}
-			st.DPRuns++
-			if cost := exactCost(ti); cost < bestCost {
-				best, bestCost = ti, cost
-			}
-		}
-		st.Examined += numT
-		st.CandHist[histBucket(numT)]++
-		return best
 	}
 
 	ix := &d.index
@@ -696,9 +677,9 @@ func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *Stats)
 	// shape numbers into flat parallel arrays, then the overlap bound —
 	// its per-probe constants hoisted into bounder — runs over the whole
 	// batch in a tight branch-light loop. The floats are bit-identical to
-	// the per-candidate align.WildConditionalLowerBound calls this
-	// replaces (pinned by TestWildBounderBitIdentical), so the pruning
-	// decisions below cannot drift.
+	// the unhoisted mdl.DataCostMatched bound (pinned by
+	// TestWildBounderBitIdentical), so the pruning decisions below cannot
+	// drift.
 	boundStart := time.Now()
 	st.WalkNs += boundStart.Sub(walkStart).Nanoseconds()
 	if cap(sc.cRef) < len(cands) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,12 +25,13 @@ func liveReferenceMatch(d *Detector, toks []int) int {
 	}
 	V := d.vocab.Size()
 	best, bestCost := -1, mdl.DocCost(len(toks), V)
+	var sc align.Scratch
 	for ti := range d.templates {
 		if d.isDead(ti) {
 			continue
 		}
 		t := &d.templates[ti]
-		a := align.PairwiseWild(t.Tokens, t.Wild, toks)
+		a := align.PairwiseWildScratch(t.Tokens, t.Wild, toks, &sc)
 		slotWords := make([]int, 0, 4)
 		for _, w := range t.Wild {
 			if w {
@@ -49,33 +51,92 @@ func liveReferenceMatch(d *Detector, toks []int) int {
 	return best
 }
 
+// checkFlushMatchesRun fails unless the templates d registered from
+// index base on, and the assignments of the flushed documents (texts,
+// with ids in lockstep), are exactly what core.Run mines from the raw
+// texts: same patterns in the same order, same words at every constant
+// and slot position, same member documents.
+func checkFlushMatchesRun(t *testing.T, label string, d *Detector, base int, texts []string, ids []int) {
+	t.Helper()
+	res := core.Run(texts, d.Options)
+	member := make([]int, len(texts))
+	for i := range member {
+		member[i] = -1
+	}
+	ti := base
+	for ci := range res.Clusters {
+		for _, tr := range res.Clusters[ci].Templates {
+			if ti >= d.NumTemplates() {
+				t.Fatalf("%s: core.Run mined more templates than the flush (%d)", label, d.NumTemplates()-base)
+			}
+			got := &d.templates[ti]
+			if !reflect.DeepEqual(got.Pattern, tr.Template) || len(got.Tokens) != tr.Template.Len() {
+				t.Fatalf("%s: template %d pattern %+v, core.Run %+v", label, ti, got.Pattern, tr.Template)
+			}
+			for i, tid := range tr.Template.TokenIDs {
+				if got.Wild[i] != tr.Template.IsSlot[i] {
+					t.Fatalf("%s: template %d position %d: wild %v", label, ti, i, got.Wild[i])
+				}
+				if tid < 0 {
+					continue
+				}
+				if w, want := d.vocab.Word(got.Tokens[i]), res.Vocab.Word(tid); w != want {
+					t.Fatalf("%s: template %d position %d: %q, core.Run %q", label, ti, i, w, want)
+				}
+			}
+			if got.DocCount != len(tr.Docs) {
+				t.Fatalf("%s: template %d DocCount %d, core.Run %d", label, ti, got.DocCount, len(tr.Docs))
+			}
+			for _, local := range tr.Docs {
+				member[local] = ti
+			}
+			ti++
+		}
+	}
+	if ti != d.NumTemplates() {
+		t.Fatalf("%s: flush mined %d templates, core.Run %d", label, d.NumTemplates()-base, ti-base)
+	}
+	for local, id := range ids {
+		if a := d.Assignment(id); a.Template != member[local] || a.Pending {
+			t.Fatalf("%s: doc %d: %+v, core.Run template %d", label, id, a, member[local])
+		}
+	}
+}
+
 // TestFlushTokenReuseByteIdentical is the gate for the no-re-tokenize
-// satellite: flushing from the token streams buffered at ingest must give
-// byte-identical templates, assignments, and pending state to the old
-// path that re-tokenized the raw texts, at every worker count.
+// flush: mining from the token streams buffered at ingest must give
+// exactly the templates and assignments core.Run mines from the raw
+// texts, at every worker count. Each AddBatch call ends at or before the
+// next flush point, so a flush can only fire on a call's last document,
+// when the buffer is the prior pending set plus the whole call.
 func TestFlushTokenReuseByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			docs := randomStreamCorpus(rng, 300)
+			d := New(core.Options{Workers: workers})
+			d.BatchSize = 64
 
-			legacy := New(core.Options{Workers: workers})
-			legacy.BatchSize = 64
-			legacy.legacyFlush = true
-			cur := New(core.Options{Workers: workers})
-			cur.BatchSize = 64
-
-			for lo := 0; lo < len(docs); lo += 48 {
-				hi := lo + 48
-				if hi > len(docs) {
-					hi = len(docs)
+			flushes := 0
+			for lo := 0; lo < len(docs); {
+				hi := min(lo+48, len(docs), lo+d.BatchSize-d.Pending())
+				texts := append(slices.Clone(d.pendingTexts), docs[lo:hi]...)
+				ids := slices.Clone(d.pendingIDs)
+				base, before := d.NumTemplates(), d.Stats().Flushes
+				ids = append(ids, d.AddBatch(docs[lo:hi])...)
+				if d.Stats().Flushes != before {
+					flushes++
+					checkFlushMatchesRun(t, fmt.Sprintf("workers=%d seed=%d flush %d", workers, seed, flushes), d, base, texts, ids)
 				}
-				legacy.AddBatch(docs[lo:hi])
-				cur.AddBatch(docs[lo:hi])
+				lo = hi
 			}
-			legacy.Flush()
-			cur.Flush()
-			compareDetectors(t, fmt.Sprintf("workers=%d seed=%d", workers, seed), legacy, cur)
+			texts, ids, base := slices.Clone(d.pendingTexts), slices.Clone(d.pendingIDs), d.NumTemplates()
+			d.Flush()
+			checkFlushMatchesRun(t, fmt.Sprintf("workers=%d seed=%d final flush", workers, seed), d, base, texts, ids)
+			if flushes == 0 || d.NumTemplates() == 0 {
+				t.Fatalf("workers=%d seed=%d: %d auto-flushes mined %d templates — the gate proves nothing",
+					workers, seed, flushes, d.NumTemplates())
+			}
 		}
 	}
 }
@@ -337,36 +398,38 @@ func TestIncrementalEmergence(t *testing.T) {
 }
 
 // TestIncrementalTouchedOnly: the touched-component candidate selection
-// must re-cluster strictly fewer documents than the mineAll baseline
-// that re-clusters the whole retained window every flush, while both
-// stay within the same window bounds.
+// must re-cluster strictly fewer documents than re-clustering the whole
+// retained window every flush would — len(window) + len(pending) per
+// flush, counted just before each flush over the window documents that
+// survive the flush's age-out and cap.
 func TestIncrementalTouchedOnly(t *testing.T) {
 	drift := datagen.NewDriftStream(datagen.DriftConfig{Seed: 11, Active: 6, ChurnEvery: 64})
-	mk := func(all bool) *Detector {
-		d := New(core.Options{})
-		d.BatchSize = 1 << 30
-		d.Lifecycle = Lifecycle{Incremental: true}
-		d.mineAll = all
-		return d
-	}
-	inc, all := mk(false), mk(true)
-	k := 0
+	d := New(core.Options{})
+	d.BatchSize = 1 << 30
+	d.Lifecycle = Lifecycle{Incremental: true}
+	wholeWindow, k := 0, 0
 	for cycle := 0; cycle < 20; cycle++ {
-		docs := drift.Docs(k, k+32)
+		d.AddBatch(drift.Docs(k, k+32))
 		k += 32
-		inc.AddBatch(docs)
-		all.AddBatch(docs)
-		inc.Flush()
-		all.Flush()
-		checkMineDF(t, fmt.Sprintf("touched-only cycle %d", cycle), inc)
-		checkMineDF(t, fmt.Sprintf("mineAll cycle %d", cycle), all)
+		wholeWindow += d.Pending()
+		if ms := d.mine; ms != nil {
+			kept := 0
+			for _, doc := range ms.docs {
+				if ms.epoch+1-doc.epoch <= retainFlushes {
+					kept++
+				}
+			}
+			wholeWindow += min(kept, retainBatches*d.BatchSize)
+		}
+		d.Flush()
+		checkMineDF(t, fmt.Sprintf("cycle %d", cycle), d)
 	}
-	si, sa := inc.Stats(), all.Stats()
-	if si.MineClusteredDocs >= sa.MineClusteredDocs {
-		t.Fatalf("touched-only clustered %d docs, mineAll %d — no work saved",
-			si.MineClusteredDocs, sa.MineClusteredDocs)
+	st := d.Stats()
+	if st.MineClusteredDocs >= wholeWindow {
+		t.Fatalf("touched-only clustered %d docs, whole-window re-clustering %d — no work saved",
+			st.MineClusteredDocs, wholeWindow)
 	}
-	if si.MineReusedDocs == 0 {
+	if st.MineReusedDocs == 0 {
 		t.Fatal("touched-only never reused a retained document")
 	}
 }

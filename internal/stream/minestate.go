@@ -58,6 +58,14 @@ import (
 // in mechanism, not byte-identical in output, to the batch path — the
 // byte-identity gate covers the default (non-incremental) configuration.
 
+// The retained window's bounds: an unmatched document leaves it after
+// retainFlushes mining passes, and the window keeps at most
+// retainBatches×BatchSize documents, dropping the oldest first.
+const (
+	retainFlushes = 8
+	retainBatches = 8
+)
+
 // mineDoc is one unmatched document retained in the miner's window.
 type mineDoc struct {
 	id    int      // caller-visible document id
@@ -82,7 +90,6 @@ type mineState struct {
 	tab     tfidf.PhraseTable
 	phr     []tfidf.Phrase // the extracted documents' phrases, flat
 	bounds  []int32        // document i owns phr[bounds[i]:bounds[i+1]]
-	tmp     []tfidf.Phrase // one retained document's phrases (mineAll)
 	cand    []mineCand
 	covered []bool
 	sel     []uint64         // this flush's selections, flat
@@ -301,20 +308,6 @@ func (d *Detector) mineTopFraction() float64 {
 	return tfidf.DefaultTopFraction
 }
 
-func (d *Detector) retainFlushes() int {
-	if d.Lifecycle.RetainFlushes > 0 {
-		return d.Lifecycle.RetainFlushes
-	}
-	return 8
-}
-
-func (d *Detector) retainDocs() int {
-	if d.Lifecycle.RetainDocs > 0 {
-		return d.Lifecycle.RetainDocs
-	}
-	return 8 * d.batchSize()
-}
-
 // retain appends extracted document i to the window with selection sel.
 // Its dist and sel are copied into the front of slab, which must have
 // room; the rest of slab is returned.
@@ -359,16 +352,15 @@ func (d *Detector) flushIncremental() []int {
 
 	// Age out, then cap, the retained window (oldest-first — docs is in
 	// ascending id order, which is arrival order).
-	retainF, retainD := d.retainFlushes(), d.retainDocs()
 	keep := ms.docs[:0]
 	for i := range ms.docs {
-		if ms.epoch-ms.docs[i].epoch > retainF {
+		if ms.epoch-ms.docs[i].epoch > retainFlushes {
 			ms.decDF(ms.docs[i].dist)
 			continue
 		}
 		keep = append(keep, ms.docs[i])
 	}
-	if over := len(keep) - retainD; over > 0 {
+	if over := len(keep) - retainBatches*d.batchSize(); over > 0 {
 		for i := 0; i < over; i++ {
 			ms.decDF(keep[i].dist)
 		}
@@ -399,30 +391,19 @@ func (d *Detector) flushIncremental() []int {
 	// Candidate set: retained docs whose selections intersect the new
 	// batch's (the touched components), then the new docs — ascending id
 	// within each group, groups in id order since retained ids precede
-	// pending ids. mineAll (the benchmark's from-scratch baseline)
-	// re-clusters the whole window instead, paying the stateless miner's
-	// full cost: every retained document re-extracts its phrases and
-	// re-selects against the window DF. (The maintained DF table equals a
-	// fresh count over window + batch by the invariant above, so no
-	// recount is needed for the baseline to be faithful.)
+	// pending ids.
 	var candIdx []int // retained candidates' positions in ms.docs
 	var localToks [][]int
 	var localSel [][]uint64
 	var localIDs []int
 	for i := range ms.docs {
 		doc := &ms.docs[i]
-		sel := doc.sel
-		if d.mineAll {
-			ms.tmp = ms.tab.AppendDoc(ms.tmp[:0], doc.toks, maxN)
-			start := len(ms.sel)
-			ms.sel = ms.selectTop(ms.sel, ms.tmp, nWindow, len(doc.toks), frac, floorFrac)
-			sel = ms.sel[start:len(ms.sel):len(ms.sel)]
-		} else if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.owner.get(h) != 0 }) {
+		if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.owner.get(h) != 0 }) {
 			continue
 		}
 		candIdx = append(candIdx, i)
 		localToks = append(localToks, doc.toks)
-		localSel = append(localSel, sel)
+		localSel = append(localSel, doc.sel)
 		localIDs = append(localIDs, doc.id)
 	}
 	reused := len(candIdx)

@@ -8,11 +8,7 @@ import (
 	"infoshield/internal/tfidf"
 )
 
-// stateV1 is the original on-disk representation: mined templates only.
-// Save no longer writes it, but Load still accepts it (template-set
-// archives and pre-v2 snapshots).
-//
-// stateV2 is the full-detector representation: templates (live and
+// stateV2 is the on-disk detector representation: templates (live and
 // lifecycle tombstones, with recency clocks and merge forward pointers),
 // the document-id high-water mark, the pending buffer (texts + ids — so
 // snapshotting no longer requires a flush), and the incremental miner's
@@ -22,19 +18,8 @@ import (
 // rebuilt deterministically at load. Restored state is a pure function
 // of the file, so snapshot + write-ahead-log replay is deterministic —
 // it does not reproduce the pre-crash process byte-for-byte (vocabulary
-// ids, and with them phrase hashes, are re-assigned at load), which is
-// the same contract the v1 format had.
-type stateV1 struct {
-	Version   int               `json:"version"`
-	Templates []templateStateV1 `json:"templates"`
-}
-
-type templateStateV1 struct {
-	Words    []string `json:"words"` // "" at wildcard positions
-	Wild     []bool   `json:"wild"`
-	DocCount int      `json:"doc_count"`
-}
-
+// ids, and with them phrase hashes, are re-assigned at load). Version 1
+// (templates only) predates every deployment and is rejected.
 type stateV2 struct {
 	Version   int               `json:"version"`
 	NextID    int               `json:"next_id,omitempty"`
@@ -43,8 +28,6 @@ type stateV2 struct {
 	Retained  []retainedStateV2 `json:"retained,omitempty"`
 }
 
-// templateStateV2 also decodes v1 template entries: the extra fields are
-// absent there and default to a live template with a zero recency clock.
 type templateStateV2 struct {
 	Words    []string `json:"words,omitempty"` // "" at wildcard positions
 	Wild     []bool   `json:"wild,omitempty"`
@@ -127,8 +110,7 @@ func (d *Detector) Save(w io.Writer) error {
 	return enc.Encode(&st)
 }
 
-// Load restores state saved by Save (either format version) into a
-// (typically fresh) detector, merging after any templates it already
+// Load restores state saved by Save into a (typically fresh) detector, merging after any templates it already
 // holds. Document counts and recency clocks resume from the saved
 // values. The tiered index, slot vectors, DF table, and phrase
 // selections are derived state, not persisted: templates re-enter
@@ -144,7 +126,7 @@ func (d *Detector) Load(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return fmt.Errorf("stream: decode state: %w", err)
 	}
-	if st.Version != 1 && st.Version != 2 {
+	if st.Version != 2 {
 		return fmt.Errorf("stream: unsupported state version %d", st.Version)
 	}
 	if (st.NextID > 0 || len(st.Pending) > 0 || len(st.Retained) > 0) && d.ingested {
@@ -155,9 +137,6 @@ func (d *Detector) Load(r io.Reader) error {
 	}
 	for ti, ts := range st.Templates {
 		if ts.Dead {
-			if st.Version != 2 {
-				return fmt.Errorf("stream: template %d: tombstone in v%d state", ti, st.Version)
-			}
 			d.templates = append(d.templates, Template{DocCount: ts.DocCount})
 			d.dead = append(d.dead, true)
 			d.forward = append(d.forward, int32(ts.Forward))
@@ -183,9 +162,7 @@ func (d *Detector) Load(r io.Reader) error {
 		}
 		i := len(d.templates)
 		d.register(t)
-		if st.Version == 2 {
-			d.lastMatch[i] = ts.LastMatch
-		}
+		d.lastMatch[i] = ts.LastMatch
 	}
 	for _, p := range st.Pending {
 		if p.ID < 0 {

@@ -84,12 +84,6 @@ type Lifecycle struct {
 	// components those phrases touch. Costs are amortized per batch, and
 	// campaigns that trickle in across flush boundaries still assemble.
 	Incremental bool
-	// RetainFlushes bounds how many mining passes an unmatched document
-	// stays in the incremental miner's window (0 = default 8).
-	RetainFlushes int
-	// RetainDocs caps the incremental miner's retained-document window
-	// (0 = default 8×BatchSize).
-	RetainDocs int
 }
 
 // bounded reports whether any template-retiring mechanism is on.
@@ -157,19 +151,6 @@ type Detector struct {
 	sc      matchScratch    // serial probe scratch (Add)
 	batchSc []*matchScratch // per-worker probe scratches (AddBatch)
 	stats   Stats
-
-	// noPrune disables the lower-bound skip so tests can drive the exact
-	// same scan with the DP forced on every template (the reference path
-	// of the pruning-equivalence gate).
-	noPrune bool
-	// legacyFlush forces the pre-RunTokens flush path (re-tokenize the
-	// pending texts inside core.Run) so the equivalence gate can prove
-	// the token-reuse path byte-identical.
-	legacyFlush bool
-	// mineAll makes the incremental miner re-cluster its entire retained
-	// window every flush instead of only the touched components — the
-	// from-scratch baseline the lifecycle benchmark compares against.
-	mineAll bool
 }
 
 // New creates an empty detector.
@@ -507,24 +488,18 @@ func (d *Detector) Flush() {
 // flushBatch mines the buffer with the batch pipeline. The pipeline is
 // fed the token streams buffered at ingest time (decoded back to words —
 // a slice lookup per token) rather than re-tokenizing the raw texts;
-// because the tokenizer is pure, the verdicts are byte-identical
-// (legacyFlush forces the old re-tokenizing path for the gate proving
-// that).
+// because the tokenizer is pure, the verdicts are byte-identical to
+// core.Run over the texts.
 func (d *Detector) flushBatch() []int {
-	var res *core.Result
-	if d.legacyFlush {
-		res = core.Run(d.pendingTexts, d.Options)
-	} else {
-		words := make([][]string, len(d.pendingToks))
-		for i, toks := range d.pendingToks {
-			w := make([]string, len(toks))
-			for j, tok := range toks {
-				w[j] = d.vocab.Word(tok)
-			}
-			words[i] = w
+	words := make([][]string, len(d.pendingToks))
+	for i, toks := range d.pendingToks {
+		w := make([]string, len(toks))
+		for j, tok := range toks {
+			w[j] = d.vocab.Word(tok)
 		}
-		res = core.RunTokens(d.pendingTexts, words, d.Options)
+		words[i] = w
 	}
+	res := core.RunTokens(d.pendingTexts, words, d.Options)
 	var newTIs []int
 	for ci := range res.Clusters {
 		for _, tr := range res.Clusters[ci].Templates {

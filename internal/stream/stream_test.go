@@ -160,8 +160,17 @@ func TestLoadRejectsBadState(t *testing.T) {
 	if err := d.Load(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Error("expected version error")
 	}
+	// Version 1 (templates only) is no longer read.
 	if err := d.Load(strings.NewReader(
-		`{"version":1,"templates":[{"words":["a"],"wild":[true,false]}]}`)); err == nil {
+		`{"version":1,"templates":[{"words":["a"],"wild":[false],"doc_count":1}]}`)); err == nil ||
+		!strings.Contains(err.Error(), "unsupported state version 1") {
+		t.Errorf("version 1 state: err = %v, want unsupported-version rejection", err)
+	}
+	if d.NumTemplates() != 0 {
+		t.Errorf("rejected states registered %d templates", d.NumTemplates())
+	}
+	if err := d.Load(strings.NewReader(
+		`{"version":2,"templates":[{"words":["a"],"wild":[true,false],"forward":-1}]}`)); err == nil {
 		t.Error("expected shape error")
 	}
 }

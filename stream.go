@@ -47,23 +47,19 @@ type StreamLifecycle struct {
 	// Incremental carries document-frequency counts and recent unmatched
 	// documents across flushes, so each mining pass clusters only new and
 	// touched documents instead of re-clustering the buffer from scratch.
+	// The carried-over window holds an unmatched document for at most 8
+	// flushes and at most 8×batchSize documents.
 	Incremental bool
-	// RetainFlushes / RetainDocs bound the incremental miner's carryover
-	// window (flush epochs and document count); 0 selects the defaults.
-	RetainFlushes int
-	RetainDocs    int
 }
 
 // SetLifecycle configures template aging, eviction, merging, and
 // incremental mining. Call before ingesting documents.
 func (s *StreamDetector) SetLifecycle(lc StreamLifecycle) {
 	s.d.Lifecycle = stream.Lifecycle{
-		MaxTemplates:  lc.MaxTemplates,
-		TTL:           lc.TTL,
-		Merge:         lc.Merge,
-		Incremental:   lc.Incremental,
-		RetainFlushes: lc.RetainFlushes,
-		RetainDocs:    lc.RetainDocs,
+		MaxTemplates: lc.MaxTemplates,
+		TTL:          lc.TTL,
+		Merge:        lc.Merge,
+		Incremental:  lc.Incremental,
 	}
 }
 
