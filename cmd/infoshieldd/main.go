@@ -1,8 +1,9 @@
 // Command infoshieldd serves the streaming InfoShield detector over
 // HTTP/JSON. Concurrent single-document requests are transparently
-// coalesced into detector batches (group-commit micro-batching), and
+// coalesced into detector batches (leader-follower group commit: the
+// first waiting request commits every request queued behind it), and
 // -shards splits the detector into S independent shards — each with its
-// own sequencer, coalescer, and write-ahead log — routed by a hash or
+// own commit lock, coalescer, and write-ahead log — routed by a hash or
 // language key computed from the token stream.
 //
 // Endpoints:
@@ -17,7 +18,7 @@
 //	GET  /debug/pprof/...
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
-// in-flight requests, drains every shard's coalescer queue, and — when
+// in-flight requests, closes every shard to new work, and — when
 // -state is set — mines the remaining buffers, snapshots the manifest,
 // and truncates the write-ahead logs before exiting.
 //
@@ -53,14 +54,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8743", "listen address")
 	state := fs.String("state", "", "state file: loaded at startup if present, snapshotted on shutdown and by POST /v1/snapshot")
-	shards := fs.Int("shards", 1, "detector shard count; each shard has its own sequencer, coalescer, and WAL")
+	shards := fs.Int("shards", 1, "detector shard count; each shard has its own commit lock, coalescer, and WAL")
 	route := fs.String("route", serve.RouteHash, `shard routing: "hash" (balanced) or "lang" (keeps each language's templates on one shard)`)
 	walDir := fs.String("wal-dir", "", "write-ahead-log directory: every acked document is logged (and fsynced) before its verdict returns, and replayed on boot")
 	workers := fs.Int("workers", 0, "per-shard worker pool for batched matching and mining (0 = GOMAXPROCS); never changes verdicts")
 	mineBatch := fs.Int("mine-batch", 0, "buffered documents that trigger a mining pass (0 = detector default 512)")
-	maxBatch := fs.Int("max-batch", 0, "documents that flush a coalesced ingest batch (0 = default 256)")
-	maxWait := fs.Duration("max-wait", 0, "latency budget for growing an ingest batch (0 = commit as soon as the queue drains)")
-	queueDepth := fs.Int("queue-depth", 0, "per-shard ingest queue depth in requests (0 = default 1024)")
+	maxBatch := fs.Int("max-batch", 0, "most documents one group commit ingests (0 = default 256)")
 	maxTemplates := fs.Int("max-templates", 0, "per-shard live-template cap; the least-recently-matched templates are evicted past it (0 = unbounded)")
 	templateTTL := fs.Int("template-ttl", 0, "retire a template after this many ingested documents without a match (0 = never)")
 	mergeTemplates := fs.Bool("merge-templates", false, "fold freshly mined templates into existing near-duplicates when the MDL cost favors one template")
@@ -79,11 +78,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		Route:     *route,
 		WALDir:    *walDir,
 		StatePath: *state,
-		Coalescer: serve.Options{
-			MaxBatch:   *maxBatch,
-			MaxWait:    *maxWait,
-			QueueDepth: *queueDepth,
-		},
+		Coalescer: serve.Options{MaxBatch: *maxBatch},
 		NewDetector: func() *stream.Detector {
 			det := stream.New(core.Options{Workers: *workers})
 			if *mineBatch > 0 {
@@ -128,10 +123,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	// Shutdown protocol: stop accepting connections and wait for in-flight
-	// HTTP requests (whose Submits must reach the shard queues before the
-	// accept gate closes), then hand off to Drain — which drains every
-	// shard, final-flushes, snapshots the manifest when -state is set, and
-	// truncates the WALs only after the manifest commits.
+	// HTTP requests (whose Submits must pass the accept gate before it
+	// closes), then hand off to Drain — which closes the gate, mines
+	// every shard's buffer, snapshots the manifest when -state is set,
+	// and truncates the WALs only after the manifest commits.
 	fmt.Fprintln(stdout, "infoshieldd: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

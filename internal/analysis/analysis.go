@@ -32,7 +32,7 @@
 //     holding sync primitives must not be copied.
 //   - chanproto — double close, sends that can race a close on another
 //     path without a shared mutex, and close+send channels lacking a
-//     comma-ok/range drain (the serve shutdown protocol, DESIGN §7).
+//     comma-ok/range drain.
 //
 // Findings are suppressed by a justification comment on the offending
 // line or the line above it:

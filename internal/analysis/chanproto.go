@@ -5,19 +5,19 @@ import (
 	"go/types"
 )
 
-// ChanProto pins the shutdown protocol DESIGN §7 documents for the serve
-// coalescer onto every channel in the module, using the module-wide
-// operation index (channels are keyed by field, package variable, or
-// local — a field key covers every instance, deliberately coarse):
+// ChanProto checks three channel-lifecycle rules on every channel in
+// the module, using the module-wide operation index (channels are keyed
+// by field, package variable, or local — a field key covers every
+// instance, deliberately coarse):
 //
 //   - Double close: a channel closed at more than one site panics on the
 //     second close. Close exactly once, from the single owner.
 //   - Send racing close: a send in one function and a close in another
 //     can interleave as send-on-closed (panic) unless both critical
-//     sections hold a common mutex — the accept-gate shape: enqueue
-//     sends under mu.RLock after checking closed, Close flips closed and
-//     closes under mu.Lock. Same-function send+close is sequential and
-//     legal.
+//     sections hold a common mutex — the accept-gate shape: the sender
+//     sends under mu.RLock after checking a closed flag, the closer
+//     flips the flag and closes under mu.Lock. Same-function send+close
+//     is sequential and legal.
 //   - Missing drain: a channel that is both sent on and closed must be
 //     received somewhere with the comma-ok or range form, so the
 //     consumer drains buffered requests after close instead of reading

@@ -7,16 +7,16 @@ import (
 
 // GoLeak enforces the join discipline every goroutine in this codebase
 // follows: a spawned goroutine must announce completion — close a
-// channel (serve's sequencer closes c.done), send a result (the daemon's
-// ListenAndServe error channel), or call WaitGroup.Done (the par pool
-// workers) — and some path must join that announcement with a receive or
-// Wait. A goroutine with no signal can never be waited for; a signal
+// channel, send a result (the daemon's ListenAndServe error channel),
+// or call WaitGroup.Done (the par pool workers and the sharder's
+// fan-out) — and some path must join that announcement with a receive
+// or Wait. A goroutine with no signal can never be waited for; a signal
 // nobody receives leaks the goroutine on shutdown paths.
 //
-// Signals are resolved through the fact layer: `go c.run()` inherits
-// run's summary (defer close(c.done)), so the join may live in another
-// function or package — Close's `<-c.done` is found through the
-// module-wide operation index. Signals on local channels must be joined
+// Signals are resolved through the fact layer: `go w.run()` inherits
+// run's summary (say, defer close(w.done)), so the join may live in
+// another function or package — a `<-w.done` elsewhere is found through
+// the module-wide operation index. Signals on local channels must be joined
 // in the spawning function; signals on struct fields or package
 // variables may be joined anywhere in the module. WaitGroup.Add inside
 // the spawned goroutine is flagged separately: Add must happen before

@@ -45,7 +45,7 @@ func AddInside(wg *sync.WaitGroup) {
 	wg.Wait()
 }
 
-// seq mirrors the serve sequencer: run closes the done field, Close
+// seq is a channel-fed sequencer: run closes the done field, Close
 // receives it. The close signal reaches the go statement through run's
 // fact summary, and the join is found module-wide on the field key.
 type seq struct{ done chan struct{} }

@@ -1,10 +1,10 @@
-// Package drainleak seeds a shutdown leak against the serve coalescer
-// shape: the sequencer goroutine closes done when the request queue
+// Package drainleak seeds a shutdown leak against a channel-fed
+// coalescer: the sequencer goroutine closes done when the request queue
 // drains, but Close forgot the receive on done — goleak must notice
 // that the close signal is never joined anywhere in the module.
 package drainleak
 
-// coalescer mirrors the serve daemon's sequencer loop.
+// coalescer is a single-goroutine sequencer loop.
 type coalescer struct {
 	reqs chan int
 	done chan struct{}

@@ -101,15 +101,15 @@ func benchSharded(b *testing.B, shards int, walDir string, opt Options) *Sharded
 
 // noteSingleCPU flags the blind spot of closed-loop coalescing
 // benchmarks on single-core machines: clients cannot overlap the
-// sequencer, so natural batches rarely form and mode=coalesce looks like
-// mode=mutex. The *-slow modes inject a per-batch commit delay (an
-// Options.Commit hook that sleeps, where a WAL fsync would run) so the
-// amortization is measurable anyway — clients queue while the sequencer
+// leader's commit, so natural batches rarely form and mode=coalesce
+// looks like mode=mutex. The *-slow modes inject a per-batch commit
+// delay (a WAL hook that sleeps, where a WAL fsync would run) so the
+// amortization is measurable anyway — clients queue while the leader
 // "commits", and docs/batch grows.
 func noteSingleCPU(b *testing.B) {
 	b.Helper()
 	if runtime.GOMAXPROCS(0) == 1 {
-		b.Logf("GOMAXPROCS=1: natural batching needs client/sequencer overlap; trust the mode=*-slow variants (injected %v commit delay) on this machine", benchCommitDelay)
+		b.Logf("GOMAXPROCS=1: natural batching needs client/leader overlap; trust the mode=*-slow variants (injected %v commit delay) on this machine", benchCommitDelay)
 	}
 }
 
@@ -117,12 +117,12 @@ func noteSingleCPU(b *testing.B) {
 // closed-loop clients each submit one matching document at a time.
 // mode=mutex serializes clients with a lock around Detector.Add (the
 // obvious thread-safe wrapper); mode=coalesce funnels them through the
-// group-commit sequencer, which batches whatever queued while the
-// previous batch was in flight and pays the parallel AddBatch fan-out
-// once per batch instead of once per document. The *-slow pair replays
-// the comparison with a synthetic slow commit (giant template sets, WAL
-// fsync on spinning disks): the mutex pays the delay per document, the
-// coalescer per batch.
+// leader-follower group commit, where each leader batches whatever
+// queued while the previous batch was in flight and pays the parallel
+// AddBatch fan-out once per batch instead of once per document. The
+// *-slow pair replays the comparison with a synthetic slow commit (giant
+// template sets, WAL fsync on spinning disks): the mutex pays the delay
+// per document, the coalescer per batch.
 func BenchmarkServeCoalesce(b *testing.B) {
 	noteSingleCPU(b)
 	for _, clients := range []int{1, 4, 16, 64} {
@@ -138,16 +138,9 @@ func BenchmarkServeCoalesce(b *testing.B) {
 		b.Run(fmt.Sprintf("mode=coalesce/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
 			c := NewCoalescer(det, Options{})
-			runClients(b, clients, func(text string) {
-				if _, err := submit(c, []string{text}); err != nil {
-					b.Error(err)
-				}
-			})
+			runClients(b, clients, func(text string) { submit(c, []string{text}) })
 			b.StopTimer()
 			reportDocsPerBatch(b, c)
-			if err := c.Close(); err != nil {
-				b.Fatal(err)
-			}
 		})
 		b.Run(fmt.Sprintf("mode=mutex-slow/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
@@ -161,33 +154,27 @@ func BenchmarkServeCoalesce(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("mode=coalesce-slow/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
-			c := NewCoalescer(det, Options{Commit: func([]int, []string) error {
+			c := NewCoalescer(det, Options{})
+			c.walHook = func([]int, []string) error {
 				time.Sleep(benchCommitDelay) // per-batch commit cost
 				return nil
-			}})
-			runClients(b, clients, func(text string) {
-				if _, err := submit(c, []string{text}); err != nil {
-					b.Error(err)
-				}
-			})
+			}
+			runClients(b, clients, func(text string) { submit(c, []string{text}) })
 			b.StopTimer()
 			reportDocsPerBatch(b, c)
-			if err := c.Close(); err != nil {
-				b.Fatal(err)
-			}
 		})
 	}
 }
 
 func reportDocsPerBatch(b *testing.B, c *Coalescer) {
 	b.Helper()
-	if st, err := c.Stats(); err == nil && st.Serve.Batches > 0 {
+	if st := c.Stats(); st.Serve.Batches > 0 {
 		b.ReportMetric(float64(st.Serve.Docs)/float64(st.Serve.Batches), "docs/batch")
 	}
 }
 
 // BenchmarkServeSharded sweeps the shard count under closed-loop load:
-// S independent sequencers (hash routing) against 16 and 64 clients,
+// S independent commit locks (hash routing) against 16 and 64 clients,
 // plus a WAL-enabled pair (fsync off, so the measured cost is the
 // serialization and write path, not the device). docs/batch aggregates
 // across shards.

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func corpusFor(seed int64, n int) []string {
 
 // submit is Coalescer.Submit with the token streams computed here, as the
 // sharder computes them for routing.
-func submit(c *Coalescer, texts []string) ([]Verdict, error) {
+func submit(c *Coalescer, texts []string) []Verdict {
 	var tk tokenize.Tokenizer
 	return c.Submit(texts, tk.All(texts, 1))
 }
@@ -80,31 +81,51 @@ func compareToReplay(t *testing.T, det *stream.Detector, texts []string, mineBat
 
 // TestCoalesceConcurrentEquivalence is the headline determinism gate:
 // many clients submit concurrently (singles and small arrays, in every
-// MaxBatch/MaxWait mode), mining flushes fire mid-coalesce, and the
-// final detector state must be byte-identical to feeding the same
-// documents to a serial Add loop in enqueue order — with ids as the
-// arrival-order witness.
+// MaxBatch mode), mining flushes fire mid-batch, a reader loops the
+// read side of the commit lock throughout, and the final detector state
+// must be byte-identical to feeding the same documents to a serial Add
+// loop in queue order — with ids as the arrival-order witness.
 func TestCoalesceConcurrentEquivalence(t *testing.T) {
 	clients, perClient := 8, 60
 	if testing.Short() {
 		clients, perClient = 4, 25
 	}
 	for _, opt := range []Options{
-		{},                                // natural batching
-		{MaxBatch: 8},                     // tiny commit ceiling
-		{MaxWait: 200 * time.Microsecond}, // deadline mode
-		{MaxBatch: 16, MaxWait: 2 * time.Millisecond},
+		{},            // natural batching
+		{MaxBatch: 8}, // tiny commit ceiling
+		{MaxBatch: 16},
 	} {
 		opt := opt
-		t.Run(fmt.Sprintf("maxBatch=%d/maxWait=%s", opt.MaxBatch, opt.MaxWait), func(t *testing.T) {
+		t.Run(fmt.Sprintf("maxBatch=%d", opt.MaxBatch), func(t *testing.T) {
 			det := stream.New(core.Options{})
-			const mineBatch = 32 // small, so mining fires mid-coalesce
+			const mineBatch = 32 // small, so mining fires mid-batch
 			det.BatchSize = mineBatch
 			c := NewCoalescer(det, opt)
 
 			total := clients * perClient
 			texts := make([]string, total)
 			verdicts := make([]Verdict, total)
+			stop := make(chan struct{})
+			readerDone := make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				var last int64
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c.Assignment(i % total)
+					c.Templates()
+					docs := c.Stats().Serve.Docs
+					if docs < last {
+						t.Errorf("Stats().Serve.Docs fell from %d to %d", last, docs)
+						return
+					}
+					last = docs
+				}
+			}()
 			var wg sync.WaitGroup
 			for cl := 0; cl < clients; cl++ {
 				wg.Add(1)
@@ -117,11 +138,7 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 						if i+k > len(docs) {
 							k = len(docs) - i
 						}
-						vs, err := submit(c, docs[i:i+k])
-						if err != nil {
-							t.Errorf("client %d: %v", cl, err)
-							return
-						}
+						vs := submit(c, docs[i:i+k])
 						for j, v := range vs {
 							// A request's documents are contiguous in arrival
 							// order: the coalescer never splits a request.
@@ -137,9 +154,8 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 				}(cl)
 			}
 			wg.Wait()
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+			close(stop)
+			<-readerDone
 
 			ref := compareToReplay(t, det, texts, mineBatch)
 			// Response-time verdicts may only differ from the final state by
@@ -156,54 +172,40 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 	}
 }
 
-// holdSequencer parks the sequencer inside a control request so the test
-// can stage a deterministic queue, then returns a release function. It
-// waits for the sequencer to actually enter the control before
-// returning, so subsequent enqueues line up in send order.
-func holdSequencer(t *testing.T, c *Coalescer) (release func()) {
-	t.Helper()
-	entered := make(chan struct{})
-	blocked := make(chan struct{})
-	go func() {
-		if err := c.do(func(*stream.Detector) {
-			close(entered)
-			<-blocked
-		}); err != nil {
-			t.Errorf("holdSequencer: %v", err)
-		}
-	}()
-	<-entered
-	return func() { close(blocked) }
+// holdCommit takes the coalescer's commit lock so the test can stage a
+// deterministic queue behind a blocked leader, and returns the release.
+func holdCommit(c *Coalescer) (release func()) {
+	c.commit.Lock()
+	return c.commit.Unlock
 }
 
-// enqueueOrdered submits texts from its own goroutine and spins until
-// the request is observably queued, pinning the enqueue order exactly.
-func enqueueOrdered(t *testing.T, c *Coalescer, texts []string, out chan<- []Verdict) {
-	t.Helper()
-	before := len(c.ch)
-	go func() {
-		vs, err := submit(c, texts)
-		if err != nil {
-			t.Errorf("enqueueOrdered: %v", err)
-		}
-		out <- vs
-	}()
-	for len(c.ch) <= before {
+// enqueueOrdered runs submit from its own goroutine and spins until
+// c's queue grows, pinning the enqueue order exactly. The first staged
+// request becomes the leader and blocks on the held commit lock; the
+// rest queue behind it.
+func enqueueOrdered(c *Coalescer, submit func() []Verdict, out chan<- []Verdict) {
+	queued := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.queue)
+	}
+	before := queued()
+	go func() { out <- submit() }()
+	for queued() <= before {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
 
 // TestCoalescePinnedBatch drives one exactly-known multi-request batch:
-// the sequencer is held, requests are enqueued in a pinned order summing
-// to MaxBatch, and the detector's mining threshold sits mid-batch — the
-// group-commit equivalent of a flush firing while the batch coalesces.
-// Verdicts must equal a serial replay sampled at batch end, and the
-// whole batch must commit by size.
+// the commit lock is held, requests are enqueued in a pinned order
+// summing to MaxBatch, and the detector's mining threshold sits
+// mid-batch — the group-commit equivalent of a flush firing while the
+// batch coalesces. Verdicts must equal a serial replay sampled at batch
+// end, and the whole batch must commit by size.
 func TestCoalescePinnedBatch(t *testing.T) {
 	det := stream.New(core.Options{})
 	det.BatchSize = 7 // mining fires inside the coalesced batch
-	c := NewCoalescer(det, Options{MaxBatch: 12, MaxWait: time.Hour})
-	defer c.Close()
+	c := NewCoalescer(det, Options{MaxBatch: 12})
 
 	campaign := func(i int) string {
 		return fmt.Sprintf("limited offer buy the premium golden package today visit site%04d.example now", i)
@@ -222,11 +224,11 @@ func TestCoalescePinnedBatch(t *testing.T) {
 		{noise(3), campaign(3), campaign(4)},
 		{campaign(5), noise(4), campaign(6)},
 	}
-	release := holdSequencer(t, c)
+	release := holdCommit(c)
 	outs := make([]chan []Verdict, len(reqs))
 	for i, texts := range reqs {
 		outs[i] = make(chan []Verdict, 1)
-		enqueueOrdered(t, c, texts, outs[i])
+		enqueueOrdered(c, func() []Verdict { return submit(c, texts) }, outs[i])
 	}
 	release()
 
@@ -261,10 +263,7 @@ func TestCoalescePinnedBatch(t *testing.T) {
 		t.Fatal("no template mined — the mid-coalesce flush never fired")
 	}
 
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := c.Stats()
 	if st.Serve.Batches != 1 || st.Serve.BatchesBySize != 1 {
 		t.Fatalf("expected one size-triggered batch, got %+v", st.Serve)
 	}
@@ -279,112 +278,44 @@ func TestCoalescePinnedBatch(t *testing.T) {
 	}
 }
 
-// TestCoalesceControlMidBatch pins the flush-by-control path: a control
-// request between staged ingests must split the batch at exactly its
-// queue position, and run against the detector state the earlier
-// requests produced.
-func TestCoalesceControlMidBatch(t *testing.T) {
-	det := stream.New(core.Options{})
-	det.BatchSize = 1 << 30
-	c := NewCoalescer(det, Options{MaxBatch: 1 << 20}) // drain mode
-	defer c.Close()
-
-	release := holdSequencer(t, c)
-	out1 := make(chan []Verdict, 1)
-	enqueueOrdered(t, c, []string{"aa bb cc dd ee", "aa bb cc dd ff"}, out1)
-
-	// A control request staged mid-queue: it must observe exactly the two
-	// earlier documents buffered, none of the later ones. The ingest is
-	// already queued (depth 1), so wait for depth 2 before staging more.
-	pendingAt := make(chan int, 1)
-	go func() {
-		if err := c.do(func(d *stream.Detector) { pendingAt <- d.Pending() }); err != nil {
-			t.Errorf("control: %v", err)
-		}
-	}()
-	for len(c.ch) != 2 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	out2 := make(chan []Verdict, 1)
-	enqueueOrdered(t, c, []string{"gg hh ii jj kk"}, out2)
-	release()
-
-	<-out1
-	if got := <-pendingAt; got != 2 {
-		t.Fatalf("control saw %d pending docs, want 2", got)
-	}
-	<-out2
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Serve.BatchesByControl != 1 {
-		t.Fatalf("expected one control-split batch, got %+v", st.Serve)
-	}
-	if st.Serve.Batches != 2 || st.Serve.BatchesByDrain != 1 {
-		t.Fatalf("expected a control-split batch plus a drain batch, got %+v", st.Serve)
-	}
-}
-
-// TestCoalesceDeadline covers the MaxWait path: a lone submission in
-// deadline mode commits once the budget expires, not by size.
-func TestCoalesceDeadline(t *testing.T) {
-	det := stream.New(core.Options{})
-	det.BatchSize = 1 << 30
-	c := NewCoalescer(det, Options{MaxBatch: 1 << 20, MaxWait: time.Millisecond})
-	defer c.Close()
-
-	vs, err := submit(c, []string{"aa bb cc dd ee"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 1 || !vs[0].Pending {
-		t.Fatalf("verdicts %+v", vs)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Serve.BatchesByDeadline != 1 || st.Serve.Batches != 1 {
-		t.Fatalf("expected one deadline batch, got %+v", st.Serve)
-	}
-	if st.Serve.CoalesceWaitNs < int64(time.Millisecond) {
-		t.Fatalf("coalesce wait %dns < the 1ms budget", st.Serve.CoalesceWaitNs)
-	}
-}
-
-// TestCoalesceShutdownDrain proves the graceful-shutdown contract: every
-// accepted request gets a response — even ones still queued when Close
-// begins — nothing is lost, and late submitters get ErrClosed.
+// TestCoalesceShutdownDrain proves the graceful-shutdown contract at the
+// gate that owns shutdown: requests staged behind a held commit lock
+// were accepted, so Drain waits for them and every one gets full
+// verdicts; afterwards every entry point rejects with ErrClosed.
 func TestCoalesceShutdownDrain(t *testing.T) {
-	det := stream.New(core.Options{})
-	det.BatchSize = 16
-	c := NewCoalescer(det, Options{MaxBatch: 8})
+	sh := newTestSharded(t, ShardedConfig{Coalescer: Options{MaxBatch: 8}}, 16)
+	c := sh.shards[0].co
 
-	// Stage a queue the sequencer has not touched yet, then close around
-	// it: the staged requests were accepted, so they must all commit.
-	release := holdSequencer(t, c)
+	release := holdCommit(c)
 	staged := make([]chan []Verdict, 10)
 	for i := range staged {
 		staged[i] = make(chan []Verdict, 1)
-		enqueueOrdered(t, c, corpusFor(int64(50+i), 3), staged[i])
+		docs := corpusFor(int64(50+i), 3)
+		enqueueOrdered(c, func() []Verdict {
+			vs, err := sh.Submit(docs)
+			if err != nil {
+				t.Errorf("staged submit %d: %v", i, err)
+			}
+			return vs
+		}, staged[i])
 	}
-	closed := make(chan error, 1)
-	go func() { closed <- c.Close() }()
-	// Close marks the queue closed before the sequencer drains it; wait
-	// for that flag (white-box — probing with Submit would itself be
-	// accepted and block if it won the race), then release the sequencer.
-	for {
-		c.mu.RLock()
-		isClosed := c.closed
-		c.mu.RUnlock()
-		if isClosed {
-			break
-		}
+	drained := make(chan error, 1)
+	go func() { drained <- sh.Drain("") }()
+	// Wait until Drain is pending on the accept gate (a pending writer
+	// makes TryRLock fail), then check it cannot finish while the staged
+	// requests are stuck behind the commit lock.
+	for sh.mu.TryRLock() {
+		sh.mu.RUnlock()
 		time.Sleep(100 * time.Microsecond)
 	}
+	time.Sleep(5 * time.Millisecond)
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) with staged requests still uncommitted", err)
+	default:
+	}
 	release()
-	if err := <-closed; err != nil {
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,80 +341,33 @@ func TestCoalesceShutdownDrain(t *testing.T) {
 		}
 	}
 
-	// The queue stays rejecting after drain, for every entry point.
-	if _, err := submit(c, []string{"x"}); err != ErrClosed {
-		t.Fatalf("Submit after Close: %v", err)
+	// The gate stays rejecting after drain, for every entry point.
+	if _, err := sh.Submit([]string{"x"}); err != ErrClosed {
+		t.Fatalf("Submit after Drain: %v", err)
 	}
-	if _, err := c.Templates(); err != ErrClosed {
-		t.Fatalf("Templates after Close: %v", err)
+	if _, err := sh.Assignment(0); err != ErrClosed {
+		t.Fatalf("Assignment after Drain: %v", err)
 	}
-	if _, err := c.Stats(); err != ErrClosed {
-		t.Fatalf("Stats after Close: %v", err)
+	if _, err := sh.Templates(); err != ErrClosed {
+		t.Fatalf("Templates after Drain: %v", err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+	if _, err := sh.Stats(); err != ErrClosed {
+		t.Fatalf("Stats after Drain: %v", err)
 	}
-}
-
-// TestCoalesceChaoticShutdown closes mid-traffic with no staging: every
-// Submit either errors ErrClosed or returns full verdicts, and the
-// committed ids are dense — no request is half-processed or dropped.
-func TestCoalesceChaoticShutdown(t *testing.T) {
-	clients := 8
-	if testing.Short() {
-		clients = 4
+	if err := sh.Flush(); err != ErrClosed {
+		t.Fatalf("Flush after Drain: %v", err)
 	}
-	det := stream.New(core.Options{})
-	det.BatchSize = 64
-	c := NewCoalescer(det, Options{})
-
-	var mu sync.Mutex
-	ids := map[int]bool{}
-	var wg sync.WaitGroup
-	for cl := 0; cl < clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			docs := corpusFor(int64(300+cl), 200)
-			for i := 0; i < len(docs); i++ {
-				vs, err := submit(c, docs[i:i+1])
-				if err != nil {
-					if err != ErrClosed {
-						t.Errorf("client %d: %v", cl, err)
-					}
-					return
-				}
-				mu.Lock()
-				for _, v := range vs {
-					if ids[v.ID] {
-						t.Errorf("duplicate id %d", v.ID)
-					}
-					ids[v.ID] = true
-				}
-				mu.Unlock()
-			}
-		}(cl)
+	if _, err := sh.Snapshot(filepath.Join(t.TempDir(), "state.json")); err != ErrClosed {
+		t.Fatalf("Snapshot after Drain: %v", err)
 	}
-	time.Sleep(2 * time.Millisecond)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
-	for id := range ids {
-		if id < 0 || id >= len(ids) {
-			t.Fatalf("committed ids not dense: %d outside [0,%d)", id, len(ids))
-		}
-	}
-	st := det.Stats()
-	if st.Probes < 0 {
-		t.Fatal("unreachable")
+	if err := sh.Drain(""); err != nil {
+		t.Fatalf("second Drain: %v", err)
 	}
 }
 
 // TestCoalesceCounters sanity-checks the bookkeeping identities that
-// hold for any schedule: reasons partition batches, the histogram sums
-// to the batch count, and docs add up.
+// hold for any schedule: size and drain commits partition batches, the
+// histogram sums to the batch count, and docs add up.
 func TestCoalesceCounters(t *testing.T) {
 	det := stream.New(core.Options{})
 	det.BatchSize = 32
@@ -496,25 +380,17 @@ func TestCoalesceCounters(t *testing.T) {
 			defer wg.Done()
 			docs := corpusFor(int64(700+cl), 40)
 			for i := 0; i < len(docs); i += 2 {
-				if _, err := submit(c, docs[i:i+2]); err != nil {
-					t.Errorf("client %d: %v", cl, err)
-					return
-				}
+				submit(c, docs[i:i+2])
 			}
 		}(cl)
 	}
 	wg.Wait()
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := st.Serve
+	s := c.Stats().Serve
 	if s.Docs != 160 {
 		t.Fatalf("docs %d, want 160", s.Docs)
 	}
-	if sum := s.BatchesBySize + s.BatchesByDeadline + s.BatchesByDrain +
-		s.BatchesByControl + s.BatchesByClose; sum != s.Batches {
-		t.Fatalf("flush reasons sum %d != batches %d", sum, s.Batches)
+	if sum := s.BatchesBySize + s.BatchesByDrain; sum != s.Batches {
+		t.Fatalf("size + drain commits %d != batches %d", sum, s.Batches)
 	}
 	var hist int64
 	for _, n := range s.BatchSizeHist {
@@ -525,8 +401,5 @@ func TestCoalesceCounters(t *testing.T) {
 	}
 	if s.MaxBatchDocs > 8+1 { // requests are never split, but arrive ≤2 docs
 		t.Fatalf("max batch %d exceeds MaxBatch growth bound", s.MaxBatchDocs)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,35 +16,38 @@ import (
 	"infoshield/internal/tokenize"
 )
 
-// Sharded scales the serving daemon past one sequencer: S independent
-// detector shards, each owning its own stream.Detector, sequencer,
-// coalescer, inverted index, write-ahead log, and snapshot file. A
-// document routes to exactly one shard by a pure function of its token
-// stream (RouteHash or RouteLang), so shards never coordinate on the
-// ingest path and aggregate throughput scales with S while each shard
-// keeps the single-writer, group-commit properties of the Coalescer.
+// ErrClosed is returned by every Sharded method once Drain or Close has
+// begun: the shards no longer accept work.
+var ErrClosed = errors.New("serve: closed")
+
+// Sharded scales the serving daemon past one commit lock: S independent
+// detector shards, each owning its own stream.Detector, coalescer,
+// inverted index, write-ahead log, and snapshot file. A document routes
+// to exactly one shard by a pure function of its token stream
+// (RouteHash or RouteLang), so shards never coordinate on the ingest
+// path and aggregate throughput scales with S while each shard keeps
+// the single-writer, group-commit properties of the Coalescer.
 //
 // Ids are the shard boundary made visible: a global document id encodes
 // its shard as id = local*S + shard, and template ids likewise, so
 // lookups decode the shard with one modulo and S=1 degenerates to the
 // identity mapping — the unsharded daemon's exact ids.
 //
-// The accept gate (mu) is held shared across a Submit's entire
+// The accept gate (mu) is held shared across every call's entire
 // fan-out and exclusively by Close/Drain, so acceptance is
 // all-or-nothing across shards: a request either reaches every shard it
 // routes to and gets full verdicts, or it gets ErrClosed — never a
-// partial commit. (Per-shard Coalescer.Close alone cannot provide this:
-// a multi-shard request could otherwise land on shard A while shard B
-// was already closing.)
+// partial commit. It is also the only shutdown gate: once Drain holds
+// it, no call is in flight on any shard, and the coalescers run no
+// goroutine of their own, so there is nothing left to stop.
 type Sharded struct {
 	n      int
 	route  string
 	tk     tokenize.Tokenizer
 	shards []*shardState
 
-	// mu is the sharded accept gate (see type doc). Like the Coalescer's
-	// gate it is not a hot-path data lock: readers only pin "not closed"
-	// across the fan-out.
+	// mu is the sharded accept gate (see type doc). It is not a hot-path
+	// data lock: readers only pin "not closed" across the fan-out.
 	mu     sync.RWMutex
 	closed bool
 
@@ -90,8 +93,8 @@ type ShardedConfig struct {
 }
 
 // NewSharded builds the shard set: loads the manifest when present,
-// rebases each shard to its snapshot high-water mark, replays its WAL
-// tail, and starts its sequencer.
+// rebases each shard to its snapshot high-water mark, and replays its
+// WAL tail.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	n := cfg.Shards
 	if n == 0 {
@@ -121,7 +124,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	defer func() {
 		if !ok {
 			for _, sh := range s.shards {
-				_ = sh.co.Close()
 				if sh.wal != nil {
 					_ = sh.wal.close()
 				}
@@ -140,27 +142,16 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 				return nil, fmt.Errorf("serve: shard %d: %w", k, err)
 			}
 		}
-		opt := cfg.Coalescer
-		var w *wal
+		sh := &shardState{det: det, co: NewCoalescer(det, cfg.Coalescer)}
 		if cfg.WALDir != "" {
-			w, err = openWAL(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", k)),
+			sh.wal, err = openWAL(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", k)),
 				det, hwm, !cfg.WALNoSync)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d: %w", k, err)
 			}
-			prev := opt.Commit
-			walAppend := w.append
-			opt.Commit = func(ids []int, texts []string) error {
-				err := walAppend(ids, texts)
-				if prev != nil {
-					if perr := prev(ids, texts); err == nil {
-						err = perr
-					}
-				}
-				return err
-			}
+			sh.co.walHook = sh.wal.append
 		}
-		s.shards = append(s.shards, &shardState{det: det, co: NewCoalescer(det, opt), wal: w})
+		s.shards = append(s.shards, sh)
 	}
 	if man != nil {
 		s.gen = man.Gen
@@ -217,10 +208,7 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 	// Fast path — every single-document request, and any batch that
 	// routes whole: no goroutines, one sub-request.
 	if oneShard {
-		vs, err := s.shards[homes[0]].co.Submit(texts, words)
-		if err != nil {
-			return nil, err
-		}
+		vs := s.shards[homes[0]].co.Submit(texts, words)
 		for i := range vs {
 			vs[i] = s.globalize(homes[0], vs[i])
 		}
@@ -235,7 +223,6 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 		sub[h] = append(sub[h], i)
 	}
 	out := make([]Verdict, len(texts))
-	errs := make([]error, s.n)
 	var wg sync.WaitGroup
 	for k := 0; k < s.n; k++ {
 		if len(sub[k]) == 0 {
@@ -251,22 +238,12 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 				st[j] = texts[p]
 				sw[j] = words[p]
 			}
-			vs, err := s.shards[k].co.Submit(st, sw)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			for j, v := range vs {
+			for j, v := range s.shards[k].co.Submit(st, sw) {
 				out[pos[j]] = s.globalize(k, v)
 			}
 		}(k)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
@@ -279,10 +256,7 @@ func (s *Sharded) Assignment(id int) (Verdict, error) {
 		return Verdict{}, ErrClosed
 	}
 	shard, local := id%s.n, id/s.n
-	a, err := s.shards[shard].co.Assignment(local)
-	if err != nil {
-		return Verdict{}, err
-	}
+	a := s.shards[shard].co.Assignment(local)
 	return s.globalize(shard, Verdict{ID: local, Template: a.Template, Pending: a.Pending}), nil
 }
 
@@ -306,11 +280,7 @@ func (s *Sharded) Templates() ([]ShardTemplate, error) {
 	}
 	out := []ShardTemplate{}
 	for k, sh := range s.shards {
-		infos, err := sh.co.Templates()
-		if err != nil {
-			return nil, err
-		}
-		for i, ti := range infos {
+		for i, ti := range sh.co.Templates() {
 			if ti.Dead {
 				// Retired slot (evicted, aged out, or merged away): keep the
 				// position — global ids are positional — but drop the listing.
@@ -327,8 +297,9 @@ func (s *Sharded) Templates() ([]ShardTemplate, error) {
 
 // Flush forces a mining pass on every shard. An explicit flush changes
 // the assignment map (pending documents get mined early), so each shard
-// logs a flush marker to its WAL — ordered by the sequencer exactly
-// where the flush sits — and crash replay re-executes it.
+// logs a flush marker to its WAL under the commit lock — so the marker
+// sits between the same two group commits as the flush — and crash
+// replay re-executes it.
 func (s *Sharded) Flush() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -336,17 +307,20 @@ func (s *Sharded) Flush() error {
 		return ErrClosed
 	}
 	for _, sh := range s.shards {
-		w := sh.wal
-		if err := sh.co.do(func(d *stream.Detector) {
-			d.Flush()
-			if w != nil {
-				_ = w.appendFlush()
-			}
-		}); err != nil {
-			return err
-		}
+		sh.co.commit.Lock()
+		sh.flush()
+		sh.co.commit.Unlock()
 	}
 	return nil
+}
+
+// flush runs a mining pass and logs its WAL marker. The caller holds
+// the shard's commit lock.
+func (sh *shardState) flush() {
+	sh.det.Flush()
+	if sh.wal != nil {
+		_ = sh.wal.appendFlush()
+	}
 }
 
 // ShardStats is one shard's /v1/stats block: the per-shard detector and
@@ -368,9 +342,10 @@ type ShardedStats struct {
 	PerShard     []ShardStats `json:"per_shard"`
 }
 
-// Stats snapshots every shard (each between its own batches) and rolls
-// the counters up. The cut is per-shard consistent, not global: shards
-// never block each other, so shard k+1 may commit while shard k is read.
+// Stats snapshots every shard (each between its own group commits) and
+// rolls the counters up. The cut is per-shard consistent, not global:
+// shards never block each other, so shard k+1 may commit while shard k
+// is read.
 func (s *Sharded) Stats() (ShardedStats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -379,10 +354,7 @@ func (s *Sharded) Stats() (ShardedStats, error) {
 	}
 	out := ShardedStats{Shards: s.n, Route: s.route}
 	for k, sh := range s.shards {
-		st, err := sh.co.Stats()
-		if err != nil {
-			return ShardedStats{}, err
-		}
+		st := sh.co.Stats()
 		ps := ShardStats{Shard: k, Stats: st}
 		if sh.wal != nil {
 			ws := sh.wal.stats()
@@ -445,10 +417,7 @@ func rollup(t *Stats, st Stats) {
 	v.Docs += sv.Docs
 	v.Batches += sv.Batches
 	v.BatchesBySize += sv.BatchesBySize
-	v.BatchesByDeadline += sv.BatchesByDeadline
 	v.BatchesByDrain += sv.BatchesByDrain
-	v.BatchesByControl += sv.BatchesByControl
-	v.BatchesByClose += sv.BatchesByClose
 	v.CoalesceWaitNs += sv.CoalesceWaitNs
 	v.CommitErrs += sv.CommitErrs
 	for i, c := range sv.BatchSizeHist {
@@ -572,35 +541,35 @@ func (s *Sharded) SnapshotTo(w io.Writer) error {
 	})
 }
 
-// collect runs each shard's snapshot step as one control op: flush the
-// pending buffer, save, and capture the document-id high-water mark, so
-// the state is self-contained at exactly that mark and write-ahead-log
-// replay can skip every record below it. A WAL flush marker makes the
-// mining pass survive a crash even when the manifest being written here
-// is not the one the next boot reads (snapshot-to-override-path).
+// collect runs each shard's snapshot step under its commit lock: flush
+// the pending buffer, save, and capture the document-id high-water
+// mark, so the state is self-contained at exactly that mark and
+// write-ahead-log replay can skip every record below it. A WAL flush
+// marker makes the mining pass survive a crash even when the manifest
+// being written here is not the one the next boot reads
+// (snapshot-to-override-path).
 func (s *Sharded) collect() (states [][]byte, hwms []int, err error) {
 	states = make([][]byte, s.n)
 	hwms = make([]int, s.n)
 	for k, sh := range s.shards {
-		var buf bytes.Buffer
-		var saveErr error
-		w := sh.wal
-		if derr := sh.co.do(func(d *stream.Detector) {
-			d.Flush()
-			if w != nil {
-				_ = w.appendFlush()
-			}
-			saveErr = d.Save(&buf)
-			hwms[k] = d.NextID()
-		}); derr != nil {
-			return nil, nil, derr
+		sh.co.commit.Lock()
+		sh.flush()
+		states[k], hwms[k], err = sh.save()
+		sh.co.commit.Unlock()
+		if err != nil {
+			return nil, nil, err
 		}
-		if saveErr != nil {
-			return nil, nil, saveErr
-		}
-		states[k] = buf.Bytes()
 	}
 	return states, hwms, nil
+}
+
+// save serializes the shard's detector and returns the state with its
+// document-id high-water mark. The caller holds the commit lock or has
+// closed the accept gate.
+func (sh *shardState) save() ([]byte, int, error) {
+	var buf bytes.Buffer
+	err := sh.det.Save(&buf)
+	return buf.Bytes(), sh.det.NextID(), err
 }
 
 // writeManifest writes a new snapshot generation. Shard files get fresh
@@ -666,14 +635,14 @@ func atomicWrite(path string, b []byte) error {
 }
 
 // Drain is the graceful-shutdown protocol, in order: (1) the accept
-// gate closes, so no new request can reach any shard; (2) every shard's
-// coalescer closes, draining its queue — every accepted request gets
-// verdicts, and their WAL records land before the ack; (3) with the
-// sequencers exited and the detectors quiescent, each shard
-// final-flushes its pending buffer; (4) when path is set, the snapshot
-// manifest is written (tmp+rename, manifest last); (5) only after the
-// manifest commits are the WALs truncated — a crash anywhere earlier
-// leaves a log that replays. Safe to call after Close (no-op).
+// gate closes — taking it exclusively waits out every call in flight,
+// so every accepted request has its verdicts and its WAL records landed
+// before the ack, and no new request can reach any shard; (2) with the
+// detectors quiescent, each shard final-flushes its pending buffer;
+// (3) when path is set, the snapshot manifest is written (tmp+rename,
+// manifest last); (4) only after the manifest commits are the WALs
+// truncated — a crash anywhere earlier leaves a log that replays. Safe
+// to call after Close (no-op).
 func (s *Sharded) Drain(path string) error {
 	s.mu.Lock()
 	if s.closed {
@@ -684,32 +653,19 @@ func (s *Sharded) Drain(path string) error {
 	s.mu.Unlock()
 
 	var err error
-	for _, sh := range s.shards {
-		if cerr := sh.co.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if path != "" {
 		states := make([][]byte, s.n)
 		hwms := make([]int, s.n)
-		snapErr := error(nil)
 		for k, sh := range s.shards {
 			sh.det.Flush()
-			var buf bytes.Buffer
-			if serr := sh.det.Save(&buf); serr != nil && snapErr == nil {
-				snapErr = serr
+			if states[k], hwms[k], err = sh.save(); err != nil {
+				break
 			}
-			states[k] = buf.Bytes()
-			hwms[k] = sh.det.NextID()
 		}
-		if snapErr == nil {
-			_, snapErr = s.writeManifest(path, states, hwms)
+		if err == nil {
+			_, err = s.writeManifest(path, states, hwms)
 		}
-		if snapErr != nil {
-			if err == nil {
-				err = snapErr
-			}
-		} else {
+		if err == nil {
 			for _, sh := range s.shards {
 				if sh.wal != nil {
 					if terr := sh.wal.truncate(); err == nil {
@@ -729,8 +685,8 @@ func (s *Sharded) Drain(path string) error {
 	return err
 }
 
-// Close stops accepting work and drains every shard's queue, leaving
-// the WALs intact (they replay on the next boot). Safe to call more
+// Close stops accepting work and waits out every call in flight,
+// leaving the WALs intact (they replay on the next boot). Safe to call more
 // than once.
 func (s *Sharded) Close() error {
 	return s.Drain("")

@@ -95,19 +95,13 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, err := submit(c, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ws := submit(c, batch)
 			if !reflect.DeepEqual(vs, ws) {
 				t.Fatalf("at doc %d: sharded %+v != unsharded %+v", i, vs, ws)
 			}
 			i += k
 		}
 		if err := sh.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
 		var a, b bytes.Buffer
@@ -425,8 +419,8 @@ func TestShardedDrain(t *testing.T) {
 	}
 }
 
-// TestShardedChaoticShutdown generalizes the Coalescer accept-gate audit
-// to S shards: Close races live multi-document submissions, and every
+// TestShardedChaoticShutdown audits the accept gate under S shards:
+// Close races live multi-document submissions, and every
 // request must be all-or-nothing — ErrClosed with no documents
 // committed anywhere, or full verdicts with per-shard-dense ids. The
 // sharded gate (RLock across the whole fan-out) is what rules out a

@@ -10,11 +10,11 @@ import (
 )
 
 // wal is one shard's write-ahead log: an append-only file of JSON-lines
-// records, one per document, written by the shard's sequencer through
-// the Coalescer's Commit hook — all of a batch's records, one buffered
-// flush, one fsync, then the batch is acked. Because the hook fires once
-// per group commit, WAL batching rides the coalescer's natural batching:
-// under load, many documents share one fsync.
+// records, one per document, written by the shard's group-commit leader
+// through the Coalescer's WAL hook — all of a batch's records, one
+// buffered flush, one fsync, then the batch is acked. Because the hook
+// fires once per group commit, WAL batching rides the coalescer's
+// natural batching: under load, many documents share one fsync.
 //
 // Durability contract: a record is on disk before its submitter sees a
 // verdict, so a crash between snapshots loses nothing that was acked
@@ -32,8 +32,11 @@ type wal struct {
 	w    *bufio.Writer
 	sync bool
 
-	// Counters are atomics: appended on the shard's sequencer goroutine,
-	// read by Stats from HTTP goroutines.
+	// recs is append's record scratch, guarded by the commit lock.
+	recs []walRecord
+
+	// Counters are atomics: appended under the shard's commit lock, read
+	// by Stats, which holds only the accept gate.
 	records  atomic.Int64
 	batches  atomic.Int64
 	flushes  atomic.Int64
@@ -48,7 +51,7 @@ type WALStats struct {
 	// Records and Bytes count what this process appended (replayed
 	// records are not re-appended; Replayed counts those separately).
 	Records int64 `json:"records"`
-	// Batches counts Commit-hook invocations — group commits — and Syncs
+	// Batches counts WAL-hook invocations — group commits — and Syncs
 	// the fsyncs issued (equal unless fsync is disabled). Records/Batches
 	// is the WAL's amortization factor.
 	Batches int64 `json:"batches"`
@@ -115,7 +118,8 @@ type detectorReplay interface {
 }
 
 // replay scans the log from the start, feeding records at or above hwm
-// to det in file order (which is id order: a single sequencer appends).
+// to det in file order (which is id order: appends run under the
+// shard's commit lock).
 // It returns the byte offset just past the last intact record. A record
 // that fails to parse ends the scan — the torn-tail model: the only
 // expected corruption is a partial final line from a crash mid-append.
@@ -163,79 +167,72 @@ func (w *wal) replay(det detectorReplay, hwm int) (good int64, replayed int, err
 }
 
 // append logs one committed batch: every record, one writer flush, one
-// fsync (policy permitting). Called from the sequencer via the Commit
-// hook, before the batch's waiters are acked.
+// fsync (policy permitting). The shard's group-commit leader calls it
+// through the Coalescer's WAL hook, before the batch's submitters are
+// acked.
 func (w *wal) append(ids []int, texts []string) error {
-	n := int64(0)
+	recs := w.recs[:0]
 	for i := range ids {
-		b, err := json.Marshal(walRecord{ID: ids[i], Text: texts[i]})
+		recs = append(recs, walRecord{ID: ids[i], Text: texts[i]})
+	}
+	w.recs = recs[:0]
+	if err := w.write(recs); err != nil {
+		return err
+	}
+	w.records.Add(int64(len(ids)))
+	w.batches.Add(1)
+	return nil
+}
+
+// appendFlush logs an explicit flush marker. Called under the shard's
+// commit lock right after the flush runs, so the marker sits exactly
+// where the flush does in the event sequence.
+func (w *wal) appendFlush() error {
+	if err := w.write([]walRecord{{Flush: true}}); err != nil {
+		return err
+	}
+	w.flushes.Add(1)
+	return nil
+}
+
+// write appends recs as JSON lines, flushes the buffered writer, and
+// fsyncs (policy permitting). Any failure counts as a WAL error.
+func (w *wal) write(recs []walRecord) (err error) {
+	defer func() {
 		if err != nil {
 			w.errs.Add(1)
+		}
+	}()
+	n := int64(0)
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
 			return err
 		}
 		if _, err := w.w.Write(b); err != nil {
-			w.errs.Add(1)
 			return err
 		}
 		if err := w.w.WriteByte('\n'); err != nil {
-			w.errs.Add(1)
 			return err
 		}
 		n += int64(len(b)) + 1
 	}
 	if err := w.w.Flush(); err != nil {
-		w.errs.Add(1)
 		return err
 	}
 	if w.sync {
 		if err := w.f.Sync(); err != nil {
-			w.errs.Add(1)
 			return err
 		}
 		w.syncs.Add(1)
 	}
-	w.records.Add(int64(len(ids)))
-	w.batches.Add(1)
 	w.bytes.Add(n)
-	return nil
-}
-
-// appendFlush logs an explicit flush marker. Called on the shard's
-// sequencer goroutine (inside the control op that runs the flush), so
-// it is ordered exactly where the flush sits in the event sequence.
-func (w *wal) appendFlush() error {
-	b, err := json.Marshal(walRecord{Flush: true})
-	if err != nil {
-		w.errs.Add(1)
-		return err
-	}
-	if _, err := w.w.Write(b); err != nil {
-		w.errs.Add(1)
-		return err
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
-		w.errs.Add(1)
-		return err
-	}
-	if err := w.w.Flush(); err != nil {
-		w.errs.Add(1)
-		return err
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			w.errs.Add(1)
-			return err
-		}
-		w.syncs.Add(1)
-	}
-	w.flushes.Add(1)
-	w.bytes.Add(int64(len(b)) + 1)
 	return nil
 }
 
 // truncate empties the log. Only called after a drain snapshot has
 // committed (so every logged record is absorbed by the on-disk state)
-// and after the shard's sequencer has exited (so no append races it).
+// and after the accept gate has closed (so no append races it).
 func (w *wal) truncate() error {
 	if err := w.w.Flush(); err != nil {
 		return err

@@ -196,7 +196,7 @@ type TemplateInfo struct {
 // TemplateInfo renders template ti (0 <= ti < NumTemplates) for
 // reporting. It decodes through the detector's vocabulary, so it is only
 // safe while no mining pass or Load runs concurrently — serving front
-// ends must call it from whatever goroutine owns the detector.
+// ends must call it under whatever lock excludes the detector's writers.
 func (d *Detector) TemplateInfo(ti int) TemplateInfo {
 	t := &d.templates[ti]
 	var sb strings.Builder
