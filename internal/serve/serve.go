@@ -19,7 +19,11 @@
 package serve
 
 import (
+	"fmt"
 	"math/bits"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -54,13 +58,12 @@ func (o Options) maxBatch() int {
 	return 256
 }
 
-// request is one queued Submit. The leader that commits it fills in
-// verdicts before closing done; a request promoted to lead instead sees
-// done closed with verdicts still nil.
+// request is one queued Submit. done is closed exactly once: by the
+// leader that committed the request, after it filled in verdicts, or by
+// the leader that promoted it to lead, with verdicts still nil.
 type request struct {
 	texts    []string
 	words    [][]string // token streams, parallel to texts
-	queued   time.Time
 	verdicts []Verdict
 	done     chan struct{}
 }
@@ -88,9 +91,9 @@ type Counters struct {
 	BatchSizeHist [histBuckets]int64 `json:"batch_size_hist"`
 	// QueueHighWater is the deepest the submitter queue has been.
 	QueueHighWater int `json:"queue_high_water"`
-	// CoalesceWaitNs is the total time from each batch head's enqueue to
-	// its commit start; divided by Batches it is the mean latency the
-	// group commit adds.
+	// CoalesceWaitNs is the total time leaders spent assembling batches,
+	// from taking the commit lock to starting the commit; divided by
+	// Batches it is the mean latency batch assembly adds.
 	CoalesceWaitNs int64 `json:"coalesce_wait_ns"`
 	// CommitErrs counts write-ahead-log failures; any nonzero value means
 	// durability is degraded and the log needs operator attention.
@@ -187,7 +190,8 @@ type Coalescer struct {
 
 	// commit serializes detector access: group commits, flushes and
 	// snapshot steps hold it exclusively, reads hold it shared. ctr and
-	// the batch scratch are guarded by its write side.
+	// the batch scratch are guarded by its write side. A panic under the
+	// write side ends the process (crashOnPanic).
 	commit  sync.RWMutex
 	ctr     Counters
 	reqbuf  []*request
@@ -219,7 +223,7 @@ func (c *Coalescer) Submit(texts []string, words [][]string) []Verdict {
 	if len(texts) == 0 {
 		return []Verdict{}
 	}
-	r := &request{texts: texts, words: words, queued: time.Now(), done: make(chan struct{})}
+	r := &request{texts: texts, words: words, done: make(chan struct{})}
 	c.mu.Lock()
 	c.queue = append(c.queue, r)
 	lead := len(c.queue) == 1
@@ -241,7 +245,8 @@ func (c *Coalescer) Submit(texts []string, words [][]string) []Verdict {
 // holds the lock.
 func (c *Coalescer) lead() {
 	c.commit.Lock()
-	defer c.commit.Unlock()
+	defer crashOnPanic()
+	start := time.Now()
 
 	reqs, docs := c.reqbuf[:0], 0
 	c.mu.Lock()
@@ -259,7 +264,7 @@ func (c *Coalescer) lead() {
 		texts = append(texts, r.texts...)
 		words = append(words, r.words...)
 	}
-	c.count(reqs[0].queued, docs)
+	c.count(start, docs)
 	ids := c.det.AddBatchTokens(texts, words)
 	// Write-ahead of the ack: the log record lands (and syncs) before any
 	// submitter learns its verdict, so an acked document survives a crash.
@@ -277,30 +282,60 @@ func (c *Coalescer) lead() {
 		r.verdicts = vs
 	}
 
+	// reqs[0] is the leader's own request: nobody waits on its done. The
+	// followers get their verdicts, and the new head, if any, is
+	// promoted to lead. Only this leader may wake the new head, so the
+	// wake can run after mu drops.
+	wake := reqs[1:]
 	c.mu.Lock()
 	rest := copy(c.queue, c.queue[len(reqs):])
 	clear(c.queue[rest:])
 	c.queue = c.queue[:rest]
 	if rest > 0 {
-		c.queue[0].wake() // promote the new head to lead
+		wake = append(wake, c.queue[0])
 	}
 	c.mu.Unlock()
-	// reqs[0] is the leader's own request: nobody waits on its done.
-	for _, r := range reqs[1:] {
-		r.wake()
+	for _, r := range wake {
+		close(r.done)
 	}
 	// The scratch belongs to the next leader as soon as the lock drops.
 	c.reqbuf, c.textbuf, c.wordbuf = reqs[:0], texts[:0], words[:0]
+	c.commit.Unlock()
+	// Unlock only readies the goroutines this commit released: readers
+	// blocked on the read side, served followers, the promoted leader.
+	// Yield so they run now, not after this goroutine has written its own
+	// reply and parked; without it every read that met a commit answered
+	// after the commit's reply, which raised mine-drift read latency.
+	runtime.Gosched()
 }
 
-// wake releases r's blocked submitter exactly once: with verdicts filled
-// in they are its answer; without them r has been promoted to lead.
-func (r *request) wake() { close(r.done) }
+// exclusive runs fn, a detector mutation, under the commit lock's write
+// side, ending the process if fn panics (see crashOnPanic).
+func (c *Coalescer) exclusive(fn func()) {
+	c.commit.Lock()
+	defer crashOnPanic()
+	fn()
+	c.commit.Unlock()
+}
 
-// count records one group commit of docs documents whose head request
-// joined the queue at queued.
-func (c *Coalescer) count(queued time.Time, docs int) {
-	c.ctr.CoalesceWaitNs += time.Since(queued).Nanoseconds()
+// crashOnPanic, deferred right after a write-side commit.Lock, turns a
+// panic in the mutation that follows into a process exit, with the lock
+// still held. The mutation may have left the detector half-applied, so
+// no read, snapshot or later commit may run past it; a restart rebuilds
+// a consistent state from the last snapshot and the write-ahead log.
+// Re-panicking is not enough: the panicking goroutine is often a net/http
+// handler, and net/http recovers handler panics and keeps serving.
+func crashOnPanic() {
+	if p := recover(); p != nil {
+		fmt.Fprintf(os.Stderr, "serve: panic under the commit lock: %v\n\n%s", p, debug.Stack())
+		os.Exit(2)
+	}
+}
+
+// count records one group commit of docs documents whose batch assembly
+// began at start.
+func (c *Coalescer) count(start time.Time, docs int) {
+	c.ctr.CoalesceWaitNs += time.Since(start).Nanoseconds()
 	c.ctr.Docs += int64(docs)
 	c.ctr.Batches++
 	if docs >= c.maxBatch {

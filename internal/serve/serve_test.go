@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -401,5 +407,46 @@ func TestCoalesceCounters(t *testing.T) {
 	}
 	if s.MaxBatchDocs > 8+1 { // requests are never split, but arrive ≤2 docs
 		t.Fatalf("max batch %d exceeds MaxBatch growth bound", s.MaxBatchDocs)
+	}
+}
+
+// panicChildEnv marks the child process of TestCommitPanicExits.
+const panicChildEnv = "INFOSHIELD_SERVE_COMMIT_PANIC_CHILD"
+
+// TestCommitPanicExits proves a panic under the commit lock ends the
+// process instead of leaving a half-applied detector behind a released
+// lock. The child serves a Coalescer whose WAL hook panics behind
+// net/http, which recovers handler panics, and reports whether it
+// survived the request; the parent requires exit status 2 and the panic
+// on stderr.
+func TestCommitPanicExits(t *testing.T) {
+	if os.Getenv(panicChildEnv) == "1" {
+		c := NewCoalescer(stream.New(core.Options{}), Options{})
+		c.walHook = func([]int, []string) error { panic("wal hook failed") }
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			submit(c, []string{"big sale call now"})
+		}))
+		defer srv.Close()
+		resp, err := http.Get(srv.URL)
+		if err == nil {
+			resp.Body.Close()
+		}
+		fmt.Println("survived the commit panic")
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCommitPanicExits$")
+	cmd.Env = append(os.Environ(), panicChildEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("child exited with %v, want status 2\nstdout:\n%s\nstderr:\n%s", err, out, stderr.String())
+	}
+	if strings.Contains(string(out), "survived") {
+		t.Fatalf("child kept serving after the panic:\n%s", out)
+	}
+	if !strings.Contains(stderr.String(), "wal hook failed") {
+		t.Fatalf("stderr lacks the panic value:\n%s", stderr.String())
 	}
 }

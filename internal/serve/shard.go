@@ -307,9 +307,7 @@ func (s *Sharded) Flush() error {
 		return ErrClosed
 	}
 	for _, sh := range s.shards {
-		sh.co.commit.Lock()
-		sh.flush()
-		sh.co.commit.Unlock()
+		sh.co.exclusive(sh.flush)
 	}
 	return nil
 }
@@ -552,10 +550,10 @@ func (s *Sharded) collect() (states [][]byte, hwms []int, err error) {
 	states = make([][]byte, s.n)
 	hwms = make([]int, s.n)
 	for k, sh := range s.shards {
-		sh.co.commit.Lock()
-		sh.flush()
-		states[k], hwms[k], err = sh.save()
-		sh.co.commit.Unlock()
+		sh.co.exclusive(func() {
+			sh.flush()
+			states[k], hwms[k], err = sh.save()
+		})
 		if err != nil {
 			return nil, nil, err
 		}
