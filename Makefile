@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf bench bench-coarse bench-json bench-scale bench-shard bench-lifecycle bench-all profile-scale experiments
+.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf bench bench-coarse bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + infoshield-vet), build, and
 ## race-enabled tests.
@@ -86,61 +86,19 @@ bench:
 bench-coarse:
 	$(GO) test -bench='Coarse|TopPhrase' -benchmem -run '^$$'
 
-## bench-json: the coarse, fine, end-to-end, streaming, and serving
-## benchmarks archived as machine-readable JSON via cmd/benchjson (plus
-## the raw text). CI runs this with BENCH_COUNT=1 and uploads
-## BENCH_fine.json, BENCH_stream.json, and BENCH_serve.json as
-## artifacts; use the default count locally for stable numbers.
-BENCH_COUNT ?= 5
-bench-json:
-	$(GO) test -bench='Coarse|Fine|PipelineEndToEnd' -benchmem -count=$(BENCH_COUNT) -run '^$$' > BENCH_fine.txt
-	$(GO) run ./cmd/benchjson -o BENCH_fine.json < BENCH_fine.txt
-	$(GO) test -bench='StreamAdd$$|StreamAddBatch' -benchmem -count=$(BENCH_COUNT) -run '^$$' > BENCH_stream.txt
-	$(GO) run ./cmd/benchjson -o BENCH_stream.json < BENCH_stream.txt
-	$(GO) test -bench='ServeCoalesce|ServeHTTP' -benchmem -count=$(BENCH_COUNT) -run '^$$' ./internal/serve > BENCH_serve.txt
-	$(GO) run ./cmd/benchjson -o BENCH_serve.json < BENCH_serve.txt
-
-## bench-scale: the template-count scaling curve — steady-state Add at
-## 1k/10k/100k bulk-loaded multi-market templates with DP-skip rates and
-## surviving-candidate counts (BenchmarkStreamAddScale) — archived as
-## BENCH_scale.{txt,json}. CI runs this with BENCH_COUNT=1 and uploads
-## both as artifacts.
-bench-scale:
-	$(GO) test -bench='StreamAddScale' -benchmem -count=$(BENCH_COUNT) -run '^$$' -timeout 30m > BENCH_scale.txt
-	$(GO) run ./cmd/benchjson -o BENCH_scale.json < BENCH_scale.txt
-
-## profile-scale: CPU and heap profiles of the 100k-template steady-state
-## Add path (BenchmarkStreamAddScale), written to profile_scale_cpu.out /
-## profile_scale_mem.out for `go tool pprof`. CI uploads both as
-## artifacts so a perf regression caught by bench-scale can be diagnosed
-## from the archived run without reproducing locally.
-profile-scale:
-	$(GO) test -bench='StreamAddScale/templates=100000' -run '^$$' -timeout 30m \
-		-cpuprofile profile_scale_cpu.out -memprofile profile_scale_mem.out \
-		-o profile_scale.test > PROFILE_scale.txt
-	cat PROFILE_scale.txt
-
-## bench-shard: the sharded-serving sweep — shards 1/2/4/8 under 16 and
-## 64 concurrent clients, plus WAL-enabled points at 1 and 4 shards —
-## archived as BENCH_shard.{txt,json}. Docs-per-group-commit is reported
-## per run; on a single-vCPU runner the shard sweep measures routing and
-## fan-out overhead rather than parallel speedup (the benchmark logs a
-## note when GOMAXPROCS=1).
-bench-shard:
-	$(GO) test -bench='ServeSharded' -benchmem -count=$(BENCH_COUNT) -run '^$$' -timeout 30m ./internal/serve > BENCH_shard.txt
-	$(GO) run ./cmd/benchjson -o BENCH_shard.json < BENCH_shard.txt
-
-## bench-lifecycle: steady-state continuous mining on an unbounded
-## drifting-campaign stream (BenchmarkStreamLifecycleFlush) with the
-## template cap, TTL, MDL merge, and incremental miner on — flush p50/p99
-## latency (promoted to first-class JSON fields), bytes/op as the RSS
-## proxy, the steady-state live-template count, and the mine-drift
-## sub-benchmark (the daemon workload's shape, with ns/doc) —
-## archived as BENCH_lifecycle.{txt,json} (committed). CI runs this with
-## BENCH_COUNT=1 and uploads both as artifacts.
-bench-lifecycle:
-	$(GO) test -bench='StreamLifecycleFlush' -benchmem -count=$(BENCH_COUNT) -run '^$$' -timeout 30m ./internal/stream > BENCH_lifecycle.txt
-	$(GO) run ./cmd/benchjson -o BENCH_lifecycle.json < BENCH_lifecycle.txt
+## bench-record: the committed benchmark ledger. Runs every workload in
+## BENCHMARK.json once, traced, at the harness's default seed (1) and run
+## length (16 s, the length benchmark runs are judged at), and copies each
+## run record to BENCH_<workload>.json. Record on a clean tree, so each
+## record's git_head names the code it measured. Compare a later run
+## against the ledger (same machine only; another fingerprint exits 3):
+## `bash bench/run.sh -compare BENCH_<w>.json -- bench/out/<w>-*.json`.
+bench-record:
+	rm -rf .bench_build/record
+	bash bench/run.sh --trace 1 -out .bench_build/record
+	for f in .bench_build/record/*-seed1-*.json; do \
+		w=$${f##*/}; cp "$$f" "BENCH_$${w%%-seed1-*}.json"; \
+	done
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run '^$$'

@@ -2,42 +2,9 @@ package align
 
 import "infoshield/internal/mdl"
 
-// TokenCounts returns doc's token multiset as a count map.
-func TokenCounts(doc []int) map[int]int {
-	counts := make(map[int]int, len(doc))
-	for _, t := range doc {
-		counts[t]++
-	}
-	return counts
-}
-
-// Overlap returns the multiset intersection size between a precomputed
-// count map and doc. It is the tight upper bound on how many tokens any
-// alignment can match.
-func Overlap(refCounts map[int]int, doc []int) int {
-	docCounts := TokenCounts(doc)
-	m := 0
-	for t, dc := range docCounts {
-		if rc := refCounts[t]; rc < dc {
-			m += rc
-		} else {
-			m += dc
-		}
-	}
-	return m
-}
-
-// SortedCopy returns doc's tokens in ascending order — the precomputable
-// half of OverlapSorted.
-func SortedCopy(doc []int) []int {
-	s := append([]int(nil), doc...)
-	sortInts(s)
-	return s
-}
-
-// SortInts sorts a ascending in place — the non-allocating form of
-// SortedCopy for callers that manage their own buffers (the fine pass
-// packs its sorted copies into an arena).
+// SortInts sorts a ascending in place, for callers that manage their own
+// buffers (the fine pass packs the sorted token copies OverlapSorted
+// merges into an arena).
 func SortInts(a []int) { sortInts(a) }
 
 // sortInts is an introsort avoiding the sort package's interface overhead

@@ -9,6 +9,36 @@ import (
 	"infoshield/internal/mdl"
 )
 
+// TokenCounts returns doc's token multiset as a count map.
+func TokenCounts(doc []int) map[int]int {
+	counts := make(map[int]int, len(doc))
+	for _, t := range doc {
+		counts[t]++
+	}
+	return counts
+}
+
+// Overlap returns the multiset intersection size between a precomputed
+// count map and doc: the map-based oracle OverlapSorted is pinned to.
+func Overlap(refCounts map[int]int, doc []int) int {
+	m := 0
+	for t, dc := range TokenCounts(doc) {
+		if rc := refCounts[t]; rc < dc {
+			m += rc
+		} else {
+			m += dc
+		}
+	}
+	return m
+}
+
+// SortedCopy returns doc's tokens in ascending order, leaving doc as it is.
+func SortedCopy(doc []int) []int {
+	s := append([]int(nil), doc...)
+	SortInts(s)
+	return s
+}
+
 // PairwiseWild is the allocating reference aligner against a wildcard
 // reference: ref[i] with wild[i] set matches any document token at zero
 // cost (a template's slot), unit edit costs elsewhere, tie-break

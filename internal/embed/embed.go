@@ -228,24 +228,6 @@ func (m *Model) DocVector(tokens []string) []float64 {
 	return sum
 }
 
-// Cosine returns the cosine similarity between two vectors (0 for nil or
-// zero-norm inputs).
-func Cosine(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 || len(a) != len(b) {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
 // TrainWord2Vec trains a skip-gram negative-sampling model.
 func TrainWord2Vec(docs [][]string, cfg Config) *Model {
 	t := newTrainer(docs, cfg)

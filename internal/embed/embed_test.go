@@ -7,6 +7,24 @@ import (
 	"testing"
 )
 
+// Cosine returns the cosine similarity between two vectors (0 for nil or
+// zero-norm inputs).
+func Cosine(a, b []float64) float64 {
+	if len(a) == 0 || len(b) == 0 || len(a) != len(b) {
+		return 0
+	}
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
 // corpus with two clear topics: words inside a topic co-occur, so their
 // vectors should end up closer than cross-topic pairs.
 func topicCorpus(n int, seed int64) [][]string {

@@ -33,9 +33,6 @@ func (b *Bipartite[K]) AddEdge(doc int, phrase K) {
 	b.anchor[phrase] = doc
 }
 
-// Edges returns the number of AddEdge calls.
-func (b *Bipartite[K]) Edges() int { return b.edges }
-
 // Phrases returns the number of distinct phrases seen.
 func (b *Bipartite[K]) Phrases() int { return len(b.anchor) }
 

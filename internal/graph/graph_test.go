@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// Connected reports whether x and y share a set.
+func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
+
+// SetSize returns the size of x's set.
+func (uf *UnionFind) SetSize(x int) int { return uf.size[uf.Find(x)] }
+
+// Sets returns the current number of disjoint sets.
+func (uf *UnionFind) Sets() int { return uf.sets }
+
+// Edges returns the number of AddEdge calls.
+func (b *Bipartite[K]) Edges() int { return b.edges }
+
 func TestUnionFindBasic(t *testing.T) {
 	uf := NewUnionFind(5)
 	if uf.Sets() != 5 {

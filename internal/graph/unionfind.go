@@ -50,15 +50,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Connected reports whether x and y share a set.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
-// SetSize returns the size of x's set.
-func (uf *UnionFind) SetSize(x int) int { return uf.size[uf.Find(x)] }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
 // Components groups element indices by set, in ascending order of each
 // component's smallest member. Singleton components are included.
 func (uf *UnionFind) Components() [][]int {

@@ -97,24 +97,30 @@ type TemplateStats struct {
 	Slots  int // s_i: number of slots
 }
 
-// ModelCost returns C(M) for a template set (Eq. 2):
-//
-//	C(M) = ⟨t⟩ + Σ_i [ ⟨l_i⟩ + (l_i - s_i)·lg V + (1+s_i)·lg l_i ]
-//
-// per template: its length, a vocabulary index per *constant* token, the
-// slot count, and a location per slot. Eq. 2 as printed charges lg V for
-// every position including slots; a slot stores no vocabulary word (its
-// content is charged per document via S(w)), so we charge the word index
-// only for the l_i - s_i constants. This strictly refines the paper's
-// bound and never changes which of two slot-free models wins.
+// ModelCost returns C(M) for a template set (Eq. 2): ⟨t⟩ plus every
+// template's TemplateCost.
 func ModelCost(templates []TemplateStats, vocabSize int) float64 {
 	cost := Universal(len(templates))
 	for _, ts := range templates {
-		cost += Universal(ts.Length) +
-			float64(ts.Length-ts.Slots)*WordCost(vocabSize) +
-			float64(1+ts.Slots)*LgInt(ts.Length)
+		cost += TemplateCost(ts, vocabSize)
 	}
 	return cost
+}
+
+// TemplateCost returns one template's share of C(M) (the summand of Eq. 2):
+//
+//	⟨l⟩ + (l - s)·lg V + (1+s)·lg l
+//
+// its length, a vocabulary index per *constant* token, the slot count, and
+// a location per slot. Eq. 2 as printed charges lg V for every position
+// including slots; a slot stores no vocabulary word (its content is
+// charged per document via S(w)), so we charge the word index only for the
+// l - s constants. This strictly refines the paper's bound and never
+// changes which of two slot-free models wins.
+func TemplateCost(ts TemplateStats, vocabSize int) float64 {
+	return Universal(ts.Length) +
+		float64(ts.Length-ts.Slots)*WordCost(vocabSize) +
+		float64(1+ts.Slots)*LgInt(ts.Length)
 }
 
 // SlotCost returns S(w), the cost of a slot holding w words (Eq. 4):

@@ -80,12 +80,6 @@ func (g *Graph) scratch() *Scratch {
 	return g.sc
 }
 
-// NumSequences returns how many sequences the graph holds.
-func (g *Graph) NumSequences() int { return len(g.paths) }
-
-// NumNodes returns the number of nodes (grows with diversity, not count).
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // newNode allocates a node in a fresh column and returns its id.
 func (g *Graph) newNode(token int) int {
 	id := len(g.nodes)

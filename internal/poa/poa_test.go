@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// NumSequences returns how many sequences the graph holds.
+func (g *Graph) NumSequences() int { return len(g.paths) }
+
+// NumNodes returns the number of nodes (grows with diversity, not count).
+func (g *Graph) NumNodes() int { return len(g.nodes) }
+
 func TestNewSingleSequence(t *testing.T) {
 	g := New([]int{1, 2, 3})
 	if g.NumSequences() != 1 || g.NumNodes() != 3 {

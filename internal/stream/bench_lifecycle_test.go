@@ -15,9 +15,9 @@ import (
 // template cap, TTL, MDL merge, and the incremental miner's cross-flush
 // window, which re-clusters only the components a batch touches.
 // Reported beyond ns/op and B/op (the RSS proxy): the flush-latency
-// p50/p99 (flush-p50-ns / flush-p99-ns — promoted to first-class fields
-// by cmd/benchjson) and the steady-state live-template count, which the
-// cap must hold flat no matter how long the stream runs.
+// p50/p99 (flush-p50-ns / flush-p99-ns) and the steady-state
+// live-template count, which the cap must hold flat no matter how long
+// the stream runs.
 func BenchmarkStreamLifecycleFlush(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		const batch = 256

@@ -15,7 +15,7 @@ import (
 // refinement — returns exactly the reference scan's verdict while
 // examining a small fraction of the template set. This keeps the scale
 // configuration of the matcher exercised in tier-1 `go test`, not only
-// under `make bench-scale`.
+// under `go test -bench StreamAddScale`.
 func TestStreamScaleSmoke(t *testing.T) {
 	set := datagen.ScaleTemplates(datagen.ScaleConfig{Seed: 7, Templates: 1000})
 	d := New(core.Options{})
@@ -98,7 +98,7 @@ func TestStreamScaleSmoke(t *testing.T) {
 // detector sweeps the arena and tiered-index paths — the pooled
 // matchScratch, the arena-backed eq-token views, and the shared bucket
 // postings — under real goroutine concurrency. It is sized to run under
-// -short; the full-scale sweeps stay behind `make bench-scale`.
+// -short; the full-scale sweeps stay behind `go test -bench StreamAddScale`.
 func TestScaleRaceShort(t *testing.T) {
 	set := datagen.ScaleTemplates(datagen.ScaleConfig{Seed: 13, Templates: 1000})
 	d := New(core.Options{Workers: 4})

@@ -232,13 +232,9 @@ func (f *Fit) DataCost(numTemplates, vocabSize int) float64 {
 }
 
 // TotalCost returns DataCost plus this template's own share of the model
-// cost (its Eq. 2 terms, without the global ⟨t⟩).
+// cost (mdl.TemplateCost: its Eq. 2 terms, without the global ⟨t⟩).
 func (f *Fit) TotalCost(numTemplates, vocabSize int) float64 {
-	ts := f.TemplateStats()
-	model := mdl.Universal(ts.Length) +
-		float64(ts.Length-ts.Slots)*mdl.WordCost(vocabSize) +
-		float64(1+ts.Slots)*mdl.Lg(float64(ts.Length))
-	return model + f.DataCost(numTemplates, vocabSize)
+	return mdl.TemplateCost(f.TemplateStats(), vocabSize) + f.DataCost(numTemplates, vocabSize)
 }
 
 // ConsensusSearch runs Algorithm 2: dichotomous search for the support

@@ -49,9 +49,6 @@ const sep = "\x1f"
 // Key converts an n-gram token slice into its canonical phrase key.
 func Key(tokens []string) string { return strings.Join(tokens, sep) }
 
-// KeyTokens splits a phrase key back into tokens.
-func KeyTokens(key string) []string { return strings.Split(key, sep) }
-
 // Extractor computes per-document top phrases by tf-idf.
 // The zero value uses the paper's defaults.
 type Extractor struct {

@@ -14,6 +14,9 @@ import (
 	"infoshield/internal/tokenize"
 )
 
+// KeyTokens splits a phrase key back into tokens.
+func KeyTokens(key string) []string { return strings.Split(key, sep) }
+
 func tok(s string) []string { return strings.Fields(s) }
 
 func TestKeyRoundTrip(t *testing.T) {
