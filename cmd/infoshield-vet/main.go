@@ -3,8 +3,9 @@
 // (maporder), concurrency discipline (looprace), MDL-cost comparison
 // hygiene (floateq), dropped results (ctxerr), and the interprocedural
 // fact-layer analyzers — pooled-memory escapes (scratchalias), goroutine
-// join discipline (goleak), atomic/plain access mixing and lock copies
-// (atomicmix), and channel shutdown protocol (chanproto). It is
+// join discipline (goleak), atomic/plain access mixing (atomicmix), and
+// channel shutdown protocol (chanproto). Copies of lock-bearing values
+// are go vet's copylocks check, which `make vet` runs alongside. It is
 // stdlib-only — the loader type-checks the module with go/parser and
 // go/types, with no golang.org/x/tools dependency.
 //
@@ -17,13 +18,14 @@
 //	-sarif file              also write a SARIF 2.1.0 report to file
 //	-since stampfile         analyze only packages with files newer than
 //	                         the stamp's mtime (full run if it is absent)
-//	-baseline file           tolerate findings recorded in the baseline
-//	-write-baseline file     record current findings and exit 0
 //	-list                    print the analyzers and exit
-//	-v                       also print suppressed/baselined findings
+//	-v                       also print suppressed findings
 //
-// Exit status: 0 when no unsuppressed, non-baselined finding exists;
-// 1 when findings remain; 2 on usage or load errors.
+// Findings are suppressed only by a justified //vet:allow (or, for
+// maporder, //vet:ordered) comment at the offending line.
+//
+// Exit status: 0 when no unsuppressed finding exists; 1 when findings
+// remain; 2 on usage or load errors.
 package main
 
 import (
@@ -38,7 +40,6 @@ import (
 type jsonReport struct {
 	Module     string                `json:"module"`
 	Findings   []analysis.Diagnostic `json:"findings"`
-	Baselined  []analysis.Diagnostic `json:"baselined,omitempty"`
 	Suppressed []analysis.Diagnostic `json:"suppressed,omitempty"`
 }
 
@@ -51,10 +52,8 @@ func run() int {
 	jsonFlag := flag.Bool("json", false, "emit findings as JSON")
 	sarifFlag := flag.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
 	sinceFlag := flag.String("since", "", "stamp file: analyze only packages with files newer than its mtime")
-	baselineFlag := flag.String("baseline", "", "baseline file of accepted findings")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
-	verbose := flag.Bool("v", false, "also print suppressed and baselined findings")
+	verbose := flag.Bool("v", false, "also print suppressed findings")
 	flag.Parse()
 
 	if *listFlag {
@@ -86,32 +85,13 @@ func run() int {
 	keep := keepFunc(mod, *sinceFlag)
 	findings, suppressed := analysis.RunFiltered(mod, azs, keep)
 
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "infoshield-vet:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "infoshield-vet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
-	var baselined []analysis.Diagnostic
-	if *baselineFlag != "" {
-		b, err := analysis.ReadBaseline(*baselineFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "infoshield-vet:", err)
-			return 2
-		}
-		findings, baselined = b.Filter(findings)
-	}
-
 	if *jsonFlag {
 		if findings == nil {
 			findings = []analysis.Diagnostic{}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		report := jsonReport{Module: mod.Path, Findings: findings, Baselined: baselined}
+		report := jsonReport{Module: mod.Path, Findings: findings}
 		if *verbose {
 			report.Suppressed = suppressed
 		}
@@ -124,18 +104,15 @@ func run() int {
 			fmt.Println(d)
 		}
 		if *verbose {
-			for _, d := range baselined {
-				fmt.Printf("%s (baselined)\n", d)
-			}
 			for _, d := range suppressed {
 				fmt.Printf("%s (suppressed)\n", d)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "infoshield-vet: %d package(s), %d finding(s), %d baselined, %d suppressed\n",
-			len(mod.Pkgs), len(findings), len(baselined), len(suppressed))
+		fmt.Fprintf(os.Stderr, "infoshield-vet: %d package(s), %d finding(s), %d suppressed\n",
+			len(mod.Pkgs), len(findings), len(suppressed))
 	}
 	if *sarifFlag != "" {
-		if err := analysis.WriteSARIF(*sarifFlag, azs, findings, baselined, suppressed); err != nil {
+		if err := analysis.WriteSARIF(*sarifFlag, azs, findings, suppressed); err != nil {
 			fmt.Fprintln(os.Stderr, "infoshield-vet:", err)
 			return 2
 		}

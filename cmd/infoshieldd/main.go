@@ -13,7 +13,7 @@
 //	GET  /v1/templates
 //	GET  /v1/stats            per-shard blocks plus the rolled-up total
 //	POST /v1/flush
-//	POST /v1/snapshot         {"path": "..."} optional
+//	POST /v1/snapshot         to -state, or the state as the body
 //	GET  /healthz
 //	GET  /debug/pprof/...
 //

@@ -28,8 +28,8 @@
 //     send, or WaitGroup.Done) and that signal must be joined (receive
 //     or Wait); WaitGroup.Add inside the spawned goroutine is flagged.
 //   - atomicmix — a field accessed via sync/atomic anywhere must never
-//     be plainly read or written elsewhere, and values transitively
-//     holding sync primitives must not be copied.
+//     be plainly read or written elsewhere. (Copies of values holding
+//     sync primitives are go vet's copylocks check.)
 //   - chanproto — double close, sends that can race a close on another
 //     path without a shared mutex, and close+send channels lacking a
 //     comma-ok/range drain.
@@ -69,12 +69,6 @@ type Diagnostic struct {
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Col, d.Message, d.Analyzer)
-}
-
-// key is the baseline identity of a diagnostic: stable across line-number
-// drift.
-func (d Diagnostic) key() string {
-	return d.Analyzer + "|" + d.File + "|" + d.Message
 }
 
 // Pass carries one analyzer's view of one package.

@@ -204,84 +204,3 @@ func TestByName(t *testing.T) {
 		t.Error("ByName(bogus) succeeded; want error")
 	}
 }
-
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := []analysis.Diagnostic{
-		{Analyzer: "maporder", File: "a.go", Line: 3, Col: 2, Message: "m1"},
-		{Analyzer: "maporder", File: "a.go", Line: 9, Col: 2, Message: "m1"}, // same key, occurrence 2
-		{Analyzer: "ctxerr", File: "b.go", Line: 1, Col: 1, Message: "m2"},
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := analysis.WriteBaseline(path, diags); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	b, err := analysis.ReadBaseline(path)
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-	// Identical same-file findings are written as distinct entries with
-	// an occurrence index, so one of them can be burned down alone.
-	if len(b.Findings) != 3 {
-		t.Fatalf("got %d entries, want 3 (one per finding)", len(b.Findings))
-	}
-	occ := []int{}
-	for _, e := range b.Findings {
-		if e.Analyzer == "maporder" {
-			occ = append(occ, e.Occurrence)
-		}
-	}
-	if len(occ) != 2 || occ[0] != 1 || occ[1] != 2 {
-		t.Errorf("maporder occurrences = %v, want [1 2]", occ)
-	}
-	extra := analysis.Diagnostic{Analyzer: "floateq", File: "c.go", Line: 7, Col: 4, Message: "m3"}
-	fresh, baselined := b.Filter(append(diags, extra))
-	if len(baselined) != 3 {
-		t.Errorf("baselined %d findings, want 3", len(baselined))
-	}
-	if len(fresh) != 1 || fresh[0] != extra {
-		t.Errorf("fresh = %v, want only the new finding", fresh)
-	}
-	// Line drift must not invalidate the baseline.
-	moved := diags[2]
-	moved.Line = 99
-	fresh, _ = b.Filter([]analysis.Diagnostic{moved})
-	if len(fresh) != 0 {
-		t.Errorf("line drift invalidated baseline: %v", fresh)
-	}
-	// Burning down one occurrence shrinks the budget by exactly one.
-	trimmed := &analysis.Baseline{}
-	for _, e := range b.Findings {
-		if e.Analyzer == "maporder" && e.Occurrence == 2 {
-			continue
-		}
-		trimmed.Findings = append(trimmed.Findings, e)
-	}
-	fresh, baselined = trimmed.Filter(diags)
-	if len(fresh) != 1 || len(baselined) != 2 {
-		t.Errorf("after removing occurrence 2: fresh=%d baselined=%d, want 1/2", len(fresh), len(baselined))
-	}
-}
-
-// TestBaselineLegacyCount keeps read compatibility with the aggregated
-// format older baselines use: one entry with a count absorbs that many
-// identical findings.
-func TestBaselineLegacyCount(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	legacy := `{"findings":[{"analyzer":"maporder","file":"a.go","message":"m1","count":2}]}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := analysis.ReadBaseline(path)
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-	diags := []analysis.Diagnostic{
-		{Analyzer: "maporder", File: "a.go", Line: 3, Message: "m1"},
-		{Analyzer: "maporder", File: "a.go", Line: 9, Message: "m1"},
-		{Analyzer: "maporder", File: "a.go", Line: 12, Message: "m1"},
-	}
-	fresh, baselined := b.Filter(diags)
-	if len(baselined) != 2 || len(fresh) != 1 {
-		t.Errorf("legacy count=2 absorbed %d, left %d fresh; want 2/1", len(baselined), len(fresh))
-	}
-}

@@ -12,8 +12,9 @@ import (
 // data race the race detector only catches when the interleaving fires
 // in CI. The module-wide atomic index makes this check interprocedural:
 // the atomic site and the plain site can live in different packages.
-// Typed atomics (atomic.Int64, as serve's queueHW uses) are method-only
-// and immune by construction — preferring them is the suggested fix.
+// Typed atomics (atomic.Int64, as serve's WAL counters in wal.go use)
+// are method-only and immune by construction — preferring them is the
+// suggested fix.
 //
 // Copies of lock-bearing values are go vet's copylocks check, which
 // `make vet` and CI run alongside this suite.

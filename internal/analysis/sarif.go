@@ -8,9 +8,9 @@ import (
 // SARIF 2.1.0 output, the static-analysis interchange format CI code
 // scanners ingest. The writer emits the minimal valid subset: one run,
 // the driver's rule table (one rule per analyzer), and one result per
-// kept finding with a physical location. Baselined and suppressed
-// findings are emitted with suppressions attached so scanners show them
-// as reviewed rather than open.
+// kept finding with a physical location. Suppressed findings are emitted
+// with an in-source suppression attached so scanners show them as
+// reviewed rather than open.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -87,21 +87,15 @@ func sarifResultOf(d Diagnostic, level string) sarifResult {
 }
 
 // WriteSARIF writes the run to path. Kept findings become warnings;
-// baselined ones become accepted external suppressions; suppressed ones
-// become in-source suppressions.
-func WriteSARIF(path string, azs []*Analyzer, kept, baselined, suppressed []Diagnostic) error {
+// suppressed ones become in-source suppressions.
+func WriteSARIF(path string, azs []*Analyzer, kept, suppressed []Diagnostic) error {
 	rules := make([]sarifRule, 0, len(azs))
 	for _, a := range azs {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
 	}
-	results := make([]sarifResult, 0, len(kept)+len(baselined)+len(suppressed))
+	results := make([]sarifResult, 0, len(kept)+len(suppressed))
 	for _, d := range kept {
 		results = append(results, sarifResultOf(d, "warning"))
-	}
-	for _, d := range baselined {
-		r := sarifResultOf(d, "note")
-		r.Suppressions = []sarifSuppression{{Kind: "external", Justification: "baselined"}}
-		results = append(results, r)
 	}
 	for _, d := range suppressed {
 		r := sarifResultOf(d, "note")

@@ -19,9 +19,8 @@ const maxBodyBytes = 64 << 20
 // verdicts).
 type Server struct {
 	sh *Sharded
-	// statePath is the default snapshot target for POST /v1/snapshot
-	// requests that name no path ("" means stream the state in the
-	// response body instead).
+	// statePath is the POST /v1/snapshot target ("" means stream the
+	// state in the response body instead).
 	statePath string
 }
 
@@ -37,7 +36,7 @@ func NewServer(sh *Sharded, statePath string) *Server {
 //	GET  /v1/templates
 //	GET  /v1/stats         per-shard blocks plus the rolled-up total
 //	POST /v1/flush         force a mining pass over buffered documents
-//	POST /v1/snapshot      persist templates ({"path": ...} optional)
+//	POST /v1/snapshot      persist to the state file, or stream the state back
 //	GET  /healthz
 //	GET  /debug/pprof/...
 func (s *Server) Handler() http.Handler {
@@ -158,26 +157,18 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}{st.Total.Templates, st.Total.PendingDocs})
 }
 
-// snapshotRequest is the optional POST /v1/snapshot body.
-type snapshotRequest struct {
-	// Path overrides the server's default snapshot file. When both are
-	// empty the state streams back in the response body (the combined
-	// manifest form, shard states inline).
-	Path string `json:"path,omitempty"`
-}
-
+// handleSnapshot writes the state to the server's state file, or
+// streams it back in the response body (the combined manifest form,
+// shard states inline) when the server has none. The target is the
+// daemon's own configuration: a request with a body is refused, so no
+// client can make the daemon write to a path of its choosing.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req snapshotRequest
-	if r.ContentLength != 0 && !decodeJSON(w, r, &req) {
+	if r.ContentLength != 0 {
+		httpError(w, http.StatusBadRequest, "snapshot takes no request body")
 		return
 	}
-	path := req.Path
-	if path == "" {
-		path = s.statePath
-	}
-	if path == "" {
-		// No file target: return the state as the response body. Buffered
-		// so a failed snapshot still gets a proper error status.
+	if s.statePath == "" {
+		// Buffered so a failed snapshot still gets a proper error status.
 		var buf bytes.Buffer
 		if err := s.sh.SnapshotTo(&buf); err != nil {
 			serveError(w, err)
@@ -187,7 +178,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(buf.Bytes())
 		return
 	}
-	n, err := s.sh.Snapshot(path)
+	n, err := s.sh.Snapshot(s.statePath)
 	if err != nil {
 		serveError(w, err)
 		return
@@ -195,7 +186,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Path  string `json:"path"`
 		Bytes int64  `json:"bytes"`
-	}{path, n})
+	}{s.statePath, n})
 }
 
 // decodeJSON parses the request body into v, writing a 400 and returning

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -204,11 +205,11 @@ func TestServerFlushTemplatesStats(t *testing.T) {
 		t.Fatalf("dp_skip_rate %v, want %v", m.DPSkipRate, wantRate)
 	}
 	histMass := 0
-	for _, c := range m.CandPerProbeHist {
+	for _, c := range m.CandHist {
 		histMass += c
 	}
-	if len(m.CandPerProbeHist) == 0 || histMass != m.Probes {
-		t.Fatalf("cand_per_probe_hist_log2 mass %d != probes %d (%v)", histMass, m.Probes, m.CandPerProbeHist)
+	if histMass != m.Probes {
+		t.Fatalf("cand_per_probe_hist_log2 mass %d != probes %d (%v)", histMass, m.Probes, m.CandHist)
 	}
 }
 
@@ -270,29 +271,39 @@ func TestServerSnapshotFile(t *testing.T) {
 		t.Fatalf("snapshot response %+v", snap)
 	}
 
-	// Explicit path in the request body wins over the default.
-	override := filepath.Join(t.TempDir(), "override.json")
-	if code := postJSON(t, ts.URL+"/v1/snapshot", fmt.Sprintf(`{"path":%q}`, override), &snap); code != http.StatusOK {
-		t.Fatalf("snapshot override: status %d", code)
-	}
-	if snap.Path != override {
-		t.Fatalf("snapshot response %+v, want path %s", snap, override)
-	}
-
-	// Both snapshots must boot a fresh sharded daemon with the templates
+	// The snapshot must boot a fresh sharded daemon with the templates
 	// intact (manifest + shard files resolved relative to the manifest).
-	for _, path := range []string{defaultPath, override} {
-		sh2 := newTestSharded(t, ShardedConfig{StatePath: path}, 0)
-		tmpls, err := sh2.Templates()
-		if err != nil {
-			t.Fatal(err)
+	sh2 := newTestSharded(t, ShardedConfig{StatePath: defaultPath}, 0)
+	tmpls, err := sh2.Templates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmpls) == 0 {
+		t.Fatal("no templates restored")
+	}
+	if err := sh2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerSnapshotRejectsBody: the snapshot target is the daemon's own
+// configuration, so a request body — such as the path a client would
+// like written — gets a 400 and nothing is written, with or without a
+// state file configured.
+func TestServerSnapshotRejectsBody(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "state.json")
+	target := filepath.Join(dir, "elsewhere.json")
+	for _, path := range []string{statePath, ""} {
+		ts, _ := newTestServer(t, 1<<30, path)
+		ingestCampaign(t, ts.URL)
+		body := fmt.Sprintf(`{"path":%q}`, target)
+		if code := postJSON(t, ts.URL+"/v1/snapshot", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("state %q: snapshot with a body: status %d, want 400", path, code)
 		}
-		if len(tmpls) == 0 {
-			t.Fatalf("%s: no templates restored", path)
-		}
-		if err := sh2.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Fatalf("snapshot with a body wrote %v (err %v)", names, err)
 	}
 }
 

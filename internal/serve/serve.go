@@ -100,70 +100,26 @@ type Counters struct {
 	CommitErrs int64 `json:"commit_errs"`
 }
 
-// MatcherStats mirrors stream.Stats with JSON tags for the HTTP API,
-// plus two derived health signals: DPSkipRate (DPPruned / Candidates, the
-// fraction of template comparisons resolved without the wildcard DP) and
-// the log2 candidates-per-probe histogram. Operators watch these because
-// index pruning degrades — skip rate falls, histogram mass drifts toward
-// high buckets — before mean latency shows it.
+// MatcherStats is the detector's matcher counters (stream.MatchStats,
+// whose JSON tags name the fields) plus their derived health signal.
 type MatcherStats struct {
-	Probes      int `json:"probes"`
-	Candidates  int `json:"candidates"`
-	Examined    int `json:"examined"`
-	DPRuns      int `json:"dp_runs"`
-	DPPruned    int `json:"dp_pruned"`
-	BitDPRuns   int `json:"bitdp_runs"`
-	BitDPPruned int `json:"bitdp_pruned"`
-	// BandRuns counts exact alignments routed through the banded DP;
-	// BandRetries counts band widenings (zero in healthy operation — the
-	// band is seeded with the exact bit-parallel distance).
-	BandRuns    int `json:"band_runs"`
-	BandRetries int `json:"band_retries"`
-	// BitmapSkips counts probes the token → bucket-set bitmap resolved
-	// without touching a postings chunk; PostingsWalks counts the rest.
-	// They partition probes on the pruned path.
-	BitmapSkips   int `json:"bitmap_skips"`
-	PostingsWalks int `json:"postings_walks"`
-	// WalkNs / BoundNs / BitDPNs / ExactDPNs break the matcher's
-	// wall-clock down by stage (postings walk + candidate assembly,
-	// batched bound loop, bit-parallel refinement, exact alignment), so
-	// the per-probe constant cost is observable in production.
-	WalkNs    int64 `json:"walk_ns"`
-	BoundNs   int64 `json:"bound_ns"`
-	BitDPNs   int64 `json:"bitdp_ns"`
-	ExactDPNs int64 `json:"exactdp_ns"`
-	// DPSkipRate is DPPruned / Candidates, 0 before any probe.
+	stream.MatchStats
+	// DPSkipRate is DPPruned / Candidates, the fraction of template
+	// comparisons resolved without the wildcard DP; 0 before any probe.
 	DPSkipRate float64 `json:"dp_skip_rate"`
-	// CandPerProbeHist[k] counts probes whose surviving candidate set had
-	// ⌈lg(n+1)⌉ = k members (bucket 0 is exactly zero candidates).
-	CandPerProbeHist []int `json:"cand_per_probe_hist_log2"`
 }
 
-// LifecycleStats reports template mining and lifecycle activity: how
-// many templates each mechanism retired, how many are live, and how much
-// re-clustering the incremental miner avoided. With the lifecycle
-// disabled everything except Live / Mined / Flushes / FlushDocs is zero.
+// LifecycleStats reports template mining and lifecycle activity: the
+// live template count, the detector's mining counters (stream.MineStats)
+// and how much re-clustering the incremental miner avoided.
 type LifecycleStats struct {
 	// Live is the live template count (Stats.Templates minus lifecycle
 	// tombstones).
 	Live int `json:"live"`
-	// Mined counts templates accepted by mining passes; Merged / Evicted
-	// / AgedOut count retirements by cause.
-	Mined   int `json:"mined"`
-	Merged  int `json:"merged"`
-	Evicted int `json:"evicted"`
-	AgedOut int `json:"aged_out"`
-	// Flushes counts mining passes, FlushDocs the documents they
-	// consumed.
-	Flushes   int `json:"flushes"`
-	FlushDocs int `json:"flush_docs"`
-	// MineReused / MineClustered count documents the incremental miner
-	// re-clustered from its retained window vs all documents it handed
-	// to clustering; ReuseRate is their ratio (0 before any incremental
-	// flush).
-	MineReused    int     `json:"mine_reused"`
-	MineClustered int     `json:"mine_clustered"`
-	ReuseRate     float64 `json:"reuse_rate"`
+	stream.MineStats
+	// ReuseRate is MineReused / MineClustered, 0 before any incremental
+	// flush.
+	ReuseRate float64 `json:"reuse_rate"`
 }
 
 // Stats is the full serving snapshot: detector state plus coalescer
@@ -175,6 +131,22 @@ type Stats struct {
 	Matcher     MatcherStats   `json:"matcher"`
 	Lifecycle   LifecycleStats `json:"lifecycle"`
 	Serve       Counters       `json:"serve"`
+}
+
+// deriveRates fills st's ratios from its counters. Coalescer.Stats and
+// the sharded rollup share it, so a total's rates are re-derived from
+// the summed counters, never averaged.
+func (st *Stats) deriveRates() {
+	st.Matcher.DPSkipRate = ratio(st.Matcher.DPPruned, st.Matcher.Candidates)
+	st.Lifecycle.ReuseRate = ratio(st.Lifecycle.MineReused, st.Lifecycle.MineClustered)
+}
+
+// ratio is num / den, or 0 when den is 0.
+func ratio[T int | int64](num, den T) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // Coalescer is the group-commit ingest front end over one detector.
@@ -372,50 +344,15 @@ func (c *Coalescer) Templates() []stream.TemplateInfo {
 func (c *Coalescer) Stats() Stats {
 	c.commit.RLock()
 	defer c.commit.RUnlock()
-	d := c.det
-	ds := d.Stats()
-	m := MatcherStats{
-		Probes:           ds.Probes,
-		Candidates:       ds.Candidates,
-		Examined:         ds.Examined,
-		DPRuns:           ds.DPRuns,
-		DPPruned:         ds.DPPruned,
-		BitDPRuns:        ds.BitDPRuns,
-		BitDPPruned:      ds.BitDPPruned,
-		BandRuns:         ds.BandRuns,
-		BandRetries:      ds.BandRetries,
-		BitmapSkips:      ds.BitmapSkips,
-		PostingsWalks:    ds.PostingsWalks,
-		WalkNs:           ds.WalkNs,
-		BoundNs:          ds.BoundNs,
-		BitDPNs:          ds.BitDPNs,
-		ExactDPNs:        ds.ExactDPNs,
-		CandPerProbeHist: append([]int(nil), ds.CandHist[:]...),
-	}
-	if ds.Candidates > 0 {
-		m.DPSkipRate = float64(ds.DPPruned) / float64(ds.Candidates)
-	}
-	lc := LifecycleStats{
-		Live:          d.NumLive(),
-		Mined:         ds.TemplatesMined,
-		Merged:        ds.TemplatesMerged,
-		Evicted:       ds.TemplatesEvicted,
-		AgedOut:       ds.TemplatesAged,
-		Flushes:       ds.Flushes,
-		FlushDocs:     ds.FlushDocs,
-		MineReused:    ds.MineReusedDocs,
-		MineClustered: ds.MineClusteredDocs,
-	}
-	if ds.MineClusteredDocs > 0 {
-		lc.ReuseRate = float64(ds.MineReusedDocs) / float64(ds.MineClusteredDocs)
-	}
+	d, ds := c.det, c.det.Stats()
 	st := Stats{
 		Templates:   d.NumLive(),
 		PendingDocs: d.Pending(),
-		Matcher:     m,
-		Lifecycle:   lc,
+		Matcher:     MatcherStats{MatchStats: ds.MatchStats},
+		Lifecycle:   LifecycleStats{Live: d.NumLive(), MineStats: ds.MineStats},
 		Serve:       c.ctr,
 	}
+	st.deriveRates()
 	c.mu.Lock()
 	st.Serve.QueueHighWater = c.queueHW
 	c.mu.Unlock()

@@ -361,16 +361,8 @@ func (s *Sharded) Stats() (ShardedStats, error) {
 		out.PerShard = append(out.PerShard, ps)
 		rollup(&out.Total, st)
 	}
-	m := &out.Total.Matcher
-	if m.Candidates > 0 {
-		m.DPSkipRate = float64(m.DPPruned) / float64(m.Candidates)
-	}
-	if out.Total.Serve.Batches > 0 {
-		out.DocsPerBatch = float64(out.Total.Serve.Docs) / float64(out.Total.Serve.Batches)
-	}
-	if lc := &out.Total.Lifecycle; lc.MineClustered > 0 {
-		lc.ReuseRate = float64(lc.MineReused) / float64(lc.MineClustered)
-	}
+	out.Total.deriveRates()
+	out.DocsPerBatch = ratio(out.Total.Serve.Docs, out.Total.Serve.Batches)
 	return out, nil
 }
 
@@ -378,39 +370,9 @@ func (s *Sharded) Stats() (ShardedStats, error) {
 func rollup(t *Stats, st Stats) {
 	t.Templates += st.Templates
 	t.PendingDocs += st.PendingDocs
-	m, sm := &t.Matcher, st.Matcher
-	m.Probes += sm.Probes
-	m.Candidates += sm.Candidates
-	m.Examined += sm.Examined
-	m.DPRuns += sm.DPRuns
-	m.DPPruned += sm.DPPruned
-	m.BitDPRuns += sm.BitDPRuns
-	m.BitDPPruned += sm.BitDPPruned
-	m.BandRuns += sm.BandRuns
-	m.BandRetries += sm.BandRetries
-	m.BitmapSkips += sm.BitmapSkips
-	m.PostingsWalks += sm.PostingsWalks
-	m.WalkNs += sm.WalkNs
-	m.BoundNs += sm.BoundNs
-	m.BitDPNs += sm.BitDPNs
-	m.ExactDPNs += sm.ExactDPNs
-	if len(m.CandPerProbeHist) < len(sm.CandPerProbeHist) {
-		m.CandPerProbeHist = append(m.CandPerProbeHist,
-			make([]int, len(sm.CandPerProbeHist)-len(m.CandPerProbeHist))...)
-	}
-	for i, c := range sm.CandPerProbeHist {
-		m.CandPerProbeHist[i] += c
-	}
-	l, sl := &t.Lifecycle, st.Lifecycle
-	l.Live += sl.Live
-	l.Mined += sl.Mined
-	l.Merged += sl.Merged
-	l.Evicted += sl.Evicted
-	l.AgedOut += sl.AgedOut
-	l.Flushes += sl.Flushes
-	l.FlushDocs += sl.FlushDocs
-	l.MineReused += sl.MineReused
-	l.MineClustered += sl.MineClustered
+	t.Matcher.Add(st.Matcher.MatchStats)
+	t.Lifecycle.Live += st.Lifecycle.Live
+	t.Lifecycle.Add(st.Lifecycle.MineStats)
 	v, sv := &t.Serve, st.Serve
 	v.Docs += sv.Docs
 	v.Batches += sv.Batches

@@ -139,7 +139,7 @@ func TestStreamPruningEquivalence(t *testing.T) {
 
 		var tk tokenize.Tokenizer
 		var scratch matchScratch
-		var probeStats Stats
+		var probeStats MatchStats
 		for i, text := range docs {
 			// Intercept the pruned detector's verdict before committing it,
 			// so it can be checked against the reference scan on the very

@@ -298,46 +298,57 @@ func (ix *tmplIndex) addDead() {
 	ix.meta = append(ix.meta, tmplMeta{bucket: -1})
 }
 
-// Stats counts the serving path's matching work since the detector was
-// created — the streaming analogue of Result.Timings()'s stage breakdown.
-// DPPruned / Candidates is the DP-skip rate; Examined / Probes is the
-// mean surviving-candidate set the tiered index hands to the bounded
-// scan. All counters are pure per-document functions, so they are
-// identical for any Options.Workers. The struct stays ==-comparable
-// (fixed-size histogram) — tests rely on it.
+// Stats counts the detector's work since it was created — the streaming
+// analogue of Result.Timings()'s stage breakdown: the matcher's probes
+// and pruning (MatchStats) and the mining passes with their lifecycle
+// retirements (MineStats). The JSON tags are the /v1/stats field names.
+// Every counter except the matcher's wall-clock timings is a pure
+// per-document function, identical for any Options.Workers. The struct
+// stays ==-comparable (fixed-size histogram) — tests rely on it.
 type Stats struct {
+	MatchStats
+	MineStats
+}
+
+// MatchStats counts the serving path's matching work. DPPruned /
+// Candidates is the DP-skip rate; Examined / Probes is the mean
+// surviving-candidate set the tiered index hands to the bounded scan.
+// Operators watch both because index pruning degrades — skip rate falls,
+// CandHist mass drifts toward high buckets — before mean latency shows
+// it.
+type MatchStats struct {
 	// Probes counts documents tested against a non-empty template set.
-	Probes int
+	Probes int `json:"probes"`
 	// Candidates counts template candidates considered across all probes
 	// (Σ per-probe template-set size).
-	Candidates int
+	Candidates int `json:"candidates"`
 	// Examined counts candidates that survived the tiered index (bucket
 	// skip + untouched mass-prune) and reached the per-template bound.
-	Examined int
+	Examined int `json:"examined"`
 	// DPRuns counts full wildcard-alignment DPs executed.
-	DPRuns int
+	DPRuns int `json:"dp_runs"`
 	// DPPruned counts candidates resolved without the full DP: skipped
 	// buckets, mass-pruned untouched templates, and per-candidate bound
 	// rejections (including the bit-parallel refinements).
-	DPPruned int
+	DPPruned int `json:"dp_pruned"`
 	// BitDPRuns counts bit-parallel exact-distance evaluations.
-	BitDPRuns int
+	BitDPRuns int `json:"bitdp_runs"`
 	// BitDPPruned counts candidates the exact-distance bound rejected
 	// after the overlap bound had passed them (a subset of DPPruned).
-	BitDPPruned int
+	BitDPPruned int `json:"bitdp_pruned"`
 	// BandRuns counts exact alignments routed through the banded DP
 	// (references within the bit cap, seeded by the bit-parallel
 	// distance); always ≤ DPRuns. BandRetries counts band widenings —
 	// zero whenever the seed distance is exact, so any nonzero value is a
 	// bug signal, not a tuning knob.
-	BandRuns    int
-	BandRetries int
+	BandRuns    int `json:"band_runs"`
+	BandRetries int `json:"band_retries"`
 	// BitmapSkips counts probes whose tokens touched no live bucket (the
 	// token → bucket-set bitmap proved the whole postings walk useless);
 	// PostingsWalks counts probes that walked at least one chain. On the
 	// pruned path BitmapSkips + PostingsWalks == Probes.
-	BitmapSkips   int
-	PostingsWalks int
+	BitmapSkips   int `json:"bitmap_skips"`
+	PostingsWalks int `json:"postings_walks"`
 	// WalkNs / BoundNs / BitDPNs / ExactDPNs attribute pruned-path
 	// wall-clock to the matcher's stages: tier-0 + postings walk +
 	// candidate assembly, the batched bound loop, the bit-parallel
@@ -345,39 +356,18 @@ type Stats struct {
 	// alignments. Unlike every other field they are wall-clock — NOT a
 	// pure per-document function — so cross-worker equivalence checks
 	// must compare through Counters(), which zeroes them.
-	WalkNs    int64
-	BoundNs   int64
-	BitDPNs   int64
-	ExactDPNs int64
-	// Flushes counts mining passes; FlushDocs the pending documents they
-	// consumed (Σ per-flush buffer size).
-	Flushes   int
-	FlushDocs int
-	// TemplatesMined counts templates accepted by mining passes;
-	// TemplatesMerged / TemplatesEvicted / TemplatesAged count lifecycle
-	// retirements by cause (MDL merge, cap eviction, TTL age-out). Live
-	// templates = TemplatesMined + registrations − the three retirement
-	// counters.
-	TemplatesMined   int
-	TemplatesMerged  int
-	TemplatesEvicted int
-	TemplatesAged    int
-	// MineReusedDocs counts retained documents the incremental miner
-	// re-clustered from its cross-flush window without re-extracting
-	// their phrases; MineClusteredDocs counts all documents handed to the
-	// clustering stage across incremental flushes (reused + new). Their
-	// ratio is the incremental-coarse reuse rate; re-clustering the whole
-	// window would count every retained document every flush.
-	MineReusedDocs    int
-	MineClusteredDocs int
+	WalkNs    int64 `json:"walk_ns"`
+	BoundNs   int64 `json:"bound_ns"`
+	BitDPNs   int64 `json:"bitdp_ns"`
+	ExactDPNs int64 `json:"exactdp_ns"`
 	// CandHist is the log2 histogram of per-probe Examined sizes: bucket
-	// k counts probes with ⌈lg(n+1)⌉ = k surviving candidates. A drift
-	// toward high buckets says index pruning is degrading before mean
-	// latency shows it.
-	CandHist [CandHistBuckets]int
+	// k counts probes with ⌈lg(n+1)⌉ = k surviving candidates (bucket 0
+	// is exactly zero candidates).
+	CandHist [CandHistBuckets]int `json:"cand_per_probe_hist_log2"`
 }
 
-func (s *Stats) add(o Stats) {
+// Add folds o's counters into s.
+func (s *MatchStats) Add(o MatchStats) {
 	s.Probes += o.Probes
 	s.Candidates += o.Candidates
 	s.Examined += o.Examined
@@ -393,17 +383,46 @@ func (s *Stats) add(o Stats) {
 	s.BoundNs += o.BoundNs
 	s.BitDPNs += o.BitDPNs
 	s.ExactDPNs += o.ExactDPNs
-	s.Flushes += o.Flushes
-	s.FlushDocs += o.FlushDocs
-	s.TemplatesMined += o.TemplatesMined
-	s.TemplatesMerged += o.TemplatesMerged
-	s.TemplatesEvicted += o.TemplatesEvicted
-	s.TemplatesAged += o.TemplatesAged
-	s.MineReusedDocs += o.MineReusedDocs
-	s.MineClusteredDocs += o.MineClusteredDocs
 	for i := range s.CandHist {
 		s.CandHist[i] += o.CandHist[i]
 	}
+}
+
+// MineStats counts mining passes and template lifecycle activity. With
+// the lifecycle disabled only Flushes, FlushDocs and Mined move.
+type MineStats struct {
+	// Flushes counts mining passes; FlushDocs the pending documents they
+	// consumed (Σ per-flush buffer size).
+	Flushes   int `json:"flushes"`
+	FlushDocs int `json:"flush_docs"`
+	// Mined counts templates accepted by mining passes; Merged / Evicted
+	// / AgedOut count lifecycle retirements by cause (MDL merge, cap
+	// eviction, TTL age-out). Live templates = Mined + registrations −
+	// the three retirement counters.
+	Mined   int `json:"mined"`
+	Merged  int `json:"merged"`
+	Evicted int `json:"evicted"`
+	AgedOut int `json:"aged_out"`
+	// MineReused counts retained documents the incremental miner
+	// re-clustered from its cross-flush window without re-extracting
+	// their phrases; MineClustered counts all documents handed to the
+	// clustering stage across incremental flushes (reused + new). Their
+	// ratio is the incremental-coarse reuse rate; re-clustering the whole
+	// window would count every retained document every flush.
+	MineReused    int `json:"mine_reused"`
+	MineClustered int `json:"mine_clustered"`
+}
+
+// Add folds o's counters into s.
+func (s *MineStats) Add(o MineStats) {
+	s.Flushes += o.Flushes
+	s.FlushDocs += o.FlushDocs
+	s.Mined += o.Mined
+	s.Merged += o.Merged
+	s.Evicted += o.Evicted
+	s.AgedOut += o.AgedOut
+	s.MineReused += o.MineReused
+	s.MineClustered += o.MineClustered
 }
 
 // Counters returns s with the wall-clock timing fields zeroed — the
@@ -441,7 +460,7 @@ type matchScratch struct {
 	bucketHit [numBuckets]int
 	skip      [numBuckets]bool
 	wild      align.Scratch
-	stats     Stats
+	stats     MatchStats
 	// cRef / cSlots / lbs are the structure-of-arrays candidate batch:
 	// one gather pass pulls the surviving candidates' shape numbers out
 	// of the meta slab, then the bound loop runs branch-light over flat
@@ -492,7 +511,7 @@ func (d *Detector) bucketBound(bounder align.WildBounder, bi *bucketInfo, docLen
 // cost nor tie it from a lower index, and by applying the same
 // (cost, index) test on takeover. All comparisons are < / <=: no float
 // equality is ever tested.
-func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *Stats) int {
+func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *MatchStats) int {
 	if len(toks) == 0 || d.liveCount == 0 {
 		return -1
 	}

@@ -117,7 +117,7 @@ func (d *Detector) tryMerge(ti int) {
 		return
 	}
 	// Probe with ti out of the model so it cannot match itself and the
-	// lg t term reflects the counterfactual set. The throwaway Stats
+	// lg t term reflects the counterfactual set. The throwaway MatchStats
 	// keeps merge probes out of the serving counters (their invariants
 	// are pinned per ingested document).
 	bi := &d.index.buckets[d.index.meta[ti].bucket]
@@ -126,7 +126,7 @@ func (d *Detector) tryMerge(ti int) {
 	d.anyDead = true
 	d.liveCount--
 	bi.live--
-	var tmp Stats
+	var tmp MatchStats
 	other := d.match(seq, d.vocab.Size(), &d.sc, &tmp)
 	d.dead[ti] = false
 	d.anyDead = savedAny
@@ -151,7 +151,7 @@ func (d *Detector) tryMerge(ti int) {
 		d.lastMatch[keeper] = d.lastMatch[loser]
 	}
 	d.kill(loser, int32(keeper))
-	d.stats.TemplatesMerged++
+	d.stats.Merged++
 }
 
 // lifecyclePass runs after every mining pass: merge each new template,
@@ -179,7 +179,7 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 			}
 			if d.nextID-d.lastMatch[ti] > lc.TTL {
 				d.kill(ti, -1)
-				d.stats.TemplatesAged++
+				d.stats.AgedOut++
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 		excess := d.liveCount - lc.MaxTemplates
 		for _, ti := range live[:excess] {
 			d.kill(ti, -1)
-			d.stats.TemplatesEvicted++
+			d.stats.Evicted++
 		}
 	}
 	if d.tombSinceRebuild >= rebuildMinTombs && d.tombSinceRebuild*rebuildFraction >= d.liveCount {

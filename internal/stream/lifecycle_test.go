@@ -70,8 +70,8 @@ func checkFlushMatchesRun(t *testing.T, label string, d *Detector, base int, tex
 				t.Fatalf("%s: core.Run mined more templates than the flush (%d)", label, d.NumTemplates()-base)
 			}
 			got := &d.templates[ti]
-			if !reflect.DeepEqual(got.Pattern, tr.Template) || len(got.Tokens) != tr.Template.Len() {
-				t.Fatalf("%s: template %d pattern %+v, core.Run %+v", label, ti, got.Pattern, tr.Template)
+			if len(got.Tokens) != tr.Template.Len() {
+				t.Fatalf("%s: template %d has %d positions, core.Run %d", label, ti, len(got.Tokens), tr.Template.Len())
 			}
 			for i, tid := range tr.Template.TokenIDs {
 				if got.Wild[i] != tr.Template.IsSlot[i] {
@@ -165,8 +165,8 @@ func TestLifecycleAgeOut(t *testing.T) {
 	if d.NumLive() != 0 {
 		t.Fatalf("live = %d after age-out, want 0", d.NumLive())
 	}
-	if got := d.Stats().TemplatesAged; got == 0 {
-		t.Fatal("TemplatesAged not counted")
+	if got := d.Stats().AgedOut; got == 0 {
+		t.Fatal("AgedOut not counted")
 	}
 	if !d.TemplateInfo(0).Dead {
 		t.Fatal("TemplateInfo(0).Dead = false after age-out")
@@ -215,8 +215,8 @@ func TestLifecycleMerge(t *testing.T) {
 	if d.NumLive() != 1 {
 		t.Fatalf("live = %d, want 1", d.NumLive())
 	}
-	if d.Stats().TemplatesMerged != 1 {
-		t.Fatalf("TemplatesMerged = %d", d.Stats().TemplatesMerged)
+	if d.Stats().Merged != 1 {
+		t.Fatalf("Merged = %d", d.Stats().Merged)
 	}
 	if d.templates[a].DocCount != 3 || d.templates[b].DocCount != 0 {
 		t.Fatalf("DocCounts after transfer: a=%d b=%d", d.templates[a].DocCount, d.templates[b].DocCount)
@@ -266,8 +266,8 @@ func TestLifecycleEvictionAndRebuild(t *testing.T) {
 	if d.NumTemplates() != 180 {
 		t.Fatalf("template slots = %d, want 180 (ids stay stable)", d.NumTemplates())
 	}
-	if d.Stats().TemplatesEvicted != 120 {
-		t.Fatalf("TemplatesEvicted = %d, want 120", d.Stats().TemplatesEvicted)
+	if d.Stats().Evicted != 120 {
+		t.Fatalf("Evicted = %d, want 120", d.Stats().Evicted)
 	}
 	// All recency clocks and DocCounts tied, so eviction falls back to
 	// index order: 0..119 die, 120..179 survive — and 120 tombstones
@@ -286,7 +286,7 @@ func TestLifecycleEvictionAndRebuild(t *testing.T) {
 	for k := 0; k < 80; k++ {
 		ti := rng.Intn(180)
 		toks := d.vocab.Encode(d.tk.Tokens(set.Probe(rng, ti)))
-		got := d.match(toks, d.vocab.Size(), &d.sc, &d.stats)
+		got := d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats)
 		if want := liveReferenceMatch(d, toks); got != want {
 			t.Fatalf("probe of template %d: tiered %d != live reference %d", ti, got, want)
 		}
@@ -324,10 +324,10 @@ func TestLifecycleBounded(t *testing.T) {
 		}
 	}
 	st := d.Stats()
-	if st.TemplatesMined <= 16 {
-		t.Fatalf("only %d templates mined over %d cycles — drift generator not churning", st.TemplatesMined, cycles)
+	if st.Mined <= 16 {
+		t.Fatalf("only %d templates mined over %d cycles — drift generator not churning", st.Mined, cycles)
 	}
-	if st.TemplatesEvicted+st.TemplatesAged+st.TemplatesMerged == 0 {
+	if st.Evicted+st.AgedOut+st.Merged == 0 {
 		t.Fatal("no lifecycle retirements over a drifting stream")
 	}
 	// FlushDocs counts buffered documents only: campaign members that
@@ -345,7 +345,7 @@ func TestLifecycleBounded(t *testing.T) {
 	// The steady-state matcher still agrees with the live reference scan.
 	for probe := 0; probe < 40; probe++ {
 		toks := d.vocab.Encode(d.tk.Tokens(drift.Doc(k + probe)))
-		got := d.match(toks, d.vocab.Size(), &d.sc, &d.stats)
+		got := d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats)
 		if want := liveReferenceMatch(d, toks); got != want {
 			t.Fatalf("probe %d: tiered %d != live reference %d", probe, got, want)
 		}
@@ -392,8 +392,8 @@ func TestIncrementalEmergence(t *testing.T) {
 	if a1.Template != a2.Template || a2.Template != a3.Template {
 		t.Fatalf("campaign split across templates: %+v %+v %+v", a1, a2, a3)
 	}
-	if st := d.Stats(); st.MineReusedDocs == 0 {
-		t.Fatal("MineReusedDocs = 0 — the retained window was never re-clustered")
+	if st := d.Stats(); st.MineReused == 0 {
+		t.Fatal("MineReused = 0 — the retained window was never re-clustered")
 	}
 }
 
@@ -425,11 +425,11 @@ func TestIncrementalTouchedOnly(t *testing.T) {
 		checkMineDF(t, fmt.Sprintf("cycle %d", cycle), d)
 	}
 	st := d.Stats()
-	if st.MineClusteredDocs >= wholeWindow {
+	if st.MineClustered >= wholeWindow {
 		t.Fatalf("touched-only clustered %d docs, whole-window re-clustering %d — no work saved",
-			st.MineClusteredDocs, wholeWindow)
+			st.MineClustered, wholeWindow)
 	}
-	if st.MineReusedDocs == 0 {
+	if st.MineReused == 0 {
 		t.Fatal("touched-only never reused a retained document")
 	}
 }
@@ -455,7 +455,7 @@ func TestLifecyclePersistRoundTrip(t *testing.T) {
 	}
 	d1.AddBatch(drift.Docs(k, k+10)) // leave a pending buffer in the snapshot
 	k += 10
-	if st := d1.Stats(); st.TemplatesEvicted+st.TemplatesAged+st.TemplatesMerged == 0 {
+	if st := d1.Stats(); st.Evicted+st.AgedOut+st.Merged == 0 {
 		t.Fatal("no lifecycle events before the snapshot — test would prove nothing")
 	}
 	if d1.mine == nil || len(d1.mine.docs) == 0 {

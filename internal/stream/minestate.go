@@ -411,8 +411,8 @@ func (d *Detector) flushIncremental() []int {
 	localToks = append(localToks, d.pendingToks...)
 	localSel = append(localSel, newSel...)
 	localIDs = append(localIDs, d.pendingIDs...)
-	d.stats.MineReusedDocs += reused
-	d.stats.MineClusteredDocs += len(localIDs)
+	d.stats.MineReused += reused
+	d.stats.MineClustered += len(localIDs)
 
 	// Components over the shared-phrase graph: union-find, joining each
 	// document to its phrases' owners (the first local document holding
@@ -501,12 +501,11 @@ func (d *Detector) flushIncremental() []int {
 			}
 			ti := len(d.templates)
 			d.register(Template{
-				Pattern:  tr.Template,
 				Wild:     wild,
 				Tokens:   tokens,
 				DocCount: len(tr.Docs),
 			})
-			d.stats.TemplatesMined++
+			d.stats.Mined++
 			newTIs = append(newTIs, ti)
 			for _, l := range tr.Docs {
 				d.assignments[localIDs[l]] = ti

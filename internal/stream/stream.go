@@ -28,7 +28,6 @@ import (
 
 	"infoshield/internal/core"
 	"infoshield/internal/par"
-	"infoshield/internal/template"
 	"infoshield/internal/tokenize"
 )
 
@@ -43,7 +42,6 @@ type Assignment struct {
 
 // Template is one mined template with its running document count.
 type Template struct {
-	Pattern  template.Template
 	Wild     []bool // per position: is a slot (wildcard for matching)
 	Tokens   []int  // constants (slot positions keep the consensus token)
 	DocCount int
@@ -249,7 +247,7 @@ func (d *Detector) Add(text string) int {
 // tokenizing a second time.
 func (d *Detector) AddTokens(text string, words []string) int {
 	toks := d.vocab.Encode(words)
-	return d.apply(text, toks, d.match(toks, d.vocab.Size(), &d.sc, &d.stats))
+	return d.apply(text, toks, d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats))
 }
 
 // NextID returns the id the next ingested document will receive (equal
@@ -372,7 +370,7 @@ func (d *Detector) matchRange(toks [][]int, sizes, verdicts []int, start, end, w
 	}
 	if workers <= 1 || len(d.templates) == 0 {
 		for i := start; i < end; i++ {
-			verdicts[i] = d.match(toks[i], sizes[i], &d.sc, &d.stats)
+			verdicts[i] = d.match(toks[i], sizes[i], &d.sc, &d.stats.MatchStats)
 		}
 		return
 	}
@@ -380,7 +378,7 @@ func (d *Detector) matchRange(toks [][]int, sizes, verdicts []int, start, end, w
 		d.batchSc = append(d.batchSc, &matchScratch{})
 	}
 	for w := 0; w < workers; w++ {
-		d.batchSc[w].stats = Stats{}
+		d.batchSc[w].stats = MatchStats{}
 	}
 	par.Map(verdicts[start:end], workers,
 		func(w int) *matchScratch { return d.batchSc[w] },
@@ -388,7 +386,7 @@ func (d *Detector) matchRange(toks [][]int, sizes, verdicts []int, start, end, w
 			return d.match(toks[start+i], sizes[start+i], sc, &sc.stats)
 		})
 	for w := 0; w < workers; w++ {
-		d.stats.add(d.batchSc[w].stats)
+		d.stats.MatchStats.Add(d.batchSc[w].stats)
 	}
 }
 
@@ -518,12 +516,11 @@ func (d *Detector) flushBatch() []int {
 			}
 			ti := len(d.templates)
 			d.register(Template{
-				Pattern:  tr.Template,
 				Wild:     wild,
 				Tokens:   tokens,
 				DocCount: len(tr.Docs),
 			})
-			d.stats.TemplatesMined++
+			d.stats.Mined++
 			newTIs = append(newTIs, ti)
 			for _, local := range tr.Docs {
 				d.assignments[d.pendingIDs[local]] = ti
