@@ -9,7 +9,7 @@
 // Endpoints:
 //
 //	POST /v1/docs             {"text": "..."} or {"texts": ["...", ...]}
-//	GET  /v1/assignments/{id}
+//	GET  /v1/assignments/{id} 404 for an id never issued
 //	GET  /v1/templates
 //	GET  /v1/stats            per-shard blocks plus the rolled-up total
 //	POST /v1/flush

@@ -95,8 +95,7 @@ func FuzzServe(f *testing.F) {
 				if rerr != nil || resp.StatusCode != http.StatusOK {
 					t.Fatalf("op %d: snapshot status %d err %v", pc, resp.StatusCode, rerr)
 				}
-				// A snapshot mines the pending buffer first (so the state is
-				// self-contained at its high-water mark); mirror that.
+				// A snapshot mines the pending buffer first; mirror that.
 				ref.Flush()
 				var man manifestV2
 				if err := json.Unmarshal(state, &man); err != nil {
@@ -104,9 +103,6 @@ func FuzzServe(f *testing.F) {
 				}
 				if man.Version != 2 || man.Shards != 1 || len(man.States) != 1 {
 					t.Fatalf("op %d: manifest %+v", pc, man)
-				}
-				if man.HWM[0] != next {
-					t.Fatalf("op %d: snapshot hwm %d, ingested %d", pc, man.HWM[0], next)
 				}
 				// The shard state must be byte-identical to the reference's own
 				// Save — the persisted form stores words, not vocabulary ids,
@@ -124,6 +120,9 @@ func FuzzServe(f *testing.F) {
 				restored := stream.New(core.Options{Workers: 1})
 				if err := restored.Load(bytes.NewReader(man.States[0])); err != nil {
 					t.Fatalf("op %d: snapshot does not load: %v", pc, err)
+				}
+				if restored.NextID() != next {
+					t.Fatalf("op %d: snapshot holds %d documents, ingested %d", pc, restored.NextID(), next)
 				}
 			}
 		}
@@ -147,8 +146,8 @@ func FuzzServe(f *testing.F) {
 // crash+reboot (close without drain, then replay from the write-ahead
 // log), mirrored on S serial reference detectors fed each shard's
 // subsequence via the same routing function. Every verdict, every
-// post-reboot assignment, and the final template/pending state must
-// match the references exactly.
+// acknowledged document's assignment after the last reboot, and the
+// final template/pending state must match the references exactly.
 func FuzzServeSharded(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 3}, "hello world this is text", uint8(2))
 	f.Add([]byte{0, 4, 8, 4, 12, 3, 0, 1}, "limited offer buy now\nlimited offer buy now", uint8(3))
@@ -198,13 +197,6 @@ func FuzzServeSharded(f *testing.F) {
 		var tk tokenize.Tokenizer
 		type docRef struct{ shard, local int }
 		var ingested []docRef
-		// snapHWM tracks each shard's document count at the latest live
-		// snapshot; bootHWM is the mark the most recent reboot loaded from.
-		// Assignments below bootHWM are not reproducible after a crash (the
-		// id→template map is not persisted — only template state and the
-		// WAL tail are), so the final sweep skips them.
-		snapHWM := make([]int, S)
-		bootHWM := make([]int, S)
 		refAdd := func(text string) docRef {
 			k := int(routeKey(RouteHash, tk.Tokens(text)) % uint64(S))
 			d := docRef{shard: k, local: refs[k].Add(text)}
@@ -270,9 +262,8 @@ func FuzzServeSharded(f *testing.F) {
 				if _, err := sh.Snapshot(statePath); err != nil {
 					t.Fatalf("op %d: snapshot: %v", pc, err)
 				}
-				for k, r := range refs {
+				for _, r := range refs {
 					r.Flush()
-					snapHWM[k] = r.NextID()
 				}
 			case 4: // crash: close without drain, reboot, replay from WAL
 				if err := sh.Close(); err != nil {
@@ -282,19 +273,13 @@ func FuzzServeSharded(f *testing.F) {
 				if err != nil {
 					t.Fatalf("op %d: reboot: %v", pc, err)
 				}
-				copy(bootHWM, snapHWM)
 			}
 		}
 
-		// Every acked document at or above its shard's boot mark must be
-		// reproducible — including across any crash/reboot in the program:
-		// WAL replay reconstructs the exact pre-crash assignment map above
-		// the snapshot high-water mark (the full map when nothing was
-		// snapshotted before the crash).
+		// Every acked document must be reproducible across any crash/reboot
+		// in the program: the snapshot state carries the verdicts below its
+		// document count, and WAL replay reconstructs the rest.
 		for i, d := range ingested {
-			if d.local < bootHWM[d.shard] {
-				continue
-			}
 			v, err := sh.Assignment(d.local*S + d.shard)
 			if err != nil {
 				t.Fatal(err)

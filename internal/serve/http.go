@@ -32,7 +32,7 @@ func NewServer(sh *Sharded, statePath string) *Server {
 // Handler returns the API routes:
 //
 //	POST /v1/docs          ingest {"text": ...} or {"texts": [...]}
-//	GET  /v1/assignments/{id}
+//	GET  /v1/assignments/{id}  404 for an id never issued
 //	GET  /v1/templates
 //	GET  /v1/stats         per-shard blocks plus the rolled-up total
 //	POST /v1/flush         force a mining pass over buffered documents
@@ -202,10 +202,15 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // serveError maps coalescer errors to HTTP statuses: a closed queue is
-// 503 (the daemon is shutting down), anything else 500.
+// 503 (the daemon is shutting down), an id never issued 404, anything
+// else 500.
 func serveError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrClosed) {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	if errors.Is(err, ErrNotFound) {
+		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	httpError(w, http.StatusInternalServerError, err.Error())

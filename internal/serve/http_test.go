@@ -239,7 +239,7 @@ func TestServerSnapshotBody(t *testing.T) {
 	if err := json.Unmarshal(state, &man); err != nil {
 		t.Fatalf("snapshot body is not a manifest: %v", err)
 	}
-	if man.Version != 2 || man.Shards != 1 || len(man.States) != 1 || len(man.HWM) != 1 {
+	if man.Version != 2 || man.Shards != 1 || len(man.States) != 1 {
 		t.Fatalf("manifest %+v", man)
 	}
 	restored := stream.New(core.Options{})

@@ -319,11 +319,15 @@ func (c *Coalescer) count(start time.Time, docs int) {
 	c.ctr.BatchSizeHist[min(bits.Len(uint(docs-1)), histBuckets-1)]++
 }
 
-// Assignment returns the current verdict for a document id.
-func (c *Coalescer) Assignment(id int) stream.Assignment {
+// Assignment returns the current verdict for a document id; ok is false
+// for an id the detector has not issued.
+func (c *Coalescer) Assignment(id int) (a stream.Assignment, ok bool) {
 	c.commit.RLock()
 	defer c.commit.RUnlock()
-	return c.det.Assignment(id)
+	if id < 0 || id >= c.det.NextID() {
+		return stream.Assignment{}, false
+	}
+	return c.det.Assignment(id), true
 }
 
 // Templates returns the mined templates rendered for reporting. The

@@ -20,6 +20,10 @@ import (
 // begun: the shards no longer accept work.
 var ErrClosed = errors.New("serve: closed")
 
+// ErrNotFound is returned by Assignment for a document id the daemon has
+// not issued.
+var ErrNotFound = errors.New("serve: no such document")
+
 // Sharded scales the serving daemon past one commit lock: S independent
 // detector shards, each owning its own stream.Detector, coalescer,
 // inverted index, write-ahead log, and snapshot file. A document routes
@@ -77,7 +81,7 @@ type ShardedConfig struct {
 	// WALDir, when set, enables a per-shard write-ahead log
 	// (wal-<shard>.log inside the directory): every acked document is on
 	// disk before its submitter sees a verdict, and boot replays the log
-	// above the last snapshot's high-water mark.
+	// above the document count of the last snapshot's state.
 	WALDir string
 	// WALNoSync skips the per-commit fsync (tests and benchmarks; a
 	// production log should sync).
@@ -92,9 +96,8 @@ type ShardedConfig struct {
 	NewDetector func() *stream.Detector
 }
 
-// NewSharded builds the shard set: loads the manifest when present,
-// rebases each shard to its snapshot high-water mark, and replays its
-// WAL tail.
+// NewSharded builds the shard set: loads the manifest when present and
+// replays each shard's WAL from the first document its state lacks.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	n := cfg.Shards
 	if n == 0 {
@@ -132,20 +135,15 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	}()
 	for k := 0; k < n; k++ {
 		det := newDet()
-		hwm := 0
 		if man != nil {
 			if err := det.Load(bytes.NewReader(man.States[k])); err != nil {
 				return nil, fmt.Errorf("serve: shard %d state: %w", k, err)
-			}
-			hwm = man.HWM[k]
-			if err := det.SetNextID(hwm); err != nil {
-				return nil, fmt.Errorf("serve: shard %d: %w", k, err)
 			}
 		}
 		sh := &shardState{det: det, co: NewCoalescer(det, cfg.Coalescer)}
 		if cfg.WALDir != "" {
 			sh.wal, err = openWAL(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", k)),
-				det, hwm, !cfg.WALNoSync)
+				det, det.NextID(), !cfg.WALNoSync)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d: %w", k, err)
 			}
@@ -248,15 +246,22 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 }
 
 // Assignment returns the live verdict for a global document id (which
-// encodes its shard: id = local*S + shard).
+// encodes its shard: id = local*S + shard), or ErrNotFound for an id the
+// shard has not issued.
 func (s *Sharded) Assignment(id int) (Verdict, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return Verdict{}, ErrClosed
 	}
+	if id < 0 {
+		return Verdict{}, ErrNotFound
+	}
 	shard, local := id%s.n, id/s.n
-	a := s.shards[shard].co.Assignment(local)
+	a, ok := s.shards[shard].co.Assignment(local)
+	if !ok {
+		return Verdict{}, ErrNotFound
+	}
 	return s.globalize(shard, Verdict{ID: local, Template: a.Template, Pending: a.Pending}), nil
 }
 
@@ -296,10 +301,10 @@ func (s *Sharded) Templates() ([]ShardTemplate, error) {
 }
 
 // Flush forces a mining pass on every shard. An explicit flush changes
-// the assignment map (pending documents get mined early), so each shard
-// logs a flush marker to its WAL under the commit lock — so the marker
-// sits between the same two group commits as the flush — and crash
-// replay re-executes it.
+// verdicts (pending documents get mined early), so each shard logs a
+// flush marker to its WAL under the commit lock — so the marker sits
+// between the same two group commits as the flush — and crash replay
+// re-executes it.
 func (s *Sharded) Flush() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -391,9 +396,10 @@ func rollup(t *Stats, st Stats) {
 	}
 }
 
-// manifestV2 is the sharded snapshot: per-shard state (on-disk as
+// manifestV2 is the sharded snapshot: per-shard state, on-disk as
 // sibling files named by the manifest, or inline for the streamed body
-// form) plus each shard's document-id high-water mark. Shard files are
+// form. Each state carries its shard's verdicts, so its document count
+// is where write-ahead-log replay resumes. Shard files are
 // generation-numbered — a new snapshot writes fresh names and renames
 // the manifest last, so a crash at any point leaves either the old
 // manifest with its old files or the new manifest with its new files,
@@ -403,7 +409,6 @@ type manifestV2 struct {
 	Shards  int               `json:"shards"`
 	Route   string            `json:"route"`
 	Gen     int               `json:"gen,omitempty"`
-	HWM     []int             `json:"hwm"`
 	Files   []string          `json:"files,omitempty"`
 	States  []json.RawMessage `json:"states,omitempty"`
 }
@@ -437,9 +442,6 @@ func readManifest(path string, wantShards int, wantRoute string) (*manifestV2, e
 		return nil, fmt.Errorf("serve: %s was snapshotted with route %q, running with %q",
 			path, man.Route, wantRoute)
 	}
-	if len(man.HWM) != man.Shards {
-		return nil, fmt.Errorf("serve: %s: %d high-water marks for %d shards", path, len(man.HWM), man.Shards)
-	}
 	if man.States == nil {
 		if len(man.Files) != man.Shards {
 			return nil, fmt.Errorf("serve: %s: %d shard files for %d shards", path, len(man.Files), man.Shards)
@@ -463,20 +465,19 @@ func readManifest(path string, wantShards int, wantRoute string) (*manifestV2, e
 // atomically (fresh generation-numbered shard files, each tmp+rename,
 // manifest renamed last as the commit point), and returns the total
 // byte count. Each shard flushes its pending buffer inside its own
-// snapshot step, so every shard file is self-contained at its recorded
-// high-water mark — the contract WAL replay needs. The WAL is NOT
-// truncated here (see Drain): replay just skips records below the mark.
+// snapshot step. The WAL is NOT truncated here (see Drain): replay just
+// skips the records a shard's state already holds.
 func (s *Sharded) Snapshot(path string) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return 0, ErrClosed
 	}
-	states, hwms, err := s.collect()
+	states, err := s.collect()
 	if err != nil {
 		return 0, err
 	}
-	return s.writeManifest(path, states, hwms)
+	return s.writeManifest(path, states)
 }
 
 // SnapshotTo streams the combined form — the manifest with shard states
@@ -488,7 +489,7 @@ func (s *Sharded) SnapshotTo(w io.Writer) error {
 	if s.closed {
 		return ErrClosed
 	}
-	states, hwms, err := s.collect()
+	states, err := s.collect()
 	if err != nil {
 		return err
 	}
@@ -497,46 +498,41 @@ func (s *Sharded) SnapshotTo(w io.Writer) error {
 		inline[k] = st
 	}
 	return json.NewEncoder(w).Encode(&manifestV2{
-		Version: 2, Shards: s.n, Route: s.route, HWM: hwms, States: inline,
+		Version: 2, Shards: s.n, Route: s.route, States: inline,
 	})
 }
 
 // collect runs each shard's snapshot step under its commit lock: flush
-// the pending buffer, save, and capture the document-id high-water
-// mark, so the state is self-contained at exactly that mark and
-// write-ahead-log replay can skip every record below it. A WAL flush
-// marker makes the mining pass survive a crash even when the manifest
-// being written here is not the one the next boot reads
-// (snapshot-to-override-path).
-func (s *Sharded) collect() (states [][]byte, hwms []int, err error) {
+// the pending buffer and save. The flush is logged like any other, so
+// the mining pass survives a crash even when the manifest being written
+// here never commits (the streamed form, or a failed rename).
+func (s *Sharded) collect() (states [][]byte, err error) {
 	states = make([][]byte, s.n)
-	hwms = make([]int, s.n)
 	for k, sh := range s.shards {
 		sh.co.exclusive(func() {
 			sh.flush()
-			states[k], hwms[k], err = sh.save()
+			states[k], err = sh.save()
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return states, hwms, nil
+	return states, nil
 }
 
-// save serializes the shard's detector and returns the state with its
-// document-id high-water mark. The caller holds the commit lock or has
-// closed the accept gate.
-func (sh *shardState) save() ([]byte, int, error) {
+// save serializes the shard's detector. The caller holds the commit lock
+// or has closed the accept gate.
+func (sh *shardState) save() ([]byte, error) {
 	var buf bytes.Buffer
 	err := sh.det.Save(&buf)
-	return buf.Bytes(), sh.det.NextID(), err
+	return buf.Bytes(), err
 }
 
 // writeManifest writes a new snapshot generation. Shard files get fresh
 // names (<base>.g<gen>.shard<k>), so the previous generation stays
 // intact until the manifest rename commits; the superseded files are
 // removed afterwards, best-effort.
-func (s *Sharded) writeManifest(path string, states [][]byte, hwms []int) (int64, error) {
+func (s *Sharded) writeManifest(path string, states [][]byte) (int64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	dir, base := filepath.Split(path)
@@ -552,7 +548,7 @@ func (s *Sharded) writeManifest(path string, states [][]byte, hwms []int) (int64
 		total += int64(len(st))
 	}
 	mb, err := json.Marshal(&manifestV2{
-		Version: 2, Shards: len(states), Route: s.route, Gen: gen, HWM: hwms, Files: files,
+		Version: 2, Shards: len(states), Route: s.route, Gen: gen, Files: files,
 	})
 	if err != nil {
 		return 0, err
@@ -569,7 +565,12 @@ func (s *Sharded) writeManifest(path string, states [][]byte, hwms []int) (int64
 	return total, nil
 }
 
-// atomicWrite writes b to path via a synced sibling temp file + rename.
+// atomicWrite writes b to path via a synced sibling temp file + rename,
+// then syncs the directory so the rename itself is durable before the
+// caller acts on it: writeManifest deletes the previous generation and
+// Drain truncates the logs right after the manifest rename, and a file
+// system that does not order metadata across files could otherwise keep
+// those and lose the rename.
 func atomicWrite(path string, b []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -591,7 +592,15 @@ func atomicWrite(path string, b []byte) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	return nil
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Drain is the graceful-shutdown protocol, in order: (1) the accept
@@ -615,15 +624,14 @@ func (s *Sharded) Drain(path string) error {
 	var err error
 	if path != "" {
 		states := make([][]byte, s.n)
-		hwms := make([]int, s.n)
 		for k, sh := range s.shards {
 			sh.det.Flush()
-			if states[k], hwms[k], err = sh.save(); err != nil {
+			if states[k], err = sh.save(); err != nil {
 				break
 			}
 		}
 		if err == nil {
-			_, err = s.writeManifest(path, states, hwms)
+			_, err = s.writeManifest(path, states)
 		}
 		if err == nil {
 			for _, sh := range s.shards {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -228,9 +230,10 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestShardedWALReplay simulates a crash (Close without Drain leaves the
-// WAL intact) and verifies reboot replays to the exact pre-crash
-// assignment map — fully when nothing was snapshotted, and above the
-// snapshot high-water mark when a live snapshot happened mid-stream.
+// WAL intact) and verifies reboot restores every pre-crash verdict —
+// replaying the whole log when nothing was snapshotted, and only the
+// records above the snapshot state's document count when a live
+// snapshot happened mid-stream.
 func TestShardedWALReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -336,9 +339,6 @@ func TestShardedWALReplay(t *testing.T) {
 				t.Fatalf("replayed %d records, want %d", replayed, wantReplayed)
 			}
 			for _, id := range ids {
-				if tc.snapshot && id/tc.S < hwm[id%tc.S] {
-					continue // below the snapshot mark: state-only, map not kept
-				}
 				v, err := sh2.Assignment(id)
 				if err != nil {
 					t.Fatal(err)
@@ -415,6 +415,151 @@ func TestShardedDrain(t *testing.T) {
 	for _, ps := range st.PerShard {
 		if ps.WAL.Replayed != 0 {
 			t.Fatalf("shard %d replayed %d records after a clean drain", ps.Shard, ps.WAL.Replayed)
+		}
+	}
+}
+
+// TestShardedRestartKeepsVerdicts restarts a sharded daemon with the WAL
+// on in each of the three ways it can stop — a live snapshot then Close,
+// a graceful Drain, and a crash whose log holds records above the
+// snapshot's document count — and requires every acknowledged id to
+// read its pre-restart verdict afterwards: the snapshot state carries
+// the verdicts it holds, and replay reconstructs the rest. Over HTTP an
+// id a shard has not issued is 404, while a noise id stays 200 with
+// template -1.
+func TestShardedRestartKeepsVerdicts(t *testing.T) {
+	for _, S := range []int{1, 3} {
+		for _, mode := range []string{"snapshot-close", "drain", "crash-above-snapshot"} {
+			t.Run(fmt.Sprintf("S%d-%s", S, mode), func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := ShardedConfig{
+					Shards: S, WALDir: dir, WALNoSync: true,
+					StatePath:   filepath.Join(dir, "state.json"),
+					NewDetector: shardMineDetector(1 << 30),
+				}
+				sh, err := NewSharded(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs := corpusFor(41, 150)
+				var ids []int
+				ingest := func(texts []string) {
+					t.Helper()
+					vs, err := sh.Submit(texts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range vs {
+						ids = append(ids, v.ID)
+					}
+				}
+				ingest(docs[:120])
+				if err := sh.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				ingest(docs[120:121])
+				switch mode {
+				case "snapshot-close", "crash-above-snapshot":
+					if _, err := sh.Snapshot(cfg.StatePath); err != nil {
+						t.Fatal(err)
+					}
+					if mode == "crash-above-snapshot" {
+						// Logged above the snapshot: some match, the rest stay
+						// pending, and only replay can restore them.
+						ingest(docs[121:])
+					}
+				case "drain":
+					// Drain mines the buffer before it saves; flush first so
+					// the verdicts read below are the ones Drain persists.
+					if err := sh.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				want := map[int]Verdict{}
+				matched, noise, pending := 0, 0, 0
+				for _, id := range ids {
+					v, err := sh.Assignment(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[id] = v
+					switch {
+					case v.Pending:
+						pending++
+					case v.Template >= 0:
+						matched++
+					default:
+						noise++
+					}
+				}
+				if matched == 0 || noise == 0 || (mode == "crash-above-snapshot") != (pending > 0) {
+					t.Fatalf("verdict mix %d matched / %d noise / %d pending does not exercise %s",
+						matched, noise, pending, mode)
+				}
+				if mode == "drain" {
+					err = sh.Drain(cfg.StatePath)
+				} else {
+					err = sh.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				sh2, err := NewSharded(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(NewServer(sh2, "").Handler())
+				defer func() {
+					ts.Close()
+					if err := sh2.Close(); err != nil {
+						t.Error(err)
+					}
+				}()
+				st, err := sh2.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayed := int64(0)
+				for _, ps := range st.PerShard {
+					replayed += ps.WAL.Replayed
+				}
+				if (mode == "crash-above-snapshot") != (replayed > 0) {
+					t.Fatalf("%s replayed %d records", mode, replayed)
+				}
+				noiseID := -1
+				for _, id := range ids {
+					v, err := sh2.Assignment(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v != want[id] {
+						t.Fatalf("doc %d after restart: %+v, before %+v", id, v, want[id])
+					}
+					if !v.Pending && v.Template < 0 {
+						noiseID = id
+					}
+				}
+
+				var a assignmentResponse
+				if code := getJSON(t, fmt.Sprintf("%s/v1/assignments/%d", ts.URL, noiseID), &a); code != http.StatusOK ||
+					a.ID != noiseID || a.Template != -1 || a.Pending {
+					t.Fatalf("noise id %d: status %d, %+v", noiseID, code, a)
+				}
+				unissued := []int{99999}
+				for k, shs := range sh2.shards {
+					unissued = append(unissued, shs.det.NextID()*S+k)
+				}
+				for _, id := range unissued {
+					if _, err := sh2.Assignment(id); err != ErrNotFound {
+						t.Fatalf("id %d: err %v, want ErrNotFound", id, err)
+					}
+					if code := getJSON(t, fmt.Sprintf("%s/v1/assignments/%d", ts.URL, id), nil); code != http.StatusNotFound {
+						t.Fatalf("GET id %d: status %d, want 404", id, code)
+					}
+				}
+			})
 		}
 	}
 }

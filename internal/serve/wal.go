@@ -19,8 +19,8 @@ import (
 // Durability contract: a record is on disk before its submitter sees a
 // verdict, so a crash between snapshots loses nothing that was acked
 // (documents in a batch cut down by the crash were never acked). Replay
-// on boot re-ingests records at or above the snapshot's high-water mark
-// in id order; a torn tail — the partial line a mid-append crash leaves
+// on boot re-ingests, in id order, the records at or above the document
+// count of the snapshot's state (its high-water mark); a torn tail — the partial line a mid-append crash leaves
 // — is detected, dropped, and truncated away so appends resume cleanly.
 //
 // The log is only truncated by graceful drain, after the final snapshot
@@ -70,8 +70,8 @@ type WALStats struct {
 // or an explicit flush marker. Everything else (tokenization, verdict,
 // template state) is a deterministic function of the event sequence —
 // detector auto-flushes at BatchSize are reproduced by the replayed
-// Adds themselves, but operator-triggered flushes change the assignment
-// map (pending documents get mined early), so they are logged and
+// Adds themselves, but operator-triggered flushes change verdicts
+// (pending documents get mined early), so they are logged and
 // re-executed to reproduce the exact pre-crash state.
 type walRecord struct {
 	ID    int    `json:"id"`
@@ -82,8 +82,8 @@ type walRecord struct {
 // openWAL opens (creating if absent) the shard WAL at path, replays
 // records with id >= hwm into det — verifying the detector reassigns
 // exactly the logged ids — truncates any torn tail, and leaves the file
-// positioned for appends. det must be rebased (SetNextID) to hwm before
-// the call.
+// positioned for appends. hwm is det's document count (its NextID): the
+// records below it are already in det's restored state.
 func openWAL(path string, det detectorReplay, hwm int, fsync bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // stubDetector records the replay calls the WAL makes, standing in for a
-// stream.Detector rebased to some high-water mark.
+// stream.Detector restored from a state holding some number of documents.
 type stubDetector struct {
 	next    int
 	added   []string

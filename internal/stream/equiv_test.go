@@ -85,12 +85,12 @@ func randomStreamCorpus(rng *rand.Rand, n int) []string {
 }
 
 // compareDetectors fails the test unless a and b agree on every piece of
-// caller-visible state: assignments, template order and contents,
+// caller-visible state: verdicts, template order and contents,
 // DocCounts, and the pending buffer.
 func compareDetectors(t *testing.T, label string, a, b *Detector) {
 	t.Helper()
-	if !reflect.DeepEqual(a.assignments, b.assignments) {
-		t.Fatalf("%s: assignments differ", label)
+	if !reflect.DeepEqual(a.verdicts, b.verdicts) {
+		t.Fatalf("%s: verdicts differ", label)
 	}
 	if len(a.templates) != len(b.templates) {
 		t.Fatalf("%s: template counts %d vs %d", label, len(a.templates), len(b.templates))
@@ -104,9 +104,6 @@ func compareDetectors(t *testing.T, label string, a, b *Detector) {
 	}
 	if !reflect.DeepEqual(a.pendingIDs, b.pendingIDs) || !reflect.DeepEqual(a.pendingTexts, b.pendingTexts) {
 		t.Fatalf("%s: pending buffers differ", label)
-	}
-	if !reflect.DeepEqual(a.pendingSet, b.pendingSet) {
-		t.Fatalf("%s: pending sets differ", label)
 	}
 	// Lifecycle bookkeeping is maintained unconditionally (the recency
 	// clock is a pure per-document function), so it must agree too.

@@ -16,15 +16,18 @@ import (
 // through 16-document AddBatch calls with BatchSize 256, a 64-template
 // cap, TTL 50000, merge and incremental mining on. Three FNV-1a hashes
 // cover the verdict every call returned, every document's final
-// Assignment, and the Save bytes; the values were computed before the
-// miner moved off Go maps, so any change to phrase identity, DF counting,
-// selection, clustering or window bookkeeping fails here, at any worker
-// count.
+// Assignment, and the Save bytes; the verdict and final values were
+// computed before the miner moved off Go maps, so any change to phrase
+// identity, DF counting, selection, clustering or window bookkeeping
+// fails here, at any worker count. The save value was re-pinned when the
+// state gained its verdict column (version 3): the same state re-encoded
+// in the version-2 layout (no verdicts, next_id = column length) hashes
+// to the version-2 pin, 0x47703060fdfec339.
 func TestGoldenIncrementalMine(t *testing.T) {
 	const (
 		wantVerdicts = 0x8aef4b26b23c595b
 		wantFinal    = 0x44fd9c3f68f16bab
-		wantSave     = 0x47703060fdfec339
+		wantSave     = 0x84943da11f269323
 		nDocs, call  = 20000, 16
 	)
 	docs := datagen.NewDriftStream(datagen.DriftConfig{Seed: 3}).Docs(0, nDocs)

@@ -177,7 +177,7 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 			if d.isDead(ti) {
 				continue
 			}
-			if d.nextID-d.lastMatch[ti] > lc.TTL {
+			if len(d.verdicts)-d.lastMatch[ti] > lc.TTL {
 				d.kill(ti, -1)
 				d.stats.AgedOut++
 			}

@@ -508,7 +508,7 @@ func (d *Detector) flushIncremental() []int {
 			d.stats.Mined++
 			newTIs = append(newTIs, ti)
 			for _, l := range tr.Docs {
-				d.assignments[localIDs[l]] = ti
+				d.verdicts[localIDs[l]] = int32(ti)
 				matched[l] = true
 			}
 		}

@@ -138,13 +138,14 @@ type Detector struct {
 	ones  []int
 
 	pendingTexts []string
-	pendingToks  [][]int     // detector-vocab token ids, parallel to pendingTexts
-	pendingIDs   []int       // caller-visible doc ids of buffered docs
-	pendingSet   map[int]int // doc id -> position in pendingIDs (O(1) lookups)
+	pendingToks  [][]int // detector-vocab token ids, parallel to pendingTexts
+	pendingIDs   []int   // caller-visible doc ids of buffered docs
 
-	nextID      int
-	ingested    bool        // a document has been ingested through apply
-	assignments map[int]int // doc id -> template index
+	// verdicts holds every ingested document's verdict, indexed by
+	// document id: a raw template index (merged templates resolve through
+	// forward at read time), verdictNoise, or verdictPending. Its length
+	// is the next document id.
+	verdicts []int32
 
 	sc      matchScratch    // serial probe scratch (Add)
 	batchSc []*matchScratch // per-worker probe scratches (AddBatch)
@@ -154,13 +155,19 @@ type Detector struct {
 // New creates an empty detector.
 func New(opt core.Options) *Detector {
 	return &Detector{
-		BatchSize:   512,
-		Options:     opt,
-		vocab:       tokenize.NewVocab(),
-		pendingSet:  make(map[int]int),
-		assignments: make(map[int]int),
+		BatchSize: 512,
+		Options:   opt,
+		vocab:     tokenize.NewVocab(),
 	}
 }
+
+// Verdict column values below zero: verdictNoise for a document no
+// template claims, verdictPending for one buffered for the next mining
+// pass.
+const (
+	verdictNoise   = -1
+	verdictPending = -2
+)
 
 // NumTemplates returns the number of template slots ever mined,
 // including lifecycle tombstones (template indices are stable; retired
@@ -224,13 +231,14 @@ func (d *Detector) Stats() Stats { return d.stats }
 // historical verdict stands, the template just stops matching new
 // documents).
 func (d *Detector) Assignment(id int) Assignment {
-	if t, ok := d.assignments[id]; ok {
-		return Assignment{Template: d.resolve(t)}
+	if id < 0 || id >= len(d.verdicts) {
+		return Assignment{Template: -1}
 	}
-	if _, ok := d.pendingSet[id]; ok {
-		return Assignment{Template: -1, Pending: true}
+	v := int(d.verdicts[id])
+	if v < 0 {
+		return Assignment{Template: -1, Pending: v == verdictPending}
 	}
-	return Assignment{Template: -1}
+	return Assignment{Template: d.resolve(v)}
 }
 
 // Add ingests one document and returns its id. The document either
@@ -250,47 +258,24 @@ func (d *Detector) AddTokens(text string, words []string) int {
 	return d.apply(text, toks, d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats))
 }
 
-// NextID returns the id the next ingested document will receive (equal
-// to the number of documents ingested plus any SetNextID base). It is
-// the snapshot high-water mark the serving layer persists.
-func (d *Detector) NextID() int { return d.nextID }
-
-// SetNextID rebases document ids so the next ingested document receives
-// id n. Only legal before any document has been ingested through this
-// process (restoring state with Load is fine — a serving shard restored
-// from a snapshot rebases to the snapshot's high-water mark, so
-// write-ahead-log replay reassigns exactly the logged ids), and n must
-// not fall below the restored high-water mark (ids would collide with
-// persisted ones).
-func (d *Detector) SetNextID(n int) error {
-	if d.ingested {
-		return fmt.Errorf("stream: SetNextID(%d) after documents were ingested", n)
-	}
-	if n < 0 {
-		return fmt.Errorf("stream: SetNextID(%d): negative id", n)
-	}
-	if n < d.nextID {
-		return fmt.Errorf("stream: SetNextID(%d) below restored high-water mark %d", n, d.nextID)
-	}
-	d.nextID = n
-	return nil
-}
+// NextID returns the id the next ingested document will receive: the
+// number of documents the detector holds verdicts for, restored ones
+// included.
+func (d *Detector) NextID() int { return len(d.verdicts) }
 
 // apply commits one matched-or-buffered verdict in arrival order: the
 // single mutation point Add and AddBatch share, so batched ingestion has
 // exactly the serial path's effects (including flushes that fire
 // mid-batch).
 func (d *Detector) apply(text string, toks []int, verdict int) int {
-	id := d.nextID
-	d.nextID++
-	d.ingested = true
+	id := len(d.verdicts)
 	if verdict >= 0 {
-		d.assignments[id] = verdict
+		d.verdicts = append(d.verdicts, int32(verdict))
 		d.templates[verdict].DocCount++
 		d.lastMatch[verdict] = id
 		return id
 	}
-	d.pendingSet[id] = len(d.pendingIDs)
+	d.verdicts = append(d.verdicts, verdictPending)
 	d.pendingTexts = append(d.pendingTexts, text)
 	d.pendingToks = append(d.pendingToks, toks)
 	d.pendingIDs = append(d.pendingIDs, id)
@@ -423,7 +408,7 @@ func (d *Detector) register(t Template) {
 	d.forward = append(d.forward, -1)
 	// Registration seeds the recency clock at the current high-water
 	// mark, so a fresh template gets a full TTL before age-out.
-	d.lastMatch = append(d.lastMatch, d.nextID)
+	d.lastMatch = append(d.lastMatch, len(d.verdicts))
 	d.liveCount++
 	d.index.add(ti, t.Tokens, t.Wild, slots)
 }
@@ -457,19 +442,24 @@ func (d *Detector) Register(words []string, wild []bool) (int, error) {
 }
 
 // Flush mines the buffered documents, appending any accepted templates
-// and assigning their member documents. With Lifecycle.Incremental off
+// and assigning their member documents. Every buffered document's
+// verdict first becomes noise; the mining pass then writes the new
+// template into its members' verdicts. With Lifecycle.Incremental off
 // the batch pipeline runs over the buffer (buffered documents that end
-// in no template are released as noise: their assignment stays -1 and
-// is final); with it on, the incremental miner extends its cross-flush
-// state instead (see minestate.go) and unmatched documents are retained
-// for a bounded number of later passes. Either way the lifecycle pass
-// (merge, age-out, cap eviction) runs after mining.
+// in no template are released as noise, and that verdict is final);
+// with it on, the incremental miner extends its cross-flush state
+// instead (see minestate.go) and unmatched documents are retained for a
+// bounded number of later passes. Either way the lifecycle pass (merge,
+// age-out, cap eviction) runs after mining.
 func (d *Detector) Flush() {
 	if len(d.pendingTexts) == 0 {
 		return
 	}
 	d.stats.Flushes++
 	d.stats.FlushDocs += len(d.pendingTexts)
+	for _, id := range d.pendingIDs {
+		d.verdicts[id] = verdictNoise
+	}
 	var newTIs []int
 	if d.Lifecycle.Incremental {
 		newTIs = d.flushIncremental()
@@ -479,7 +469,6 @@ func (d *Detector) Flush() {
 	d.pendingTexts = nil
 	d.pendingToks = nil
 	d.pendingIDs = nil
-	clear(d.pendingSet)
 	d.lifecyclePass(newTIs)
 }
 
@@ -523,7 +512,7 @@ func (d *Detector) flushBatch() []int {
 			d.stats.Mined++
 			newTIs = append(newTIs, ti)
 			for _, local := range tr.Docs {
-				d.assignments[d.pendingIDs[local]] = ti
+				d.verdicts[d.pendingIDs[local]] = int32(ti)
 			}
 		}
 	}

@@ -169,8 +169,65 @@ func TestLoadRejectsBadState(t *testing.T) {
 	if d.NumTemplates() != 0 {
 		t.Errorf("rejected states registered %d templates", d.NumTemplates())
 	}
-	if err := d.Load(strings.NewReader(
-		`{"version":2,"templates":[{"words":["a"],"wild":[true,false],"forward":-1}]}`)); err == nil {
-		t.Error("expected shape error")
+	// Version 2 (no verdict column) is no longer read either.
+	if err := d.Load(strings.NewReader(`{"version":2,"next_id":1,"templates":[]}`)); err == nil ||
+		!strings.Contains(err.Error(), "unsupported state version 2") {
+		t.Errorf("version 2 state: err = %v, want unsupported-version rejection", err)
+	}
+	// One case per validation rule; each is rejected before Load changes
+	// anything, so d stays empty throughout.
+	const live = `{"words":["a"],"wild":[false],"doc_count":1,"forward":-1}`
+	for _, c := range []struct{ name, state, want string }{
+		{"shape", `{"version":3,"templates":[{"words":["a"],"wild":[true,false],"forward":-1}]}`, "wild flags"},
+		{"verdict out of range", `{"version":3,"templates":[` + live + `],"verdicts":[0,1]}`, "verdict 1 outside"},
+		{"verdict below pending", `{"version":3,"templates":[],"verdicts":[-3]}`, "verdict -3 outside"},
+		{"pending not marked", `{"version":3,"templates":[],"pending":[{"id":0,"text":"x"}],"verdicts":[-1]}`, "marked pending"},
+		{"pending out of range", `{"version":3,"templates":[],"pending":[{"id":1,"text":"x"}],"verdicts":[-2]}`, "marked pending"},
+		{"pending descending", `{"version":3,"templates":[],"pending":[{"id":1,"text":"x"},{"id":0,"text":"y"}],"verdicts":[-2,-2]}`, "marked pending"},
+		{"pending missing", `{"version":3,"templates":[],"verdicts":[-2]}`, "1 documents marked pending, 0"},
+		{"retained not noise", `{"version":3,"templates":[` + live + `],"retained":[{"id":0,"age":0,"words":["x"]}],"verdicts":[0]}`, "marked noise"},
+		{"forward out of range", `{"version":3,"templates":[{"dead":true,"forward":1}]}`, "forward 1 outside"},
+		{"forward cycle", `{"version":3,"templates":[{"dead":true,"forward":1},{"dead":true,"forward":0}]}`, "cycles"},
+		{"forward self-loop", `{"version":3,"templates":[` + live + `,{"dead":true,"forward":1}]}`, "cycles"},
+	} {
+		if err := d.Load(strings.NewReader(c.state)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+	if d.NumTemplates() != 0 || d.NextID() != 0 || d.Pending() != 0 {
+		t.Errorf("rejected states changed the detector: %d templates, next id %d, %d pending",
+			d.NumTemplates(), d.NextID(), d.Pending())
+	}
+
+	// Template ids are positional, so a state carrying documents or
+	// tombstones loads only into an empty detector; a template-only state
+	// merges after existing templates.
+	const docs = `{"version":3,"templates":[` + live + `],"verdicts":[0,-1]}`
+	const tomb = `{"version":3,"templates":[` + live + `,{"dead":true,"forward":0}]}`
+	const only = `{"version":3,"templates":[` + live + `]}`
+	for _, state := range []string{docs, tomb} {
+		held := New(core.Options{})
+		if _, err := held.Register([]string{"b"}, []bool{false}); err != nil {
+			t.Fatal(err)
+		}
+		if err := held.Load(strings.NewReader(state)); err == nil || !strings.Contains(err.Error(), "empty detector") {
+			t.Errorf("state %s into a detector holding templates: err = %v, want empty-detector rejection", state, err)
+		}
+		if err := New(core.Options{}).Load(strings.NewReader(state)); err != nil {
+			t.Errorf("state %s into an empty detector: %v", state, err)
+		}
+		if err := held.Load(strings.NewReader(only)); err != nil || held.NumTemplates() != 2 {
+			t.Errorf("template-only state after a rejection: err = %v, %d templates", err, held.NumTemplates())
+		}
+	}
+	fresh := New(core.Options{})
+	if err := fresh.Load(strings.NewReader(docs)); err != nil {
+		t.Fatal(err)
+	}
+	if a := fresh.Assignment(0); a.Template != 0 || a.Pending {
+		t.Errorf("restored verdict of document 0: %+v", a)
+	}
+	if fresh.NextID() != 2 {
+		t.Errorf("restored NextID %d, want the column length 2", fresh.NextID())
 	}
 }

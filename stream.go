@@ -109,11 +109,15 @@ func (s *StreamDetector) RegisterTemplate(words []string, wild []bool) (int, err
 }
 
 // Save serializes the detector state: mined templates (with lifecycle
-// markers), the pending buffer (texts and ids), and the incremental
-// miner's carryover window — a snapshot taken mid-buffer loses nothing.
+// markers), the pending buffer (texts and ids), the incremental miner's
+// carryover window, and every document's verdict — a snapshot taken
+// mid-buffer loses nothing, and Template answers the same after Load.
 func (s *StreamDetector) Save(w io.Writer) error { return s.d.Save(w) }
 
-// Load restores templates saved by Save, merging after any templates the
-// detector already holds; the candidate-pruning index is rebuilt over the
-// loading detector's vocabulary.
+// Load restores state saved by Save; the candidate-pruning index is
+// rebuilt over the loading detector's vocabulary. A state holding only
+// templates merges after any templates the detector already holds. A
+// state carrying documents or retired templates numbers its templates
+// by position, so it loads only into an empty detector (no templates,
+// no documents). Malformed state is rejected before anything changes.
 func (s *StreamDetector) Load(r io.Reader) error { return s.d.Load(r) }
