@@ -49,15 +49,18 @@ race-short:
 fuzz:
 	$(GO) test -fuzz FuzzDetectDeterminism -fuzztime 30s .
 
-## fuzz-stream: bounded bursts of both streaming fuzzers — the serve-path
+## fuzz-stream: bounded bursts of the streaming fuzzers — the serve-path
 ## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,
 ## serial vs batched-parallel equivalence, optionally with the
-## incremental miner and lifecycle on) and the incremental miner's
+## incremental miner and lifecycle on), the incremental miner's
 ## window DF table (random inc/dec against a map over forged colliding
-## keys). Anchored patterns, as in fuzz-serve.
+## keys) and the state loader (arbitrary bytes never panic Load; an
+## accepted state reaches a Save fixpoint). Anchored patterns, as in
+## fuzz-serve.
 fuzz-stream:
 	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz 'FuzzLoad$$' -fuzztime 30s ./internal/stream
 
 ## fuzz-serve: bounded bursts of both daemon fuzzers — the single-shard
 ## HTTP fuzzer (interleaved single/batch/flush/snapshot requests,

@@ -105,9 +105,10 @@ func FuzzServe(f *testing.F) {
 					t.Fatalf("op %d: manifest %+v", pc, man)
 				}
 				// The shard state must be byte-identical to the reference's own
-				// Save — the persisted form stores words, not vocabulary ids,
-				// so it is the vocabulary-independent witness of the template
-				// state (a Load into a fresh detector re-encodes ids and would
+				// Save — the persisted form stores a word table ordered by
+				// first use in the walk Save makes, not vocabulary ids, so it
+				// is the vocabulary-independent witness of the template state
+				// (a Load into a fresh detector re-encodes ids and would
 				// compare vocabulary-local numbering instead).
 				var want bytes.Buffer
 				if err := ref.Save(&want); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -188,6 +189,13 @@ func TestShardedStatsRollup(t *testing.T) {
 		}
 	}
 
+	// Two streamed snapshots give every shard a live snapshot counter.
+	for i := 0; i < 2; i++ {
+		if err := sh.SnapshotTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	rec := httptest.NewRecorder()
 	NewServer(sh, "").Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec.Code != http.StatusOK {
@@ -207,7 +215,7 @@ func TestShardedStatsRollup(t *testing.T) {
 			"postings_walks probes walk_ns",
 		"lifecycle": "aged_out evicted flush_docs flushes live merged mine_clustered mine_reused mined reuse_rate",
 		"serve": "batch_size_hist batches batches_by_drain batches_by_size coalesce_wait_ns commit_errs " +
-			"docs max_batch_docs queue_high_water",
+			"docs max_batch_docs queue_high_water snapshot_lock_ns snapshots",
 		"wal": "batches bytes errors flushes records replayed syncs",
 	}
 	gotKeys := map[string]string{}
@@ -280,6 +288,10 @@ func TestShardedStatsRollup(t *testing.T) {
 	for k, b := range shards {
 		if b.(map[string]any)["matcher"].(map[string]any)["probes"].(float64) == 0 {
 			t.Fatalf("shard %d matched nothing", k)
+		}
+		sv := b.(map[string]any)["serve"].(map[string]any)
+		if sv["snapshots"].(float64) != 2 || sv["snapshot_lock_ns"].(float64) <= 0 {
+			t.Fatalf("shard %d snapshot counters %v, %v after 2 snapshots", k, sv["snapshots"], sv["snapshot_lock_ns"])
 		}
 	}
 }

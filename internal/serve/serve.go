@@ -98,6 +98,11 @@ type Counters struct {
 	// CommitErrs counts write-ahead-log failures; any nonzero value means
 	// durability is degraded and the log needs operator attention.
 	CommitErrs int64 `json:"commit_errs"`
+	// SnapshotLockNs is the total time snapshot steps (flush + save) held
+	// the commit lock, over Snapshots steps. Every write and read on the
+	// shard waits out that hold.
+	SnapshotLockNs int64 `json:"snapshot_lock_ns"`
+	Snapshots      int64 `json:"snapshots"`
 }
 
 // MatcherStats is the detector's matcher counters (stream.MatchStats,
@@ -288,6 +293,17 @@ func (c *Coalescer) exclusive(fn func()) {
 	defer crashOnPanic()
 	fn()
 	c.commit.Unlock()
+}
+
+// snapshot runs fn, a snapshot step, under the commit lock like
+// exclusive, and counts how long it held the lock.
+func (c *Coalescer) snapshot(fn func()) {
+	c.exclusive(func() {
+		start := time.Now()
+		fn()
+		c.ctr.SnapshotLockNs += time.Since(start).Nanoseconds()
+		c.ctr.Snapshots++
+	})
 }
 
 // crashOnPanic, deferred right after a write-side commit.Lock, turns a

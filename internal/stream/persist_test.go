@@ -2,8 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"infoshield/internal/align"
@@ -305,4 +308,213 @@ func TestPersistRoundTripVerdicts(t *testing.T) {
 			t.Fatalf("probe %d after flush: %+v vs %+v", i, a1, a2)
 		}
 	}
+}
+
+// Builders for hand-made version-4 states; see stateV4 for the layout.
+
+// uvarints concatenates the uvarint encodings of vs.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// records joins whole records into one count-prefixed blob.
+func records(recs ...[]byte) []byte {
+	b := uvarints(uint64(len(recs)))
+	for _, r := range recs {
+		b = append(b, r...)
+	}
+	return b
+}
+
+// wordBlob is the word table ws.
+func wordBlob(ws ...string) []byte {
+	b := uvarints(uint64(len(ws)))
+	for _, w := range ws {
+		b = append(binary.AppendUvarint(b, uint64(len(w))), w...)
+	}
+	return b
+}
+
+// liveRec is a live template record; refs holds word-table entry + 1 per
+// constant and 0 per slot.
+func liveRec(docCount, lastMatch int, refs ...uint64) []byte {
+	b := binary.AppendVarint(uvarints(uint64(docCount)), int64(lastMatch))
+	return append(append(b, uvarints(0, uint64(len(refs)))...), uvarints(refs...)...)
+}
+
+// deadRec is a tombstone record with forward pointer fwd (-1 for none).
+func deadRec(fwd int) []byte { return uvarints(0, 0, uint64(fwd+2)) }
+
+// docRec is a retained-window record.
+func docRec(id, age int, refs ...uint64) []byte {
+	return append(uvarints(uint64(id), uint64(age), uint64(len(refs))), uvarints(refs...)...)
+}
+
+// verdictBlob is the verdict column vs.
+func verdictBlob(vs ...int64) []byte {
+	b := uvarints(uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// stateJSON renders st as a version-4 state document.
+func stateJSON(st stateV4) string {
+	st.Version = stateVersion
+	b, err := json.Marshal(st)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+// vocabWords lists d's vocabulary in id order.
+func vocabWords(d *Detector) []string {
+	words := make([]string, d.vocab.Size())
+	for i := range words {
+		words[i] = d.vocab.Word(i)
+	}
+	return words
+}
+
+// appendNew appends the words of ws that out does not hold yet.
+func appendNew(out []string, ws ...string) []string {
+	for _, w := range ws {
+		if !slices.Contains(out, w) {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// TestLoadVocabularyOrder pins the order Load assigns vocabulary ids in:
+// by first use over the live templates, then the pending texts, then the
+// retained window — not in word-table order. Ids decide the vocabulary
+// size V every cost is charged against and the posting layout, so a
+// restored detector must number words as the version-3 loader did,
+// which added each token in that walk order.
+func TestLoadVocabularyOrder(t *testing.T) {
+	// A hand-made state whose word table lists the words in an order no
+	// walk uses: "r1" first, although only the pending text and the
+	// retained document use it.
+	st := stateV4{
+		Words:     wordBlob("r1", "shared", "t1", "q1"),
+		Templates: records(liveRec(1, 0, 3, 0, 2)),
+		Pending:   []pendingState{{1, "p1 shared r1 p2"}},
+		Retained:  records(docRec(0, 0, 1, 4)),
+		Verdicts:  verdictBlob(-1, -2),
+	}
+	d := New(core.Options{})
+	if err := d.Load(bytes.NewReader([]byte(stateJSON(st)))); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := vocabWords(d), []string{"t1", "shared", "p1", "r1", "p2", "q1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("hand-made state: vocabulary %q, want %q", got, want)
+	}
+
+	// A saved detector: mined templates, a retained window and pending
+	// documents. The reference walks the saved detector's own state.
+	d1 := New(core.Options{})
+	d1.BatchSize = 1 << 30
+	d1.Lifecycle = Lifecycle{Incremental: true}
+	d1.AddBatch(append(campaign(20), noise(300, 51)...))
+	d1.Flush()
+	d1.AddBatch(append(noise(5, 52), "nx51000aa pending words reuse retained ones"))
+	if d1.NumTemplates() == 0 || d1.Pending() == 0 || d1.mine == nil || len(d1.mine.docs) == 0 {
+		t.Fatalf("seed state: %d templates, %d pending, window %v", d1.NumTemplates(), d1.Pending(), d1.mine != nil)
+	}
+	var want []string
+	for ti, tm := range d1.templates {
+		for i, tok := range tm.Tokens {
+			if !d1.isDead(ti) && !tm.Wild[i] {
+				want = appendNew(want, d1.vocab.Word(tok))
+			}
+		}
+	}
+	for _, text := range d1.pendingTexts {
+		want = appendNew(want, d1.tk.Tokens(text)...)
+	}
+	for _, doc := range d1.mine.docs {
+		want = appendNew(want, d1.vocab.Decode(doc.toks)...)
+	}
+	var buf bytes.Buffer
+	if err := d1.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d2 := New(core.Options{})
+	if err := d2.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := vocabWords(d2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("saved detector: vocabulary of %d words diverges from the walk order's %d", len(got), len(want))
+	}
+}
+
+// persistSeed builds a small detector whose state holds every part a
+// state carries: mined templates, a tombstone, a retained window,
+// pending documents and verdicts of all three kinds.
+func persistSeed(t testing.TB) *Detector {
+	d := New(core.Options{Workers: 1})
+	d.BatchSize = 1 << 30
+	d.Lifecycle = Lifecycle{MaxTemplates: 1, Incremental: true}
+	d.AddBatch(append(campaign(10), noise(100, 61)...))
+	d.Flush()
+	var raffle []string
+	for i := 0; i < 10; i++ {
+		raffle = append(raffle, fmt.Sprintf("grand winter raffle enter the diamond draw tonight code gw%04d only", i))
+	}
+	d.AddBatch(append(raffle, noise(100, 62)...))
+	d.Flush()
+	// Single-document passes age the noise out of the retained window,
+	// so the seed stays small enough to fuzz quickly.
+	for i := 0; i <= retainFlushes; i++ {
+		d.Add(fmt.Sprintf("short note %d", i))
+		d.Flush()
+	}
+	d.AddBatch(noise(2, 63))
+	if d.NumLive() == 0 || d.NumLive() == d.NumTemplates() || d.Pending() == 0 || d.mine == nil || len(d.mine.docs) == 0 {
+		t.Fatalf("seed state: %d templates, %d live, %d pending", d.NumTemplates(), d.NumLive(), d.Pending())
+	}
+	return d
+}
+
+// FuzzLoad feeds arbitrary bytes to Load. Load must never panic, and a
+// state it accepts must reach a fixpoint after one round trip: saving
+// the restored detector, loading that and saving again gives the same
+// bytes.
+func FuzzLoad(f *testing.F) {
+	var seed bytes.Buffer
+	if err := persistSeed(f).Save(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	a := wordBlob("a", "b")
+	f.Add([]byte(stateJSON(stateV4{Words: a, Templates: records(liveRec(2, 1, 1, 0, 2), deadRec(0)),
+		Pending: []pendingState{{1, "b c"}}, Retained: records(docRec(2, 1, 2, 1)), Verdicts: verdictBlob(0, -2, -1)})))
+	f.Add([]byte(`{"version":4}`))
+	f.Fuzz(func(t *testing.T, state []byte) {
+		d := New(core.Options{Workers: 1})
+		if d.Load(bytes.NewReader(state)) != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := d.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		d2 := New(core.Options{Workers: 1})
+		if err := d2.Load(bytes.NewReader(once.Bytes())); err != nil {
+			t.Fatalf("saved state does not load: %v\n%s", err, once.Bytes())
+		}
+		if err := d2.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("save → load → save is not a fixpoint:\n%s\nvs\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }

@@ -24,6 +24,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"infoshield/internal/core"
@@ -411,6 +412,16 @@ func (d *Detector) register(t Template) {
 	d.lastMatch = append(d.lastMatch, len(d.verdicts))
 	d.liveCount++
 	d.index.add(ti, t.Tokens, t.Wild, slots)
+}
+
+// reserve makes room for n more templates, so a bulk load grows each
+// template-parallel slice once.
+func (d *Detector) reserve(n int) {
+	d.templates = slices.Grow(d.templates, n)
+	d.dead = slices.Grow(d.dead, n)
+	d.forward = slices.Grow(d.forward, n)
+	d.lastMatch = slices.Grow(d.lastMatch, n)
+	d.index.meta = slices.Grow(d.index.meta, n)
 }
 
 // Register adds one template directly, bypassing mining — the bulk-load

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -160,38 +161,60 @@ func TestLoadRejectsBadState(t *testing.T) {
 	if err := d.Load(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Error("expected version error")
 	}
-	// Version 1 (templates only) is no longer read.
-	if err := d.Load(strings.NewReader(
-		`{"version":1,"templates":[{"words":["a"],"wild":[false],"doc_count":1}]}`)); err == nil ||
-		!strings.Contains(err.Error(), "unsupported state version 1") {
-		t.Errorf("version 1 state: err = %v, want unsupported-version rejection", err)
+	// Versions 1 (templates only), 2 (no verdict column) and 3 (words
+	// spelled out per token) are no longer read.
+	for _, c := range []struct{ version, state string }{
+		{"1", `{"version":1,"templates":[{"words":["a"],"wild":[false],"doc_count":1}]}`},
+		{"2", `{"version":2,"next_id":1,"templates":[]}`},
+		{"3", `{"version":3,"templates":[{"words":["a"],"wild":[false],"doc_count":1,"forward":-1}],"verdicts":[0]}`},
+	} {
+		if err := d.Load(strings.NewReader(c.state)); err == nil ||
+			!strings.Contains(err.Error(), "unsupported state version "+c.version) {
+			t.Errorf("version %s state: err = %v, want unsupported-version rejection", c.version, err)
+		}
 	}
 	if d.NumTemplates() != 0 {
 		t.Errorf("rejected states registered %d templates", d.NumTemplates())
 	}
-	// Version 2 (no verdict column) is no longer read either.
-	if err := d.Load(strings.NewReader(`{"version":2,"next_id":1,"templates":[]}`)); err == nil ||
-		!strings.Contains(err.Error(), "unsupported state version 2") {
-		t.Errorf("version 2 state: err = %v, want unsupported-version rejection", err)
-	}
 	// One case per validation rule; each is rejected before Load changes
 	// anything, so d stays empty throughout.
-	const live = `{"words":["a"],"wild":[false],"doc_count":1,"forward":-1}`
-	for _, c := range []struct{ name, state, want string }{
-		{"shape", `{"version":3,"templates":[{"words":["a"],"wild":[true,false],"forward":-1}]}`, "wild flags"},
-		{"verdict out of range", `{"version":3,"templates":[` + live + `],"verdicts":[0,1]}`, "verdict 1 outside"},
-		{"verdict below pending", `{"version":3,"templates":[],"verdicts":[-3]}`, "verdict -3 outside"},
-		{"pending not marked", `{"version":3,"templates":[],"pending":[{"id":0,"text":"x"}],"verdicts":[-1]}`, "marked pending"},
-		{"pending out of range", `{"version":3,"templates":[],"pending":[{"id":1,"text":"x"}],"verdicts":[-2]}`, "marked pending"},
-		{"pending descending", `{"version":3,"templates":[],"pending":[{"id":1,"text":"x"},{"id":0,"text":"y"}],"verdicts":[-2,-2]}`, "marked pending"},
-		{"pending missing", `{"version":3,"templates":[],"verdicts":[-2]}`, "1 documents marked pending, 0"},
-		{"retained not noise", `{"version":3,"templates":[` + live + `],"retained":[{"id":0,"age":0,"words":["x"]}],"verdicts":[0]}`, "marked noise"},
-		{"forward out of range", `{"version":3,"templates":[{"dead":true,"forward":1}]}`, "forward 1 outside"},
-		{"forward cycle", `{"version":3,"templates":[{"dead":true,"forward":1},{"dead":true,"forward":0}]}`, "cycles"},
-		{"forward self-loop", `{"version":3,"templates":[` + live + `,{"dead":true,"forward":1}]}`, "cycles"},
+	a := wordBlob("a")
+	live := liveRec(1, 0, 1)
+	// A forged length or count must fail before it sizes anything: a
+	// 1<<26-token template would take 256 MB of references.
+	forgedLen := records(uvarints(1, 0, 0, 1<<26, 1))
+	forgedCount := append(uvarints(1<<26, 1), 'a')
+	for _, c := range []struct {
+		name string
+		st   stateV4
+		want string
+	}{
+		{"word index outside the table", stateV4{Words: a, Templates: records(liveRec(1, 0, 2))}, "word index 1 outside the word table"},
+		{"verdict out of range", stateV4{Words: a, Templates: records(live), Verdicts: verdictBlob(0, 1)}, "verdict 1 outside"},
+		{"verdict below pending", stateV4{Verdicts: verdictBlob(-3)}, "verdict -3 outside"},
+		{"pending not marked", stateV4{Pending: []pendingState{{0, "x"}}, Verdicts: verdictBlob(-1)}, "marked pending"},
+		{"pending out of range", stateV4{Pending: []pendingState{{1, "x"}}, Verdicts: verdictBlob(-2)}, "marked pending"},
+		{"pending descending", stateV4{Pending: []pendingState{{1, "x"}, {0, "y"}}, Verdicts: verdictBlob(-2, -2)}, "marked pending"},
+		{"pending missing", stateV4{Verdicts: verdictBlob(-2)}, "1 documents marked pending, 0"},
+		{"retained not noise", stateV4{Words: wordBlob("a", "x"), Templates: records(live), Retained: records(docRec(0, 0, 2)), Verdicts: verdictBlob(0)}, "marked noise"},
+		{"retained slot", stateV4{Words: a, Retained: records(docRec(0, 0, 0)), Verdicts: verdictBlob(-1)}, "slot in a document"},
+		{"forward out of range", stateV4{Templates: records(deadRec(1))}, "forward 1 outside"},
+		{"forward cycle", stateV4{Templates: records(deadRec(1), deadRec(0))}, "cycles"},
+		{"forward self-loop", stateV4{Words: a, Templates: records(live, deadRec(1))}, "cycles"},
+		{"truncated varint", stateV4{Verdicts: []byte{1, 0x80}}, "truncated"},
+		{"forged token count", stateV4{Words: a, Templates: forgedLen}, "length 67108864 exceeds the 1 bytes left"},
+		{"forged word count", stateV4{Words: forgedCount}, "length 67108864 exceeds"},
+		{"trailing bytes", stateV4{Words: a, Templates: append(records(live), 0)}, "1 trailing bytes"},
 	} {
-		if err := d.Load(strings.NewReader(c.state)); err == nil || !strings.Contains(err.Error(), c.want) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := d.Load(strings.NewReader(stateJSON(c.st)))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<22 {
+			t.Errorf("%s: rejecting a %d-byte state allocated %d bytes", c.name, len(stateJSON(c.st)), grew)
 		}
 	}
 	if d.NumTemplates() != 0 || d.NextID() != 0 || d.Pending() != 0 {
@@ -202,9 +225,9 @@ func TestLoadRejectsBadState(t *testing.T) {
 	// Template ids are positional, so a state carrying documents or
 	// tombstones loads only into an empty detector; a template-only state
 	// merges after existing templates.
-	const docs = `{"version":3,"templates":[` + live + `],"verdicts":[0,-1]}`
-	const tomb = `{"version":3,"templates":[` + live + `,{"dead":true,"forward":0}]}`
-	const only = `{"version":3,"templates":[` + live + `]}`
+	docs := stateJSON(stateV4{Words: a, Templates: records(live), Verdicts: verdictBlob(0, -1)})
+	tomb := stateJSON(stateV4{Words: a, Templates: records(live, deadRec(0))})
+	only := stateJSON(stateV4{Words: a, Templates: records(live)})
 	for _, state := range []string{docs, tomb} {
 		held := New(core.Options{})
 		if _, err := held.Register([]string{"b"}, []bool{false}); err != nil {

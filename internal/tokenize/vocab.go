@@ -26,6 +26,15 @@ func (v *Vocab) Add(w string) int {
 	return id
 }
 
+// Reserve sizes an empty vocabulary for n words, so a bulk load does not
+// rehash as it grows. Once the vocabulary holds words it is a no-op.
+func (v *Vocab) Reserve(n int) {
+	if len(v.words) == 0 {
+		v.ids = make(map[string]int, n)
+		v.words = make([]string, 0, n)
+	}
+}
+
 // ID returns the id for w and whether w is known.
 func (v *Vocab) ID(w string) (int, bool) {
 	id, ok := v.ids[w]

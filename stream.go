@@ -112,6 +112,11 @@ func (s *StreamDetector) RegisterTemplate(words []string, wild []bool) (int, err
 // markers), the pending buffer (texts and ids), the incremental miner's
 // carryover window, and every document's verdict — a snapshot taken
 // mid-buffer loses nothing, and Template answers the same after Load.
+// The output is state version 4: a JSON document whose bulk is base64
+// varint blobs — a word table listing each word once, templates and the
+// carryover window as word-table references, and the verdict column —
+// about 77 bytes per template at 100k templates. The bytes do not depend
+// on the detector's vocabulary ids.
 func (s *StreamDetector) Save(w io.Writer) error { return s.d.Save(w) }
 
 // Load restores state saved by Save; the candidate-pruning index is
@@ -119,5 +124,6 @@ func (s *StreamDetector) Save(w io.Writer) error { return s.d.Save(w) }
 // templates merges after any templates the detector already holds. A
 // state carrying documents or retired templates numbers its templates
 // by position, so it loads only into an empty detector (no templates,
-// no documents). Malformed state is rejected before anything changes.
+// no documents). Malformed state — including any version other than 4 —
+// is rejected before anything changes.
 func (s *StreamDetector) Load(r io.Reader) error { return s.d.Load(r) }
