@@ -295,17 +295,6 @@ func (c *Coalescer) exclusive(fn func()) {
 	c.commit.Unlock()
 }
 
-// snapshot runs fn, a snapshot step, under the commit lock like
-// exclusive, and counts how long it held the lock.
-func (c *Coalescer) snapshot(fn func()) {
-	c.exclusive(func() {
-		start := time.Now()
-		fn()
-		c.ctr.SnapshotLockNs += time.Since(start).Nanoseconds()
-		c.ctr.Snapshots++
-	})
-}
-
 // crashOnPanic, deferred right after a write-side commit.Lock, turns a
 // panic in the mutation that follows into a process exit, with the lock
 // still held. The mutation may have left the detector half-applied, so

@@ -10,9 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"infoshield/internal/core"
-	"infoshield/internal/par"
 	"infoshield/internal/stream"
 	"infoshield/internal/tokenize"
 )
@@ -97,9 +97,8 @@ type ShardedConfig struct {
 	NewDetector func() *stream.Detector
 }
 
-// NewSharded builds the shard set: loads the manifest's shard states
-// when present, concurrently, and replays each shard's WAL from the
-// first document its state lacks.
+// NewSharded builds the shard set: loads the manifest when present and
+// replays each shard's WAL from the first document its state lacks.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	n := cfg.Shards
 	if n == 0 {
@@ -135,24 +134,13 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			}
 		}
 	}()
-	// Shard states are independent, so they load concurrently; the WALs
-	// then open and replay in shard order.
-	dets := make([]*stream.Detector, n)
-	for k := range dets {
-		dets[k] = newDet()
-	}
-	if man != nil {
-		errs := make([]error, n)
-		par.Each(n, par.Workers(0), func(k int) {
-			errs[k] = dets[k].Load(bytes.NewReader(man.States[k]))
-		})
-		for k, err := range errs {
-			if err != nil {
+	for k := 0; k < n; k++ {
+		det := newDet()
+		if man != nil {
+			if err := det.Load(bytes.NewReader(man.States[k])); err != nil {
 				return nil, fmt.Errorf("serve: shard %d state: %w", k, err)
 			}
 		}
-	}
-	for k, det := range dets {
 		sh := &shardState{det: det, co: NewCoalescer(det, cfg.Coalescer)}
 		if cfg.WALDir != "" {
 			sh.wal, err = openWAL(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", k)),
@@ -524,9 +512,12 @@ func (s *Sharded) SnapshotTo(w io.Writer) error {
 func (s *Sharded) collect() (states [][]byte, err error) {
 	states = make([][]byte, s.n)
 	for k, sh := range s.shards {
-		sh.co.snapshot(func() {
+		sh.co.exclusive(func() {
+			start := time.Now()
 			sh.flush()
 			states[k], err = sh.save()
+			sh.co.ctr.SnapshotLockNs += time.Since(start).Nanoseconds()
+			sh.co.ctr.Snapshots++
 		})
 		if err != nil {
 			return nil, err

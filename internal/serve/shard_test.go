@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"infoshield/internal/core"
-	"infoshield/internal/datagen"
 	"infoshield/internal/stream"
 	"infoshield/internal/tokenize"
 )
@@ -683,74 +682,6 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	if vs[0].Template < 0 {
 		t.Fatalf("campaign doc did not match restored templates: %+v", vs[0])
-	}
-}
-
-// TestShardedParallelLoad boots an S=4 manifest, whose shard states
-// NewSharded loads concurrently, and requires every shard to match a
-// detector loaded from the same state on its own: identical Save bytes
-// (which are also the manifest's bytes) and the same verdict for every
-// document id. The state carries templates, tombstones, a retained
-// window and verdicts, so every part of Load runs in parallel under the
-// race detector.
-func TestShardedParallelLoad(t *testing.T) {
-	const S = 4
-	cfg := ShardedConfig{
-		Shards:      S,
-		StatePath:   filepath.Join(t.TempDir(), "state.json"),
-		NewDetector: lifecycleDetector(16),
-	}
-	sh, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drift := datagen.NewDriftStream(datagen.DriftConfig{Seed: 5, Active: 5, ChurnEvery: 48})
-	if _, err := sh.Submit(drift.Docs(0, 800)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Snapshot(cfg.StatePath); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	man, err := readManifest(cfg.StatePath, S, RouteHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < S; k++ {
-		serial := cfg.NewDetector()
-		if err := serial.Load(bytes.NewReader(man.States[k])); err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := serial.Save(&want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.shards[k].save()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) || !bytes.Equal(got, man.States[k]) {
-			t.Fatalf("shard %d: parallel load saves %d bytes, serial load %d, manifest %d",
-				k, len(got), want.Len(), len(man.States[k]))
-		}
-		if serial.NumTemplates() == serial.NumLive() || !bytes.Contains(got, []byte(`"retained"`)) {
-			t.Fatalf("shard %d: no tombstones or no retained window to load", k)
-		}
-		for local := 0; local < serial.NextID(); local++ {
-			a := serial.Assignment(local)
-			want := loaded.globalize(k, Verdict{ID: local, Template: a.Template, Pending: a.Pending})
-			if got, err := loaded.Assignment(local*S + k); err != nil || got != want {
-				t.Fatalf("shard %d document %d: verdict %+v (%v), serial load %+v", k, local, got, err, want)
-			}
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"infoshield/internal/tfidf"
 	"infoshield/internal/tokenize"
@@ -209,6 +210,8 @@ func (d *Detector) Load(r io.Reader) error {
 	}
 	d.verdicts = append(d.verdicts, ds.verdicts...)
 	d.reserve(len(ds.templates))
+	// decode rejected table entries no token uses, so this hint never
+	// exceeds the state's token count.
 	d.vocab.Reserve(len(ds.words))
 	var toks []int
 	var wild []bool
@@ -386,8 +389,9 @@ func (r *blob) tokens(refs []uint32, n, nWords int, slots bool) []uint32 {
 
 // decode parses every blob of the state. It checks the encoding — whole
 // varints, counts and lengths within the blob, no trailing bytes, token
-// references inside the word table — and each verdict's range before it
-// narrows to int32, but not the cross-references validate checks.
+// references inside the word table, no table entry left unused — and
+// each verdict's range before it narrows to int32, but not the
+// cross-references validate checks.
 func (st *stateV4) decode() (*decodedState, error) {
 	ds := &decodedState{pending: st.Pending}
 
@@ -440,6 +444,17 @@ func (st *stateV4) decode() (*decodedState, error) {
 	}
 	if err := rr.end(); err != nil {
 		return nil, err
+	}
+	// Save lists only words a token uses, and Load sizes the vocabulary
+	// from the table, so an entry no token uses is rejected.
+	used := make([]bool, len(ds.words))
+	for _, ref := range ds.refs {
+		if ref > 0 {
+			used[ref-1] = true
+		}
+	}
+	if k := slices.Index(used, false); k >= 0 {
+		return nil, fmt.Errorf("stream: state words: entry %d is never used", k)
 	}
 
 	vr := blob{b: st.Verdicts, field: "verdicts"}

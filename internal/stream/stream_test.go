@@ -198,6 +198,8 @@ func TestLoadRejectsBadState(t *testing.T) {
 		{"pending missing", stateV4{Verdicts: verdictBlob(-2)}, "1 documents marked pending, 0"},
 		{"retained not noise", stateV4{Words: wordBlob("a", "x"), Templates: records(live), Retained: records(docRec(0, 0, 2)), Verdicts: verdictBlob(0)}, "marked noise"},
 		{"retained slot", stateV4{Words: a, Retained: records(docRec(0, 0, 0)), Verdicts: verdictBlob(-1)}, "slot in a document"},
+		{"word never used", stateV4{Words: wordBlob("a", "b"), Templates: records(live)}, "entry 1 is never used"},
+		{"empty words never used", stateV4{Words: append(uvarints(1<<10), make([]byte, 1<<10)...)}, "entry 0 is never used"},
 		{"forward out of range", stateV4{Templates: records(deadRec(1))}, "forward 1 outside"},
 		{"forward cycle", stateV4{Templates: records(deadRec(1), deadRec(0))}, "cycles"},
 		{"forward self-loop", stateV4{Words: a, Templates: records(live, deadRec(1))}, "cycles"},
