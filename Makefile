@@ -52,14 +52,11 @@ fuzz:
 ## fuzz-stream: bounded bursts of the streaming fuzzers — the serve-path
 ## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,
 ## serial vs batched-parallel equivalence, optionally with the
-## incremental miner and lifecycle on), the incremental miner's
-## window DF table (random inc/dec against a map over forged colliding
-## keys) and the state loader (arbitrary bytes never panic Load; an
-## accepted state reaches a Save fixpoint). Anchored patterns, as in
-## fuzz-serve.
+## incremental miner and lifecycle on) and the state loader (arbitrary
+## bytes never panic Load; an accepted state reaches a Save fixpoint).
+## Anchored patterns, as in fuzz-serve.
 fuzz-stream:
 	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 30s ./internal/stream
-	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz 'FuzzLoad$$' -fuzztime 30s ./internal/stream
 
 ## fuzz-serve: bounded bursts of both daemon fuzzers — the single-shard
@@ -72,11 +69,16 @@ fuzz-serve:
 	$(GO) test -fuzz 'FuzzServe$$' -fuzztime 30s ./internal/serve
 	$(GO) test -fuzz 'FuzzServeSharded$$' -fuzztime 30s ./internal/serve
 
-## fuzz-tfidf: a bounded burst of the tf-idf kernel fuzzer (random
+## fuzz-tfidf: bounded bursts of the phrase-substrate fuzzers shared by
+## batch Coarse and the incremental miner — the extractor fuzzer (random
 ## small corpora over a 4-6 word vocabulary and a random worker count,
-## selections checked against the string-key reference extractor).
+## selections checked against the string-key reference extractor) and
+## the DF table fuzzer (random inc/dec against a map over forged keys
+## whose probe runs wrap the table's end). Anchored patterns, as in
+## fuzz-serve.
 fuzz-tfidf:
-	$(GO) test -fuzz FuzzTopPhraseIDs -fuzztime 30s ./internal/tfidf
+	$(GO) test -fuzz 'FuzzTopPhraseIDs$$' -fuzztime 30s ./internal/tfidf
+	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/tfidf
 
 ## bench: the end-to-end pipeline benchmark at both corpus sizes,
 ## repeated for stable numbers.

@@ -90,7 +90,7 @@ func coarseLSH(words [][]string, opt Options) (clusters [][]int, top [][]tfidf.P
 	top = make([][]tfidf.PhraseID, len(words))
 	for gi, group := range clusters {
 		sort.Ints(group)
-		key := tfidf.PhraseID{Hash: uint64(gi)}
+		key := tfidf.PhraseID(gi)
 		for _, d := range group {
 			top[d] = []tfidf.PhraseID{key}
 		}

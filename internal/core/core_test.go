@@ -363,7 +363,7 @@ func TestFineNestedScreenDeterminism(t *testing.T) {
 	tokens := make([][]int, n)
 	top := make([][]tfidf.PhraseID, n)
 	docIDs := make([]int, n)
-	hub := tfidf.PhraseID{Hash: 7}
+	hub := tfidf.PhraseID(7)
 	for d := 0; d < n; d++ {
 		seq := append([]int(nil), base...)
 		seq[4+d%3] = 1000 + d%5 // slot-like variation, still near-duplicates

@@ -3,6 +3,7 @@ package datagen
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -283,5 +284,35 @@ func TestGeneratorsDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDriftLabelMatchesDoc: Label(k) names the campaign Doc(k) renders.
+// A noise document's words are its own (z<k>_<i>) apart from commons; a
+// campaign document's campaign-specific words all read c<label>w<j>.
+func TestDriftLabelMatchesDoc(t *testing.T) {
+	s := NewDriftStream(DriftConfig{Seed: 5})
+	noise := 0
+	for k := 0; k < 2000; k++ {
+		c, words := s.Label(k), strings.Fields(s.Doc(k))
+		if c < 0 {
+			noise++
+			if !strings.HasPrefix(words[0], "z") {
+				t.Fatalf("doc %d labelled noise but reads %q", k, words)
+			}
+			continue
+		}
+		if lo := k / 384; c < lo || c >= lo+12 {
+			t.Fatalf("doc %d: campaign %d outside the active window [%d, %d)", k, c, lo, lo+12)
+		}
+		prefix := "c" + strconv.Itoa(c) + "w"
+		for _, w := range words {
+			if strings.HasPrefix(w, "c") && strings.Contains(w, "w") && !strings.HasPrefix(w, prefix) {
+				t.Fatalf("doc %d labelled campaign %d but holds %q", k, c, w)
+			}
+		}
+	}
+	if noise < 400 || noise > 600 {
+		t.Errorf("%d of 2000 documents are noise, want about one in four", noise)
 	}
 }

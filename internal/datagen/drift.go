@@ -95,15 +95,33 @@ func (s *DriftStream) Campaign(c int) ScaleTemplate {
 	return ScaleTemplate{Words: words, Wild: wild}
 }
 
-// Doc renders document k of the stream. The active campaign window at
-// document k is [k/ChurnEvery, k/ChurnEvery+Active): every ChurnEvery
-// documents one campaign is born and the oldest goes quiet, so over a
-// long run the set of campaigns ever seen grows linearly while the live
-// set stays constant-sized. One in NoisePer documents matches nothing.
-func (s *DriftStream) Doc(k int) string {
+// draw makes document k's first choice: noise, or which campaign. It
+// returns the document's generator, positioned after that choice, and
+// the campaign (-1 for noise). The active campaign window at document k
+// is [k/ChurnEvery, k/ChurnEvery+Active): every ChurnEvery documents one
+// campaign is born and the oldest goes quiet, so over a long run the set
+// of campaigns ever seen grows linearly while the live set stays
+// constant-sized. One in NoisePer documents matches nothing.
+func (s *DriftStream) draw(k int) (*rand.Rand, int) {
 	cfg := s.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed*499979 + int64(k)))
 	if rng.Intn(cfg.NoisePer) == 0 {
+		return rng, -1
+	}
+	return rng, k/cfg.ChurnEvery + rng.Intn(cfg.Active)
+}
+
+// Label returns document k's ground truth: the campaign Doc(k) renders,
+// or -1 for a noise document.
+func (s *DriftStream) Label(k int) int {
+	_, c := s.draw(k)
+	return c
+}
+
+// Doc renders document k of the stream (see draw for its campaign).
+func (s *DriftStream) Doc(k int) string {
+	rng, c := s.draw(k)
+	if c < 0 {
 		n := 8 + rng.Intn(7)
 		words := make([]string, n)
 		for i := range words {
@@ -115,7 +133,6 @@ func (s *DriftStream) Doc(k int) string {
 		}
 		return strings.Join(words, " ")
 	}
-	c := k/cfg.ChurnEvery + rng.Intn(cfg.Active)
 	t := s.Campaign(c)
 	words := make([]string, 0, len(t.Words))
 	for p, w := range t.Words {

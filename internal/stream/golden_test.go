@@ -27,11 +27,19 @@ import (
 // re-encoded in the version-3 layout (per-token words and wild flags,
 // JSON-number verdicts), hashes to the version-3 pin,
 // 0x84943da11f269323.
+//
+// All three were re-pinned when the miner moved onto the batch
+// extractor's selection rule (tfidf.Selector), whose score ties break by
+// the phrases' lexicographic token order instead of (position, length,
+// hash); the former pins were (0x8aef4b26b23c595b, 0x44fd9c3f68f16bab,
+// 0x640c409414e3e16e). On TestIncrementalDriftQuality's setup the change
+// raised F1 for seeds 1/2/3 from 0.939/0.957/0.908 to 0.970/0.989/0.960
+// and ARI from 0.941/0.959/0.902 to 0.967/0.986/0.957, at precision 1.
 func TestGoldenIncrementalMine(t *testing.T) {
 	const (
-		wantVerdicts = 0x8aef4b26b23c595b
-		wantFinal    = 0x44fd9c3f68f16bab
-		wantSave     = 0x640c409414e3e16e
+		wantVerdicts = 0x55416f36dd10c2f8
+		wantFinal    = 0x66eaeb74e62daea7
+		wantSave     = 0x8cd7133ea68c10c
 		nDocs, call  = 20000, 16
 	)
 	docs := datagen.NewDriftStream(datagen.DriftConfig{Seed: 3}).Docs(0, nDocs)

@@ -1,12 +1,11 @@
 package stream
 
 import (
-	"cmp"
-	"math"
 	"slices"
 
 	"infoshield/internal/core"
 	"infoshield/internal/tfidf"
+	"infoshield/internal/tokenize"
 )
 
 // The incremental miner replaces the from-scratch batch pipeline on
@@ -30,33 +29,26 @@ import (
 // upgrading their noise verdicts, which the batch path would have
 // frozen at -1.
 //
-// The flush path runs on flat tables, not Go maps. The window DF table is
-// a hashTable: dense []uint64 keys and []int32 counts, linear probing,
-// count 0 marking an empty slot, doubling once half full. When a count
-// drops to zero the entry is removed by backward shift — later members of
-// its probe run move back into the hole — so the table never holds
-// tombstones and never needs a rebuild, and its size stays bounded by the
-// retained window. Each document's 1..MaxN-grams are deduped through the
-// tf-idf kernel's reusable table (tfidf.PhraseTable); the phrase,
-// candidate, covered and selection buffers are reused across flushes; and
-// the flush's selected phrases (first the set touched by new documents,
-// then each phrase's union-find owner) live in a second hashTable,
-// cleared per flush.
+// The flush path runs on the tf-idf kernel's phrase substrate, the same
+// one batch Coarse uses, and holds no Go map. Each document's
+// 1..MaxN-grams are deduped through tfidf.Phrases; the window DF table is
+// a tfidf.HashTable, whose zero-count entries leave by backward shift, so
+// the table never holds tombstones and its size stays bounded by the
+// retained window; and selection is the batch extractor's own rule
+// (tfidf.Selector: budget, idf floor, positional diversity and the
+// lexicographic tie-break) against the window DF. The flush's selected
+// phrases (first the set touched by new documents, then each phrase's
+// union-find owner) live in a second HashTable, cleared per flush.
 //
-// Three deliberate simplifications versus the batch coarse pass, all
-// deterministic. Across documents, phrase identity is the 64-bit mixed
-// rolling hash: the DF table keys on the hash alone, so a collision
-// merges two phrases instead of chaining — across a bounded window the
-// probability is negligible, and a merge only over-connects a component,
-// never corrupts state. Within one document the dedupe compares tokens,
-// so two different n-grams there that share all 64 hash bits stay two
-// phrases with one hash (both counted, both selectable). Component growth
-// always uses the permissive single-shared-phrase rule
-// (Options.MinSharedPhrases is a batch-pipeline ablation knob), and score
-// ties break by (position, length, hash) instead of the batch extractor's
-// lexicographic token order. Incremental mining is therefore equivalent
-// in mechanism, not byte-identical in output, to the batch path — the
-// byte-identity gate covers the default (non-incremental) configuration.
+// Two deliberate differences from the batch coarse pass remain, both
+// deterministic. Component growth always uses the permissive
+// single-shared-phrase rule (Options.MinSharedPhrases is a
+// batch-pipeline ablation knob), and idf is computed over the retained
+// window rather than the whole history. Incremental mining is therefore
+// equivalent in mechanism, not byte-identical in output, to the batch
+// path — the byte-identity gate covers the default (non-incremental)
+// configuration. Over an empty window, a flush selects exactly the
+// phrases TopPhraseIDs selects (TestMinerSelectionMatchesBatch).
 
 // The retained window's bounds: an unmatched document leaves it after
 // retainFlushes mining passes, and the window keeps at most
@@ -82,237 +74,54 @@ type mineState struct {
 	// plus, transiently inside a flush, the new batch's contributions —
 	// every document that leaves the window (matched, aged, capped)
 	// decrements its dist from df.
-	df    hashTable
+	df    tfidf.HashTable
 	docs  []mineDoc // retained unmatched docs, ascending id
 	epoch int
 
 	// Scratch reused across flushes (and by Load).
-	tab     tfidf.PhraseTable
-	phr     []tfidf.Phrase // the extracted documents' phrases, flat
-	bounds  []int32        // document i owns phr[bounds[i]:bounds[i+1]]
-	cand    []mineCand
-	covered []bool
-	sel     []uint64         // this flush's selections, flat
-	ids     []tfidf.PhraseID // core.Refine's top phrases, flat
-	owner   hashTable        // selected phrase → document (see flushIncremental)
-}
-
-// hashTable is a dense open-addressing table from a 64-bit phrase hash to
-// a nonzero int32 (linear probing; value 0 marks an empty slot). It stays
-// at most half full, doubling as it grows, and dec deletes by backward
-// shift, so lookups never step over tombstones.
-type hashTable struct {
-	keys []uint64
-	vals []int32
-	n    int // occupied slots
-}
-
-// slot returns the slot holding key, or the empty slot where it belongs.
-func (t *hashTable) slot(key uint64) uint64 {
-	mask := uint64(len(t.keys) - 1)
-	i := key & mask
-	for t.vals[i] != 0 && t.keys[i] != key {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// get returns the value under key, or 0 for an absent key.
-func (t *hashTable) get(key uint64) int32 {
-	if t.n == 0 {
-		return 0
-	}
-	return t.vals[t.slot(key)]
-}
-
-// reserve grows the table if one more key would fill over half of it.
-func (t *hashTable) reserve() {
-	if 2*(t.n+1) <= len(t.keys) {
-		return
-	}
-	keys, vals := t.keys, t.vals
-	size := max(16, 2*len(keys))
-	t.keys, t.vals = make([]uint64, size), make([]int32, size)
-	for i, v := range vals {
-		if v != 0 {
-			j := t.slot(keys[i])
-			t.keys[j], t.vals[j] = keys[i], v
-		}
-	}
-}
-
-// inc adds one to key's count.
-func (t *hashTable) inc(key uint64) {
-	t.reserve()
-	i := t.slot(key)
-	if t.vals[i] == 0 {
-		t.keys[i] = key
-		t.n++
-	}
-	t.vals[i]++
-}
-
-// dec subtracts one from key's count, which must be positive. A count
-// that reaches zero leaves the table: each later entry of the probe run
-// whose home slot is not cyclically within (hole, entry] moves back into
-// the hole, which then continues from the moved entry's slot, until an
-// empty slot ends the run.
-func (t *hashTable) dec(key uint64) {
-	var i uint64
-	if t.n > 0 {
-		i = t.slot(key)
-	}
-	if t.n == 0 || t.vals[i] == 0 {
-		panic("stream: window DF decrement of an uncounted phrase")
-	}
-	if t.vals[i]--; t.vals[i] > 0 {
-		return
-	}
-	t.n--
-	mask := uint64(len(t.keys) - 1)
-	for j := (i + 1) & mask; t.vals[j] != 0; j = (j + 1) & mask {
-		if home := t.keys[j] & mask; (j-home)&mask >= (j-i)&mask {
-			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-			i = j
-		}
-	}
-	t.vals[i] = 0
-}
-
-// insert stores v (nonzero) under key and returns 0 if key is absent;
-// otherwise it leaves the table unchanged and returns key's value.
-func (t *hashTable) insert(key uint64, v int32) int32 {
-	t.reserve()
-	i := t.slot(key)
-	if old := t.vals[i]; old != 0 {
-		return old
-	}
-	t.keys[i], t.vals[i] = key, v
-	t.n++
-	return 0
-}
-
-// reset empties the table, keeping its size.
-func (t *hashTable) reset() {
-	clear(t.vals)
-	t.n = 0
+	phr   tfidf.Phrases    // the admitted documents' phrases
+	pick  tfidf.Selector   // the selection rule's scratch
+	sel   []tfidf.PhraseID // the admitted documents' selections, flat
+	owner tfidf.HashTable  // selected phrase → document (see flushIncremental)
 }
 
 func (ms *mineState) decDF(dist []uint64) {
 	for _, h := range dist {
-		ms.df.dec(h)
+		ms.df.Dec(h)
 	}
 }
 
-// extract fills phr and bounds with each document's distinct phrases and
-// counts them into the DF table.
-func (ms *mineState) extract(docs [][]int, maxN int) {
-	ms.phr = ms.phr[:0]
-	ms.bounds = append(ms.bounds[:0], 0)
-	for _, toks := range docs {
-		ms.phr = ms.tab.AppendDoc(ms.phr, toks, maxN)
-		ms.bounds = append(ms.bounds, int32(len(ms.phr)))
+// admit extracts docs' phrases, counts them into the window DF table, and
+// selects each document's top phrases against a window of n documents
+// (docs included). Row i of the result is document i's selection; the
+// rows share ms.sel's storage.
+func (ms *mineState) admit(docs [][]int, n int, ex *tfidf.Extractor, vocab *tokenize.Vocab) [][]tfidf.PhraseID {
+	ms.phr.Extract(docs, ex.MaxNgram())
+	for _, p := range ms.phr.All() {
+		ms.df.Inc(p.Hash)
 	}
-	for i := range ms.phr {
-		ms.df.inc(ms.phr[i].Hash)
+	ms.pick.Reset(ex, n)
+	ms.sel = ms.sel[:0]
+	sels := make([][]tfidf.PhraseID, len(docs))
+	for i, toks := range docs {
+		start := len(ms.sel)
+		ms.sel = ms.pick.Select(ms.sel, ms.phr.Doc(i), toks, vocab, &ms.df)
+		sels[i] = ms.sel[start:len(ms.sel):len(ms.sel)]
 	}
+	return sels
 }
 
-// phrases returns document i's phrases from the last extract.
-func (ms *mineState) phrases(i int) []tfidf.Phrase {
-	return ms.phr[ms.bounds[i]:ms.bounds[i+1]]
+// mineExtractor is the phrase extractor configured by the detector's
+// options, as the batch pipeline configures its own.
+func (d *Detector) mineExtractor() *tfidf.Extractor {
+	return &tfidf.Extractor{MaxN: d.Options.MaxNgram, TopFraction: d.Options.TopFraction}
 }
 
-// mineCand is one scored phrase of one document during selection.
-type mineCand struct {
-	score, idf float64
-	pos, n     int32
-	hash       uint64
-}
-
-// selectTop appends a document's top phrases to sel and returns the
-// extended slice, mirroring the batch extractor's selection dynamics
-// against the window DF table: budget is ⌈frac·distinct⌉ (min 1),
-// zero-score phrases (df = N) are excluded, an idf floor at floorFrac of
-// the document's best keeps quota-filler phrases out, and positional
-// diversity admits a phrase only when its first occurrence covers no
-// already-covered token. Below-floor phrases are dropped before the sort;
-// (score desc, pos, n, hash) is a total order over one document's
-// phrases, so the survivors keep the order the greedy scan sees.
-func (ms *mineState) selectTop(sel []uint64, phrases []tfidf.Phrase, nDocs, docLen int, frac, floorFrac float64) []uint64 {
-	cand := ms.cand[:0]
-	maxIdf := 0.0
-	for i := range phrases {
-		p := &phrases[i]
-		d := ms.df.get(p.Hash)
-		if d <= 0 {
-			continue
-		}
-		idf := math.Log(float64(nDocs) / float64(d))
-		score := float64(p.TF) * idf
-		if score <= 0 {
-			continue
-		}
-		maxIdf = max(maxIdf, idf)
-		cand = append(cand, mineCand{score, idf, p.Pos, p.N, p.Hash})
-	}
-	ms.cand = cand
-	floor := maxIdf * floorFrac
-	kept := cand[:0]
-	for _, c := range cand {
-		if c.idf >= floor {
-			kept = append(kept, c)
-		}
-	}
-	if len(kept) == 0 {
-		return sel
-	}
-	slices.SortFunc(kept, func(a, b mineCand) int {
-		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.pos, b.pos),
-			cmp.Compare(a.n, b.n), cmp.Compare(a.hash, b.hash))
-	})
-	k := max(1, int(math.Ceil(frac*float64(len(phrases)))))
-	if cap(ms.covered) < docLen {
-		ms.covered = make([]bool, docLen)
-	}
-	covered := ms.covered[:docLen]
-	clear(covered)
-	start := len(sel)
-	for _, c := range kept {
-		if len(sel)-start >= k {
-			break
-		}
-		span := covered[c.pos : c.pos+c.n]
-		if slices.Contains(span, true) {
-			continue
-		}
-		for p := range span {
-			span[p] = true
-		}
-		sel = append(sel, c.hash)
-	}
-	return sel
-}
-
-func (d *Detector) mineMaxN() int {
-	if d.Options.MaxNgram > 0 {
-		return d.Options.MaxNgram
-	}
-	return tfidf.DefaultMaxN
-}
-
-func (d *Detector) mineTopFraction() float64 {
-	if d.Options.TopFraction > 0 {
-		return d.Options.TopFraction
-	}
-	return tfidf.DefaultTopFraction
-}
-
-// retain appends extracted document i to the window with selection sel.
+// retain appends admitted document i to the window with selection sel.
 // Its dist and sel are copied into the front of slab, which must have
 // room; the rest of slab is returned.
 func (ms *mineState) retain(slab []uint64, i, id int, toks []int, sel []uint64, epoch int) []uint64 {
-	ps := ms.phrases(i)
+	ps := ms.phr.Doc(i)
 	dist := slab[:len(ps):len(ps)]
 	for j := range ps {
 		dist[j] = ps[j].Hash
@@ -368,23 +177,15 @@ func (d *Detector) flushIncremental() []int {
 	}
 	ms.setDocs(keep)
 
-	// Extract the new batch's phrases and fold them into the DF table
-	// before selection, so new near-duplicates see each other's df. The
-	// owner table first records the phrases the new documents select —
-	// the touched set — under -(i+1) for pending document i.
-	maxN := d.mineMaxN()
-	ms.extract(d.pendingToks, maxN)
-	nWindow := len(ms.docs) + len(d.pendingToks)
-	frac, floorFrac := d.mineTopFraction(), tfidf.DefaultRelativeFloor
-	ms.sel = ms.sel[:0]
-	ms.owner.reset()
-	newSel := make([][]uint64, len(d.pendingToks))
-	for i, toks := range d.pendingToks {
-		start := len(ms.sel)
-		ms.sel = ms.selectTop(ms.sel, ms.phrases(i), nWindow, len(toks), frac, floorFrac)
-		newSel[i] = ms.sel[start:len(ms.sel):len(ms.sel)]
-		for _, h := range newSel[i] {
-			ms.owner.insert(h, int32(-i-1))
+	// Admit the new batch: its phrases join the DF table before
+	// selection, so new near-duplicates see each other's df. The owner
+	// table first records the phrases the new documents select — the
+	// touched set — under -(i+1) for pending document i.
+	newSel := ms.admit(d.pendingToks, len(ms.docs)+len(d.pendingToks), d.mineExtractor(), d.vocab)
+	ms.owner.Reset()
+	for i, sel := range newSel {
+		for _, h := range sel {
+			ms.owner.Insert(h, int32(-i-1))
 		}
 	}
 
@@ -398,7 +199,7 @@ func (d *Detector) flushIncremental() []int {
 	var localIDs []int
 	for i := range ms.docs {
 		doc := &ms.docs[i]
-		if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.owner.get(h) != 0 }) {
+		if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.owner.Get(h) != 0 }) {
 			continue
 		}
 		candIdx = append(candIdx, i)
@@ -427,7 +228,7 @@ func (d *Detector) flushIncremental() []int {
 	for l, sel := range localSel {
 		for _, h := range sel {
 			var o int32
-			switch v := ms.owner.insert(h, int32(l+1)); {
+			switch v := ms.owner.Insert(h, int32(l+1)); {
 			case v == 0:
 				continue
 			case v > 0:
@@ -471,17 +272,7 @@ func (d *Detector) flushIncremental() []int {
 
 	// Fine pass: same MDL mining as the batch pipeline, over detector-
 	// vocab tokens, so accepted templates register without re-encoding.
-	// Refine reads the top phrases of component members only.
-	topLocal := make([][]tfidf.PhraseID, nLocal)
-	ms.ids = ms.ids[:0]
-	for _, l := range members[:off] {
-		start := len(ms.ids)
-		for _, h := range localSel[l] {
-			ms.ids = append(ms.ids, tfidf.PhraseID{Hash: h})
-		}
-		topLocal[l] = ms.ids[start:len(ms.ids):len(ms.ids)]
-	}
-	refined, _ := core.Refine(coarse, localToks, topLocal, d.vocab.Size(), d.Options)
+	refined, _ := core.Refine(coarse, localToks, localSel, d.vocab.Size(), d.Options)
 
 	matched := make([]bool, nLocal)
 	var newTIs []int
@@ -532,14 +323,14 @@ func (d *Detector) flushIncremental() []int {
 	size := 0
 	for i := range d.pendingToks {
 		if !matched[newBase+i] {
-			size += len(ms.phrases(i)) + len(newSel[i])
+			size += len(ms.phr.Doc(i)) + len(newSel[i])
 		}
 	}
 	slab := make([]uint64, size)
 	for i := range d.pendingToks {
 		if matched[newBase+i] {
-			for _, p := range ms.phrases(i) {
-				ms.df.dec(p.Hash)
+			for _, p := range ms.phr.Doc(i) {
+				ms.df.Dec(p.Hash)
 			}
 			continue
 		}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 
-	"infoshield/internal/tfidf"
 	"infoshield/internal/tokenize"
 )
 
@@ -252,19 +251,13 @@ func (d *Detector) Load(r io.Reader) error {
 				rtoks[i][j] = vocabID(ref)
 			}
 		}
-		ms := &mineState{}
-		ms.extract(rtoks, d.mineMaxN())
 		// Selections are recomputed against the restored window — a
 		// deterministic function of the file, like everything above.
-		frac, floorFrac := d.mineTopFraction(), tfidf.DefaultRelativeFloor
-		sels := make([]int32, len(rtoks)+1)
-		for i := range rtoks {
-			ms.sel = ms.selectTop(ms.sel, ms.phrases(i), len(rtoks), len(rtoks[i]), frac, floorFrac)
-			sels[i+1] = int32(len(ms.sel))
-		}
-		slab := make([]uint64, len(ms.phr)+len(ms.sel))
+		ms := &mineState{}
+		sels := ms.admit(rtoks, len(rtoks), d.mineExtractor(), d.vocab)
+		slab := make([]uint64, len(ms.phr.All())+len(ms.sel))
 		for i, rd := range ds.retained {
-			slab = ms.retain(slab, i, rd.id, rtoks[i], ms.sel[sels[i]:sels[i+1]], -rd.age)
+			slab = ms.retain(slab, i, rd.id, rtoks[i], sels[i], -rd.age)
 		}
 		d.mine = ms
 	}

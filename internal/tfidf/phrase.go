@@ -2,22 +2,24 @@ package tfidf
 
 import "slices"
 
-// Hashed phrase identity and the flat phrase tables. Phrases are keyed by
-// a rolling 64-bit hash over token ids, extended one token at a time so
-// all MaxN n-grams starting at a position cost one multiply-add each and
-// zero allocations. Hashing is NOT trusted for identity: both tables in
-// this file settle equal keys by comparing the actual token sequences and
-// keep colliding phrases apart, so phrase identity is exact, never
-// probabilistic.
+// The phrase substrate both Coarse paths share: hashed phrase identity,
+// the per-document dedupe and the document-frequency table. A phrase is
+// keyed by a rolling 64-bit hash over its token ids, extended one token
+// at a time, so all MaxN n-grams starting at a position cost one
+// multiply-add each and zero allocations.
+//
+// Across documents the hash is the phrase identity: the DF table keys on
+// it alone, so two distinct phrases sharing all 64 bits would merge their
+// document frequencies. A merge only over-connects a coarse component; it
+// never corrupts state. On the Twitter corpus the hash count equals the
+// exact string count (TestSelectionTablesMatchMapCount). Within one
+// document the dedupe compares tokens, so two different n-grams there
+// that share a hash stay two phrases with one hash (both counted, both
+// selectable).
 
-// PhraseID identifies one distinct phrase of the corpus exactly. Hash is
-// the mixed rolling hash of the phrase's token-id sequence; Alt is the
-// index in the corpus-wide collision chain for that hash value, which is
-// 0 unless two distinct phrases happen to share all 64 hash bits.
-type PhraseID struct {
-	Hash uint64
-	Alt  uint16
-}
+// PhraseID identifies a phrase across documents: the mixed rolling hash
+// of its token-id sequence.
+type PhraseID = uint64
 
 // hashMul is the odd multiplier of the rolling polynomial hash.
 const hashMul = 0x9e3779b97f4a7c15
@@ -29,7 +31,7 @@ func extendHash(h uint64, id int) uint64 {
 }
 
 // mix64 is the SplitMix64 finalizer, applied to the rolling hash before
-// it is used as a table key or shard selector.
+// it is used as a table key.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -38,33 +40,12 @@ func mix64(h uint64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// hashIDs hashes a whole token-id sequence (the non-rolling reference,
-// used by tests and one-off callers).
-func hashIDs(ids []int) uint64 {
-	var h uint64
-	for _, id := range ids {
-		h = extendHash(h, id)
-	}
-	return mix64(h)
-}
-
-// dfShards is the number of key-range shards the document-frequency
-// table is split into, so the shards are counted in parallel with no
-// shared state and no lock. The count is fixed (not a function of the
-// worker knob) so the table layout is identical for any Workers.
-const dfShards = 16
-
-// shardOf selects the DF shard for a mixed hash by its top bits. Both
-// tables pick slots by the low bits, which stay uniform within a shard.
-func shardOf(h uint64) int { return int(h >> 60) }
-
-// phraseEntry is one distinct phrase of one document.
-type phraseEntry struct {
-	hash uint64
-	tf   int32 // term frequency in the document
-	pos  int32 // start of the first occurrence
-	n    int32 // phrase length in tokens
-	cell int32 // the phrase's cell in DF shard shardOf(hash)
+// Phrase is one distinct phrase of one document.
+type Phrase struct {
+	Hash uint64 // mixed rolling hash of the token-id sequence
+	TF   int32  // term frequency in the document
+	Pos  int32  // start of the first occurrence
+	N    int32  // length in tokens
 }
 
 // occurrences is the number of 1..maxN-gram occurrences in a document of
@@ -74,11 +55,11 @@ func occurrences(l, maxN int) int {
 	return m*l - m*(m-1)/2
 }
 
-// docTable is a worker's reusable open-addressing table (linear probing)
-// that dedupes one document's n-gram occurrences into entries. A slot
-// holds an index into the entry array plus one; 0 is empty. The table is
-// cleared and resized per document, so it is never larger than twice the
-// longest document's occurrence count, rounded up to a power of two.
+// docTable is a reusable open-addressing table (linear probing) that
+// dedupes one document's n-gram occurrences into phrases. A slot holds an
+// index into the phrase array plus one; 0 is empty. The table is cleared
+// and resized per document, so it is never larger than twice the longest
+// document's occurrence count, rounded up to a power of two.
 type docTable struct {
 	slots []int32
 }
@@ -98,174 +79,176 @@ func (t *docTable) reset(occ int) {
 }
 
 // add counts one occurrence of the n-gram ids[pos:pos+n] under key: the
-// entry of the same phrase gains a tf, or a new entry is appended. An
+// phrase of the same tokens gains a tf, or a new phrase is appended. An
 // equal key with a different token sequence probes on, so two distinct
 // phrases that share a hash get separate entries.
-func (t *docTable) add(ents []phraseEntry, ids []int, key uint64, pos, n int32) []phraseEntry {
+func (t *docTable) add(ps []Phrase, ids []int, key uint64, pos, n int32) []Phrase {
 	mask := uint64(len(t.slots) - 1)
 	for i := key & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.slots[i] = int32(len(ents) + 1)
-			return append(ents, phraseEntry{hash: key, tf: 1, pos: pos, n: n})
+			t.slots[i] = int32(len(ps) + 1)
+			return append(ps, Phrase{Hash: key, TF: 1, Pos: pos, N: n})
 		}
-		if e := &ents[s-1]; e.hash == key && slices.Equal(ids[e.pos:e.pos+e.n], ids[pos:pos+n]) {
-			e.tf++
-			return ents
+		if p := &ps[s-1]; p.Hash == key && slices.Equal(ids[p.Pos:p.Pos+p.N], ids[pos:pos+n]) {
+			p.TF++
+			return ps
 		}
 	}
 }
 
 // addDoc appends the distinct 1..maxN-grams of one tokenized document to
-// ents, in order of first occurrence (by start position, then length),
+// ps, in order of first occurrence (by start position, then length),
 // with term frequencies and first-occurrence positions. Each n-gram costs
-// one rolling-hash step and one probe; nothing is allocated beyond ents.
-func (t *docTable) addDoc(ents []phraseEntry, ids []int, maxN int) []phraseEntry {
+// one rolling-hash step and one probe; nothing is allocated beyond ps.
+func (t *docTable) addDoc(ps []Phrase, ids []int, maxN int) []Phrase {
 	t.reset(occurrences(len(ids), maxN))
 	for i := range ids {
 		var h uint64
 		for n := 1; n <= maxN && i+n <= len(ids); n++ {
 			h = extendHash(h, ids[i+n-1])
-			ents = t.add(ents, ids, mix64(h), int32(i), int32(n))
+			ps = t.add(ps, ids, mix64(h), int32(i), int32(n))
 		}
 	}
-	return ents
+	return ps
 }
 
-// Phrase is one distinct phrase of one document, as PhraseTable lists it.
-type Phrase struct {
-	Hash uint64 // mixed rolling hash of the token-id sequence
-	TF   int32  // term frequency in the document
-	Pos  int32  // start of the first occurrence
-	N    int32  // length in tokens
+// Phrases holds the distinct phrases of a run of documents, document by
+// document, each in its order of first occurrence. Extract refills it
+// through one reused dedupe table; the zero value is ready to use.
+type Phrases struct {
+	tab    docTable
+	all    []Phrase
+	bounds []int32 // document i owns all[bounds[i]:bounds[i+1]]
 }
 
-// PhraseTable is the n-gram dedupe of TopPhraseIDs for callers that keep
-// phrase statistics of their own (the streaming incremental miner). It
-// reuses one table across documents, and equal hashes are settled by
-// comparing tokens, so two different n-grams of one document that share
-// all 64 hash bits stay two phrases (with equal Hash). The zero value is
-// ready to use.
-type PhraseTable struct {
-	tab  docTable
-	ents []phraseEntry
-}
-
-// AppendDoc appends the distinct 1..maxN-grams of ids to dst in order of
-// first occurrence (by start position, then length) and returns dst.
-func (t *PhraseTable) AppendDoc(dst []Phrase, ids []int, maxN int) []Phrase {
-	t.ents = t.tab.addDoc(t.ents[:0], ids, maxN)
-	for i := range t.ents {
-		e := &t.ents[i]
-		dst = append(dst, Phrase{Hash: e.hash, TF: e.tf, Pos: e.pos, N: e.n})
+// Extract replaces the contents with the distinct 1..maxN-grams of docs.
+func (p *Phrases) Extract(docs [][]int, maxN int) {
+	occ := 0
+	for _, ids := range docs {
+		occ += occurrences(len(ids), maxN)
 	}
-	return dst
-}
-
-// dfCell is one distinct phrase of the corpus.
-type dfCell struct {
-	idf         float64 // log(numDocs/df), set once counting is done
-	df          int32
-	doc, pos, n int32  // canonical (first) occurrence
-	next        int32  // next cell with the same hash; 0 ends the chain
-	alt         uint16 // position in the chain: PhraseID.Alt
-}
-
-// dfTable is one DF shard: a dense open-addressing table (linear probing)
-// from hash to the head of that hash's collision chain, over flat cells.
-// A head holds a cell index plus one; 0 is an empty slot. Cell 0 always
-// heads a chain, so next == 0 can mean "end of chain". The slot arrays
-// double whenever the cells would fill more than half of them (cells
-// bound the occupied slots: every head is a cell).
-type dfTable struct {
-	keys  []uint64
-	heads []int32
-	cells []dfCell
-}
-
-// newDFTable sizes a table for a shard that will count hint (document,
-// phrase) pairs: hint/2 distinct phrases fit before it first grows.
-func newDFTable(hint int) dfTable {
-	size := 16
-	for size < hint {
-		size <<= 1
-	}
-	return dfTable{
-		keys:  make([]uint64, size),
-		heads: make([]int32, size),
-		cells: make([]dfCell, 0, hint/2),
+	p.all = slices.Grow(p.all[:0], occ)
+	p.bounds = append(p.bounds[:0], 0)
+	for _, ids := range docs {
+		p.all = p.tab.addDoc(p.all, ids, maxN)
+		p.bounds = append(p.bounds, int32(len(p.all)))
 	}
 }
+
+// Len returns the number of documents extracted.
+func (p *Phrases) Len() int { return max(0, len(p.bounds)-1) }
+
+// Doc returns document i's distinct phrases.
+func (p *Phrases) Doc(i int) []Phrase { return p.all[p.bounds[i]:p.bounds[i+1]] }
+
+// All returns every document's phrases, document after document: one
+// entry per distinct (document, phrase) pair, as DF counting needs.
+func (p *Phrases) All() []Phrase { return p.all }
+
+// HashTable is a dense open-addressing table from a 64-bit phrase hash to
+// a nonzero int32 (linear probing; value 0 marks an empty slot). It is
+// the document-frequency table of both Coarse paths. It stays at most
+// half full, doubling as it grows, and Dec deletes by backward shift, so
+// lookups never step over tombstones and a sliding window's table never
+// needs a rebuild. The zero value is an empty table; Get is safe for
+// concurrent readers while nothing writes.
+type HashTable struct {
+	keys []uint64
+	vals []int32
+	n    int // occupied slots
+}
+
+// Len returns the number of keys in the table.
+func (t *HashTable) Len() int { return t.n }
 
 // slot returns the slot holding key, or the empty slot where it belongs.
-func (t *dfTable) slot(key uint64) uint64 {
-	mask := uint64(len(t.heads) - 1)
+func (t *HashTable) slot(key uint64) uint64 {
+	mask := uint64(len(t.keys) - 1)
 	i := key & mask
-	for t.heads[i] != 0 && t.keys[i] != key {
+	for t.vals[i] != 0 && t.keys[i] != key {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// grow doubles the slot arrays and reinserts every chain head.
-func (t *dfTable) grow() {
-	keys, heads := t.keys, t.heads
-	t.keys, t.heads = make([]uint64, 2*len(keys)), make([]int32, 2*len(heads))
-	for i, h := range heads {
-		if h != 0 {
+// Get returns the value under key, or 0 for an absent key.
+func (t *HashTable) Get(key uint64) int32 {
+	if t.n == 0 {
+		return 0
+	}
+	return t.vals[t.slot(key)]
+}
+
+// reserve grows the table if one more key would fill over half of it.
+func (t *HashTable) reserve() {
+	if 2*(t.n+1) <= len(t.keys) {
+		return
+	}
+	keys, vals := t.keys, t.vals
+	size := max(16, 2*len(keys))
+	t.keys, t.vals = make([]uint64, size), make([]int32, size)
+	for i, v := range vals {
+		if v != 0 {
 			j := t.slot(keys[i])
-			t.keys[j], t.heads[j] = keys[i], h
+			t.keys[j], t.vals[j] = keys[i], v
 		}
 	}
 }
 
-// newCell appends a cell for a phrase first seen at docs[doc][pos:pos+n].
-func (t *dfTable) newCell(doc, pos, n int32, alt uint16) int32 {
-	t.cells = append(t.cells, dfCell{df: 1, doc: doc, pos: pos, n: n, alt: alt})
-	return int32(len(t.cells) - 1)
-}
-
-// add counts one document containing the phrase docs[doc][pos:pos+n]
-// under key and returns the phrase's cell. A phrase whose key is taken by
-// a different token sequence joins the end of that key's chain, so Alt
-// numbers a hash's phrases in the order add first meets them.
-func (t *dfTable) add(docs [][]int, key uint64, doc, pos, n int32) int32 {
+// Inc adds one to key's count.
+func (t *HashTable) Inc(key uint64) {
+	t.reserve()
 	i := t.slot(key)
-	if h := t.heads[i]; h != 0 {
-		c := h - 1
-		for {
-			cl := &t.cells[c]
-			if slices.Equal(docs[cl.doc][cl.pos:cl.pos+cl.n], docs[doc][pos:pos+n]) {
-				cl.df++
-				return c
-			}
-			if cl.next == 0 {
-				nc := t.newCell(doc, pos, n, cl.alt+1)
-				t.cells[c].next = nc
-				return nc
-			}
-			c = cl.next
-		}
+	if t.vals[i] == 0 {
+		t.keys[i] = key
+		t.n++
 	}
-	if 2*(len(t.cells)+1) > len(t.heads) {
-		t.grow()
+	t.vals[i]++
+}
+
+// Dec subtracts one from key's count, which must be positive. A count
+// that reaches zero leaves the table: each later entry of the probe run
+// whose home slot is not cyclically within (hole, entry] moves back into
+// the hole, which then continues from the moved entry's slot, until an
+// empty slot ends the run.
+func (t *HashTable) Dec(key uint64) {
+	var i uint64
+	if t.n > 0 {
 		i = t.slot(key)
 	}
-	c := t.newCell(doc, pos, n, 0)
-	t.keys[i], t.heads[i] = key, c+1
-	return c
-}
-
-// find returns the cell of a phrase id, or -1 for an unknown id.
-func (t *dfTable) find(id PhraseID) int32 {
-	if len(t.heads) == 0 {
-		return -1
+	if t.n == 0 || t.vals[i] == 0 {
+		panic("tfidf: DF decrement of an uncounted phrase")
 	}
-	c := t.heads[t.slot(id.Hash)] - 1
-	for c >= 0 && t.cells[c].alt != id.Alt {
-		if c = t.cells[c].next; c == 0 {
-			return -1
+	if t.vals[i]--; t.vals[i] > 0 {
+		return
+	}
+	t.n--
+	mask := uint64(len(t.keys) - 1)
+	for j := (i + 1) & mask; t.vals[j] != 0; j = (j + 1) & mask {
+		if home := t.keys[j] & mask; (j-home)&mask >= (j-i)&mask {
+			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
+			i = j
 		}
 	}
-	return c
+	t.vals[i] = 0
+}
+
+// Insert stores v (nonzero) under key and returns 0 if key is absent;
+// otherwise it leaves the table unchanged and returns key's value.
+func (t *HashTable) Insert(key uint64, v int32) int32 {
+	t.reserve()
+	i := t.slot(key)
+	if old := t.vals[i]; old != 0 {
+		return old
+	}
+	t.keys[i], t.vals[i] = key, v
+	t.n++
+	return 0
+}
+
+// Reset empties the table, keeping its size.
+func (t *HashTable) Reset() {
+	clear(t.vals)
+	t.n = 0
 }

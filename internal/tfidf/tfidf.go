@@ -4,19 +4,26 @@
 // and the top ~10% of each document's phrases, making the count a function
 // of document size so results are not dominated by document length.
 //
-// The extractor runs on flat, reusable tables rather than Go maps (see
-// phrase.go). Phrases are keyed by rolling 64-bit hashes over token ids,
-// never by joined strings. Three passes, each over contiguous document
-// ranges or key-range shards:
+// The batch extractor (TopPhraseIDs) and the streaming incremental miner
+// run on one substrate (see phrase.go): the per-document dedupe
+// (Phrases), one hash-keyed DF table (HashTable) and one selection rule
+// (Selector). Phrases are keyed by rolling 64-bit hashes over token ids,
+// never by joined strings. TopPhraseIDs runs three passes:
 //
-//   - Extract: each worker dedupes its documents' n-grams through one
-//     reusable open-addressing table into a flat entry array (hash, tf,
-//     first position, length), and groups the entry indices by DF shard.
-//   - Count: the 16 DF shards are counted in parallel, each from every
-//     range's entries for it in document order, into a dense table over
-//     flat cells. Each entry records its cell, so scoring never hashes.
-//   - Score: per document, tf times the cell's idf, a typed sort, and the
-//     budgeted, position-diverse selection.
+//   - Extract: each worker dedupes a contiguous document range's n-grams
+//     through one reusable open-addressing table and keeps only a flat
+//     array of the phrase hashes.
+//   - Count: every range's hashes are counted, serially and in document
+//     order, into one DF table.
+//   - Score: per range in parallel, each document is deduped again and
+//     its phrases (hash, tf, first position, length) go through the
+//     Selector: tf times idf, a typed sort, and the budgeted,
+//     position-diverse selection.
+//
+// Deduping twice costs a few percent of the run. Keeping every
+// document's full phrases from Extract to Score would instead hold 24
+// bytes per (document, phrase) pair, not 8, through the DF count, where a
+// Detect call's live heap peaks.
 //
 // Output is deterministic and identical for any worker count.
 package tfidf
@@ -76,7 +83,8 @@ type Extractor struct {
 	Workers int
 }
 
-func (e *Extractor) maxN() int {
+// MaxNgram returns the longest n-gram considered, resolving the default.
+func (e *Extractor) MaxNgram() int {
 	if e.MaxN <= 0 {
 		return DefaultMaxN
 	}
@@ -98,168 +106,64 @@ func (e *Extractor) relativeFloor() float64 {
 }
 
 // Selection is the output of TopPhraseIDs: each document's selected
-// phrases plus the corpus-wide phrase table and per-stage wall times.
+// phrases and per-stage wall times.
 type Selection struct {
 	// Top[i] holds document i's selected phrases, best first.
 	Top [][]PhraseID
-	// Extract and Score time the two halves (phrase entries + DF
-	// counting, then scoring + selection).
+	// Extract and Score time the two halves (phrase hashes + DF
+	// counting, then per-document phrases, scoring and selection).
 	Extract, Score time.Duration
-
-	docs   [][]int
-	shards [dfShards]dfTable
 }
 
-// PhraseTokens returns the token-id sequence of a phrase selected by this
-// extraction, or nil for an unknown id.
-func (s *Selection) PhraseTokens(id PhraseID) []int {
-	t := &s.shards[shardOf(id.Hash)]
-	c := t.find(id)
-	if c < 0 {
-		return nil
-	}
-	cl := &t.cells[c]
-	return s.docs[cl.doc][cl.pos : cl.pos+cl.n]
-}
+// Selector is the phrase-selection rule of both Coarse paths: it scores
+// a document's distinct phrases by tf·idf against a DF table over a
+// corpus of n documents and keeps the document's top ones. A Selector
+// holds reusable scratch, so one serves one goroutine; the zero value
+// must be Reset before use.
+type Selector struct {
+	frac, floor float64
+	idf         []float64 // idf[d] = log(n/d) for 1 ≤ d ≤ n; idf[0] = 0
 
-// DF returns the document frequency of a phrase, or 0 for an unknown id.
-func (s *Selection) DF(id PhraseID) int {
-	t := &s.shards[shardOf(id.Hash)]
-	c := t.find(id)
-	if c < 0 {
-		return 0
-	}
-	return int(t.cells[c].df)
-}
-
-// phraseRange is one worker's contiguous document range [lo, hi) after
-// the extract pass.
-type phraseRange struct {
-	lo, hi int
-	// ents holds the range's distinct (document, phrase) pairs, document
-	// by document; document lo+j owns ents[bounds[j]:bounds[j+1]].
-	ents   []phraseEntry
-	bounds []int32
-	// byShard lists entry indices grouped by DF shard, ascending within a
-	// group; shard s's group is byShard[shardOff[s]:shardOff[s+1]].
-	byShard  []int32
-	shardOff [dfShards + 1]int32
-}
-
-// extract fills the range from docs[lo:hi] through one reused table.
-func (r *phraseRange) extract(docs [][]int, lo, hi, maxN int) {
-	var tab docTable
-	r.lo, r.hi = lo, hi
-	occ := 0
-	for _, ids := range docs[lo:hi] {
-		occ += occurrences(len(ids), maxN)
-	}
-	r.ents = make([]phraseEntry, 0, occ)
-	r.bounds = make([]int32, hi-lo+1)
-	for i := lo; i < hi; i++ {
-		r.ents = tab.addDoc(r.ents, docs[i], maxN)
-		r.bounds[i-lo+1] = int32(len(r.ents))
-	}
-	r.groupByShard()
-}
-
-// groupByShard counting-sorts the entry indices by DF shard. The sort is
-// stable, so each shard's group stays in document order.
-func (r *phraseRange) groupByShard() {
-	var next [dfShards + 1]int32
-	for _, e := range r.ents {
-		next[shardOf(e.hash)+1]++
-	}
-	for s := 1; s <= dfShards; s++ {
-		next[s] += next[s-1]
-	}
-	r.shardOff = next
-	r.byShard = make([]int32, len(r.ents))
-	for j, e := range r.ents {
-		s := shardOf(e.hash)
-		r.byShard[next[s]] = int32(j)
-		next[s]++
-	}
-}
-
-// countShard builds DF shard s from every range's entries for it and
-// points each entry at its cell. Ranges are contiguous and visited in
-// order, and each range's group is in document order, so cells meet the
-// (document, phrase) pairs in global document order whatever the worker
-// count: a collision chain lists a hash's phrases by first occurrence.
-func countShard(docs [][]int, ranges []phraseRange, s int) dfTable {
-	size := 0
-	for i := range ranges {
-		size += int(ranges[i].shardOff[s+1] - ranges[i].shardOff[s])
-	}
-	t := newDFTable(size)
-	for i := range ranges {
-		r := &ranges[i]
-		doc := 0
-		for _, j := range r.byShard[r.shardOff[s]:r.shardOff[s+1]] {
-			for r.bounds[doc+1] <= j {
-				doc++
-			}
-			e := &r.ents[j]
-			e.cell = t.add(docs, e.hash, int32(r.lo+doc), e.pos, e.n)
-		}
-	}
-	for c := range t.cells {
-		t.cells[c].idf = math.Log(float64(len(docs)) / float64(t.cells[c].df))
-	}
-	return t
+	phraseIdf []float64 // per phrase of the document being selected
+	cand      []scored
+	covered   []bool
+	order     []int32 // the document's positions in word order
+	rank      []int32 // per position, the rank of its word in the document
 }
 
 // scored is one candidate phrase of one document during selection.
 type scored struct {
-	score float64
-	first int32 // lexicographic rank of the phrase's first token
-	pos   int32 // start of the first occurrence
-	n     int32 // length in tokens
-	ent   int32 // index of the phrase's entry within the document
+	score  float64
+	pos, n int32 // first occurrence
+	i      int32 // index of the phrase in the document's phrase list
 }
 
-// lexCmp orders two phrases of one document by the lexicographic order
-// of their token strings (token-wise, shorter prefix first), using the
-// precomputed per-id ranks. This reproduces the joined-string-key order
-// of the old extractor for every token ordinary tokenization can emit
-// (tokens containing raw control bytes below U+001F could in principle
-// order differently; such bytes never survive tokenization of text).
-func lexCmp(ids []int, rank []int32, a, b *scored) int {
-	if a.first != b.first {
-		return int(a.first - b.first)
+// Reset prepares s to select with e's budget fraction and idf floor
+// against a DF table over n documents. The idf of every possible document
+// frequency is computed here, once, instead of once per phrase.
+func (s *Selector) Reset(e *Extractor, n int) {
+	s.frac, s.floor = e.topFraction(), e.relativeFloor()
+	s.idf = slices.Grow(s.idf[:0], n+1)[:n+1]
+	s.idf[0] = 0
+	for d := 1; d <= n; d++ {
+		s.idf[d] = math.Log(float64(n) / float64(d))
 	}
-	for i := int32(1); i < a.n && i < b.n; i++ {
-		ra := rank[ids[a.pos+i]]
-		rb := rank[ids[b.pos+i]]
-		if ra != rb {
-			return int(ra - rb)
-		}
-	}
-	return int(a.n - b.n)
 }
 
-// lexRank returns each token id's rank in the lexicographic order of the
-// vocabulary's words, for allocation-free phrase comparisons.
-func lexRank(v *tokenize.Vocab) []int32 {
-	ids := make([]int, v.Size())
-	for i := range ids {
-		ids[i] = i
-	}
-	slices.SortFunc(ids, func(a, b int) int { return strings.Compare(v.Word(a), v.Word(b)) })
-	rank := make([]int32, len(ids))
-	for r, id := range ids {
-		rank[id] = int32(r)
-	}
-	return rank
+// budget is the number of phrases a document of distinct phrases keeps: a
+// fraction of its distinct phrase count (a function of document size, per
+// the paper), at least one.
+func (s *Selector) budget(distinct int) int {
+	return max(1, int(math.Ceil(s.frac*float64(distinct))))
 }
 
-// TopPhraseIDs returns, for each tokenized document, its highest-tf-idf
-// phrases. Ties break lexicographically so output is deterministic, and
-// the result is identical for any Workers setting.
+// Select appends one document's top phrases to dst, best first, and
+// returns dst. ps are the document's distinct phrases (Phrases.Doc), ids
+// its tokens, vocab the vocabulary that spells them, and df counts, per
+// phrase hash, the corpus documents containing the phrase.
 //
-// Selection dynamics matter more than any single score here, and two
-// details make the bipartite graph behave the way the paper describes:
+// Two details make the bipartite phrase graph behave the way the paper
+// describes:
 //
 //   - df = 1 phrases stay eligible even though they can never contribute
 //     an edge. They are the budget sink that keeps diverse documents
@@ -269,131 +173,192 @@ func lexRank(v *tokenize.Vocab) []int32 {
 //     together. Near-duplicates, by contrast, share long constant chunks
 //     whose phrases have df = cluster size — rare corpus-wide, so they
 //     win the budget on every member and become edges.
-//   - zero-score phrases (df = N) are excluded: selecting ubiquitous
+//   - zero-score phrases (df = n) are excluded: selecting ubiquitous
 //     phrases as a last resort would connect the whole corpus.
+//
+// Phrases below the idf floor are dropped before the sort; the sort is by
+// score descending, then by the phrases' token strings in lexicographic
+// order (token-wise, shorter prefix first), a total order over one
+// document's phrases; and positional diversity admits a phrase only when
+// no token of its first occurrence is already covered.
+func (s *Selector) Select(dst []PhraseID, ps []Phrase, ids []int, vocab *tokenize.Vocab, df *HashTable) []PhraseID {
+	idf := slices.Grow(s.phraseIdf[:0], len(ps))[:len(ps)]
+	s.phraseIdf = idf
+	maxIdf := 0.0
+	for i := range ps {
+		// A count over n comes only from hash collisions inside one
+		// document; such a phrase is treated as ubiquitous.
+		idf[i] = 0
+		if d := int(df.Get(ps[i].Hash)); d < len(s.idf) {
+			idf[i] = s.idf[d]
+		}
+		maxIdf = max(maxIdf, idf[i])
+	}
+	floor := maxIdf * s.floor
+	cand := s.cand[:0]
+	for i := range ps {
+		if p := &ps[i]; idf[i] > 0 && idf[i] >= floor {
+			cand = append(cand, scored{float64(p.TF) * idf[i], p.Pos, p.N, int32(i)})
+		}
+	}
+	s.cand = cand
+	if len(cand) == 0 {
+		return dst
+	}
+	rank := s.lexRanks(ids, vocab)
+	slices.SortFunc(cand, func(a, b scored) int {
+		if a.score != b.score {
+			if a.score > b.score {
+				return -1
+			}
+			return 1
+		}
+		for i := int32(0); i < a.n && i < b.n; i++ {
+			if ra, rb := rank[a.pos+i], rank[b.pos+i]; ra != rb {
+				return int(ra - rb)
+			}
+		}
+		return int(a.n - b.n)
+	})
+	// Positional diversity: without it, the O(MaxN²) overlapping n-grams
+	// around a single rare token exhaust the budget and the document
+	// never exposes the phrases it shares with its near-duplicates.
+	covered := slices.Grow(s.covered[:0], len(ids))[:len(ids)]
+	clear(covered)
+	s.covered = covered
+	k, start := s.budget(len(ps)), len(dst)
+	for _, c := range cand {
+		if len(dst)-start >= k {
+			break
+		}
+		span := covered[c.pos : c.pos+c.n]
+		if slices.Contains(span, true) {
+			continue
+		}
+		for p := range span {
+			span[p] = true
+		}
+		dst = append(dst, ps[c.i].Hash)
+	}
+	return dst
+}
+
+// lexRanks returns, per position of ids, the rank of its word among the
+// document's distinct words in lexicographic order, so comparing phrases
+// rank by rank orders them as their joined string keys would. Only the
+// selecting document's words are ranked, never the whole vocabulary, so
+// the cost does not grow with a stream's vocabulary. This reproduces the
+// joined-string-key order for every token ordinary tokenization can emit
+// (tokens containing raw control bytes below U+001F, the key separator,
+// could in principle order differently; such bytes never survive
+// tokenization of text).
+func (s *Selector) lexRanks(ids []int, vocab *tokenize.Vocab) []int32 {
+	order := s.order[:0]
+	for i := range ids {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if ids[a] == ids[b] {
+			return 0
+		}
+		return strings.Compare(vocab.Word(ids[a]), vocab.Word(ids[b]))
+	})
+	rank := slices.Grow(s.rank[:0], len(ids))[:len(ids)]
+	r := int32(0)
+	for k, p := range order {
+		if k > 0 && ids[p] != ids[order[k-1]] {
+			r++
+		}
+		rank[p] = r
+	}
+	s.order, s.rank = order, rank
+	return rank
+}
+
+// countDF runs the extract and count passes: each worker dedupes a
+// contiguous range of documents, keeping only the phrase hashes and each
+// document's distinct-phrase count, and the hashes are then counted,
+// serially and in document order, into one DF table (each distinct
+// (document, phrase) pair adds one to its hash's count). It returns the
+// table and the per-document distinct counts.
+func countDF(docs [][]int, workers, maxN int) (*HashTable, []int32) {
+	distinct := make([]int32, len(docs))
+	hashes := make([][]uint64, min(workers, len(docs)))
+	par.IndexedRanges(len(docs), workers, func(w, lo, hi int) {
+		occ := 0
+		for _, ids := range docs[lo:hi] {
+			occ += occurrences(len(ids), maxN)
+		}
+		hs := make([]uint64, 0, occ)
+		var ph Phrases
+		for i := lo; i < hi; i++ {
+			ph.Extract(docs[i:i+1], maxN)
+			for _, p := range ph.Doc(0) {
+				hs = append(hs, p.Hash)
+			}
+			distinct[i] = int32(len(ph.Doc(0)))
+		}
+		hashes[w] = hs
+	})
+	df := &HashTable{}
+	for _, hs := range hashes {
+		for _, h := range hs {
+			df.Inc(h)
+		}
+	}
+	return df, distinct
+}
+
+// TopPhraseIDs returns, for each tokenized document, its highest-tf-idf
+// phrases under the Selector rule. Ties break lexicographically so output
+// is deterministic, and the result is identical for any Workers setting.
 func (e *Extractor) TopPhraseIDs(docs [][]int, vocab *tokenize.Vocab) *Selection {
 	n := len(docs)
-	sel := &Selection{Top: make([][]PhraseID, n), docs: docs}
+	sel := &Selection{Top: make([][]PhraseID, n)}
 	if n == 0 {
 		return sel
 	}
 	workers := par.Workers(e.Workers)
 
-	// Extract each range's phrase entries, then count the DF shards. Each
-	// worker owns its range or shard outright; no state is shared.
 	start := time.Now()
-	maxN := e.maxN()
-	ranges := make([]phraseRange, min(workers, n))
-	par.IndexedRanges(n, workers, func(w, lo, hi int) {
-		ranges[w].extract(docs, lo, hi, maxN)
-	})
-	par.Each(dfShards, workers, func(s int) {
-		sel.shards[s] = countShard(docs, ranges, s)
-	})
+	df, distinct := countDF(docs, workers, e.MaxNgram())
 	sel.Extract = time.Since(start)
 
-	// Score and select, embarrassingly parallel per range.
 	start = time.Now()
-	rank := lexRank(vocab)
-	frac, floorFrac := e.topFraction(), e.relativeFloor()
-	par.Each(len(ranges), workers, func(w int) {
-		sel.selectRange(&ranges[w], rank, frac, floorFrac)
+	par.Ranges(n, workers, func(lo, hi int) {
+		e.selectRange(sel.Top, docs, vocab, df, distinct, lo, hi)
 	})
 	sel.Score = time.Since(start)
 	return sel
 }
 
-// cell returns the DF cell an entry points at.
-func (s *Selection) cell(e *phraseEntry) *dfCell {
-	return &s.shards[shardOf(e.hash)].cells[e.cell]
-}
-
-// selectRange scores the phrases of one range's documents and fills
-// their Top rows, which share one backing array sized by the budgets.
-func (s *Selection) selectRange(r *phraseRange, rank []int32, frac, floorFrac float64) {
-	// The budget is a fraction of the document's distinct phrase count (a
-	// function of document size, per the paper).
-	budget := func(distinct int) int {
-		return max(1, int(math.Ceil(frac*float64(distinct))))
-	}
+// selectRange fills the Top rows of documents lo..hi-1, which share one
+// backing array sized by the budgets, deduping each document again.
+func (e *Extractor) selectRange(top [][]PhraseID, docs [][]int, vocab *tokenize.Vocab, df *HashTable, distinct []int32, lo, hi int) {
+	var s Selector
+	s.Reset(e, len(docs))
 	room := 0
-	for j := range r.hi - r.lo {
-		if d := int(r.bounds[j+1] - r.bounds[j]); d > 0 {
-			room += budget(d)
+	for _, d := range distinct[lo:hi] {
+		if d > 0 {
+			room += s.budget(int(d))
 		}
 	}
 	picked := make([]PhraseID, 0, room)
-	var cand []scored
-	var covered []bool
-	for j := range r.hi - r.lo {
-		ents := r.ents[r.bounds[j]:r.bounds[j+1]]
-		ids := s.docs[r.lo+j]
-		maxIdf := 0.0
-		for i := range ents {
-			maxIdf = max(maxIdf, s.cell(&ents[i]).idf)
-		}
-		// Phrases below the floor are never selected, so they are left
-		// out before sorting; the survivors keep their relative order.
-		floor := maxIdf * floorFrac
-		cand = cand[:0]
-		for i := range ents {
-			e := &ents[i]
-			idf := s.cell(e).idf
-			score := float64(e.tf) * idf
-			if score <= 0 || idf < floor {
-				continue
-			}
-			cand = append(cand, scored{score, rank[ids[e.pos]], e.pos, e.n, int32(i)})
-		}
-		if len(cand) == 0 {
-			continue
-		}
-		slices.SortFunc(cand, func(a, b scored) int {
-			if a.score != b.score {
-				if a.score > b.score {
-					return -1
-				}
-				return 1
-			}
-			return lexCmp(ids, rank, &a, &b)
-		})
-		k := budget(len(ents))
-		// Positional diversity: a phrase is only selected if every token
-		// of its first occurrence is still uncovered. Without this, the
-		// O(MaxN²) overlapping n-grams around a single rare token exhaust
-		// the budget and the document never exposes the phrases it shares
-		// with its near-duplicates.
-		if cap(covered) >= len(ids) {
-			covered = covered[:len(ids)]
-			clear(covered)
-		} else {
-			covered = make([]bool, len(ids))
-		}
+	var ph Phrases
+	for i := lo; i < hi; i++ {
+		ph.Extract(docs[i:i+1], e.MaxNgram())
 		row := len(picked)
-		for _, c := range cand {
-			if len(picked)-row >= k {
-				break
-			}
-			span := covered[c.pos : c.pos+c.n]
-			if slices.Contains(span, true) {
-				continue
-			}
-			for p := range span {
-				span[p] = true
-			}
-			e := &ents[c.ent]
-			picked = append(picked, PhraseID{e.hash, s.cell(e).alt})
-		}
+		picked = s.Select(picked, ph.Doc(0), docs[i], vocab, df)
 		if len(picked) > row {
-			s.Top[r.lo+j] = picked[row:len(picked):len(picked)]
+			top[i] = picked[row:len(picked):len(picked)]
 		}
 	}
 }
 
 // TopPhrases is the string-keyed compatibility form of TopPhraseIDs: it
 // interns the documents through a private vocabulary, runs the hashed
-// extraction, and materializes each selected phrase's string key exactly
-// once per distinct phrase (never per occurrence).
+// extraction, and spells each selected phrase from the tokens of the
+// document that selected it.
 func (e *Extractor) TopPhrases(docs [][]string) [][]string {
 	vocab := tokenize.NewVocab()
 	ids := make([][]int, len(docs))
@@ -401,31 +366,20 @@ func (e *Extractor) TopPhrases(docs [][]string) [][]string {
 		ids[i] = vocab.Encode(d)
 	}
 	sel := e.TopPhraseIDs(ids, vocab)
-	interned := make(map[PhraseID]string)
+	var ph Phrases
 	out := make([][]string, len(docs))
-	for i, ps := range sel.Top {
-		if len(ps) == 0 {
+	for i, top := range sel.Top {
+		if len(top) == 0 {
 			continue
 		}
-		row := make([]string, len(ps))
-		for j, p := range ps {
-			s, ok := interned[p]
-			if !ok {
-				s = Key(vocab.Decode(sel.PhraseTokens(p)))
-				interned[p] = s
-			}
-			row[j] = s
+		ph.Extract(ids[i:i+1], e.MaxNgram())
+		ps := ph.Doc(0)
+		row := make([]string, len(top))
+		for j, id := range top {
+			p := ps[slices.IndexFunc(ps, func(p Phrase) bool { return p.Hash == id })]
+			row[j] = Key(docs[i][p.Pos : p.Pos+p.N])
 		}
 		out[i] = row
 	}
 	return out
-}
-
-// Score computes the tf-idf of one phrase given its term frequency,
-// document frequency, and corpus size — exposed for tests and tooling.
-func Score(tf, df, numDocs int) float64 {
-	if df <= 0 || numDocs <= 0 {
-		return 0
-	}
-	return float64(tf) * math.Log(float64(numDocs)/float64(df))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -26,6 +27,15 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// hashIDs hashes a whole token-id sequence: the non-rolling reference.
+func hashIDs(ids []int) uint64 {
+	var h uint64
+	for _, id := range ids {
+		h = extendHash(h, id)
+	}
+	return mix64(h)
+}
+
 // hashOf returns the phrase hash of a word sequence under v's ids.
 func hashOf(v *tokenize.Vocab, words ...string) uint64 {
 	ids := make([]int, len(words))
@@ -46,11 +56,11 @@ func TestPhraseSetCounts(t *testing.T) {
 	ents := tab.addDoc(nil, ids, 2)
 	// unigrams: a(2) b(2); bigrams: "a b"(2) "b a"(1), in order of first
 	// occurrence (start position, then length).
-	want := []phraseEntry{
-		{hash: hashOf(v, "a"), tf: 2, pos: 0, n: 1},
-		{hash: hashOf(v, "a", "b"), tf: 2, pos: 0, n: 2},
-		{hash: hashOf(v, "b"), tf: 2, pos: 1, n: 1},
-		{hash: hashOf(v, "b", "a"), tf: 1, pos: 1, n: 2},
+	want := []Phrase{
+		{Hash: hashOf(v, "a"), TF: 2, Pos: 0, N: 1},
+		{Hash: hashOf(v, "a", "b"), TF: 2, Pos: 0, N: 2},
+		{Hash: hashOf(v, "b"), TF: 2, Pos: 1, N: 1},
+		{Hash: hashOf(v, "b", "a"), TF: 1, Pos: 1, N: 2},
 	}
 	if !reflect.DeepEqual(ents, want) {
 		t.Errorf("entries = %+v\nwant %+v", ents, want)
@@ -58,7 +68,7 @@ func TestPhraseSetCounts(t *testing.T) {
 	// The table is reused: a second document starts from an empty table
 	// and appends after the first document's entries.
 	ents = tab.addDoc(ents, v.Encode(tok("b")), 2)
-	if got := ents[4:]; len(got) != 1 || got[0].hash != hashOf(v, "b") || got[0].tf != 1 {
+	if got := ents[4:]; len(got) != 1 || got[0].Hash != hashOf(v, "b") || got[0].TF != 1 {
 		t.Errorf("second document entries = %+v", got)
 	}
 }
@@ -98,169 +108,126 @@ func TestRollingHashMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDFChainHandlesForcedCollisions drives the collision-chain paths of
-// both tables directly: genuine 64-bit collisions are too rare to
-// construct, so different phrases are counted under one forged key and
-// must keep exact, separate counts.
-func TestDFChainHandlesForcedCollisions(t *testing.T) {
+// TestDocTableSeparatesForcedCollisions: within one document the dedupe
+// table settles equal keys by comparing tokens, so different n-grams
+// counted under one forged key stay separate phrases with their own term
+// frequencies (genuine 64-bit collisions are too rare to construct).
+func TestDocTableSeparatesForcedCollisions(t *testing.T) {
 	const key = uint64(0xdeadbeef)
-
-	// Across documents: the DF table chains [4 5] behind [1 2].
-	docs := [][]int{{1, 2, 3}, {4, 5, 6}, {1, 2, 9}}
-	tab := newDFTable(0)
-	c0 := tab.add(docs, key, 0, 0, 2) // phrase [1 2] in doc 0
-	c1 := tab.add(docs, key, 1, 0, 2) // phrase [4 5] in doc 1: collides
-	if c := tab.add(docs, key, 2, 0, 2); c != c0 {
-		t.Errorf("phrase [1 2] again: cell %d, want %d", c, c0)
-	}
-	sel := &Selection{docs: docs}
-	sel.shards[shardOf(key)] = tab
-	for _, tc := range []struct {
-		cell int32
-		alt  uint16
-		df   int
-		toks []int
-	}{{c0, 0, 2, []int{1, 2}}, {c1, 1, 1, []int{4, 5}}} {
-		id := PhraseID{key, tc.alt}
-		if got := tab.cells[tc.cell].alt; got != tc.alt {
-			t.Errorf("cell %d: alt %d, want %d", tc.cell, got, tc.alt)
-		}
-		if got := sel.DF(id); got != tc.df {
-			t.Errorf("DF(%v) = %d, want %d", id, got, tc.df)
-		}
-		if got := sel.PhraseTokens(id); !reflect.DeepEqual(got, tc.toks) {
-			t.Errorf("PhraseTokens(%v) = %v, want %v", id, got, tc.toks)
-		}
-	}
-	for _, id := range []PhraseID{{key, 2}, {key + 1, 0}} {
-		if sel.DF(id) != 0 || sel.PhraseTokens(id) != nil {
-			t.Errorf("unknown id %v resolved", id)
-		}
-	}
-
-	// Within one document: the dedupe table keeps [1 2], [2 1] and [2 3]
-	// apart under one key and counts each one's occurrences.
 	ids := []int{1, 2, 1, 2, 3}
 	var dt docTable
 	dt.reset(occurrences(len(ids), 2))
-	var ents []phraseEntry
+	var ps []Phrase
 	for p := 0; p+2 <= len(ids); p++ {
-		ents = dt.add(ents, ids, key, int32(p), 2)
+		ps = dt.add(ps, ids, key, int32(p), 2)
 	}
-	want := []phraseEntry{{hash: key, tf: 2, pos: 0, n: 2}, {hash: key, tf: 1, pos: 1, n: 2}, {hash: key, tf: 1, pos: 3, n: 2}}
-	if !reflect.DeepEqual(ents, want) {
-		t.Errorf("in-document collisions: entries %+v, want %+v", ents, want)
+	want := []Phrase{{Hash: key, TF: 2, Pos: 0, N: 2}, {Hash: key, TF: 1, Pos: 1, N: 2}, {Hash: key, TF: 1, Pos: 3, N: 2}}
+	if !reflect.DeepEqual(ps, want) {
+		t.Errorf("in-document collisions: phrases %+v, want %+v", ps, want)
 	}
 }
 
-// forgedBigramKey replaces the hash of every bigram in the forged
-// extractions below, so all bigrams of a corpus share one chain.
-const forgedBigramKey = uint64(0x3) << 60
-
-// forgedExtract mirrors TopPhraseIDs's extract and count passes, split
-// over workers the same way, with every bigram keyed by forgedBigramKey.
-func forgedExtract(docs [][]int, maxN, workers int) (*Selection, []phraseRange) {
-	n := len(docs)
-	ranges := make([]phraseRange, min(workers, n))
-	par.IndexedRanges(n, workers, func(w, lo, hi int) {
-		r := &ranges[w]
-		r.lo, r.hi = lo, hi
-		r.bounds = make([]int32, hi-lo+1)
-		var tab docTable
-		for i := lo; i < hi; i++ {
-			ids := docs[i]
-			tab.reset(occurrences(len(ids), maxN))
-			for p := range ids {
-				for l := 1; l <= maxN && p+l <= len(ids); l++ {
-					key := hashIDs(ids[p : p+l])
-					if l == 2 {
-						key = forgedBigramKey
-					}
-					r.ents = tab.add(r.ents, ids, key, int32(p), int32(l))
-				}
+// forgedTop mirrors TopPhraseIDs — phrase hashes per range, one serial
+// DF count, then per range each document deduped again and selected —
+// split over workers the same way, with every phrase keyed by
+// forge(tokens) instead of its hash.
+func forgedTop(e *Extractor, docs [][]int, vocab *tokenize.Vocab, workers int, forge func([]int) uint64) (*HashTable, [][]PhraseID) {
+	n, maxN := len(docs), e.MaxNgram()
+	forged := func(tab *docTable, ids []int) (ps []Phrase) {
+		tab.reset(occurrences(len(ids), maxN))
+		for p := range ids {
+			for l := 1; l <= maxN && p+l <= len(ids); l++ {
+				ps = tab.add(ps, ids, forge(ids[p:p+l]), int32(p), int32(l))
 			}
-			r.bounds[i-lo+1] = int32(len(r.ents))
 		}
-		r.groupByShard()
+		return ps
+	}
+	hashes := make([][]uint64, min(workers, n))
+	par.IndexedRanges(n, workers, func(w, lo, hi int) {
+		var tab docTable
+		for _, ids := range docs[lo:hi] {
+			for _, p := range forged(&tab, ids) {
+				hashes[w] = append(hashes[w], p.Hash)
+			}
+		}
 	})
-	sel := &Selection{Top: make([][]PhraseID, n), docs: docs}
-	par.Each(dfShards, workers, func(s int) { sel.shards[s] = countShard(docs, ranges, s) })
-	return sel, ranges
+	df := &HashTable{}
+	for _, hs := range hashes {
+		for _, h := range hs {
+			df.Inc(h)
+		}
+	}
+	top := make([][]PhraseID, n)
+	par.Ranges(n, workers, func(lo, hi int) {
+		var tab docTable
+		var s Selector
+		s.Reset(e, n)
+		for i := lo; i < hi; i++ {
+			top[i] = s.Select(nil, forged(&tab, docs[i]), docs[i], vocab, df)
+		}
+	})
+	return df, top
 }
 
-// TestForgedChainOrder forces every bigram of a real-shaped corpus into
-// one collision chain and checks, for several worker counts, that Alt
-// numbers the bigrams by first occurrence in document order, that DF and
-// PhraseTokens resolve every Alt, that every entry points at its own
-// phrase's cell, and that selection over the forged tables still equals
-// the string-key reference.
-func TestForgedChainOrder(t *testing.T) {
+// TestForgedCollisionMergesDF pins the cross-document identity rule: the
+// 64-bit hash is the phrase. Two different bigrams, in different
+// documents, forged onto one key count as one phrase whose DF is the sum
+// of theirs, and selection over the merged table is the same at any
+// worker count. With the true hash as the "forge", the mirror must
+// reproduce TopPhraseIDs exactly.
+func TestForgedCollisionMergesDF(t *testing.T) {
 	words := fixtureCorpus(42, 3, 5, 30)
 	vocab := tokenize.NewVocab()
 	docs := make([][]int, len(words))
 	for i, w := range words {
 		docs[i] = vocab.Encode(w)
 	}
-	// Reference: distinct bigrams by first occurrence, and their df.
-	var order []string
-	df := map[string]int{}
-	for _, w := range words {
-		seen := map[string]bool{}
-		for p := 0; p+2 <= len(w); p++ {
-			k := Key(w[p : p+2])
-			if _, ok := df[k]; !ok {
-				order = append(order, k)
-			}
-			if !seen[k] {
-				seen[k] = true
-				df[k]++
-			}
-		}
-	}
-	if len(order) < 50 {
-		t.Fatalf("only %d distinct bigrams; the chain should be long", len(order))
-	}
-	e := &Extractor{MaxN: 3, TopFraction: 0.3}
-	want := referenceTopPhrases(e, words)
-	for _, workers := range []int{1, 2, 5} {
-		sel, ranges := forgedExtract(docs, 3, workers)
-		for alt, k := range order {
-			id := PhraseID{forgedBigramKey, uint16(alt)}
-			if got := Key(vocab.Decode(sel.PhraseTokens(id))); got != k {
-				t.Fatalf("workers=%d: Alt %d spells %q, want %q", workers, alt, got, k)
-			}
-			if got := sel.DF(id); got != df[k] {
-				t.Fatalf("workers=%d: DF(%q) = %d, want %d", workers, k, got, df[k])
-			}
-		}
-		if id := (PhraseID{forgedBigramKey, uint16(len(order))}); sel.PhraseTokens(id) != nil {
-			t.Fatalf("workers=%d: Alt past the chain end resolved", workers)
-		}
-		for _, r := range ranges {
-			for j := range r.hi - r.lo {
-				ids := docs[r.lo+j]
-				for _, en := range r.ents[r.bounds[j]:r.bounds[j+1]] {
-					c := sel.shards[shardOf(en.hash)].cells[en.cell]
-					if !reflect.DeepEqual(docs[c.doc][c.pos:c.pos+c.n], ids[en.pos:en.pos+en.n]) {
-						t.Fatalf("workers=%d: doc %d entry at %d points at another phrase's cell", workers, r.lo+j, en.pos)
-					}
+	// A is the first campaign's leading bigram; B is a noise document's
+	// leading bigram, which shares no document with A.
+	a, b := docs[0][:2], docs[len(docs)-1][:2]
+	dfOf := func(ph []int) (df int32) {
+		for _, ids := range docs {
+			for p := 0; p+len(ph) <= len(ids); p++ {
+				if slices.Equal(ids[p:p+len(ph)], ph) {
+					df++
+					break
 				}
 			}
 		}
-		rank := lexRank(vocab)
-		for w := range ranges {
-			sel.selectRange(&ranges[w], rank, e.topFraction(), e.relativeFloor())
+		return df
+	}
+	keyA, keyB := hashIDs(a), hashIDs(b)
+	forge := func(ids []int) uint64 {
+		if h := hashIDs(ids); h != keyB {
+			return h
 		}
-		got := make([][]string, len(docs))
-		for i, ps := range sel.Top {
-			for _, p := range ps {
-				got[i] = append(got[i], Key(vocab.Decode(sel.PhraseTokens(p))))
-			}
+		return keyA
+	}
+	e := &Extractor{MaxN: 3, TopFraction: 0.3}
+	var ref [][]PhraseID
+	for _, workers := range []int{1, 2, 5} {
+		if _, top := forgedTop(e, docs, vocab, workers, hashIDs); !reflect.DeepEqual(top, e.TopPhraseIDs(docs, vocab).Top) {
+			t.Fatalf("workers=%d: the unforged mirror diverged from TopPhraseIDs", workers)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: selection over forged tables diverged from the string reference", workers)
+		df, top := forgedTop(e, docs, vocab, workers, forge)
+		if got, want := df.Get(keyA), dfOf(a)+dfOf(b); got != want || df.Get(keyB) != 0 {
+			t.Fatalf("workers=%d: DF(A) = %d, DF(B) = %d; want the merged %d and 0", workers, got, df.Get(keyB), want)
+		}
+		if ref == nil {
+			ref = top
+		} else if !reflect.DeepEqual(top, ref) {
+			t.Errorf("workers=%d: selection over the merged table differs from workers=1", workers)
 		}
 	}
+}
+
+// Score computes the tf-idf of one phrase given its term frequency,
+// document frequency, and corpus size: the formula the Selector applies.
+func Score(tf, df, numDocs int) float64 {
+	if df <= 0 || numDocs <= 0 {
+		return 0
+	}
+	return float64(tf) * math.Log(float64(numDocs)/float64(df))
 }
 
 func TestScore(t *testing.T) {
@@ -442,7 +409,7 @@ func TestTopPhrasesOccurInDoc(t *testing.T) {
 // the behavioral reference the rewrite must match key-for-key.
 func referenceTopPhrases(e *Extractor, docs [][]string) [][]string {
 	type phraseInfoRef struct{ tf, pos, n int }
-	maxN := e.maxN()
+	maxN := e.MaxNgram()
 	phraseSet := func(tokens []string) map[string]phraseInfoRef {
 		set := make(map[string]phraseInfoRef)
 		for n := 1; n <= maxN; n++ {
@@ -600,7 +567,7 @@ func TestHashedSelectionMatchesStringReference(t *testing.T) {
 }
 
 // TestTopPhraseIDsWorkerInvariance: identical PhraseID output for any
-// worker count, including df values resolved through the table.
+// worker count.
 func TestTopPhraseIDsWorkerInvariance(t *testing.T) {
 	docs := fixtureCorpus(99, 4, 6, 40)
 	vocab := tokenize.NewVocab()
@@ -613,16 +580,6 @@ func TestTopPhraseIDsWorkerInvariance(t *testing.T) {
 		got := (&Extractor{Workers: workers}).TopPhraseIDs(ids, vocab)
 		if !reflect.DeepEqual(got.Top, ref.Top) {
 			t.Fatalf("workers=%d: selection differs from workers=1", workers)
-		}
-		for i := range ref.Top {
-			for _, p := range ref.Top[i] {
-				if got.DF(p) != ref.DF(p) {
-					t.Fatalf("workers=%d: df(%v) = %d, want %d", workers, p, got.DF(p), ref.DF(p))
-				}
-				if !reflect.DeepEqual(got.PhraseTokens(p), ref.PhraseTokens(p)) {
-					t.Fatalf("workers=%d: tokens(%v) differ", workers, p)
-				}
-			}
 		}
 	}
 }
@@ -654,8 +611,10 @@ func TestTwitterSelectionMatchesStringReference(t *testing.T) {
 	}
 }
 
-// TestSelectionTablesMatchMapCount checks DF and PhraseTokens for every
-// phrase of the Twitter corpus against a plain string-keyed count.
+// TestSelectionTablesMatchMapCount checks the shared DF table against a
+// plain string-keyed count over every phrase of the Twitter corpus: one
+// key per distinct phrase, and every phrase's DF equal to its exact count.
+// This is the evidence that hash identity equals exact identity there.
 func TestSelectionTablesMatchMapCount(t *testing.T) {
 	words := twitterWords()
 	vocab := tokenize.NewVocab()
@@ -663,7 +622,7 @@ func TestSelectionTablesMatchMapCount(t *testing.T) {
 	for i, w := range words {
 		docs[i] = vocab.Encode(w)
 	}
-	df := map[string]int{}
+	df := map[string]int32{}
 	for _, w := range words {
 		seen := map[string]bool{}
 		for p := range w {
@@ -676,24 +635,16 @@ func TestSelectionTablesMatchMapCount(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3} {
-		sel := (&Extractor{Workers: workers}).TopPhraseIDs(docs, vocab)
-		cells := 0
-		for s := range sel.shards {
-			cells += len(sel.shards[s].cells)
-		}
-		if cells != len(df) {
-			t.Errorf("workers=%d: %d DF cells, want %d distinct phrases", workers, cells, len(df))
+		tab, _ := countDF(docs, workers, DefaultMaxN)
+		if tab.Len() != len(df) {
+			t.Errorf("workers=%d: %d DF keys, want %d distinct phrases", workers, tab.Len(), len(df))
 		}
 		for _, ids := range docs {
 			for p := range ids {
 				for l := 1; l <= DefaultMaxN && p+l <= len(ids); l++ {
-					id := PhraseID{Hash: hashIDs(ids[p : p+l])}
 					k := Key(vocab.Decode(ids[p : p+l]))
-					if got := sel.DF(id); got != df[k] {
+					if got := tab.Get(hashIDs(ids[p : p+l])); got != df[k] {
 						t.Fatalf("workers=%d: DF(%q) = %d, want %d", workers, k, got, df[k])
-					}
-					if got := sel.PhraseTokens(id); !reflect.DeepEqual(got, ids[p:p+l]) {
-						t.Fatalf("workers=%d: PhraseTokens(%q) = %v", workers, k, got)
 					}
 				}
 			}
