@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf bench bench-coarse bench-record bench-all experiments
+.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + infoshield-vet), build, and
 ## race-enabled tests.
@@ -79,6 +79,16 @@ fuzz-serve:
 fuzz-tfidf:
 	$(GO) test -fuzz 'FuzzTopPhraseIDs$$' -fuzztime 30s ./internal/tfidf
 	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/tfidf
+
+## fuzz-align: bounded bursts of the alignment fuzzers. Every Fine screen
+## and every matcher exact DP runs align's one full-table fill; these
+## check the banded DP (op for op) and the bit-parallel distance against
+## it, and the admissible lower bounds against the cost of its alignment.
+## Anchored patterns, as in fuzz-serve.
+fuzz-align:
+	$(GO) test -fuzz 'FuzzWildBanded$$' -fuzztime 30s ./internal/align
+	$(GO) test -fuzz 'FuzzWildBitParallel$$' -fuzztime 30s ./internal/align
+	$(GO) test -fuzz 'FuzzWildLowerBoundAdmissible$$' -fuzztime 30s ./internal/align
 
 ## bench: the end-to-end pipeline benchmark at both corpus sizes,
 ## repeated for stable numbers.

@@ -1,8 +1,12 @@
-// Package align provides token-level sequence alignment: the pairwise
-// Needleman–Wunsch aligner used by InfoShield-Fine's candidate selection
-// (the C(d|d1) < C(d) test), the multiple-sequence-alignment matrix type
-// shared with the POA aligner, and a cheap star-MSA alternative that
-// demonstrates Fine is MSA-agnostic.
+// Package align provides token-level sequence alignment: one pairwise
+// Needleman–Wunsch fill against a reference whose slot positions match
+// any token, shared by InfoShield-Fine's candidate selection (the
+// C(d|d1) < C(d) test, a seed document having no slots) and the streaming
+// matcher's C(d|T) < C(d) test; the matcher's faster exact kernels (a
+// banded fill and a bit-parallel distance) with the bounds that prune
+// before them; the multiple-sequence-alignment matrix type shared with
+// the POA aligner; and a cheap star-MSA alternative that demonstrates
+// Fine is MSA-agnostic.
 //
 // Sequences are vocabulary token ids (see internal/tokenize). The gap
 // marker is Gap (-1), which is never a valid token id.
@@ -67,81 +71,26 @@ func (a Alignment) Distance() int { return a.Subs + a.Inss + a.Dels }
 
 // Pairwise globally aligns doc against ref with unit edit costs,
 // preferring matches, then substitutions, then deletions, then insertions
-// on ties so output is deterministic. O(len(ref)·len(doc)) time and space.
+// on ties so output is deterministic, and returns the edit script with its
+// counts. It runs the same fill as PairwiseWildScratch with no slots.
+// O(len(ref)·len(doc)) time and space.
 func Pairwise(ref, doc []int) Alignment {
-	n, m := len(ref), len(doc)
-	// dp[i][j]: min edits aligning ref[:i] with doc[:j].
-	dp := make([][]int32, n+1)
-	for i := range dp {
-		dp[i] = make([]int32, m+1)
-	}
-	for i := 1; i <= n; i++ {
-		dp[i][0] = int32(i)
-	}
-	for j := 1; j <= m; j++ {
-		dp[0][j] = int32(j)
-	}
-	for i := 1; i <= n; i++ {
-		ri := ref[i-1]
-		row, prev := dp[i], dp[i-1]
-		for j := 1; j <= m; j++ {
-			diag := prev[j-1]
-			if ri != doc[j-1] {
-				diag++
-			}
-			best := diag
-			if v := prev[j] + 1; v < best { // delete ref[i-1]
-				best = v
-			}
-			if v := row[j-1] + 1; v < best { // insert doc[j-1]
-				best = v
-			}
-			row[j] = best
-		}
-	}
-	// Backtrack.
-	var rev []Edit
-	a := Alignment{}
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch {
-		case i > 0 && j > 0 && ref[i-1] == doc[j-1] && dp[i][j] == dp[i-1][j-1]:
-			rev = append(rev, Edit{Op: Match, RefPos: i - 1, Token: doc[j-1]})
-			a.Matches++
-			i, j = i-1, j-1
-		case i > 0 && j > 0 && dp[i][j] == dp[i-1][j-1]+1 && ref[i-1] != doc[j-1]:
-			rev = append(rev, Edit{Op: Sub, RefPos: i - 1, Token: doc[j-1]})
-			a.Subs++
-			i, j = i-1, j-1
-		case i > 0 && dp[i][j] == dp[i-1][j]+1:
-			rev = append(rev, Edit{Op: Del, RefPos: i - 1})
-			a.Dels++
-			i--
-		default: // j > 0
-			rev = append(rev, Edit{Op: Ins, RefPos: i, Token: doc[j-1]})
-			a.Inss++
-			j--
-		}
-	}
-	// Reverse into forward order.
-	a.Edits = make([]Edit, len(rev))
-	for k, e := range rev {
-		a.Edits[len(rev)-1-k] = e
-	}
-	return a
+	var sc Scratch
+	return pairwise(ref, nil, doc, &sc, true)
 }
 
 // ConditionalCostScratch returns C(doc|ref): the MDL cost of encoding doc
 // using ref as a slot-free single template (Section IV-B.1 uses this to
 // build the candidate set: d joins when C(d|d1) < C(d)). The DP table
 // comes from the caller-owned Scratch and no edit script is built; the
-// cost is bit-identical to one derived from Pairwise's alignment.
+// cost is bit-identical to one derived from Pairwise's alignment, since
+// both run the one fill with no slots.
 func ConditionalCostScratch(ref, doc []int, vocabSize int, sc *Scratch) float64 {
-	matches, subs, inss, dels := pairwiseStats(ref, doc, sc)
+	a := PairwiseWildScratch(ref, nil, doc, sc)
 	return mdl.DataCostMatched(mdl.AlignStats{
-		AlignLen:   matches + subs + inss + dels,
-		Unmatched:  subs + inss + dels,
-		AddedWords: subs + inss,
+		AlignLen:   a.Len(),
+		Unmatched:  a.Distance(),
+		AddedWords: a.Subs + a.Inss,
 	}, 1, vocabSize)
 }
 

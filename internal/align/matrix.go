@@ -50,7 +50,7 @@ func (m *Matrix) Majority(c int) (token, count int, ok bool) {
 // all-gap rows. It returns false with a reason when violated; tests use it.
 func (m *Matrix) Validate() (bool, string) {
 	cols := m.NumCols()
-	for i, row := range m.Rows {
+	for _, row := range m.Rows {
 		if len(row) != cols {
 			return false, "ragged rows"
 		}
@@ -64,7 +64,6 @@ func (m *Matrix) Validate() (bool, string) {
 		if allGap && cols > 0 {
 			return false, "all-gap row"
 		}
-		_ = i
 	}
 	return true, ""
 }

@@ -102,28 +102,3 @@ func FuzzSortInts(f *testing.F) {
 		}
 	})
 }
-
-// TestConditionalCostScratchMatches asserts the stats-only scratch path
-// returns bit-identical costs to the edit-script path across random
-// sequence pairs — the invariant that lets the fine pass swap it in.
-func TestConditionalCostScratchMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var sc Scratch
-	for trial := 0; trial < 500; trial++ {
-		n, m := rng.Intn(40), rng.Intn(40)
-		ref := make([]int, n)
-		doc := make([]int, m)
-		for i := range ref {
-			ref[i] = rng.Intn(12)
-		}
-		for i := range doc {
-			doc[i] = rng.Intn(12)
-		}
-		a := Pairwise(ref, doc)
-		matches, subs, inss, dels := pairwiseStats(ref, doc, &sc)
-		if matches != a.Matches || subs != a.Subs || inss != a.Inss || dels != a.Dels {
-			t.Fatalf("trial %d: stats (%d,%d,%d,%d) != Pairwise (%d,%d,%d,%d)",
-				trial, matches, subs, inss, dels, a.Matches, a.Subs, a.Inss, a.Dels)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package align
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +152,7 @@ func TestPairwiseWildMatchesAnywhere(t *testing.T) {
 }
 
 func TestPairwiseWildNoWildcardsEqualsPairwise(t *testing.T) {
+	var sc Scratch
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ref := randSeq(rng, 12, 5)
@@ -158,8 +160,10 @@ func TestPairwiseWildNoWildcardsEqualsPairwise(t *testing.T) {
 		wild := make([]bool, len(ref))
 		a := Pairwise(ref, doc)
 		b := PairwiseWild(ref, wild, doc)
+		c := PairwiseWildScratch(ref, nil, doc, &sc) // nil wild: no slots
 		return a.Distance() == b.Distance() &&
-			a.Matches == b.Matches && a.Len() == b.Len()
+			a.Matches == b.Matches && a.Len() == b.Len() &&
+			sameCounts(c, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -218,12 +222,48 @@ func TestPairwiseWildScratchMatchesPairwiseWild(t *testing.T) {
 			wild[i] = rng.Intn(3) == 0
 		}
 		want := PairwiseWild(ref, wild, doc)
-		got := PairwiseWildScratch(ref, wild, doc, &sc)
-		return got.Matches == want.Matches && got.Subs == want.Subs &&
-			got.Inss == want.Inss && got.Dels == want.Dels
+		return sameCounts(PairwiseWildScratch(ref, wild, doc, &sc), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameCounts reports whether two alignments have the same operation
+// counts.
+func sameCounts(a, b Alignment) bool {
+	return a.Matches == b.Matches && a.Subs == b.Subs &&
+		a.Inss == b.Inss && a.Dels == b.Dels
+}
+
+// TestConditionalCostScratchMatches pins the two slot-free paths —
+// Pairwise's edit script and the nil-wild scratch path behind
+// ConditionalCostScratch — to PairwiseWild with an all-false wild slice.
+// Both paths run the one fill, so they are checked against the
+// oracle, which shares no code with them, not against each other: the
+// counts, and Pairwise's full edit script. Equal counts make every MDL
+// cost derived from them bit-identical.
+func TestConditionalCostScratchMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sc Scratch
+	for trial := 0; trial < 500; trial++ {
+		n, m := rng.Intn(40), rng.Intn(40)
+		ref := make([]int, n)
+		doc := make([]int, m)
+		for i := range ref {
+			ref[i] = rng.Intn(12)
+		}
+		for i := range doc {
+			doc[i] = rng.Intn(12)
+		}
+		want := PairwiseWild(ref, make([]bool, n), doc)
+		if got := Pairwise(ref, doc); !sameCounts(got, want) || !slices.Equal(got.Edits, want.Edits) {
+			t.Fatalf("trial %d: Pairwise %+v != PairwiseWild %+v", trial, got, want)
+		}
+		got := PairwiseWildScratch(ref, nil, doc, &sc)
+		if !sameCounts(got, want) || got.Edits != nil {
+			t.Fatalf("trial %d: nil-wild scratch %+v != PairwiseWild counts %+v", trial, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"infoshield/internal/graph"
@@ -17,7 +16,7 @@ import (
 // covers signatures plus banding and the tf-idf stages stay zero.
 type CoarseTimings struct {
 	Tokenize   time.Duration // word split + vocab encode
-	Extract    time.Duration // phrase sets + sharded DF counting
+	Extract    time.Duration // phrase sets + DF counting
 	Score      time.Duration // tf-idf scoring and top-phrase selection
 	Components time.Duration // phrase graph + connected components (or LSH)
 }
@@ -57,16 +56,7 @@ func coarseEncoded(words [][]string, tokens [][]int, vocab *tokenize.Vocab, opt 
 		t.Components = time.Since(start)
 		return clusters, top, t
 	}
-	b := graph.NewBipartite[tfidf.PhraseID](len(words))
-	for d, phrases := range top {
-		for _, p := range phrases {
-			b.AddEdge(d, p)
-		}
-	}
-	clusters = b.Clusters(2)
-	for _, c := range clusters {
-		sort.Ints(c)
-	}
+	clusters = tfidf.Components(top, 2, new(tfidf.HashTable))
 	t.Components = time.Since(start)
 	return clusters, top, t
 }
@@ -89,7 +79,6 @@ func coarseLSH(words [][]string, opt Options) (clusters [][]int, top [][]tfidf.P
 	clusters = lsh.Bands(sigs, 64)
 	top = make([][]tfidf.PhraseID, len(words))
 	for gi, group := range clusters {
-		sort.Ints(group)
 		key := tfidf.PhraseID(gi)
 		for _, d := range group {
 			top[d] = []tfidf.PhraseID{key}
@@ -134,12 +123,5 @@ func coarseStrict(top [][]tfidf.PhraseID, numDocs, minShared int) [][]int {
 			}
 		}
 	}
-	var clusters [][]int
-	for _, comp := range uf.Components() {
-		if len(comp) >= 2 {
-			sort.Ints(comp)
-			clusters = append(clusters, comp)
-		}
-	}
-	return clusters
+	return uf.Components(2)
 }

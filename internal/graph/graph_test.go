@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -14,9 +15,6 @@ func (uf *UnionFind) SetSize(x int) int { return uf.size[uf.Find(x)] }
 
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Edges returns the number of AddEdge calls.
-func (b *Bipartite[K]) Edges() int { return b.edges }
 
 func TestUnionFindBasic(t *testing.T) {
 	uf := NewUnionFind(5)
@@ -49,7 +47,7 @@ func TestUnionFindComponents(t *testing.T) {
 	uf := NewUnionFind(6)
 	uf.Union(0, 2)
 	uf.Union(4, 5)
-	comps := uf.Components()
+	comps := uf.Components(1)
 	if len(comps) != 4 {
 		t.Fatalf("got %d components: %v", len(comps), comps)
 	}
@@ -63,6 +61,21 @@ func TestUnionFindComponents(t *testing.T) {
 	}
 	if total != 6 {
 		t.Errorf("components cover %d elements", total)
+	}
+
+	// minSize drops the smaller sets and keeps the order. Union by size
+	// makes 4, not the least member 3, the root of {3, 4, 5}; the set
+	// still comes out in its least member's place, members ascending.
+	uf.Union(5, 3)
+	want := [][]int{{0, 2}, {3, 4, 5}}
+	if got := uf.Components(2); !reflect.DeepEqual(got, want) {
+		t.Errorf("Components(2) = %v, want %v", got, want)
+	}
+	if got := uf.Components(3); !reflect.DeepEqual(got, want[1:]) {
+		t.Errorf("Components(3) = %v, want %v", got, want[1:])
+	}
+	if got := uf.Components(4); len(got) != 0 {
+		t.Errorf("Components(4) = %v, want none", got)
 	}
 }
 
@@ -118,88 +131,6 @@ func TestUnionFindSetCount(t *testing.T) {
 		return uf.Sets() == n-merges
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBipartiteClusters(t *testing.T) {
-	b := NewBipartite[string](6)
-	// docs 0,1 share "cheap viagra"; docs 1,2 share "call now";
-	// docs 4,5 share "hot deal"; doc 3 isolated.
-	b.AddEdge(0, "cheap viagra")
-	b.AddEdge(1, "cheap viagra")
-	b.AddEdge(1, "call now")
-	b.AddEdge(2, "call now")
-	b.AddEdge(3, "lonely phrase")
-	b.AddEdge(4, "hot deal")
-	b.AddEdge(5, "hot deal")
-
-	if b.Edges() != 7 {
-		t.Errorf("Edges = %d", b.Edges())
-	}
-	if b.Phrases() != 4 {
-		t.Errorf("Phrases = %d", b.Phrases())
-	}
-	clusters := b.Clusters(2)
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %v", clusters)
-	}
-	want := map[int]bool{0: true, 1: true, 2: true}
-	for _, d := range clusters[0] {
-		if !want[d] {
-			t.Errorf("cluster 0 = %v", clusters[0])
-		}
-	}
-	if len(clusters[1]) != 2 {
-		t.Errorf("cluster 1 = %v", clusters[1])
-	}
-	// minSize=1 keeps singletons too.
-	if got := len(b.Clusters(1)); got != 3 {
-		t.Errorf("Clusters(1) = %d components, want 3", got)
-	}
-}
-
-// Property: bipartite components match a brute-force two-mode BFS.
-func TestBipartiteMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nDocs := rng.Intn(15) + 2
-		phrases := []string{"p0", "p1", "p2", "p3", "p4"}
-		b := NewBipartite[string](nDocs)
-		adj := make(map[string][]int)
-		for d := 0; d < nDocs; d++ {
-			for _, p := range phrases {
-				if rng.Float64() < 0.25 {
-					b.AddEdge(d, p)
-					adj[p] = append(adj[p], d)
-				}
-			}
-		}
-		// Brute-force: union docs sharing any phrase.
-		ref := NewUnionFind(nDocs)
-		for _, docs := range adj {
-			for i := 1; i < len(docs); i++ {
-				ref.Union(docs[0], docs[i])
-			}
-		}
-		got := b.Clusters(1)
-		// Compare partition structure via pairwise connectivity.
-		comp := make([]int, nDocs)
-		for ci, c := range got {
-			for _, d := range c {
-				comp[d] = ci
-			}
-		}
-		for i := 0; i < nDocs; i++ {
-			for j := 0; j < nDocs; j++ {
-				if (comp[i] == comp[j]) != ref.Connected(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,7 @@
-// Package graph provides the union-find structure and the bipartite
-// document–phrase graph used by InfoShield-Coarse (Algorithm 1): documents
-// that share a top tf-idf phrase end up in the same connected component,
-// and the components are the coarse candidate clusters.
+// Package graph provides the union-find structure behind every connected-
+// components step: InfoShield-Coarse's document–phrase graph (Algorithm 1,
+// built by tfidf.Components for both batch Coarse and the incremental
+// miner), the LSH banding alternative and the strict-sharing ablation.
 package graph
 
 // UnionFind is a disjoint-set forest with path halving and union by size.
@@ -50,21 +50,32 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Components groups element indices by set, in ascending order of each
-// component's smallest member. Singleton components are included.
-func (uf *UnionFind) Components() [][]int {
-	groups := make(map[int][]int)
-	order := make([]int, 0)
+// Components groups element indices by set and returns the sets with at
+// least minSize members (minSize ≤ 1 keeps singletons), in ascending
+// order of each set's least member, members ascending. It places the
+// members by counting offsets: the first visit to a root, which is at the
+// set's least member, reserves the set's size in one shared slice.
+func (uf *UnionFind) Components(minSize int) [][]int {
+	members := make([]int, len(uf.parent))
+	next := make([]int, len(uf.parent)) // per root: 0 unvisited, -1 dropped, else 1 + next write
+	var out [][]int
+	off := 0
 	for i := range uf.parent {
 		r := uf.Find(i)
-		if _, seen := groups[r]; !seen {
-			order = append(order, r)
+		if next[r] == 0 {
+			c := uf.size[r]
+			if c < minSize {
+				next[r] = -1
+				continue
+			}
+			out = append(out, members[off:off+c:off+c])
+			next[r] = off + 1
+			off += c
 		}
-		groups[r] = append(groups[r], i)
-	}
-	out := make([][]int, 0, len(order))
-	for _, r := range order {
-		out = append(out, groups[r])
+		if w := next[r]; w > 0 {
+			members[w-1] = i
+			next[r] = w + 1
+		}
 	}
 	return out
 }

@@ -124,7 +124,8 @@ func EstimateJaccard(a, b []uint64) float64 {
 
 // Bands groups documents whose signatures collide in any of numBands
 // bands (rows = numHashes/numBands per band) and returns the connected
-// components with at least two members — the LSH candidate groups.
+// components with at least two members — the LSH candidate groups — in
+// ascending order of least member, members ascending.
 func Bands(signatures [][]uint64, numBands int) [][]int {
 	n := len(signatures)
 	if n == 0 {
@@ -162,11 +163,5 @@ func Bands(signatures [][]uint64, numBands int) [][]int {
 			}
 		}
 	}
-	var groups [][]int
-	for _, comp := range uf.Components() {
-		if len(comp) >= 2 {
-			groups = append(groups, comp)
-		}
-	}
-	return groups
+	return uf.Components(2)
 }

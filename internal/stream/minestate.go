@@ -36,9 +36,10 @@ import (
 // the table never holds tombstones and its size stays bounded by the
 // retained window; and selection is the batch extractor's own rule
 // (tfidf.Selector: budget, idf floor, positional diversity and the
-// lexicographic tie-break) against the window DF. The flush's selected
-// phrases (first the set touched by new documents, then each phrase's
-// union-find owner) live in a second HashTable, cleared per flush.
+// lexicographic tie-break) against the window DF. The phrases the new
+// documents select (the touched set) live in a second HashTable, which
+// then serves as the anchor table of tfidf.Components — the components
+// step batch Coarse runs too.
 //
 // Two deliberate differences from the batch coarse pass remain, both
 // deterministic. Component growth always uses the permissive
@@ -79,10 +80,10 @@ type mineState struct {
 	epoch int
 
 	// Scratch reused across flushes (and by Load).
-	phr   tfidf.Phrases    // the admitted documents' phrases
-	pick  tfidf.Selector   // the selection rule's scratch
-	sel   []tfidf.PhraseID // the admitted documents' selections, flat
-	owner tfidf.HashTable  // selected phrase → document (see flushIncremental)
+	phr     tfidf.Phrases    // the admitted documents' phrases
+	pick    tfidf.Selector   // the selection rule's scratch
+	sel     []tfidf.PhraseID // the admitted documents' selections, flat
+	touched tfidf.HashTable  // the new documents' selections, then Components' anchors
 }
 
 func (ms *mineState) decDF(dist []uint64) {
@@ -140,15 +141,6 @@ func (ms *mineState) setDocs(keep []mineDoc) {
 	ms.docs = keep
 }
 
-// root returns x's union-find root, halving the path on the way.
-func root(parent []int32, x int32) int32 {
-	for parent[x] != x {
-		parent[x] = parent[parent[x]]
-		x = parent[x]
-	}
-	return x
-}
-
 // flushIncremental is the incremental mining pass; see the package
 // comment above for the shape. It returns the newly registered template
 // indices for the lifecycle pass.
@@ -178,14 +170,13 @@ func (d *Detector) flushIncremental() []int {
 	ms.setDocs(keep)
 
 	// Admit the new batch: its phrases join the DF table before
-	// selection, so new near-duplicates see each other's df. The owner
-	// table first records the phrases the new documents select — the
-	// touched set — under -(i+1) for pending document i.
+	// selection, so new near-duplicates see each other's df; then the
+	// phrases the new documents select make up the touched set.
 	newSel := ms.admit(d.pendingToks, len(ms.docs)+len(d.pendingToks), d.mineExtractor(), d.vocab)
-	ms.owner.Reset()
-	for i, sel := range newSel {
+	ms.touched.Reset()
+	for _, sel := range newSel {
 		for _, h := range sel {
-			ms.owner.Insert(h, int32(-i-1))
+			ms.touched.Insert(h, 1)
 		}
 	}
 
@@ -199,7 +190,7 @@ func (d *Detector) flushIncremental() []int {
 	var localIDs []int
 	for i := range ms.docs {
 		doc := &ms.docs[i]
-		if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.owner.Get(h) != 0 }) {
+		if !slices.ContainsFunc(doc.sel, func(h uint64) bool { return ms.touched.Get(h) != 0 }) {
 			continue
 		}
 		candIdx = append(candIdx, i)
@@ -215,60 +206,10 @@ func (d *Detector) flushIncremental() []int {
 	d.stats.MineReused += reused
 	d.stats.MineClustered += len(localIDs)
 
-	// Components over the shared-phrase graph: union-find, joining each
-	// document to its phrases' owners (the first local document holding
-	// the phrase, or a new document recorded above — any holder yields
-	// the same components). The larger root always hangs under the
-	// smaller, so a component's root is its least member.
+	// Components of ≥ 2 members over the shared-phrase graph, as batch
+	// Coarse builds them.
 	nLocal := len(localIDs)
-	parent := make([]int32, nLocal)
-	for l := range parent {
-		parent[l] = int32(l)
-	}
-	for l, sel := range localSel {
-		for _, h := range sel {
-			var o int32
-			switch v := ms.owner.Insert(h, int32(l+1)); {
-			case v == 0:
-				continue
-			case v > 0:
-				o = v - 1
-			default: // v = -(i+1) for pending document i
-				o = int32(newBase) - v - 1
-			}
-			ra, rb := root(parent, o), root(parent, int32(l))
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	// Components of ≥ 2 members in least-member order, members ascending:
-	// count at each root, turn the counts into offsets (-1 for roots of
-	// singletons and non-roots), then place the documents.
-	pos := make([]int32, nLocal)
-	for l := range parent {
-		parent[l] = root(parent, int32(l))
-		pos[parent[l]]++
-	}
-	members := make([]int, nLocal)
-	var coarse [][]int
-	off := int32(0)
-	for r, c := range pos {
-		if c < 2 {
-			pos[r] = -1
-			continue
-		}
-		coarse = append(coarse, members[off:off+c:off+c])
-		pos[r] = off
-		off += c
-	}
-	for l, r := range parent {
-		if o := pos[r]; o >= 0 {
-			members[o] = l
-			pos[r]++
-		}
-	}
+	coarse := tfidf.Components(localSel, 2, &ms.touched)
 
 	// Fine pass: same MDL mining as the batch pipeline, over detector-
 	// vocab tokens, so accepted templates register without re-encoding.

@@ -1,6 +1,10 @@
 package tfidf
 
-import "slices"
+import (
+	"slices"
+
+	"infoshield/internal/graph"
+)
 
 // The phrase substrate both Coarse paths share: hashed phrase identity,
 // the per-document dedupe and the document-frequency table. A phrase is
@@ -251,4 +255,26 @@ func (t *HashTable) Insert(key uint64, v int32) int32 {
 func (t *HashTable) Reset() {
 	clear(t.vals)
 	t.n = 0
+}
+
+// Components returns the connected components of the document–phrase
+// graph in which document d holds the phrases sels[d] (Algorithm 1's
+// last step), keeping those with at least minSize documents: components
+// in ascending order of least member, members ascending. Phrase nodes are
+// never built. anchor is Reset, then maps each phrase to its first holder,
+// and every later holder unions with that anchor, which yields the same
+// components as the explicit bipartite graph in O(E α(N)). Batch Coarse
+// and the incremental miner both call it; the miner reuses one anchor
+// table across flushes.
+func Components(sels [][]PhraseID, minSize int, anchor *HashTable) [][]int {
+	uf := graph.NewUnionFind(len(sels))
+	anchor.Reset()
+	for d, sel := range sels {
+		for _, p := range sel {
+			if a := anchor.Insert(p, int32(d+1)); a != 0 {
+				uf.Union(int(a-1), d)
+			}
+		}
+	}
+	return uf.Components(minSize)
 }

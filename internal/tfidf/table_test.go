@@ -2,8 +2,11 @@ package tfidf
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
+	"testing/quick"
 )
 
 // checkTable requires t to hold exactly want: every key at a positive
@@ -179,4 +182,118 @@ func FuzzMineDF(f *testing.F) {
 		}
 		runDFOps(t, pool, ops)
 	})
+}
+
+func TestComponentsClusters(t *testing.T) {
+	// docs 0,1 share "cheap viagra"; docs 1,2 share "call now";
+	// docs 4,5 share "hot deal"; doc 3 isolated.
+	const cheapViagra, callNow, lonely, hotDeal PhraseID = 11, 22, 33, 44
+	sels := [][]PhraseID{
+		{cheapViagra},
+		{cheapViagra, callNow},
+		{callNow},
+		{lonely},
+		{hotDeal},
+		{hotDeal},
+	}
+	var anchor HashTable
+	clusters := Components(sels, 2, &anchor)
+	if want := [][]int{{0, 1, 2}, {4, 5}}; !reflect.DeepEqual(clusters, want) {
+		t.Fatalf("clusters = %v, want %v", clusters, want)
+	}
+	if anchor.Len() != 4 {
+		t.Errorf("anchor holds %d phrases, want 4", anchor.Len())
+	}
+	// minSize=1 keeps singletons too.
+	if got := len(Components(sels, 1, &anchor)); got != 3 {
+		t.Errorf("Components(1) = %d components, want 3", got)
+	}
+}
+
+// bruteComponents is the reference for Components: a breadth-first
+// search over the explicit two-mode graph (document → phrase → document),
+// started from each unvisited document in ascending order.
+func bruteComponents(sels [][]PhraseID, minSize int) [][]int {
+	holders := make(map[PhraseID][]int)
+	for d, sel := range sels {
+		for _, p := range sel {
+			holders[p] = append(holders[p], d)
+		}
+	}
+	seen := make([]bool, len(sels))
+	var out [][]int
+	for start := range sels {
+		if seen[start] {
+			continue
+		}
+		seen[start] = true
+		comp := []int{start}
+		for k := 0; k < len(comp); k++ {
+			for _, p := range sels[comp[k]] {
+				for _, d := range holders[p] {
+					if !seen[d] {
+						seen[d] = true
+						comp = append(comp, d)
+					}
+				}
+			}
+		}
+		if len(comp) >= minSize {
+			slices.Sort(comp)
+			out = append(out, comp)
+		}
+	}
+	return out
+}
+
+// randomSels draws nDocs selections over a few phrases, each document
+// holding each phrase with probability 1/4.
+func randomSels(rng *rand.Rand, nDocs int) [][]PhraseID {
+	sels := make([][]PhraseID, nDocs)
+	for d := range sels {
+		for p := PhraseID(0); p < 5; p++ {
+			if rng.Intn(4) == 0 {
+				sels[d] = append(sels[d], mix64(p))
+			}
+		}
+	}
+	return sels
+}
+
+// Property: Components equals the brute-force search exactly — the same
+// components, in the same order, with the same members — at minSize 1
+// and 2.
+func TestComponentsMatchesBruteForce(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sels := randomSels(rng, rng.Intn(15)+2)
+		var anchor HashTable
+		for _, minSize := range []int{1, 2} {
+			got := Components(sels, minSize, &anchor)
+			want := bruteComponents(sels, minSize)
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("minSize %d: got %v, want %v", minSize, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestComponentsAnchorReuse follows the miner's per-flush pattern: one
+// anchor table, Reset by every call, across graphs of different sizes,
+// must give the components a fresh table gives each time.
+func TestComponentsAnchorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var reused HashTable
+	for call, nDocs := range []int{40, 3, 25, 1, 60, 0, 12} {
+		sels := randomSels(rng, nDocs)
+		want := Components(sels, 2, new(HashTable))
+		if got := Components(sels, 2, &reused); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d (%d docs): reused anchor %v, fresh anchor %v", call, nDocs, got, want)
+		}
+	}
 }
