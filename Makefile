@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet vet-fast race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-record bench-all experiments
+.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + infoshield-vet), build, and
 ## race-enabled tests.
@@ -22,14 +22,6 @@ VET_FLAGS ?=
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/infoshield-vet $(VET_FLAGS)
-
-## vet-fast: incremental re-run — analyzes only packages with files
-## newer than the .vet-stamp left by the previous clean vet-fast run
-## (first run is a full pass). The module is still fully type-checked,
-## so interprocedural facts stay exact.
-vet-fast:
-	$(GO) run ./cmd/infoshield-vet -since .vet-stamp $(VET_FLAGS)
-	@touch .vet-stamp
 
 test:
 	$(GO) test ./...
@@ -80,10 +72,12 @@ fuzz-tfidf:
 	$(GO) test -fuzz 'FuzzTopPhraseIDs$$' -fuzztime 30s ./internal/tfidf
 	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/tfidf
 
-## fuzz-align: bounded bursts of the alignment fuzzers. Every Fine screen
-## and every matcher exact DP runs align's one full-table fill; these
-## check the banded DP (op for op) and the bit-parallel distance against
-## it, and the admissible lower bounds against the cost of its alignment.
+## fuzz-align: bounded bursts of the alignment fuzzers. Fine's screen,
+## the matcher and the merge probe price every C(d|T) through one call
+## that runs the banded DP or align's one full-table fill; these check
+## the banded DP (op for op, with and without slots) and the bit-parallel
+## distance against the full fill, and the admissible lower bounds
+## against the cost of its alignment.
 ## Anchored patterns, as in fuzz-serve.
 fuzz-align:
 	$(GO) test -fuzz 'FuzzWildBanded$$' -fuzztime 30s ./internal/align

@@ -16,8 +16,6 @@
 //	-run  maporder,floateq   run only the named analyzers (default all)
 //	-json                    machine-readable output
 //	-sarif file              also write a SARIF 2.1.0 report to file
-//	-since stampfile         analyze only packages with files newer than
-//	                         the stamp's mtime (full run if it is absent)
 //	-list                    print the analyzers and exit
 //	-v                       also print suppressed findings
 //
@@ -51,7 +49,6 @@ func run() int {
 	runFlag := flag.String("run", "all", "comma-separated analyzers to run")
 	jsonFlag := flag.Bool("json", false, "emit findings as JSON")
 	sarifFlag := flag.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
-	sinceFlag := flag.String("since", "", "stamp file: analyze only packages with files newer than its mtime")
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
 	verbose := flag.Bool("v", false, "also print suppressed findings")
 	flag.Parse()
@@ -82,8 +79,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "infoshield-vet:", err)
 		return 2
 	}
-	keep := keepFunc(mod, *sinceFlag)
-	findings, suppressed := analysis.RunFiltered(mod, azs, keep)
+	findings, suppressed := analysis.Run(mod, azs)
 
 	if *jsonFlag {
 		if findings == nil {
@@ -121,29 +117,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// keepFunc builds the changed-package filter for -since: a package is
-// re-analyzed when any of its files is at least as new as the stamp.
-// With no stamp (or an unreadable one) every package runs — fast mode
-// degrades to a full run, never to a silent skip.
-func keepFunc(mod *analysis.Module, stamp string) func(*analysis.Package) bool {
-	if stamp == "" {
-		return nil
-	}
-	info, err := os.Stat(stamp)
-	if err != nil {
-		return nil
-	}
-	cutoff := info.ModTime()
-	return func(pkg *analysis.Package) bool {
-		for _, f := range pkg.Files {
-			name := mod.Fset.Position(f.Package).Filename
-			fi, err := os.Stat(name)
-			if err != nil || !fi.ModTime().Before(cutoff) {
-				return true
-			}
-		}
-		return false
-	}
 }

@@ -1,18 +1,17 @@
 // Package align provides token-level sequence alignment: one pairwise
 // Needleman–Wunsch fill against a reference whose slot positions match
-// any token, shared by InfoShield-Fine's candidate selection (the
-// C(d|d1) < C(d) test, a seed document having no slots) and the streaming
-// matcher's C(d|T) < C(d) test; the matcher's faster exact kernels (a
-// banded fill and a bit-parallel distance) with the bounds that prune
-// before them; the multiple-sequence-alignment matrix type shared with
-// the POA aligner; and a cheap star-MSA alternative that demonstrates
-// Fine is MSA-agnostic.
+// any token; an exact bit-parallel distance and a banded fill it seeds;
+// one matched-cost call, WildBounder.Cost, through which
+// InfoShield-Fine's candidate screen (C(d|d1) < C(d), a seed document
+// being a template with no slots), the streaming matcher and its merge
+// probe (C(d|T) < C(d)) all price a document against a template, with
+// the bounds that prune before it; the multiple-sequence-alignment
+// matrix type shared with the POA aligner; and a cheap star-MSA
+// alternative that demonstrates Fine is MSA-agnostic.
 //
 // Sequences are vocabulary token ids (see internal/tokenize). The gap
 // marker is Gap (-1), which is never a valid token id.
 package align
-
-import "infoshield/internal/mdl"
 
 // Gap marks a missing token in an alignment row or column.
 const Gap = -1
@@ -77,24 +76,4 @@ func (a Alignment) Distance() int { return a.Subs + a.Inss + a.Dels }
 func Pairwise(ref, doc []int) Alignment {
 	var sc Scratch
 	return pairwise(ref, nil, doc, &sc, true)
-}
-
-// ConditionalCostScratch returns C(doc|ref): the MDL cost of encoding doc
-// using ref as a slot-free single template (Section IV-B.1 uses this to
-// build the candidate set: d joins when C(d|d1) < C(d)). The DP table
-// comes from the caller-owned Scratch and no edit script is built; the
-// cost is bit-identical to one derived from Pairwise's alignment, since
-// both run the one fill with no slots.
-func ConditionalCostScratch(ref, doc []int, vocabSize int, sc *Scratch) float64 {
-	a := PairwiseWildScratch(ref, nil, doc, sc)
-	return mdl.DataCostMatched(mdl.AlignStats{
-		AlignLen:   a.Len(),
-		Unmatched:  a.Distance(),
-		AddedWords: a.Subs + a.Inss,
-	}, 1, vocabSize)
-}
-
-// StandaloneCost returns C(doc): the cost of the document with no template.
-func StandaloneCost(doc []int, vocabSize int) float64 {
-	return mdl.DocCost(len(doc), vocabSize)
 }

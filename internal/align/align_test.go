@@ -5,12 +5,16 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"infoshield/internal/mdl"
 )
 
-// ConditionalCost is ConditionalCostScratch with a throwaway Scratch.
+// ConditionalCost is C(doc|ref) as Fine's screen prices it: ref is a
+// seed document, a template with no slots, under a one-template model.
 func ConditionalCost(ref, doc []int, vocabSize int) float64 {
 	var sc Scratch
-	return ConditionalCostScratch(ref, doc, vocabSize, &sc)
+	cost, _ := NewWildBounder(len(doc), 1, vocabSize).Cost(ref, nil, doc, max(len(ref), len(doc)), 0, &sc)
+	return cost
 }
 
 func TestPairwiseIdentical(t *testing.T) {
@@ -150,10 +154,10 @@ func TestConditionalCostFavorsNearDuplicates(t *testing.T) {
 	ref := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	nearDup := []int{1, 2, 3, 4, 99, 6, 7, 8, 9, 10}
 	unrelated := []int{20, 21, 22, 23, 24, 25, 26, 27, 28, 29}
-	if ConditionalCost(ref, nearDup, V) >= StandaloneCost(nearDup, V) {
+	if ConditionalCost(ref, nearDup, V) >= mdl.DocCost(len(nearDup), V) {
 		t.Error("near-duplicate should compress against ref")
 	}
-	if ConditionalCost(ref, unrelated, V) < StandaloneCost(unrelated, V) {
+	if ConditionalCost(ref, unrelated, V) < mdl.DocCost(len(unrelated), V) {
 		t.Error("unrelated doc should NOT compress against ref")
 	}
 }
@@ -168,7 +172,7 @@ func TestConditionalCostDuplicateAlwaysJoins(t *testing.T) {
 		if len(doc) < 4 {
 			return true
 		}
-		return ConditionalCost(doc, doc, V) < StandaloneCost(doc, V)
+		return ConditionalCost(doc, doc, V) < mdl.DocCost(len(doc), V)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

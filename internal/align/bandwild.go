@@ -3,9 +3,10 @@ package align
 // PairwiseWildBanded is PairwiseWildScratch restricted to a Ukkonen-style
 // diagonal band, for callers that already know the unit-cost distance (the
 // serving path's bit-parallel WildDistanceMasked runs before every exact
-// alignment): with band half-width h = dist the optimal path fits inside
-// the band — every intermediate diagonal deviation is bounded by the
-// insertions/deletions spent so far — so the O(n·m) table shrinks to
+// alignment of a short template). As in PairwiseWildScratch, a nil wild
+// means no slots. With band half-width h = dist the optimal path fits
+// inside the band — every intermediate diagonal deviation is bounded by
+// the insertions/deletions spent so far — so the O(n·m) table shrinks to
 // O(n·dist) while the result stays op-for-op identical to the full DP.
 //
 // dist seeds the band and is typically the exact distance; any
@@ -88,12 +89,17 @@ func bandedWildAttempt(ref []int, wild []bool, doc []int, h int, sc *Scratch) (a
 		if jhi > m {
 			jhi = m
 		}
-		ri, wi := ref[i-1], wild[i-1]
+		// sub is what a mismatch on the diagonal costs: nothing in a slot
+		// row, and a nil wild (no slots) is tested once per row, as in fill.
+		ri, sub := ref[i-1], int32(1)
+		if wild != nil && wild[i-1] {
+			sub = 0
+		}
 		for j := jlo; j <= jhi; j++ {
 			c := j - i + h
 			diag := prev[c]
-			if !(wi || ri == doc[j-1]) {
-				diag++
+			if ri != doc[j-1] {
+				diag += sub
 			}
 			best := diag
 			if c+1 < w {
@@ -120,7 +126,7 @@ func bandedWildAttempt(ref []int, wild []bool, doc []int, h int, sc *Scratch) (a
 	for i > 0 || j > 0 {
 		c := j - i + h
 		cur := dp[i*w+c]
-		match := i > 0 && j > 0 && (wild[i-1] || ref[i-1] == doc[j-1])
+		match := i > 0 && j > 0 && (ref[i-1] == doc[j-1] || wild != nil && wild[i-1])
 		switch {
 		case match && cur == dp[(i-1)*w+c]:
 			a.Matches++

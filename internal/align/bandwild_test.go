@@ -8,7 +8,8 @@ import (
 // bandedInput decodes a fuzz byte stream into a wildcard-alignment case.
 // Unlike fuzzWildInput it lets refLen straddle WildBitCap — the banded DP
 // does not depend on the bit-parallel machinery, and the serving path's
-// long-reference fallback deserves coverage too.
+// long-reference fallback deserves coverage too. A third byte of 128 or
+// more yields a nil wild, the no-slot reference Fine's screen passes.
 func bandedInput(data []byte) (ref []int, wild []bool, doc []int) {
 	if len(data) < 3 {
 		return nil, nil, nil
@@ -16,6 +17,7 @@ func bandedInput(data []byte) (ref []int, wild []bool, doc []int) {
 	refLen := 1 + int(data[0])%96 // 1..96, straddling WildBitCap=64
 	docLen := int(data[1]) % 96
 	alpha := 1 + int(data[2])%5
+	noSlots := data[2] >= 128
 	data = data[3:]
 	at := 0
 	next := func() byte {
@@ -39,6 +41,9 @@ func bandedInput(data []byte) (ref []int, wild []bool, doc []int) {
 	doc = make([]int, docLen)
 	for j := range doc {
 		doc[j] = int(next()) % alpha
+	}
+	if noSlots {
+		wild = nil
 	}
 	return ref, wild, doc
 }
@@ -68,6 +73,8 @@ func FuzzWildBanded(f *testing.F) {
 	f.Add([]byte{64, 64, 1, 0})                   // refLen == WildBitCap, all-equal
 	f.Add([]byte{5, 0, 4, 1, 2})                  // empty document
 	f.Add([]byte{1, 95, 5, 200, 100, 50, 25, 12}) // near-empty reference
+	f.Add([]byte{70, 60, 130, 1, 2, 0, 3, 1})     // nil wild, refLen > WildBitCap
+	f.Add([]byte{30, 24, 129, 9, 4, 1, 0})        // nil wild, band narrower than the table
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, wild, doc := bandedInput(data)
 		if ref == nil {
@@ -86,9 +93,10 @@ func FuzzWildBanded(f *testing.F) {
 }
 
 // TestWildBandedRandom is the deterministic CI-shaped slice of the fuzz
-// space: random masks and lengths on both sides of WildBitCap, exact and
-// underestimated seeds, plus a check that underestimates actually force
-// the retry loop at least sometimes (so the widen path is known-live).
+// space: random masks (a nil wild one case in four) and lengths on both
+// sides of WildBitCap, exact and underestimated seeds, plus a check that
+// underestimates actually force the retry loop at least sometimes (so the
+// widen path is known-live).
 func TestWildBandedRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sawRetry := false
@@ -105,6 +113,9 @@ func TestWildBandedRandom(t *testing.T) {
 		doc := make([]int, docLen)
 		for j := range doc {
 			doc[j] = rng.Intn(alpha)
+		}
+		if rng.Intn(4) == 0 {
+			wild = nil
 		}
 		var sc Scratch
 		exact := PairwiseWildScratch(ref, wild, doc, &sc).Distance()

@@ -2,8 +2,9 @@ package align
 
 // WildBitCap is the longest reference (constants + slots) the single-word
 // bit-parallel wildcard distance handles: one template position per bit of
-// a uint64. Templates are mined from documents and sit well under this in
-// practice; longer references fall back to the full DP.
+// a uint64. Templates are mined from documents and usually sit well under
+// this; a longer reference has no distance to seed WildBounder.Cost's band
+// with, so its alignment is the full fill.
 const WildBitCap = 64
 
 // WildEqMasks builds the match-mask table for a wildcard reference:

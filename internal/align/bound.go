@@ -1,7 +1,5 @@
 package align
 
-import "infoshield/internal/mdl"
-
 // SortInts sorts a ascending in place, for callers that manage their own
 // buffers (the fine pass packs the sorted token copies OverlapSorted
 // merges into an arena).
@@ -107,35 +105,4 @@ func OverlapSorted(a, b []int) int {
 		}
 	}
 	return m
-}
-
-// ConditionalLowerBound returns a lower bound on C(doc|ref) computable in
-// O(len(doc)) — without running the O(len²) alignment DP. Derivation: any
-// alignment has at most `overlap` matches, so at least
-// max(refLen,docLen)-overlap unmatched operations and at least
-// docLen-overlap vocabulary-indexed words, over an alignment of length at
-// least max(refLen,docLen); every term of the Eq. 3 cost is monotone in
-// these quantities.
-//
-// InfoShield-Fine uses this to skip the full alignment for documents that
-// cannot possibly pass the C(d|d1) < C(d) candidate test — the common case
-// inside large, mostly heterogeneous coarse clusters.
-func ConditionalLowerBound(refLen, docLen, overlap, vocabSize int) float64 {
-	alignLen := refLen
-	if docLen > alignLen {
-		alignLen = docLen
-	}
-	unmatched := alignLen - overlap
-	if unmatched < 0 {
-		unmatched = 0
-	}
-	added := docLen - overlap
-	if added < 0 {
-		added = 0
-	}
-	return mdl.DataCostMatched(mdl.AlignStats{
-		AlignLen:   alignLen,
-		Unmatched:  unmatched,
-		AddedWords: added,
-	}, 1, vocabSize)
 }

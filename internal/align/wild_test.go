@@ -236,13 +236,14 @@ func sameCounts(a, b Alignment) bool {
 		a.Inss == b.Inss && a.Dels == b.Dels
 }
 
-// TestConditionalCostScratchMatches pins the two slot-free paths —
-// Pairwise's edit script and the nil-wild scratch path behind
-// ConditionalCostScratch — to PairwiseWild with an all-false wild slice.
-// Both paths run the one fill, so they are checked against the
-// oracle, which shares no code with them, not against each other: the
-// counts, and Pairwise's full edit script. Equal counts make every MDL
-// cost derived from them bit-identical.
+// TestConditionalCostScratchMatches pins the slot-free paths —
+// Pairwise's edit script, and the nil-wild full and banded fills behind
+// Fine's screen — to PairwiseWild with an all-false wild slice. They
+// are checked against the oracle, which shares no code with them, not
+// against each other: the counts, and Pairwise's full edit script.
+// Equal counts make every MDL cost derived from them bit-identical. The
+// banded fill is seeded with the exact distance and with 0, so it runs
+// bands narrower than the table as well as the widen-and-retry path.
 func TestConditionalCostScratchMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var sc Scratch
@@ -263,6 +264,11 @@ func TestConditionalCostScratchMatches(t *testing.T) {
 		got := PairwiseWildScratch(ref, nil, doc, &sc)
 		if !sameCounts(got, want) || got.Edits != nil {
 			t.Fatalf("trial %d: nil-wild scratch %+v != PairwiseWild counts %+v", trial, got, want)
+		}
+		for _, dist := range []int{want.Distance(), 0} {
+			if got, _ := PairwiseWildBanded(ref, nil, doc, dist, &sc); !sameCounts(got, want) {
+				t.Fatalf("trial %d: nil-wild banded (dist %d) %+v != PairwiseWild counts %+v", trial, dist, got, want)
+			}
 		}
 	}
 }
@@ -345,7 +351,8 @@ func TestSortedCopy(t *testing.T) {
 	}
 }
 
-// Property: the conditional lower bound never exceeds the true cost.
+// Property: Fine's screen is admissible — the slot-free overlap bound
+// never exceeds the cost of the seed-as-template alignment it guards.
 func TestConditionalLowerBoundAdmissible(t *testing.T) {
 	V := 1 << 12
 	f := func(seed int64) bool {
@@ -355,9 +362,8 @@ func TestConditionalLowerBoundAdmissible(t *testing.T) {
 		if len(ref) == 0 || len(doc) == 0 {
 			return true
 		}
-		bound := ConditionalLowerBound(len(ref), len(doc),
-			Overlap(TokenCounts(ref), doc), V)
-		return bound <= ConditionalCost(ref, doc, V)+1e-9
+		bound := NewWildBounder(len(doc), 1, V).Bound(len(ref), Overlap(TokenCounts(ref), doc), 0)
+		return bound <= ConditionalCost(ref, doc, V)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -2,21 +2,21 @@ package align
 
 import "infoshield/internal/mdl"
 
-// WildBounder evaluates the serving hot path's admissible lower bounds on
-// the matched data cost C(d|T) of a document against a wildcard template,
-// without running the O(len²) alignment DP. The document length and the
-// (numTemplates, vocabSize)-dependent cost constants are hoisted once per
-// probe, so evaluating a bound over a whole structure-of-arrays candidate
-// batch is a tight loop of integer clamps and a handful of float
-// operations — no math.Log2 per candidate.
+// WildBounder prices a document against wildcard templates under one
+// (numTemplates, vocabSize) model: Cost is the exact matched data cost
+// C(d|T) of Eq. 3, and Bound and DistBound are admissible lower bounds
+// on it that skip the O(len²) alignment. The document length and the
+// model's cost constants are hoisted once per probe, so evaluating a
+// bound over a whole structure-of-arrays candidate batch is a tight loop
+// of integer clamps and a handful of float operations — no math.Log2
+// per candidate.
 //
-// Both bounds assume the template's SlotWords vector is an all-ones
-// prefix (the serving invariant: every registered template's SlotWords is
-// a prefix of one shared all-ones vector), and evaluate the
-// mdl.DataCostMatched expression tree via mdl.MatchCoster.CostOnes.
-// TestWildBounderBitIdentical pins both methods bit-for-bit against the
-// unhoisted DataCostMatched evaluation, so pruning decisions cannot
-// drift.
+// Every cost charges each slot one word, S(1): the serving path's slot
+// approximation, and exact for a seed document, which has no slots. All
+// three evaluate the mdl.DataCostMatched expression tree via
+// mdl.MatchCoster.CostOnes; TestWildBounderBitIdentical pins them
+// bit-for-bit against the unhoisted DataCostMatched evaluation, so
+// pruning decisions cannot drift.
 //
 // Admissibility rests on monotonicity: every term of mdl.DataCostMatched
 // is nondecreasing in (l̂, e, u) — alignment length, unmatched operations,
@@ -38,6 +38,30 @@ func NewWildBounder(docLen, numTemplates, vocabSize int) WildBounder {
 	return WildBounder{docLen: docLen, coster: mdl.NewMatchCoster(numTemplates, vocabSize)}
 }
 
+// ForDoc returns b re-aimed at a document of docLen tokens, keeping the
+// hoisted model constants — for callers that bound many documents under
+// one model (Fine's screen, one seed per round, many neighbors).
+func (b WildBounder) ForDoc(docLen int) WildBounder {
+	b.docLen = docLen
+	return b
+}
+
+// Cost returns C(doc|ref), the exact matched data cost of doc encoded by
+// the template ref, whose wild positions — slots of them — match any
+// token (wild is nil for none: a seed document is a template with no
+// slots). It aligns through PairwiseWildBanded seeded with dist and
+// prices the alignment with CostOnes. dist is the unit-cost wildcard
+// distance when the caller has it (WildDistanceMasked); a caller with
+// none passes a seed of at least max(len(ref), len(doc)), which runs the
+// one full fill. Either way the alignment, and so the cost, is the full
+// DP's; retries counts band widenings, zero whenever dist is exact or at
+// least that maximum. The cost reads len(doc), not the bounder's
+// document length.
+func (b WildBounder) Cost(ref []int, wild []bool, doc []int, dist, slots int, sc *Scratch) (cost float64, retries int) {
+	a, retries := PairwiseWildBanded(ref, wild, doc, dist, sc)
+	return b.coster.CostOnes(a.Len(), a.Distance(), a.Subs+a.Inss, slots), retries
+}
+
 // Bound is the overlap bound for a template of refLen positions
 // (constants + slots), slots of them wildcards, whose constant tokens
 // have multiset overlap `overlap` with the document. Any global alignment
@@ -51,8 +75,8 @@ func NewWildBounder(docLen, numTemplates, vocabSize int) WildBounder {
 //	u  = docLen − matches          (each doc token is match, sub, or ins)
 //
 // and Bound evaluates the cost at l̂ = max lengths and matches at its
-// upper bound — in the spirit of Lemma 1's relative-length bound,
-// extending ConditionalLowerBound to slotted templates.
+// upper bound — in the spirit of Lemma 1's relative-length bound. With
+// slots = 0 it is the overlap bound Fine's screen tests a seed with.
 func (b WildBounder) Bound(refLen, overlap, slots int) float64 {
 	alignLen := refLen
 	if b.docLen > alignLen {
@@ -74,9 +98,9 @@ func (b WildBounder) Bound(refLen, overlap, slots int) float64 {
 }
 
 // CostOnes exposes the hoisted mdl.MatchCoster for callers that apply
-// their own clamps (the tier-0 bucket bound) or cost a finished alignment
-// (the winner's exact cost) — same per-probe constants, same bit-exact
-// expression tree as mdl.DataCostMatched over all-ones SlotWords.
+// their own clamps (the tier-0 bucket bound) — same per-probe constants,
+// same bit-exact expression tree as mdl.DataCostMatched with one word
+// per slot.
 func (b WildBounder) CostOnes(alignLen, unmatched, added, slots int) float64 {
 	return b.coster.CostOnes(alignLen, unmatched, added, slots)
 }

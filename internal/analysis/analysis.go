@@ -152,21 +152,8 @@ func ByName(list string) ([]*Analyzer, error) {
 // comment-suppressed findings, and returns the kept and suppressed
 // diagnostics, each sorted by file, line, and column.
 func Run(mod *Module, azs []*Analyzer) (kept, suppressed []Diagnostic) {
-	return RunFiltered(mod, azs, nil)
-}
-
-// RunFiltered is Run restricted to the packages keep reports true for;
-// a nil keep analyzes every package. The whole module is still loaded
-// and the fact layer still summarizes every function, so interprocedural
-// facts stay exact — only the per-package analyzer passes are skipped.
-// This is the engine behind `make vet-fast`: re-analyze only packages
-// with files newer than the last clean run.
-func RunFiltered(mod *Module, azs []*Analyzer, keep func(*Package) bool) (kept, suppressed []Diagnostic) {
 	var all []Diagnostic
 	for _, pkg := range mod.Pkgs {
-		if keep != nil && !keep(pkg) {
-			continue
-		}
 		all = append(all, runPackage(mod, pkg, azs)...)
 	}
 	index := suppressionIndex(mod)

@@ -115,19 +115,6 @@ func (f *Facts) ensureDecls() {
 	f.declVer = f.version
 }
 
-// Decl returns the registered declaration of fn, or nil for functions
-// without module source (stdlib, interface methods).
-func (f *Facts) Decl(fn *types.Func) (*Package, *ast.FuncDecl) {
-	f.ensureDecls()
-	if fn != nil {
-		fn = fn.Origin()
-	}
-	if d := f.decls[fn]; d != nil {
-		return d.pkg, d.decl
-	}
-	return nil, nil
-}
-
 // objKey is the stable cross-package identity of an object: package
 // path, receiver type for methods, then name. Used to order map
 // iterations over object-keyed facts deterministically (the maporder

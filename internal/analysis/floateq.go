@@ -145,7 +145,7 @@ func exprTaint(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
 
 // callTaint reports whether a call targets the cost model: any function
 // of internal/mdl or internal/slotinfo, or any function whose name
-// mentions Cost (template.Fit.TotalCost, align.StandaloneCost, ...).
+// mentions Cost (template.Fit.TotalCost, align.WildBounder.Cost, ...).
 func callTaint(pass *Pass, call *ast.CallExpr) bool {
 	obj := calleeObject(pass, call)
 	if obj == nil {

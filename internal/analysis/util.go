@@ -218,9 +218,3 @@ func unlabel(s ast.Stmt) ast.Stmt {
 		s = l.Stmt
 	}
 }
-
-// isTestFile reports whether the position's file is a _test.go file.
-func isTestFile(p *Pass, pos token.Pos) bool {
-	name := p.Fset.Position(pos).Filename
-	return len(name) >= len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
-}

@@ -5,6 +5,7 @@ import (
 
 	"infoshield/internal/graph"
 	"infoshield/internal/lsh"
+	"infoshield/internal/par"
 	"infoshield/internal/tfidf"
 	"infoshield/internal/tokenize"
 )
@@ -75,7 +76,7 @@ func coarseLSH(words [][]string, opt Options) (clusters [][]int, top [][]tfidf.P
 	// collides with probability ~1-(1-J²)^64 ≈ 1. The tf-idf default is
 	// more selective; LSH here is the recall-leaning alternative.
 	m := lsh.NewMinHasher(128, 2, 0x1f05)
-	sigs := m.Signatures(words, opt.workers())
+	sigs := m.Signatures(words, par.Workers(opt.Workers))
 	clusters = lsh.Bands(sigs, 64)
 	top = make([][]tfidf.PhraseID, len(words))
 	for gi, group := range clusters {

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,13 +44,6 @@ type Options struct {
 	// signatures, and concurrent cluster refinement (default:
 	// GOMAXPROCS). Any value produces identical output.
 	Workers int
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // TemplateResult is one discovered template with the documents it encodes.
@@ -140,13 +132,13 @@ func (r *Result) Suspicious() []bool {
 //
 // The front half is parallel in two phases that keep the output
 // byte-identical to a serial run: word-splitting fans out over
-// opt.workers() goroutines (the tokenizer is stateless), then vocabulary
+// opt.Workers goroutines (the tokenizer is stateless), then vocabulary
 // encoding replays the documents in order so token ids keep their
 // first-seen assignment. Phrase extraction and scoring parallelize inside
 // coarseEncoded; cluster refinement parallelizes per coarse cluster.
 func Run(texts []string, opt Options) *Result {
 	var tk tokenize.Tokenizer
-	return RunTokens(texts, tk.All(texts, opt.workers()), opt)
+	return RunTokens(texts, tk.All(texts, par.Workers(opt.Workers)), opt)
 }
 
 // RunTokens is Run over pre-tokenized documents: words[i] must be the
@@ -222,7 +214,7 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 		}
 		return ca < cb
 	})
-	workers := opt.workers()
+	workers := par.Workers(opt.Workers)
 	if workers > len(coarse) {
 		workers = len(coarse)
 	}
@@ -235,7 +227,7 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 		}
 		return refined, total
 	}
-	nested := par.NewBudget(opt.workers())
+	nested := par.NewBudget(par.Workers(opt.Workers))
 	perWorker := make([]FineTimings, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup

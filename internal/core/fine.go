@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"infoshield/internal/align"
+	"infoshield/internal/mdl"
 	"infoshield/internal/par"
 	"infoshield/internal/poa"
 	"infoshield/internal/template"
@@ -144,7 +145,7 @@ func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize
 		copy(s, tokens[d])
 		align.SortInts(s)
 		sorted[i] = s
-		saCost[i] = align.StandaloneCost(tokens[d], vocabSize)
+		saCost[i] = mdl.DocCost(len(tokens[d]), vocabSize)
 		for _, p := range top[d] {
 			postings[p] = append(postings[p], i)
 		}
@@ -157,6 +158,10 @@ func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize
 	for i := range stamp {
 		stamp[i] = 0
 	}
+	// The screen prices every neighbor under a one-template model (a seed
+	// document is the only template), so its cost constants are hoisted
+	// once per cluster; each verdict re-aims them at the neighbor.
+	model := align.NewWildBounder(0, 1, vocabSize)
 	round := 0
 	head := 0
 	for {
@@ -207,7 +212,7 @@ func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize
 					wsc := &screen[w]
 					for k := lo; k < hi; k++ {
 						j := neigh[k]
-						verdict[k] = screenVerdict(seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], vocabSize, wsc)
+						verdict[k] = screenVerdict(model, seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], wsc)
 					}
 				})
 				nested.Release(extra)
@@ -222,7 +227,7 @@ func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize
 		}
 		if !screened {
 			for _, j := range neigh {
-				if screenVerdict(seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], vocabSize, &sc.align) {
+				if screenVerdict(model, seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], &sc.align) {
 					candidates = append(candidates, docIDs[j])
 					members = append(members, j)
 				}
@@ -271,16 +276,22 @@ func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize
 	return out, t
 }
 
-// screenVerdict is the per-neighbor candidate test: the O(l) overlap
-// bound, then the O(l²) conditional alignment only when the bound cannot
-// rule the neighbor out. sa is the neighbor's memoized standalone cost.
-func screenVerdict(seed, sortedSeed, toks, sortedDoc []int, sa float64, vocabSize int, sc *align.Scratch) bool {
+// screenVerdict is the per-neighbor candidate test C(d|d1) < C(d): the
+// O(l) overlap bound, then the O(l²) alignment only when the bound cannot
+// rule the neighbor out. The seed is a template with no slots, so both
+// run through the matcher's WildBounder; with no distance to seed a band,
+// the alignment is the one full fill. model holds the one-template cost
+// constants and sa is the neighbor's memoized standalone cost.
+func screenVerdict(model align.WildBounder, seed, sortedSeed, toks, sortedDoc []int, sa float64, sc *align.Scratch) bool {
 	if len(toks) == 0 {
 		return false
 	}
-	bound := align.ConditionalLowerBound(
-		len(seed), len(toks), align.OverlapSorted(sortedSeed, sortedDoc), vocabSize)
-	return bound < sa && align.ConditionalCostScratch(seed, toks, vocabSize, sc) < sa
+	b := model.ForDoc(len(toks))
+	if b.Bound(len(seed), align.OverlapSorted(sortedSeed, sortedDoc), 0) >= sa {
+		return false
+	}
+	cost, _ := b.Cost(seed, nil, toks, max(len(seed), len(toks)), 0, sc)
+	return cost < sa
 }
 
 // buildMSA aligns the candidate documents with the configured MSA method,

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"infoshield/internal/core"
 	"infoshield/internal/corpus"
@@ -105,14 +104,4 @@ func runInfoShield(c *corpus.Corpus, opt core.Options) (*core.Result, metrics.Co
 	conf := metrics.NewConfusion(res.Suspicious(), truth(c))
 	ari := metrics.ARI(res.DocTemplate, clusterTruth(c))
 	return res, conf, ari
-}
-
-// sortedClusterSizes returns cluster sizes descending (diagnostics).
-func sortedClusterSizes(res *core.Result) []int {
-	sizes := make([]int, 0, len(res.Clusters))
-	for i := range res.Clusters {
-		sizes = append(sizes, res.Clusters[i].NumDocs())
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }

@@ -155,8 +155,12 @@ const opTypeBits = 2
 //
 //	1 (template flag) + lg t + ⟨l̂⟩ + l̂ + e·(lg l̂ + 2) + u·lg V + Σ_j S(w_j)
 //
-// Monotonicity contract (relied on by align.ConditionalLowerBound and
-// align.WildBounder, pinned by TestDataCostMatchedMonotone):
+// Batch template.Fit prices its documents here, and the tests use it as
+// the unhoisted reference for MatchCoster.CostOnes, which every serving
+// and Fine-screen cost runs through (via align.WildBounder).
+//
+// Monotonicity contract (relied on by align.WildBounder's bounds, pinned
+// by TestDataCostMatchedMonotone):
 // with the other fields held fixed, the cost is nondecreasing in each of
 // AlignLen, Unmatched, and AddedWords — every term is a product of
 // nonnegative factors that are themselves nondecreasing in those fields
@@ -181,9 +185,9 @@ func DataCostMatched(a AlignStats, numTemplates, vocabSize int) float64 {
 // the template-flag + lg t prefix, lg V, and the all-ones slot cost S(1)
 // are computed once per probe instead of once per candidate (lg V is a
 // live math.Log2 whenever the vocabulary outgrows the lookup table, and
-// the serving path evaluates it ~4× per bound). The serving matcher's
-// SlotWords vectors are always all-ones prefixes of one shared vector, so
-// CostOnes covers every cost the hot path computes.
+// the serving path evaluates it ~4× per bound). The serving path charges
+// every slot one word, S(1), and Fine's screen prices a seed with no
+// slots, so CostOnes covers every cost either computes.
 type MatchCoster struct {
 	base    float64 // 1 + LgInt(numTemplates), the matched-document prefix
 	lgV     float64 // WordCost(vocabSize)

@@ -60,16 +60,6 @@ func IndexedRanges(n, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// Each calls fn(i) for every i in [0, n) across workers goroutines, in
-// contiguous chunks. It is Ranges with a per-item callback.
-func Each(n, workers int, fn func(i int)) {
-	Ranges(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // Map fills out[i] = fn(i, scratch) for every index of out, fanning the
 // work over contiguous chunks like IndexedRanges with one scratch per
 // chunk from newScratch (called with the chunk index, so a caller keeping
@@ -85,12 +75,6 @@ func Map[T, S any](out []T, workers int, newScratch func(w int) S, fn func(i int
 			out[i] = fn(i, scratch)
 		}
 	})
-}
-
-// Do runs each task concurrently, bounded by workers, and waits for all.
-// Tasks are started in slice order.
-func Do(workers int, tasks ...func()) {
-	Each(len(tasks), workers, func(i int) { tasks[i]() })
 }
 
 // Budget is a pool-wide parallelism allowance: a fixed number of tokens,

@@ -51,19 +51,6 @@ func TestRangesChunksAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestEachAndDo(t *testing.T) {
-	var sum int64
-	Each(100, 4, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 4950 {
-		t.Errorf("Each sum = %d", sum)
-	}
-	var calls int64
-	Do(2, func() { atomic.AddInt64(&calls, 1) }, func() { atomic.AddInt64(&calls, 1) })
-	if calls != 2 {
-		t.Errorf("Do calls = %d", calls)
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
 	if Workers(0) < 1 || Workers(-1) < 1 {
 		t.Error("Workers must default to >= 1")

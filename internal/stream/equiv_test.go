@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"infoshield/internal/align"
@@ -17,9 +19,10 @@ import (
 // wildcard DP (align.PairwiseWildScratch, pinned op-for-op to the
 // allocating PairwiseWild oracle by TestPairwiseWildScratchMatchesPairwiseWild)
 // against every template in ascending order, with the per-probe
-// slot-word rebuild — no candidate pruning, no bounds, no banding, no
-// canned SlotWords. The equivalence gate below checks the tiered path
-// probe-by-probe against this.
+// slot-word rebuild and the unhoisted mdl.DataCostMatched — no
+// candidate pruning, no bounds, no banding, no hoisted costs. The
+// equivalence gate below checks the tiered path probe-by-probe against
+// this.
 func referenceMatch(d *Detector, toks []int) int {
 	if len(toks) == 0 || len(d.templates) == 0 {
 		return -1
@@ -98,7 +101,7 @@ func compareDetectors(t *testing.T, label string, a, b *Detector) {
 	for ti := range a.templates {
 		at, bt := &a.templates[ti], &b.templates[ti]
 		if !reflect.DeepEqual(at.Tokens, bt.Tokens) || !reflect.DeepEqual(at.Wild, bt.Wild) ||
-			at.DocCount != bt.DocCount || !reflect.DeepEqual(at.SlotWords, bt.SlotWords) {
+			at.DocCount != bt.DocCount {
 			t.Fatalf("%s: template %d differs: %+v vs %+v", label, ti, at, bt)
 		}
 	}
@@ -212,6 +215,88 @@ func TestStreamPruningEquivalence(t *testing.T) {
 					seed, workers, st.BandRuns, st.DPRuns, st.BandRetries)
 			}
 		}
+	}
+	checkLongTemplates(t)
+}
+
+// checkLongTemplates is TestStreamPruningEquivalence's case for
+// templates past align.WildBitCap, the shape legal and other long-form
+// corpora mine: such a reference has no bit-parallel distance, so its
+// exact branch runs the full fill unbanded. It registers templates of
+// 65–130 tokens, near-duplicate families among them, next to short ones,
+// and probes mutated copies against the reference scan. DPRuns >
+// BandRuns proves the unbanded branch ran.
+func checkLongTemplates(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	word := func() string { return fmt.Sprintf("lw%d", rng.Intn(600)) }
+	d := New(core.Options{})
+	d.BatchSize = 1 << 30
+	var bases [][]string
+	var wilds [][]bool
+	for f := 0; f < 4; f++ {
+		base := make([]string, 65+rng.Intn(66))
+		for i := range base {
+			base[i] = word()
+		}
+		// Each family registers its base, a variant with a few words
+		// replaced, and a 40-token prefix that falls under the bit cap.
+		variant := slices.Clone(base)
+		for k := 0; k < 4; k++ {
+			variant[rng.Intn(len(variant))] = word()
+		}
+		for _, words := range [][]string{base, variant, base[:40]} {
+			wild := make([]bool, len(words))
+			for i := range wild {
+				wild[i] = rng.Intn(12) == 0
+			}
+			if _, err := d.Register(words, wild); err != nil {
+				t.Fatal(err)
+			}
+			bases = append(bases, words)
+			wilds = append(wilds, wild)
+		}
+	}
+
+	var tk tokenize.Tokenizer
+	var scratch matchScratch
+	var st MatchStats
+	longHits := 0
+	for i := 0; i < 300; i++ {
+		k := rng.Intn(len(bases))
+		var words []string
+		for j, w := range bases[k] {
+			switch r := rng.Intn(40); {
+			case wilds[k][j] || r == 0:
+				words = append(words, word())
+			case r == 1: // dropped
+			case r == 2:
+				words = append(words, w, word())
+			default:
+				words = append(words, w)
+			}
+		}
+		text := strings.Join(words, " ")
+		toks := d.vocab.Encode(tk.Tokens(text))
+		verdict := d.match(toks, d.vocab.Size(), &scratch, &st)
+		if ref := referenceMatch(d, toks); verdict != ref {
+			t.Fatalf("long probe %d: indexed verdict %d != reference %d", i, verdict, ref)
+		}
+		if verdict >= 0 && len(d.templates[verdict].Tokens) > align.WildBitCap {
+			longHits++
+		}
+		d.apply(text, toks, verdict)
+	}
+	if st.DPPruned+st.DPRuns != st.Candidates {
+		t.Fatalf("long: pruned %d + runs %d != candidates %d", st.DPPruned, st.DPRuns, st.Candidates)
+	}
+	if st.DPRuns <= st.BandRuns {
+		t.Fatalf("long: DP runs %d <= band runs %d: the unbanded branch never ran", st.DPRuns, st.BandRuns)
+	}
+	if st.BandRuns == 0 || st.BandRetries != 0 {
+		t.Fatalf("long: band runs %d, retries %d", st.BandRuns, st.BandRetries)
+	}
+	if longHits == 0 {
+		t.Fatal("long: no probe matched a template past the bit cap")
 	}
 }
 

@@ -39,11 +39,11 @@ import (
 //     what keeps candidate generation sublinear in template count.
 //
 // Candidates that survive all tiers are ranked best-first (overlap
-// descending) so the running bound tightens as early as possible, each is
-// re-tested against the bit-parallel exact-distance bound, and only the
-// remainder runs the full wildcard DP. Every tier preserves the scan
-// verdict exactly; see match for the tie-handling that keeps the
-// lowest-index winner semantics under reordering.
+// descending) so the running bound tightens as early as possible, each
+// within the bit cap is re-tested against the bit-parallel exact-distance
+// bound, and only the remainder runs the exact alignment. Every tier
+// preserves the scan verdict exactly; see match for the tie-handling that
+// keeps the lowest-index winner semantics under reordering.
 const (
 	// numBuckets caps the ⌈lg constants⌉ bucketing; templates with 2^18+
 	// constant tokens share the last bucket.
@@ -211,17 +211,19 @@ type tmplIndex struct {
 	regMasks []uint64
 }
 
-// add registers template ti's constant-token multiset, mask table, and
-// bucket membership. Wild positions are excluded from postings: a slot's
-// consensus token is matching decoration, not a constant the document
-// must supply.
-func (ix *tmplIndex) add(ti int, tokens []int, wild []bool, slots int) {
+// add registers template ti's constant-token multiset, mask table, slot
+// count, and bucket membership. Wild positions are excluded from
+// postings: a slot's consensus token is matching decoration, not a
+// constant the document must supply.
+func (ix *tmplIndex) add(ti int, tokens []int, wild []bool) {
 	refLen := len(tokens)
 	useBits := refLen <= align.WildBitCap
 	order := ix.regOrder[:0]
 	var wildMask uint64
+	slots := 0
 	for i, tok := range tokens {
 		if wild[i] {
+			slots++
 			if useBits {
 				wildMask |= 1 << uint(i)
 			}
@@ -533,17 +535,6 @@ func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *MatchS
 	standalone := mdl.DocCost(m, vocabSize)
 	best, bestCost := -1, standalone
 
-	exactCost := func(x int) float64 {
-		t := &d.templates[x]
-		a := align.PairwiseWildScratch(t.Tokens, t.Wild, toks, &sc.wild)
-		return mdl.DataCostMatched(mdl.AlignStats{
-			AlignLen:   a.Len(),
-			Unmatched:  a.Distance(),
-			AddedWords: a.Subs + a.Inss,
-			SlotWords:  t.SlotWords,
-		}, numT, vocabSize)
-	}
-
 	ix := &d.index
 	walkStart := time.Now()
 	bounder := align.NewWildBounder(m, numT, vocabSize)
@@ -737,41 +728,31 @@ func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *MatchS
 			pruned++
 			continue
 		}
-		refLen := int(cRef[ii])
+		// Exact branch, one for every template length. A reference within
+		// the bit cap first sharpens its bound with the exact unit-cost
+		// distance in O(m) word ops, and that distance seeds a band that
+		// shrinks the alignment to O(n·dist) (see align.PairwiseWildBanded).
+		// A longer reference has no distance, so its seed of max(n, m) runs
+		// the full fill. Either way the cost is the full DP's, bit-exact.
+		refLen, slots := int(cRef[ii]), int(cSlots[ii])
+		dist := max(refLen, m)
 		if refLen <= align.WildBitCap {
-			// Survivor of the overlap bound: sharpen with the exact
-			// unit-cost distance in O(m) word ops before paying the
-			// alignment DP.
 			mt := &ix.meta[x]
-			dist := align.WildDistanceMasked(refLen, mt.wildMask, mt.eqToks, mt.eqMasks, toks)
+			dist = align.WildDistanceMasked(refLen, mt.wildMask, mt.eqToks, mt.eqMasks, toks)
 			st.BitDPRuns++
-			rlb := bounder.DistBound(refLen, dist, int(cSlots[ii]))
-			if !canWin(rlb, x) {
+			if !canWin(bounder.DistBound(refLen, dist, slots), x) {
 				pruned++
 				st.BitDPPruned++
 				continue
 			}
-			// Winner candidate: the exact distance seeds a band that
-			// shrinks the O(n·m) alignment to O(n·dist) with op-for-op
-			// identical output (see align.PairwiseWildBanded); the
-			// counts feed the same bit-exact hoisted cost.
-			st.DPRuns++
 			st.BandRuns++
-			t := &d.templates[x]
-			dpStart := time.Now()
-			a, retries := align.PairwiseWildBanded(t.Tokens, t.Wild, toks, dist, &sc.wild)
-			exactNs += time.Since(dpStart).Nanoseconds()
-			st.BandRetries += retries
-			cost := bounder.CostOnes(a.Len(), a.Distance(), a.Subs+a.Inss, int(cSlots[ii]))
-			if cost < bestCost || (best >= 0 && x < best && cost <= bestCost) {
-				best, bestCost = x, cost
-			}
-			continue
 		}
 		st.DPRuns++
+		t := &d.templates[x]
 		dpStart := time.Now()
-		cost := exactCost(x)
+		cost, retries := bounder.Cost(t.Tokens, t.Wild, toks, dist, slots, &sc.wild)
 		exactNs += time.Since(dpStart).Nanoseconds()
+		st.BandRetries += retries
 		if cost < bestCost || (best >= 0 && x < best && cost <= bestCost) {
 			best, bestCost = x, cost
 		}

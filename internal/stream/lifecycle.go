@@ -87,21 +87,6 @@ func (d *Detector) probeSeq(ti int) []int {
 	return seq
 }
 
-// encodeCost is the exact matched cost of encoding seq with template ti
-// under a numT-template model — the same expression the serving probe
-// evaluates (PairwiseWildScratch + DataCostMatched with the S(1) slot
-// vector).
-func (d *Detector) encodeCost(ti int, seq []int, numT int) float64 {
-	t := &d.templates[ti]
-	a := align.PairwiseWildScratch(t.Tokens, t.Wild, seq, &d.sc.wild)
-	return mdl.DataCostMatched(mdl.AlignStats{
-		AlignLen:   a.Len(),
-		Unmatched:  a.Distance(),
-		AddedWords: a.Subs + a.Inss,
-		SlotWords:  t.SlotWords,
-	}, numT, d.vocab.Size())
-}
-
 // tryMerge tests freshly mined template ti against the existing set and
 // merges when MDL says two templates describe one campaign: ti's
 // consensus sequence probes the tiered index with ti itself temporarily
@@ -136,11 +121,20 @@ func (d *Detector) tryMerge(ti int) {
 		return
 	}
 
-	// Direction: keep the template that compresses the other better.
-	numT := d.liveCount - 1 // the post-merge model size
+	// Direction: keep the template that compresses the other better,
+	// each side priced as the probe prices a document, under the
+	// post-merge model size. With no distance to seed a band, each
+	// alignment is the one full fill.
+	vocabSize := d.vocab.Size()
+	b := align.NewWildBounder(len(seq), d.liveCount-1, vocabSize)
 	seqO := d.probeSeq(other)
-	saveKeepOther := mdl.DocCost(len(seq), d.vocab.Size()) - d.encodeCost(other, seq, numT)
-	saveKeepNew := mdl.DocCost(len(seqO), d.vocab.Size()) - d.encodeCost(ti, seqO, numT)
+	to, tn := &d.templates[other], &d.templates[ti]
+	costOther, _ := b.Cost(to.Tokens, to.Wild, seq, max(len(to.Tokens), len(seq)),
+		int(d.index.meta[other].slots), &d.sc.wild)
+	costNew, _ := b.Cost(tn.Tokens, tn.Wild, seqO, max(len(tn.Tokens), len(seqO)),
+		int(d.index.meta[ti].slots), &d.sc.wild)
+	saveKeepOther := mdl.DocCost(len(seq), vocabSize) - costOther
+	saveKeepNew := mdl.DocCost(len(seqO), vocabSize) - costNew
 	keeper, loser := other, ti
 	if saveKeepNew > saveKeepOther {
 		keeper, loser = ti, other
@@ -242,7 +236,7 @@ func (d *Detector) rebuildIndex() {
 		t := &d.templates[ti]
 		t.Tokens = tokA.copyIn(t.Tokens)
 		t.Wild = wildA.copyIn(t.Wild)
-		d.index.add(ti, t.Tokens, t.Wild, len(t.SlotWords))
+		d.index.add(ti, t.Tokens, t.Wild)
 	}
 	d.tokA = tokA
 	d.wildA = wildA

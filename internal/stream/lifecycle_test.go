@@ -242,6 +242,92 @@ func TestLifecycleMerge(t *testing.T) {
 	}
 }
 
+// TestLifecycleMergeLong runs the MDL merge over templates past
+// align.WildBitCap, where both the merge probe and the direction costs
+// take the unbanded full fill. Each round mines a near-duplicate of a
+// long template (a few words replaced, a few constants turned into slots
+// on one side) next to an unrelated long template; it must fold into its
+// twin, with the keeper the side the unhoisted DataCostMatched oracle
+// prefers.
+func TestLifecycleMergeLong(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	word := func() string { return fmt.Sprintf("mw%d", rng.Intn(500)) }
+	long := func(n int) ([]string, []bool) {
+		words := make([]string, n)
+		for i := range words {
+			words[i] = word()
+		}
+		wild := make([]bool, n)
+		wild[n/3], wild[2*n/3] = true, true
+		return words, wild
+	}
+	// oracle is the matched cost of seq against template x under a
+	// numT-template model: the full fill priced by the unhoisted
+	// DataCostMatched, as the reference scan prices a probe.
+	var sc align.Scratch
+	oracle := func(d *Detector, x int, seq []int, numT int) float64 {
+		tm := &d.templates[x]
+		a := align.PairwiseWildScratch(tm.Tokens, tm.Wild, seq, &sc)
+		var slotWords []int
+		for _, w := range tm.Wild {
+			if w {
+				slotWords = append(slotWords, 1)
+			}
+		}
+		return mdl.DataCostMatched(mdl.AlignStats{
+			AlignLen:   a.Len(),
+			Unmatched:  a.Distance(),
+			AddedWords: a.Subs + a.Inss,
+			SlotWords:  slotWords,
+		}, numT, d.vocab.Size())
+	}
+	for round := 0; round < 4; round++ {
+		d := New(core.Options{})
+		d.BatchSize = 1 << 30
+		d.Lifecycle = Lifecycle{Merge: true}
+		other, otherWild := long(70 + rng.Intn(60))
+		words, wild := long(70 + rng.Intn(60))
+		twin, twinWild := slices.Clone(words), slices.Clone(wild)
+		for k := 0; k < 3; k++ {
+			twin[rng.Intn(len(twin))] = word()
+			twinWild[rng.Intn(len(twinWild))] = true
+		}
+		if round%2 == 1 {
+			// The extra slots go to the existing side instead, so both
+			// merge directions are exercised.
+			words, wild, twin, twinWild = twin, twinWild, words, wild
+		}
+		if _, err := d.Register(other, otherWild); err != nil {
+			t.Fatal(err)
+		}
+		a, err := d.Register(words, wild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.Register(twin, twinWild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The post-merge model holds two templates.
+		saveKeepA := mdl.DocCost(len(twin), d.vocab.Size()) - oracle(d, a, d.probeSeq(b), 2)
+		saveKeepB := mdl.DocCost(len(words), d.vocab.Size()) - oracle(d, b, d.probeSeq(a), 2)
+		keeper, loser := a, b
+		if saveKeepB > saveKeepA {
+			keeper, loser = b, a
+		}
+
+		d.lifecyclePass([]int{b})
+		if d.Stats().Merged != 1 || d.NumLive() != 2 {
+			t.Fatalf("round %d: merged %d, live %d; want 1 merge, 2 live", round, d.Stats().Merged, d.NumLive())
+		}
+		if !d.isDead(loser) || d.isDead(keeper) || d.resolve(loser) != keeper {
+			t.Fatalf("round %d: keeper %d loser %d, dead a=%v b=%v, resolve(loser)=%d",
+				round, keeper, loser, d.isDead(a), d.isDead(b), d.resolve(loser))
+		}
+		checkIndex(t, fmt.Sprintf("round %d after merge", round), d)
+	}
+}
+
 // TestLifecycleEvictionAndRebuild: a hard cap far below the registered
 // count evicts in (lastMatch, DocCount, index) order, triggers the
 // tombstone compaction, and leaves the tiered index byte-consistent with

@@ -218,29 +218,10 @@ func (d *Detector) flushIncremental() []int {
 	matched := make([]bool, nLocal)
 	var newTIs []int
 	for ci := range refined {
-		for _, tr := range refined[ci] {
-			tokens := make([]int, tr.Template.Len())
-			wild := make([]bool, tr.Template.Len())
-			for i, tid := range tr.Template.TokenIDs {
-				if tr.Template.IsSlot[i] {
-					wild[i] = true
-					if tid >= 0 {
-						tokens[i] = tid
-					}
-					continue
-				}
-				tokens[i] = tid
-			}
-			ti := len(d.templates)
-			d.register(Template{
-				Wild:     wild,
-				Tokens:   tokens,
-				DocCount: len(tr.Docs),
-			})
-			d.stats.Mined++
-			newTIs = append(newTIs, ti)
+		for k := range refined[ci] {
+			tr := &refined[ci][k]
+			newTIs = d.registerMined(newTIs, tr, localIDs, func(tid int) int { return tid })
 			for _, l := range tr.Docs {
-				d.verdicts[localIDs[l]] = int32(ti)
 				matched[l] = true
 			}
 		}

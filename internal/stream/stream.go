@@ -46,11 +46,6 @@ type Template struct {
 	Wild     []bool // per position: is a slot (wildcard for matching)
 	Tokens   []int  // constants (slot positions keep the consensus token)
 	DocCount int
-	// SlotWords is the canned per-slot word-count vector the matcher
-	// charges (one word per slot, the serving path's S(w) ≈ S(1)
-	// approximation), precomputed at registration so probes never rebuild
-	// it. len(SlotWords) is the slot count. Shared; do not mutate.
-	SlotWords []int
 }
 
 // Lifecycle bounds the template set of a long-running detector so an
@@ -131,12 +126,9 @@ type Detector struct {
 	mine *mineState
 
 	// Template payloads are packed into arenas (contiguous blocks shared
-	// across templates) so the probe hot loop reads sequential memory;
-	// ones is the shared all-ones vector every template's SlotWords (and
-	// the index's bucket bounds) slice a prefix of.
+	// across templates) so the probe hot loop reads sequential memory.
 	tokA  arena[int]
 	wildA arena[bool]
-	ones  []int
 
 	pendingTexts []string
 	pendingToks  [][]int // detector-vocab token ids, parallel to pendingTexts
@@ -384,23 +376,13 @@ func (d *Detector) batchSize() int {
 }
 
 // register appends a template — payloads copied into the detector's
-// arenas, SlotWords sliced from the shared all-ones vector — and indexes
-// its constant tokens. Every template — mined by Flush, restored by Load,
-// or bulk-loaded by Register — enters through here, so the tiered index
-// is always in sync with the template set. Registration reuses the
-// index's pooled scratch: loading a 100k-template snapshot allocates a
-// few arena blocks, not two maps per template.
+// arenas — and indexes its constant tokens. Every template — mined by
+// Flush, restored by Load, or bulk-loaded by Register — enters through
+// here, so the tiered index is always in sync with the template set.
+// Registration reuses the index's pooled scratch: loading a
+// 100k-template snapshot allocates a few arena blocks, not two maps per
+// template.
 func (d *Detector) register(t Template) {
-	slots := 0
-	for _, w := range t.Wild {
-		if w {
-			slots++
-		}
-	}
-	for len(d.ones) < slots {
-		d.ones = append(d.ones, 1)
-	}
-	t.SlotWords = d.ones[:slots:slots]
 	t.Tokens = d.tokA.copyIn(t.Tokens)
 	t.Wild = d.wildA.copyIn(t.Wild)
 	ti := len(d.templates)
@@ -411,7 +393,7 @@ func (d *Detector) register(t Template) {
 	// mark, so a fresh template gets a full TTL before age-out.
 	d.lastMatch = append(d.lastMatch, len(d.verdicts))
 	d.liveCount++
-	d.index.add(ti, t.Tokens, t.Wild, slots)
+	d.index.add(ti, t.Tokens, t.Wild)
 }
 
 // reserve makes room for n more templates, so a bulk load grows each
@@ -498,34 +480,36 @@ func (d *Detector) flushBatch() []int {
 		words[i] = w
 	}
 	res := core.RunTokens(d.pendingTexts, words, d.Options)
+	toDetector := func(tid int) int { return d.vocab.Add(res.Vocab.Word(tid)) }
 	var newTIs []int
 	for ci := range res.Clusters {
-		for _, tr := range res.Clusters[ci].Templates {
-			// Re-encode the template over the detector's own vocabulary.
-			tokens := make([]int, tr.Template.Len())
-			wild := make([]bool, tr.Template.Len())
-			for i, tid := range tr.Template.TokenIDs {
-				if tr.Template.IsSlot[i] {
-					wild[i] = true
-					if tid >= 0 {
-						tokens[i] = d.vocab.Add(res.Vocab.Word(tid))
-					}
-					continue
-				}
-				tokens[i] = d.vocab.Add(res.Vocab.Word(tid))
-			}
-			ti := len(d.templates)
-			d.register(Template{
-				Wild:     wild,
-				Tokens:   tokens,
-				DocCount: len(tr.Docs),
-			})
-			d.stats.Mined++
-			newTIs = append(newTIs, ti)
-			for _, local := range tr.Docs {
-				d.verdicts[d.pendingIDs[local]] = int32(ti)
-			}
+		for k := range res.Clusters[ci].Templates {
+			newTIs = d.registerMined(newTIs, &res.Clusters[ci].Templates[k], d.pendingIDs, toDetector)
 		}
 	}
 	return newTIs
+}
+
+// registerMined registers one template a mining pass accepted and
+// appends its index to newTIs. tok maps the template's token ids into
+// the detector's vocabulary (a slot keeps its consensus token when it
+// has one); the template is registered with its member count and counted
+// as Mined, and each member — ids maps a member's local index to its
+// document id — gets the template as its verdict.
+func (d *Detector) registerMined(newTIs []int, tr *core.TemplateResult, ids []int, tok func(int) int) []int {
+	n := tr.Template.Len()
+	tokens, wild := make([]int, n), make([]bool, n)
+	for i, tid := range tr.Template.TokenIDs {
+		wild[i] = tr.Template.IsSlot[i]
+		if !wild[i] || tid >= 0 {
+			tokens[i] = tok(tid)
+		}
+	}
+	ti := len(d.templates)
+	d.register(Template{Wild: wild, Tokens: tokens, DocCount: len(tr.Docs)})
+	d.stats.Mined++
+	for _, local := range tr.Docs {
+		d.verdicts[ids[local]] = int32(ti)
+	}
+	return append(newTIs, ti)
 }
