@@ -12,16 +12,13 @@ build:
 	$(GO) build ./...
 
 ## vet: go vet plus the project's own static-analysis suite
-## (cmd/infoshield-vet: maporder, looprace, floateq, ctxerr, and the
-## interprocedural scratchalias, goleak, atomicmix, chanproto; copies of
-## lock-bearing values are go vet's copylocks pass). Must exit 0 with
-## zero unsuppressed findings. Pass extra infoshield-vet
-## flags through VET_FLAGS, e.g.
-## `make vet VET_FLAGS='-json -sarif infoshield-vet.sarif'`.
-VET_FLAGS ?=
+## (cmd/infoshield-vet: maporder, floateq, ctxerr, and the
+## interprocedural scratchalias; copies of lock-bearing values are go
+## vet's copylocks pass, races and goroutine joins are the race
+## detector's). Must exit 0 with zero unsuppressed findings.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/infoshield-vet $(VET_FLAGS)
+	$(GO) run ./cmd/infoshield-vet
 
 test:
 	$(GO) test ./...

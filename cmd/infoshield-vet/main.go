@@ -1,23 +1,20 @@
 // Command infoshield-vet runs the project's custom static-analysis suite
 // (internal/analysis) over every package of the module: determinism
-// (maporder), concurrency discipline (looprace), MDL-cost comparison
-// hygiene (floateq), dropped results (ctxerr), and the interprocedural
-// fact-layer analyzers — pooled-memory escapes (scratchalias), goroutine
-// join discipline (goleak), atomic/plain access mixing (atomicmix), and
-// channel shutdown protocol (chanproto). Copies of lock-bearing values
-// are go vet's copylocks check, which `make vet` runs alongside. It is
-// stdlib-only — the loader type-checks the module with go/parser and
-// go/types, with no golang.org/x/tools dependency.
+// (maporder), MDL-cost comparison hygiene (floateq), dropped results
+// (ctxerr), and pooled-memory escapes (scratchalias), the one analyzer
+// built on the interprocedural fact layer. Copies of lock-bearing
+// values are go vet's copylocks check, which `make vet` runs alongside.
+// It is stdlib-only — the loader type-checks the module with go/parser
+// and go/types, with no golang.org/x/tools dependency.
 //
 // Usage:
 //
 //	infoshield-vet [flags] [dir]
 //
-//	-run  maporder,floateq   run only the named analyzers (default all)
-//	-json                    machine-readable output
-//	-sarif file              also write a SARIF 2.1.0 report to file
-//	-list                    print the analyzers and exit
-//	-v                       also print suppressed findings
+//	-json        machine-readable output
+//	-sarif file  also write a SARIF 2.1.0 report to file
+//	-list        print the analyzers and exit
+//	-v           also print suppressed findings
 //
 // Findings are suppressed only by a justified //vet:allow (or, for
 // maporder, //vet:ordered) comment at the offending line.
@@ -46,7 +43,6 @@ func main() {
 }
 
 func run() int {
-	runFlag := flag.String("run", "all", "comma-separated analyzers to run")
 	jsonFlag := flag.Bool("json", false, "emit findings as JSON")
 	sarifFlag := flag.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
@@ -60,11 +56,6 @@ func run() int {
 		return 0
 	}
 
-	azs, err := analysis.ByName(*runFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "infoshield-vet:", err)
-		return 2
-	}
 	dir := "."
 	if flag.NArg() > 1 {
 		fmt.Fprintln(os.Stderr, "usage: infoshield-vet [flags] [dir]")
@@ -79,6 +70,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "infoshield-vet:", err)
 		return 2
 	}
+	azs := analysis.Analyzers()
 	findings, suppressed := analysis.Run(mod, azs)
 
 	if *jsonFlag {

@@ -178,6 +178,31 @@ func TestDaemonBadStateFile(t *testing.T) {
 	}
 }
 
+// TestDaemonListenFailure holds the -addr port with another listener: the
+// daemon's listen fails before any signal, and run must report it and
+// return 1 rather than wait for a signal that never comes.
+func TestDaemonListenFailure(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sink := devNull(t)
+
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-addr", l.Addr().String()}, sink, sink)
+	}()
+	select {
+	case code := <-done:
+		if code != 1 {
+			t.Fatalf("port in use: exit %d, want 1", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not return after its listen failed")
+	}
+}
+
 // waitHealthy polls /healthz until the daemon answers (or it exited).
 func waitHealthy(t *testing.T, base string, done <-chan int) {
 	t.Helper()

@@ -28,8 +28,8 @@ func fuzzCorpus(data string) []string {
 // FuzzDetectDeterminism generalizes TestDetectWorkersEquivalence from one
 // pinned corpus to arbitrary inputs: for any document list, Detect must
 // produce identical clusters and a byte-identical text report at
-// Workers: 1 and Workers: 4. This is the invariant the looprace and
-// maporder analyzers exist to protect; the fuzzer hunts for corpora whose
+// Workers: 1 and Workers: 4. This is the invariant the race detector and
+// the maporder analyzer exist to protect; the fuzzer hunts for corpora whose
 // shape (empty docs, near-duplicates, degenerate tokens) slips past the
 // deterministic merge paths.
 func FuzzDetectDeterminism(f *testing.F) {

@@ -6,33 +6,24 @@
 //     order: a range over a map may not append to a slice, write output,
 //     feed a hash, or send on a channel unless the result is sorted
 //     afterwards or the site is annotated.
-//   - looprace — goroutine and par-pool closures must follow the
-//     contiguous index-partition discipline of internal/par: no
-//     unsynchronized writes to shared variables, no shared-slice writes
-//     at non-partitioned indices, loop variables passed as parameters.
 //   - floateq — MDL costs accumulate floating-point lg terms (Eq. 2–4),
 //     so exact == / != on cost values silently diverges across
 //     architectures; sites must use mdl.ApproxEq.
 //   - ctxerr — dropped errors and discarded (value, ok) results in
 //     non-test files.
 //
-// The interprocedural analyzers sit on the fact layer (facts.go):
-// per-function summaries, memoized bottom-up over the call DAG, plus
-// module-wide channel/WaitGroup/mutex and atomic-access indexes:
+// One analyzer is interprocedural. It reads the return-alias facts of
+// the fact layer (facts.go): per-function summaries, memoized bottom-up
+// over the call DAG, of which inputs a function's results may alias:
 //
 //   - scratchalias — a sub-slice or pointer derived from a pooled
 //     scratch or arena chunk must not escape its owner: no return, no
 //     store into a global or caller-visible struct, no channel send, no
 //     use after Reset/Put.
-//   - goleak — every spawned goroutine must signal completion (close,
-//     send, or WaitGroup.Done) and that signal must be joined (receive
-//     or Wait); WaitGroup.Add inside the spawned goroutine is flagged.
-//   - atomicmix — a field accessed via sync/atomic anywhere must never
-//     be plainly read or written elsewhere. (Copies of values holding
-//     sync primitives are go vet's copylocks check.)
-//   - chanproto — double close, sends that can race a close on another
-//     path without a shared mutex, and close+send channels lacking a
-//     comma-ok/range drain.
+//
+// Races, goroutine joins and channel shutdown are left to the race
+// detector and the tests; copies of lock-bearing values are go vet's
+// copylocks check.
 //
 // Findings are suppressed by a justification comment on the offending
 // line or the line above it:
@@ -118,34 +109,9 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full suite in reporting order: the intra-package
-// checks first, then the fact-layer analyzers.
+// checks first, then the fact-layer analyzer.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, LoopRace, FloatEq, CtxErr, ScratchAlias, GoLeak, AtomicMix, ChanProto}
-}
-
-// ByName resolves a comma-separated analyzer list ("" or "all" selects
-// the full suite).
-func ByName(list string) ([]*Analyzer, error) {
-	if list == "" || list == "all" {
-		return Analyzers(), nil
-	}
-	all := Analyzers()
-	var out []*Analyzer
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, a := range all {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-	}
-	return out, nil
+	return []*Analyzer{MapOrder, FloatEq, CtxErr, ScratchAlias}
 }
 
 // Run applies the analyzers to every package of the module, filters
@@ -173,8 +139,8 @@ func Run(mod *Module, azs []*Analyzer) (kept, suppressed []Diagnostic) {
 // golden-file tests on testdata packages) with the same suppression
 // filtering as Run.
 func RunPackage(mod *Module, pkg *Package, azs []*Analyzer) (kept, suppressed []Diagnostic) {
-	// Register the extra package so fact summaries and the op index see
-	// its functions before any analyzer queries them.
+	// Register the extra package so fact summaries see its functions
+	// before any analyzer queries them.
 	mod.Facts().AddPackage(pkg)
 	all := runPackage(mod, pkg, azs)
 	index := newSuppressions()

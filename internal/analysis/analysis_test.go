@@ -122,30 +122,36 @@ func TestAnalyzerGolden(t *testing.T) {
 	}
 }
 
-// TestSeededRegressions runs each fact-layer analyzer over a package
-// seeded with a realistic bug copied from the shapes in internal/stream
-// and internal/serve — the escapes and races the suite exists to catch.
-// Each package carries exactly the bug its analyzer must find.
+// analyzerNamed picks one analyzer of the suite by name.
+func analyzerNamed(t *testing.T, name string) *analysis.Analyzer {
+	t.Helper()
+	for _, az := range analysis.Analyzers() {
+		if az.Name == name {
+			return az
+		}
+	}
+	t.Fatalf("no analyzer named %q", name)
+	return nil
+}
+
+// TestSeededRegressions runs an analyzer over a package seeded with a
+// realistic bug copied from the shapes in internal/stream — the escape
+// the fact layer exists to catch. Each package carries exactly the bug
+// its analyzer must find.
 func TestSeededRegressions(t *testing.T) {
 	repo := loadRepo(t)
 	cases := []struct{ dir, analyzer string }{
 		{"arenaleak", "scratchalias"},
-		{"drainleak", "goleak"},
-		{"statsrace", "atomicmix"},
-		{"shutdownrace", "chanproto"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			azs, err := analysis.ByName(tc.analyzer)
-			if err != nil {
-				t.Fatal(err)
-			}
+			az := analyzerNamed(t, tc.analyzer)
 			dir := filepath.Join("testdata", "regress", tc.dir)
 			pkg, err := repo.LoadExtra(dir)
 			if err != nil {
 				t.Fatalf("LoadExtra(%s): %v", dir, err)
 			}
-			kept, suppressed := analysis.RunPackage(repo, pkg, azs)
+			kept, suppressed := analysis.RunPackage(repo, pkg, []*analysis.Analyzer{az})
 			want, wantSup := readWants(t, filepath.Join(dir, tc.dir+".go"))
 			if len(want) == 0 {
 				t.Fatal("regression package has no want markers")
@@ -162,16 +168,13 @@ func TestSeededRegressions(t *testing.T) {
 // and a bare directive (no justification) never suppresses.
 func TestSuppressionEdgeCases(t *testing.T) {
 	repo := loadRepo(t)
-	azs, err := analysis.ByName("atomicmix")
-	if err != nil {
-		t.Fatal(err)
-	}
+	az := analyzerNamed(t, "ctxerr")
 	dir := filepath.Join("testdata", "suppress")
 	pkg, err := repo.LoadExtra(dir)
 	if err != nil {
 		t.Fatalf("LoadExtra(%s): %v", dir, err)
 	}
-	kept, suppressed := analysis.RunPackage(repo, pkg, azs)
+	kept, suppressed := analysis.RunPackage(repo, pkg, []*analysis.Analyzer{az})
 	want, wantSup := readWants(t, filepath.Join(dir, "suppress.go"))
 	matchDiags(t, "kept", kept, want)
 	matchDiags(t, "suppressed", suppressed, wantSup)
@@ -185,22 +188,5 @@ func TestRepoSelfCheck(t *testing.T) {
 	kept, _ := analysis.Run(repo, analysis.Analyzers())
 	for _, d := range kept {
 		t.Errorf("unsuppressed finding on clean repo: %s", d)
-	}
-}
-
-func TestByName(t *testing.T) {
-	all, err := analysis.ByName("all")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("ByName(all) = %d analyzers, err %v; want 8, nil", len(all), err)
-	}
-	two, err := analysis.ByName("maporder, floateq")
-	if err != nil || len(two) != 2 {
-		t.Fatalf("ByName(maporder, floateq) = %d analyzers, err %v; want 2, nil", len(two), err)
-	}
-	if two[0].Name != "maporder" || two[1].Name != "floateq" {
-		t.Errorf("ByName preserved order wrong: %s, %s", two[0].Name, two[1].Name)
-	}
-	if _, err := analysis.ByName("bogus"); err == nil {
-		t.Error("ByName(bogus) succeeded; want error")
 	}
 }

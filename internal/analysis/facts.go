@@ -4,13 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// This file is the interprocedural substrate of the suite: per-function
-// fact summaries, computed on demand and memoized, plus module-wide
-// operation indexes. Memoization with a recursion guard makes the
+// This file is the interprocedural substrate of scratchalias: one kind
+// of per-function fact, the return-alias summary, computed on demand and
+// memoized. Memoization with a recursion guard makes the
 // evaluation effectively bottom-up over the module's call DAG — a leaf
 // helper's summary is computed once, on first use, and every caller
 // reuses it — without materializing a call graph or depending on
@@ -41,12 +40,6 @@ type Facts struct {
 
 	ret     map[*types.Func]uint64
 	retBusy map[*types.Func]bool
-
-	sig     map[*types.Func][]signalFact
-	sigBusy map[*types.Func]bool
-
-	idxVer int
-	idx    *opIndex
 }
 
 func newFacts(m *Module) *Facts {
@@ -55,8 +48,6 @@ func newFacts(m *Module) *Facts {
 		version: 1,
 		ret:     make(map[*types.Func]uint64),
 		retBusy: make(map[*types.Func]bool),
-		sig:     make(map[*types.Func][]signalFact),
-		sigBusy: make(map[*types.Func]bool),
 	}
 }
 
@@ -69,8 +60,7 @@ func (m *Module) Facts() *Facts {
 }
 
 // AddPackage registers an extra package (a testdata package loaded by
-// LoadExtra) so its functions get summaries and its operations join the
-// module-wide indexes. Idempotent.
+// LoadExtra) so its functions get summaries. Idempotent.
 func (f *Facts) AddPackage(pkg *Package) {
 	for _, p := range f.extra {
 		if p == pkg {
@@ -113,26 +103,6 @@ func (f *Facts) ensureDecls() {
 		}
 	}
 	f.declVer = f.version
-}
-
-// objKey is the stable cross-package identity of an object: package
-// path, receiver type for methods, then name. Used to order map
-// iterations over object-keyed facts deterministically (the maporder
-// discipline applies to the analyzers themselves).
-func objKey(obj types.Object) string {
-	if obj == nil {
-		return ""
-	}
-	key := obj.Name()
-	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			key = sig.Recv().Type().String() + "." + key
-		}
-	}
-	if obj.Pkg() != nil {
-		key = obj.Pkg().Path() + "." + key
-	}
-	return key
 }
 
 // inputObjs lists a declaration's input objects in slot order: receiver
@@ -386,364 +356,7 @@ func (f *Facts) aliasBits(pkg *Package, e ast.Expr, inputs, local map[types.Obje
 }
 
 // ---------------------------------------------------------------------
-// Completion-signal facts (goleak)
-
-type sigKind int
-
-const (
-	sigClose sigKind = iota // close(ch)
-	sigSend                 // ch <- v
-	sigDone                 // wg.Done()
-)
-
-func (k sigKind) String() string {
-	switch k {
-	case sigClose:
-		return "close"
-	case sigSend:
-		return "send"
-	default:
-		return "Done"
-	}
-}
-
-// signalFact is one completion signal a function emits: closing a
-// channel, sending on one, or calling WaitGroup.Done. The target is
-// either absolute (a struct field or package-level variable, identified
-// by its object) or relative to an input slot, resolved at call sites.
-type signalFact struct {
-	kind  sigKind
-	obj   types.Object // field or package/local var; nil when param-relative
-	param int          // input slot when param-relative; -1 otherwise
-}
-
-// Signals returns fn's completion-signal facts: every close/send/Done it
-// (or a callee, transitively) performs on a field, package variable, or
-// input. Locals are excluded — a channel both created and closed inside
-// fn signals nothing to callers.
-func (f *Facts) Signals(fn *types.Func) []signalFact {
-	if fn == nil {
-		return nil
-	}
-	fn = fn.Origin() // instantiated generic method → its declaration
-
-	if sigs, ok := f.sig[fn]; ok {
-		return sigs
-	}
-	f.ensureDecls()
-	d := f.decls[fn]
-	if d == nil {
-		f.sig[fn] = nil
-		return nil
-	}
-	if f.sigBusy[fn] {
-		return nil
-	}
-	f.sigBusy[fn] = true
-	inputs := make(map[types.Object]int)
-	for i, obj := range inputObjs(d.pkg, d.decl) {
-		if obj != nil {
-			inputs[obj] = i
-		}
-	}
-	c := &sigCollector{f: f, pkg: d.pkg, inputs: inputs}
-	c.walk(d.decl.Body)
-	delete(f.sigBusy, fn)
-	f.sig[fn] = c.out
-	return c.out
-}
-
-// GoSignals resolves the completion signals of one `go` statement: a
-// closure's body is scanned directly (locals of the spawning function
-// are kept — they are the join keys), a named callee contributes its
-// facts with param-relative targets substituted by the call arguments.
-func (f *Facts) GoSignals(pkg *Package, g *ast.GoStmt) []signalFact {
-	c := &sigCollector{f: f, pkg: pkg, keepLocals: true}
-	if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		c.walk(lit.Body)
-	} else {
-		c.resolveCall(g.Call)
-	}
-	return c.out
-}
-
-type sigCollector struct {
-	f          *Facts
-	pkg        *Package
-	inputs     map[types.Object]int
-	keepLocals bool
-	out        []signalFact
-}
-
-func (c *sigCollector) walk(body ast.Node) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			c.add(sigSend, x.Chan)
-		case *ast.CallExpr:
-			c.resolveCall(x)
-		}
-		return true
-	})
-}
-
-// resolveCall records the signals one call contributes: close() and
-// WaitGroup.Done() directly, any other named callee via its facts.
-func (c *sigCollector) resolveCall(call *ast.CallExpr) {
-	if pkgIsBuiltin(c.pkg, call, "close") && len(call.Args) == 1 {
-		c.add(sigClose, call.Args[0])
-		return
-	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-		if isSyncType(pkgTypeOf(c.pkg, sel.X), "sync", "WaitGroup") {
-			c.add(sigDone, sel.X)
-			return
-		}
-	}
-	fn, _ := pkgCalleeObject(c.pkg, call).(*types.Func)
-	if fn == nil {
-		return
-	}
-	args := callInputExprs(call, fn)
-	for _, sf := range c.f.Signals(fn) {
-		if sf.param < 0 {
-			c.out = append(c.out, sf)
-			continue
-		}
-		if sf.param < len(args) && args[sf.param] != nil {
-			c.add(sf.kind, args[sf.param])
-		}
-	}
-}
-
-// add resolves a signal target expression to a fact, or drops it when
-// the target is invisible outside the scanned scope.
-func (c *sigCollector) add(kind sigKind, e ast.Expr) {
-	obj := chanKey(c.pkg, e)
-	if obj == nil {
-		return
-	}
-	if slot, ok := c.inputs[obj]; ok {
-		c.out = append(c.out, signalFact{kind: kind, param: slot})
-		return
-	}
-	v, isVar := obj.(*types.Var)
-	if !isVar {
-		return
-	}
-	if v.IsField() || isPkgLevel(obj) || c.keepLocals {
-		c.out = append(c.out, signalFact{kind: kind, obj: obj, param: -1})
-	}
-}
-
-// ---------------------------------------------------------------------
-// Module-wide operation index (goleak, chanproto, atomicmix)
-
-type opKind int
-
-const (
-	opSend opKind = iota
-	opClose
-	opRecv      // plain <-ch
-	opRecvOk    // v, ok := <-ch (incl. select comm clauses)
-	opRecvRange // for range ch
-	opWait      // wg.Wait()
-	opDone      // wg.Done()
-	opAdd       // wg.Add(n)
-)
-
-// opSite is one channel/WaitGroup operation, located by the object it
-// operates on and the function it occurs in.
-type opSite struct {
-	key  types.Object
-	kind opKind
-	pos  token.Pos
-	pkg  *Package
-	fn   *ast.FuncDecl // enclosing top-level declaration
-}
-
-// opIndex is the module-wide view the concurrency analyzers share.
-type opIndex struct {
-	byKey map[types.Object][]opSite
-	// locks maps each declaration to the mutex objects it Lock()s or
-	// RLock()s anywhere in its body. Two functions locking a common
-	// mutex are treated as mutually ordered.
-	locks map[*ast.FuncDecl]map[types.Object]bool
-	// atomics maps each variable or field passed by address to a
-	// sync/atomic function to those call sites.
-	atomics map[types.Object][]opSite
-}
-
-// sortedKeys orders the index's object keys deterministically.
-func (ix *opIndex) sortedKeys(m map[types.Object][]opSite) []types.Object {
-	keys := make([]types.Object, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := objKey(keys[i]), objKey(keys[j])
-		if a != b {
-			return a < b
-		}
-		return keys[i].Pos() < keys[j].Pos()
-	})
-	return keys
-}
-
-// Index builds (or returns the cached) operation index over every loaded
-// package.
-func (f *Facts) Index() *opIndex {
-	if f.idx != nil && f.idxVer == f.version {
-		return f.idx
-	}
-	ix := &opIndex{
-		byKey:   make(map[types.Object][]opSite),
-		locks:   make(map[*ast.FuncDecl]map[types.Object]bool),
-		atomics: make(map[types.Object][]opSite),
-	}
-	for _, pkg := range f.packages() {
-		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				indexOps(ix, pkg, fd)
-			}
-		}
-	}
-	f.idx = ix
-	f.idxVer = f.version
-	return ix
-}
-
-func indexOps(ix *opIndex, pkg *Package, fd *ast.FuncDecl) {
-	add := func(e ast.Expr, kind opKind, pos token.Pos) {
-		if key := chanKey(pkg, e); key != nil {
-			ix.byKey[key] = append(ix.byKey[key], opSite{key: key, kind: kind, pos: pos, pkg: pkg, fn: fd})
-		}
-	}
-	consumed := make(map[ast.Expr]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			add(x.Chan, opSend, x.Arrow)
-		case *ast.AssignStmt:
-			if len(x.Lhs) == 2 && len(x.Rhs) == 1 {
-				if recv, ok := unparen(x.Rhs[0]).(*ast.UnaryExpr); ok && recv.Op == token.ARROW {
-					consumed[recv] = true
-					add(recv.X, opRecvOk, recv.OpPos)
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && !consumed[x] {
-				add(x.X, opRecv, x.OpPos)
-			}
-		case *ast.RangeStmt:
-			if t := pkgTypeOf(pkg, x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					add(x.X, opRecvRange, x.For)
-				}
-			}
-		case *ast.CallExpr:
-			if pkgIsBuiltin(pkg, x, "close") && len(x.Args) == 1 {
-				add(x.Args[0], opClose, x.Pos())
-				return true
-			}
-			sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
-				// Package-qualified sync/atomic calls go through the
-				// selector case below; plain calls carry nothing else.
-				return true
-			}
-			recvT := pkgTypeOf(pkg, sel.X)
-			switch sel.Sel.Name {
-			case "Wait":
-				if isSyncType(recvT, "sync", "WaitGroup") {
-					add(sel.X, opWait, x.Pos())
-				}
-			case "Done":
-				if isSyncType(recvT, "sync", "WaitGroup") {
-					add(sel.X, opDone, x.Pos())
-				}
-			case "Add":
-				if isSyncType(recvT, "sync", "WaitGroup") {
-					add(sel.X, opAdd, x.Pos())
-				}
-			case "Lock", "RLock":
-				if isSyncType(recvT, "sync", "Mutex") || isSyncType(recvT, "sync", "RWMutex") {
-					if key := chanKey(pkg, sel.X); key != nil {
-						if ix.locks[fd] == nil {
-							ix.locks[fd] = make(map[types.Object]bool)
-						}
-						ix.locks[fd][key] = true
-					}
-				}
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && pkgNamePathOf(pkg, id) == "sync/atomic" {
-				for _, arg := range x.Args {
-					if u, ok := unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-						if key := chanKey(pkg, u.X); key != nil {
-							ix.atomics[key] = append(ix.atomics[key], opSite{key: key, pos: x.Pos(), pkg: pkg, fn: fd})
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// commonLock reports whether two declarations lock a common mutex — the
-// accept-gate shape: sends under RLock, close under Lock of the same
-// mutex are mutually ordered.
-func (ix *opIndex) commonLock(a, b *ast.FuncDecl) bool {
-	la, lb := ix.locks[a], ix.locks[b]
-	if len(la) == 0 || len(lb) == 0 {
-		return false
-	}
-	for k := range la {
-		if lb[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
 // Shared resolution helpers
-
-// chanKey resolves a channel/WaitGroup/mutex operand expression to the
-// object that identifies it module-wide: a struct field (shared across
-// instances — deliberately coarse), a package-level variable, or a
-// local. Returns nil for expressions with no stable base.
-func chanKey(pkg *Package, e ast.Expr) types.Object {
-	switch x := unparen(e).(type) {
-	case *ast.Ident:
-		obj := pkgObjectOf(pkg, x)
-		if _, ok := obj.(*types.Var); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[x]; ok {
-			return sel.Obj()
-		}
-		if obj := pkgObjectOf(pkg, x.Sel); obj != nil {
-			if _, ok := obj.(*types.Var); ok {
-				return obj
-			}
-		}
-	case *ast.IndexExpr:
-		return chanKey(pkg, x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return chanKey(pkg, x.X)
-		}
-	case *ast.StarExpr:
-		return chanKey(pkg, x.X)
-	}
-	return nil
-}
 
 // isPkgLevel reports whether obj is a package-level variable.
 func isPkgLevel(obj types.Object) bool {

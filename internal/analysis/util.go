@@ -98,15 +98,25 @@ func declaredWithin(obj types.Object, spans []span) bool {
 	return false
 }
 
+// walkChildren visits n's immediate children.
+func walkChildren(n ast.Node, visit func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if first {
+			first = false
+			return true
+		}
+		if c != nil {
+			visit(c)
+		}
+		return false
+	})
+}
+
 // pkgNamePath returns the imported package path when id names an imported
 // package (e.g. the `fmt` in fmt.Printf), or "".
 func pkgNamePath(p *Pass, id *ast.Ident) string {
-	return pkgNamePathOf(p.Pkg, id)
-}
-
-// pkgNamePathOf is pkgNamePath against an explicit package.
-func pkgNamePathOf(pkg *Package, id *ast.Ident) string {
-	if pn, ok := pkgObjectOf(pkg, id).(*types.PkgName); ok {
+	if pn, ok := objectOf(p, id).(*types.PkgName); ok {
 		return pn.Imported().Path()
 	}
 	return ""
