@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-record bench-all experiments
+.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + infoshield-vet), build, and
 ## race-enabled tests.
@@ -91,6 +91,13 @@ bench:
 ## benchmark's 8000-tweet shape (BenchmarkTopPhraseIDs/accounts=800x10).
 bench-coarse:
 	$(GO) test -bench='Coarse|TopPhrase' -benchmem -run '^$$'
+
+## bench-fine: the fine-pass microbenchmarks — the 1/2/4/8-worker sweep
+## on the 50-account corpus and at the detect-batch benchmark's shape
+## (BenchmarkFine/accounts=800x10), and the straggler-shaped skewed corpus
+## (BenchmarkFineSkewed).
+bench-fine:
+	$(GO) test -bench='BenchmarkFine$$|BenchmarkFineSkewed$$' -benchmem -run '^$$'
 
 ## bench-record: the committed benchmark ledger. Runs every workload in
 ## BENCHMARK.json once, traced, at the harness's default seed (1) and run

@@ -113,6 +113,14 @@ func twitterTexts(b *testing.B, accounts int) []string {
 	return c.Texts()
 }
 
+// detectBatchTexts is the detect-batch benchmark's corpus shape: 400
+// genuine plus 400 bot accounts of 10 tweets each (8000 documents).
+func detectBatchTexts() []string {
+	return datagen.Twitter(datagen.TwitterConfig{Seed: 1,
+		GenuineAccounts: 400, BotAccounts: 400,
+		TweetsPerAccountMin: 10, TweetsPerAccountMax: 10}).Texts()
+}
+
 // BenchmarkPipelineEndToEnd measures full Detect throughput on mixed
 // corpora of ~2k and ~8k tweets (docs/op scales linearly per Fig 2 /
 // Lemma 2; the two sizes track the scaling curve, not just one point).
@@ -178,17 +186,14 @@ func BenchmarkTopPhrases(b *testing.B) {
 
 // BenchmarkTopPhraseIDs measures the hashed-key extraction path the
 // pipeline actually runs (no string materialization at all), on the mixed
-// 50-account corpus and at the detect-batch benchmark's shape: 400 genuine
-// plus 400 bot accounts of 10 tweets each (8000 documents).
+// 50-account corpus and at the detect-batch benchmark's shape.
 func BenchmarkTopPhraseIDs(b *testing.B) {
 	corpora := []struct {
 		name  string
 		texts []string
 	}{
 		{"accounts=50", twitterTexts(b, 50)},
-		{"accounts=800x10", datagen.Twitter(datagen.TwitterConfig{Seed: 1,
-			GenuineAccounts: 400, BotAccounts: 400,
-			TweetsPerAccountMin: 10, TweetsPerAccountMax: 10}).Texts()},
+		{"accounts=800x10", detectBatchTexts()},
 	}
 	for _, c := range corpora {
 		var tk tokenize.Tokenizer
@@ -223,22 +228,33 @@ func fineInputs(texts []string) (clusters [][]int, tokens [][]int, top [][]tfidf
 }
 
 // BenchmarkFine isolates InfoShield-Fine (screen → MSA → consensus →
-// slots) on the mixed Twitter corpus, sweeping the worker pool.
+// slots) on the mixed 50-account Twitter corpus and at the detect-batch
+// benchmark's shape, sweeping the worker pool.
 func BenchmarkFine(b *testing.B) {
-	clusters, tokens, top, v := fineInputs(twitterTexts(b, 50))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.Refine(clusters, tokens, top, v, core.Options{Workers: workers})
-			}
-		})
+	corpora := []struct {
+		name  string
+		texts []string
+	}{
+		{"accounts=50", twitterTexts(b, 50)},
+		{"accounts=800x10", detectBatchTexts()},
+	}
+	for _, c := range corpora {
+		clusters, tokens, top, v := fineInputs(c.texts)
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					core.Refine(clusters, tokens, top, v, core.Options{Workers: workers})
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkFineSkewed runs the fine pass on the straggler-shaped corpus
 // (one mega cluster plus many small ones): the case the largest-first
-// schedule and the nested screening fan-out exist for.
+// schedule exists for. The mega-cluster is screened serially by one
+// worker, so it bounds the fine pass's wall clock at any worker count.
 func BenchmarkFineSkewed(b *testing.B) {
 	clusters, tokens, top, v := fineInputs(skewedTexts())
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -71,9 +71,6 @@ type Cluster struct {
 	CostBefore, CostAfter float64
 }
 
-// NumDocs returns the number of documents the cluster's templates encode.
-func (c *Cluster) NumDocs() int { return len(c.Docs) }
-
 // RelativeLength is the cluster's Eq. 7 compression quality.
 func (c *Cluster) RelativeLength() float64 {
 	return mdl.RelativeLength(c.CostAfter, c.CostBefore)
@@ -179,21 +176,18 @@ func RunTokens(texts []string, words [][]string, opt Options) *Result {
 	return res
 }
 
-// Refine runs Fine over every coarse cluster on a bounded worker pool and
-// returns the per-cluster template lists (indexed like coarse) plus the
-// aggregated stage timings.
+// Refine runs InfoShield-Fine over every coarse cluster on a bounded
+// worker pool and returns the per-cluster template lists (indexed like
+// coarse) plus the aggregated stage timings.
 //
 // Scheduling is straggler-aware without affecting output: exactly
 // min(Workers, clusters) goroutines pull clusters largest-first from a
 // size-sorted queue — no goroutine-per-cluster fan-out, so the goroutine
 // count stays O(Workers) however many clusters the coarse pass produced —
 // and results land in refined[ci], keyed by cluster index, so the merge
-// order is deterministic regardless of which worker ran what. A shared
-// par.Budget caps total parallelism at Workers: each pool worker holds
-// one token while it works and returns it when the queue drains, letting
-// a straggling mega-cluster borrow the idle capacity for its candidate-
-// screening fan-out (fineCluster's verdicts are worker-count-invariant,
-// so borrowed workers change wall clock, never results).
+// order is deterministic regardless of which worker ran what. Each
+// cluster is refined serially by the worker that took it, so Workers
+// changes wall clock, never results. One worker runs the same loop.
 func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize int, opt Options) ([][]TemplateResult, FineTimings) {
 	refined := make([][]TemplateResult, len(coarse))
 	var total FineTimings
@@ -214,20 +208,7 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 		}
 		return ca < cb
 	})
-	workers := par.Workers(opt.Workers)
-	if workers > len(coarse) {
-		workers = len(coarse)
-	}
-	if workers == 1 {
-		sc := &fineScratch{}
-		for _, ci := range order {
-			var t FineTimings
-			refined[ci], t = fineCluster(coarse[ci], tokens, top, vocabSize, opt, sc, nil)
-			total.add(t)
-		}
-		return refined, total
-	}
-	nested := par.NewBudget(par.Workers(opt.Workers))
+	workers := min(par.Workers(opt.Workers), len(coarse))
 	perWorker := make([]FineTimings, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -235,7 +216,6 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			nested.Acquire()
 			sc := &fineScratch{}
 			var acc FineTimings
 			for {
@@ -244,13 +224,10 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 					break
 				}
 				ci := order[k]
-				out, t := fineCluster(coarse[ci], tokens, top, vocabSize, opt, sc, nested)
+				out, t := fineCluster(coarse[ci], tokens, top, vocabSize, opt, sc)
 				refined[ci] = out
 				acc.add(t)
 			}
-			// Queue drained for this worker: return its token so a
-			// straggler's screening fan-out can borrow the idle capacity.
-			nested.Release(1)
 			perWorker[w] = acc
 		}(w)
 	}

@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"infoshield/internal/par"
-	"infoshield/internal/tfidf"
 )
 
 // toyDocs is the paper's full toy example (Tables II and III).
@@ -350,46 +347,5 @@ func TestRunWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestFineNestedScreenDeterminism drives fineCluster's intra-cluster
-// screening fan-out directly — the path Detect only reaches when a
-// mega-cluster finds idle budget — and asserts the candidate verdicts
-// joined from parallel index ranges reproduce the serial result exactly.
-// The synthetic cluster shares one phrase across every document, so the
-// first round screens n-1 neighbors, well past the fan-out threshold; the
-// fresh budget guarantees TryAcquire grants extra workers.
-func TestFineNestedScreenDeterminism(t *testing.T) {
-	const n = 150
-	base := []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
-	tokens := make([][]int, n)
-	top := make([][]tfidf.PhraseID, n)
-	docIDs := make([]int, n)
-	hub := tfidf.PhraseID(7)
-	for d := 0; d < n; d++ {
-		seq := append([]int(nil), base...)
-		seq[4+d%3] = 1000 + d%5 // slot-like variation, still near-duplicates
-		tokens[d] = seq
-		top[d] = []tfidf.PhraseID{hub}
-		docIDs[d] = d
-	}
-	const vocabSize = 5000
-
-	serial, _ := fineCluster(docIDs, tokens, top, vocabSize, Options{}, &fineScratch{}, nil)
-	budget := par.NewBudget(8) // all tokens idle: the fan-out must fire
-	parallel, _ := fineCluster(docIDs, tokens, top, vocabSize, Options{}, &fineScratch{}, budget)
-
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("fineCluster results differ between serial and fanned-out screening:\nserial:   %+v\nparallel: %+v",
-			summarize(serial), summarize(parallel))
-	}
-	if len(serial) == 0 {
-		t.Fatal("synthetic near-duplicate cluster produced no template; the gate is vacuous")
-	}
-}
-
-func summarize(trs []TemplateResult) []string {
-	var out []string
-	for _, tr := range trs {
-		out = append(out, fmt.Sprintf("docs=%v before=%v after=%v", tr.Docs, tr.CostBefore, tr.CostAfter))
-	}
-	return out
-}
+// NumDocs returns the number of documents the cluster's templates encode.
+func (c *Cluster) NumDocs() int { return len(c.Docs) }

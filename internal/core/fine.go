@@ -6,7 +6,6 @@ import (
 
 	"infoshield/internal/align"
 	"infoshield/internal/mdl"
-	"infoshield/internal/par"
 	"infoshield/internal/poa"
 	"infoshield/internal/template"
 	"infoshield/internal/tfidf"
@@ -32,23 +31,16 @@ func (t *FineTimings) add(o FineTimings) {
 	t.Slots += o.Slots
 }
 
-// screenChunk is the minimum number of neighbors a screening worker must
-// have to be worth borrowing: below it the fan-out bookkeeping costs more
-// than the O(l²) alignments it parallelizes.
-const screenChunk = 32
-
 // fineScratch bundles every buffer the fine pass reuses across rounds and
 // clusters: the pairwise-DP scratch, the POA graph's DP/topology buffers,
 // the sorted-token arena behind the overlap screen, and the small
-// per-round slices. One fineScratch is owned by one pool worker; the
-// screening fan-out hands each borrowed worker its own align.Scratch from
-// the screen slice. The zero value is ready to use.
+// per-round slices. One fineScratch is owned by one pool worker. The
+// zero value is ready to use.
 type fineScratch struct {
-	align      align.Scratch   // serial screen path
-	poa        poa.Scratch     // POA DP + column ordering
-	screen     []align.Scratch // per-worker scratches for the parallel screen
-	arena      []int           // backing store for sorted
-	sorted     [][]int         // sorted[i]: ascending copy of doc i's tokens
+	align      align.Scratch // candidate screen's pairwise DP
+	poa        poa.Scratch   // POA DP + column ordering
+	arena      []int         // backing store for sorted
+	sorted     [][]int       // sorted[i]: ascending copy of doc i's tokens
 	alive      []bool
 	stamp      []int
 	saCost     []float64 // memoized standalone costs C(d), per local index
@@ -56,7 +48,6 @@ type fineScratch struct {
 	candidates []int
 	members    []int
 	seqs       [][]int
-	verdict    []bool
 }
 
 func growInts(p *[]int, n int) []int {
@@ -91,29 +82,12 @@ func growSeqs(p *[][]int, n int) [][]int {
 	return *p
 }
 
-func growScratches(p *[]align.Scratch, n int) []align.Scratch {
-	for len(*p) < n {
-		*p = append(*p, align.Scratch{})
-	}
-	return (*p)[:n]
-}
-
-// Fine runs InfoShield-Fine (Algorithm 4) on one coarse cluster: repeat
-// {candidate alignment → consensus search → slot detection → MDL
+// fineCluster runs InfoShield-Fine (Algorithm 4) on one coarse cluster:
+// repeat {candidate alignment → consensus search → slot detection → MDL
 // acceptance} until the cluster is exhausted. docIDs are corpus document
 // indices (ascending); tokens the whole corpus's token-id sequences; top
 // the per-document selected phrases from the coarse pass; vocabSize the
-// paper's V.
-//
-// Fine is the standalone convenience; Refine runs it across clusters on a
-// worker pool with shared scratch and a nested-parallelism budget.
-func Fine(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize int, opt Options) []TemplateResult {
-	out, _ := fineCluster(docIDs, tokens, top, vocabSize, opt, &fineScratch{}, nil)
-	return out
-}
-
-// fineCluster is Fine with caller-owned scratch and an optional borrowed
-// parallelism budget for the candidate screen.
+// paper's V; sc the calling pool worker's scratch.
 //
 // Candidate scans are restricted to d1's phrase-graph neighbors: only
 // documents sharing a selected top phrase with d1 are tested against
@@ -122,7 +96,7 @@ func Fine(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize int, o
 // restriction is what keeps Fine sub-quadratic on large heterogeneous
 // coarse components — the Σ k·S·log(S)·l² complexity of Lemma 2 assumes
 // exactly this kind of homogeneous candidate pool.
-func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize int, opt Options, sc *fineScratch, nested *par.Budget) ([]TemplateResult, FineTimings) {
+func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize int, opt Options, sc *fineScratch) ([]TemplateResult, FineTimings) {
 	var out []TemplateResult
 	var t FineTimings
 	n := len(docIDs)
@@ -194,43 +168,13 @@ func fineCluster(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize
 		sc.neigh = neigh
 		// Candidate alignment (Algorithm 4): every neighbor that
 		// compresses against d1 joins, in document order. An O(l)
-		// token-overlap bound screens before the O(l²) alignment. With
-		// enough neighbors and idle budget, the per-neighbor verdicts fan
-		// out over contiguous index ranges — each verdict is a pure
-		// function of (seed, neighbor), and the join below reads them in
-		// ascending index order, so the candidate set is identical for
-		// any worker count.
+		// token-overlap bound screens before the O(l²) alignment.
 		candidates := append(sc.candidates[:0], d1)
 		members := sc.members[:0]
-		screened := false
-		if nested != nil && len(neigh) >= 2*screenChunk {
-			if extra := nested.TryAcquire(len(neigh)/screenChunk - 1); extra > 0 {
-				workers := extra + 1
-				verdict := growBools(&sc.verdict, len(neigh))
-				screen := growScratches(&sc.screen, workers)
-				par.IndexedRanges(len(neigh), workers, func(w, lo, hi int) {
-					wsc := &screen[w]
-					for k := lo; k < hi; k++ {
-						j := neigh[k]
-						verdict[k] = screenVerdict(model, seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], wsc)
-					}
-				})
-				nested.Release(extra)
-				for k, j := range neigh {
-					if verdict[k] {
-						candidates = append(candidates, docIDs[j])
-						members = append(members, j)
-					}
-				}
-				screened = true
-			}
-		}
-		if !screened {
-			for _, j := range neigh {
-				if screenVerdict(model, seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], &sc.align) {
-					candidates = append(candidates, docIDs[j])
-					members = append(members, j)
-				}
+		for _, j := range neigh {
+			if screenVerdict(model, seed, sorted[i1], tokens[docIDs[j]], sorted[j], saCost[j], &sc.align) {
+				candidates = append(candidates, docIDs[j])
+				members = append(members, j)
 			}
 		}
 		sc.candidates, sc.members = candidates, members

@@ -13,9 +13,6 @@ func (m *DocModel) Dim() int { return m.dim }
 // DocVector returns the trained vector of training document i.
 func (m *DocModel) DocVector(i int) []float64 { return m.vecs[i] }
 
-// NumDocs returns the number of document vectors.
-func (m *DocModel) NumDocs() int { return len(m.vecs) }
-
 // TrainDoc2Vec trains PV-DBOW: each document's vector is optimized to
 // predict the words the document contains, with negative sampling. This
 // is the distributed-bag-of-words variant of Le & Mikolov (2014) — the

@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// NumDocs returns the number of document vectors.
+func (m *DocModel) NumDocs() int { return len(m.vecs) }
+
 // Cosine returns the cosine similarity between two vectors (0 for nil or
 // zero-norm inputs).
 func Cosine(a, b []float64) float64 {

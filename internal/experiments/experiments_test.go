@@ -198,6 +198,25 @@ func TestFig3RelativeLength(t *testing.T) {
 	}
 }
 
+func TestFig3KindTieOrder(t *testing.T) {
+	for _, c := range []struct {
+		counts map[string]int
+		want   string
+	}{
+		{map[string]int{"spam": 3, "ht": 3, "normal": 3}, "spam"},
+		{map[string]int{"normal": 2, "ht": 2}, "ht"},
+		{map[string]int{"normal": 4, "spam": 4, "ht": 1}, "spam"},
+		{map[string]int{"ht": 1, "normal": 5}, "normal"},
+		{map[string]int{}, "normal"},
+	} {
+		for i := 0; i < 20; i++ { // map iteration order varies run to run
+			if got := fig3Kind(c.counts); got != c.want {
+				t.Fatalf("fig3Kind(%v) = %q, want %q", c.counts, got, c.want)
+			}
+		}
+	}
+}
+
 func TestAblations(t *testing.T) {
 	var buf bytes.Buffer
 	AblationSlots(&buf, Small)

@@ -78,21 +78,28 @@ func fig3Points(scale Scale) (pts []fig3Point, vocabSize int) {
 			for _, d := range tr.Docs {
 				counts[ct.Docs[d].Account]++
 			}
-			kind, best := "normal", 0
-			for k, c := range counts {
-				if c > best {
-					kind, best = k, c
-				}
-			}
 			pts = append(pts, fig3Point{
 				docs: len(tr.Docs),
 				rl:   mdl.RelativeLength(tr.CostAfter, tr.CostBefore),
 				lb:   mdl.LowerBound(1, len(tr.Docs), V),
-				kind: kind,
+				kind: fig3Kind(counts),
 			})
 		}
 	}
 	return pts, V
+}
+
+// fig3Kind labels a template with the population ("spam", "ht" or
+// "normal") holding most of its documents. A tie goes to the kind listed
+// first, in that order, so the label never depends on map order.
+func fig3Kind(counts map[string]int) string {
+	kind, best := "normal", 0
+	for _, k := range []string{"spam", "ht", "normal"} {
+		if c := counts[k]; c > best {
+			kind, best = k, c
+		}
+	}
+	return kind
 }
 
 // Fig3RelativeLength reproduces Figure 3: every discovered micro-cluster

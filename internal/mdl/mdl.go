@@ -61,27 +61,6 @@ func Universal(n int) float64 {
 	return 2*Lg(float64(n)) + 1
 }
 
-// UniversalExact returns the exact Elias-style log* code length
-// lg(n) + lg lg(n) + ... + lg(c0) with c0 = 2.865064. It is provided for
-// completeness and for tests that bound the approximation error; the
-// pipeline uses Universal, as the paper does.
-func UniversalExact(n int) float64 {
-	const c0 = 2.865064
-	if n < 1 {
-		return Lg(c0)
-	}
-	total := Lg(c0)
-	x := float64(n)
-	for x > 1 {
-		x = math.Log2(x)
-		if x <= 0 {
-			break
-		}
-		total += x
-	}
-	return total
-}
-
 // WordCost returns lg V, the cost of one vocabulary index.
 func WordCost(vocabSize int) float64 { return Lg(float64(vocabSize)) }
 
@@ -95,16 +74,6 @@ func DocCost(length, vocabSize int) float64 {
 type TemplateStats struct {
 	Length int // l_i: number of tokens in the template (constants + slots)
 	Slots  int // s_i: number of slots
-}
-
-// ModelCost returns C(M) for a template set (Eq. 2): ⟨t⟩ plus every
-// template's TemplateCost.
-func ModelCost(templates []TemplateStats, vocabSize int) float64 {
-	cost := Universal(len(templates))
-	for _, ts := range templates {
-		cost += TemplateCost(ts, vocabSize)
-	}
-	return cost
 }
 
 // TemplateCost returns one template's share of C(M) (the summand of Eq. 2):
@@ -220,12 +189,6 @@ func (c MatchCoster) CostOnes(alignLen, unmatched, added, slots int) float64 {
 	return cost
 }
 
-// DataCostUnmatched returns the cost of a document no template encodes:
-// 1 bit for the "no template" flag plus lg V per word.
-func DataCostUnmatched(length, vocabSize int) float64 {
-	return 1 + float64(length)*WordCost(vocabSize)
-}
-
 // RelativeLength is cost-after-compression over cost-before-compression
 // (Eq. 7). Near 1 means poor compression; near the Lemma-1 lower bound
 // means the cluster is near-duplicate. A zero before-cost yields 1.
@@ -234,16 +197,6 @@ func RelativeLength(after, before float64) float64 {
 		return 1
 	}
 	return after / before
-}
-
-// VocabCost is the one-time cost of spelling out the vocabulary itself
-// (Section III-B.3): ⟨V⟩ + V·(l̄+1)·8 bits, where l̄ is the average word
-// length in characters, 8 bits per character, and 1 delimiter bit per
-// word. The paper (and this implementation) exclude it from model
-// comparisons — it is identical for every template set — but report it
-// for completeness.
-func VocabCost(vocabSize int, avgWordLen float64) float64 {
-	return Universal(vocabSize) + float64(vocabSize)*(avgWordLen+1)*8
 }
 
 // LowerBound is Lemma 1: the least achievable relative length for a

@@ -6,6 +6,52 @@ import (
 	"testing/quick"
 )
 
+// UniversalExact returns the exact Elias-style log* code length
+// lg(n) + lg lg(n) + ... + lg(c0) with c0 = 2.865064, which the tests use
+// to bound Universal's approximation error; the pipeline uses Universal,
+// as the paper does.
+func UniversalExact(n int) float64 {
+	const c0 = 2.865064
+	if n < 1 {
+		return Lg(c0)
+	}
+	total := Lg(c0)
+	x := float64(n)
+	for x > 1 {
+		x = math.Log2(x)
+		if x <= 0 {
+			break
+		}
+		total += x
+	}
+	return total
+}
+
+// ModelCost returns C(M) for a template set (Eq. 2): ⟨t⟩ plus every
+// template's TemplateCost.
+func ModelCost(templates []TemplateStats, vocabSize int) float64 {
+	cost := Universal(len(templates))
+	for _, ts := range templates {
+		cost += TemplateCost(ts, vocabSize)
+	}
+	return cost
+}
+
+// DataCostUnmatched returns the cost of a document no template encodes:
+// 1 bit for the "no template" flag plus lg V per word.
+func DataCostUnmatched(length, vocabSize int) float64 {
+	return 1 + float64(length)*WordCost(vocabSize)
+}
+
+// VocabCost is the one-time cost of spelling out the vocabulary itself
+// (Section III-B.3): ⟨V⟩ + V·(l̄+1)·8 bits, where l̄ is the average word
+// length in characters, 8 bits per character, and 1 delimiter bit per
+// word. The paper (and the pipeline) exclude it from model comparisons:
+// it is identical for every template set.
+func VocabCost(vocabSize int, avgWordLen float64) float64 {
+	return Universal(vocabSize) + float64(vocabSize)*(avgWordLen+1)*8
+}
+
 func TestLg(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0, 0}, {1, 0}, {2, 1}, {8, 3}, {0.5, 0}, {-3, 0},

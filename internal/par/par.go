@@ -1,9 +1,10 @@
 // Package par provides the small worker-pool primitives shared by the
 // pipeline's parallel stages (tokenization, phrase extraction, LSH
-// signatures, DF-shard merging). Everything here is deterministic in its
-// work assignment: items are split into contiguous chunks in index order,
-// so a caller that writes result[i] from worker code gets the same layout
-// regardless of how many workers actually run.
+// signatures, DF-shard merging, batch verdicts). Everything here is
+// deterministic in its work assignment: items are split into contiguous
+// chunks in index order, so a caller that writes result[i] from worker
+// code gets the same layout regardless of how many workers actually run.
+// No stage nests one fan-out inside another.
 package par
 
 import (
@@ -75,64 +76,4 @@ func Map[T, S any](out []T, workers int, newScratch func(w int) S, fn func(i int
 			out[i] = fn(i, scratch)
 		}
 	})
-}
-
-// Budget is a pool-wide parallelism allowance: a fixed number of tokens,
-// each standing for one goroutine's worth of concurrency. Long-lived pool
-// workers hold one token while they work; a worker that wants to fan out
-// internally borrows extra tokens non-blockingly, so nested parallelism
-// soaks up exactly the capacity idle workers have released and the total
-// never exceeds the budget. A nil *Budget grants nothing — callers run
-// their fan-out inline — which keeps single-threaded paths trivially
-// correct.
-type Budget struct {
-	tokens chan struct{}
-}
-
-// NewBudget creates a budget of n tokens (n < 1 is clamped to 1).
-func NewBudget(n int) *Budget {
-	if n < 1 {
-		n = 1
-	}
-	b := &Budget{tokens: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		b.tokens <- struct{}{}
-	}
-	return b
-}
-
-// Acquire blocks until one token is available and takes it.
-func (b *Budget) Acquire() {
-	if b == nil {
-		return
-	}
-	<-b.tokens
-}
-
-// TryAcquire takes up to max tokens without blocking and returns how many
-// it got (0 on a nil budget).
-func (b *Budget) TryAcquire(max int) int {
-	if b == nil {
-		return 0
-	}
-	got := 0
-	for got < max {
-		select {
-		case <-b.tokens:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-// Release returns n tokens to the budget.
-func (b *Budget) Release(n int) {
-	if b == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		b.tokens <- struct{}{}
-	}
 }

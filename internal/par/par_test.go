@@ -60,34 +60,6 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestBudget(t *testing.T) {
-	b := NewBudget(3)
-	if got := b.TryAcquire(5); got != 3 {
-		t.Fatalf("TryAcquire(5) on fresh budget of 3 = %d, want 3", got)
-	}
-	if got := b.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire on drained budget = %d, want 0", got)
-	}
-	b.Release(2)
-	if got := b.TryAcquire(5); got != 2 {
-		t.Fatalf("TryAcquire after Release(2) = %d, want 2", got)
-	}
-	b.Release(3)
-	b.Acquire() // must not block: 3 tokens available
-	if got := b.TryAcquire(5); got != 2 {
-		t.Fatalf("TryAcquire after Acquire = %d, want 2", got)
-	}
-}
-
-func TestBudgetNil(t *testing.T) {
-	var b *Budget
-	b.Acquire() // no-op, must not panic or block
-	if got := b.TryAcquire(4); got != 0 {
-		t.Fatalf("nil TryAcquire = %d, want 0", got)
-	}
-	b.Release(1)
-}
-
 func TestMapDeterministicAcrossWorkers(t *testing.T) {
 	const n = 137
 	want := make([]int, n)

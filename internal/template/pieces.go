@@ -87,7 +87,7 @@ func (f *Fit) DocPieces(row int) []Piece {
 }
 
 // SlotFills returns row's content per slot, in template reading order
-// (the same slot order as DocStats' SlotWords): SlotFills(row)[s] is the
+// (the same slot order as docStats' SlotWords): SlotFills(row)[s] is the
 // token-id sequence document row stores in slot s, possibly empty.
 func (f *Fit) SlotFills(row int) [][]int {
 	insIdx, convIdx, total := f.slotIndex()

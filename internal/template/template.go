@@ -157,23 +157,18 @@ func (f *Fit) slotIndex() (insIdx, convIdx []int, total int) {
 	return insIdx, convIdx, total
 }
 
-// DocStats computes row's encoding statistics against the template:
+// docStats computes row's encoding statistics against the template:
 // alignment length, unmatched operation count, added (vocab-indexed)
-// words, and per-slot word counts.
+// words, and per-slot word counts. It fills a caller-provided (cleared
+// here) slotWords buffer using the precomputed slot index maps — the
+// allocation-free inner loop of DataCost. The returned stats alias
+// slotWords.
 //
 // Pooling convention: an insertion in a non-consensus column pools to the
 // gap before the next consensus position; if that gap has an insert-slot
 // (or the following position is a convert-slot) the inserted word joins
 // the slot content instead of being an unmatched operation. A mismatching
 // token at a convert-slot position is likewise slot content.
-func (f *Fit) DocStats(row int) mdl.AlignStats {
-	insIdx, convIdx, total := f.slotIndex()
-	return f.docStats(row, insIdx, convIdx, make([]int, total))
-}
-
-// docStats is DocStats against a caller-provided (cleared here) slotWords
-// buffer and the precomputed slot index maps — the allocation-free inner
-// loop of DataCost. The returned stats alias slotWords.
 func (f *Fit) docStats(row int, insIdx, convIdx, slotWords []int) mdl.AlignStats {
 	for i := range slotWords {
 		slotWords[i] = 0

@@ -11,6 +11,13 @@ import (
 	"infoshield/internal/poa"
 )
 
+// DocStats is docStats with its own slot index maps and slotWords
+// buffer.
+func (f *Fit) DocStats(row int) mdl.AlignStats {
+	insIdx, convIdx, total := f.slotIndex()
+	return f.docStats(row, insIdx, convIdx, make([]int, total))
+}
+
 const (
 	testV = 1 << 12 // generic vocabulary size
 	toyV  = 30      // the toy example's own tiny vocabulary (slots pay off)
