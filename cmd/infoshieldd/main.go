@@ -3,8 +3,8 @@
 // coalesced into detector batches (leader-follower group commit: the
 // first waiting request commits every request queued behind it), and
 // -shards splits the detector into S independent shards — each with its
-// own commit lock, coalescer, and write-ahead log — routed by a hash or
-// language key computed from the token stream.
+// own commit lock, group-commit queue, and write-ahead log — routed by a
+// hash or language key computed from the token stream.
 //
 // Endpoints:
 //
@@ -31,8 +31,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,6 +45,47 @@ import (
 	"infoshield/internal/serve"
 	"infoshield/internal/stream"
 )
+
+// readHeaderTimeout bounds a request's headers from their first byte, so a
+// client that never finishes them cannot hold a connection forever. No
+// other server timeout is set: pprof profiles stream for 30 s, and
+// keep-alive clients may idle.
+const readHeaderTimeout = 5 * time.Second
+
+// firstByteListener lets a new connection idle before its first request
+// as a kept-alive one may before its next: net/http arms
+// ReadHeaderTimeout at accept for a first request.
+type firstByteListener struct{ *net.TCPListener }
+
+func (l firstByteListener) Accept() (net.Conn, error) {
+	c, err := l.AcceptTCP()
+	if err != nil {
+		return nil, err
+	}
+	return &firstByteConn{TCPConn: c}, nil
+}
+
+// firstByteConn waits for its first byte with no deadline. net/http runs
+// no other goroutine on the connection before its first request is read.
+type firstByteConn struct {
+	*net.TCPConn
+	started bool
+}
+
+func (c *firstByteConn) Read(p []byte) (int, error) {
+	if c.started {
+		return c.TCPConn.Read(p)
+	}
+	if err := c.SetReadDeadline(time.Time{}); err != nil {
+		return 0, err
+	}
+	n, err := c.TCPConn.Read(p)
+	if n > 0 {
+		c.started = true
+		err = errors.Join(err, c.SetReadDeadline(time.Now().Add(readHeaderTimeout)))
+	}
+	return n, err
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -78,7 +121,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		Route:     *route,
 		WALDir:    *walDir,
 		StatePath: *state,
-		Coalescer: serve.Options{MaxBatch: *maxBatch},
+		MaxBatch:  *maxBatch,
 		NewDetector: func() *stream.Detector {
 			det := stream.New(core.Options{Workers: *workers})
 			if *mineBatch > 0 {
@@ -99,8 +142,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: serve.NewServer(sh, *state).Handler(),
+		Handler:           serve.NewServer(sh, *state).Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -110,7 +153,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	go func() {
 		fmt.Fprintf(stdout, "infoshieldd: listening on %s (%d shards, route=%s)\n",
 			*addr, sh.Shards(), sh.Route())
-		errc <- srv.ListenAndServe()
+		ln, err := net.Listen("tcp", *addr)
+		if err == nil {
+			err = srv.Serve(firstByteListener{ln.(*net.TCPListener)})
+		}
+		errc <- err
 	}()
 
 	select {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -154,6 +157,93 @@ func TestDaemonShardedLifecycle(t *testing.T) {
 		if info.Size() != 0 {
 			t.Errorf("wal-%d not truncated by drain: %d bytes", k, info.Size())
 		}
+	}
+}
+
+// TestDaemonSlowHeaders checks the header timeout on four connections
+// dialed together. Two send half a request header and stall, one as its
+// first request and one after a served request: the daemon must close
+// both within readHeaderTimeout, not hold them open forever. One sends
+// nothing for longer than readHeaderTimeout, as a client that dials ahead
+// does, and must then be served. One is served at once and again after
+// an idle wait longer than readHeaderTimeout.
+func TestDaemonSlowHeaders(t *testing.T) {
+	addr := freePort(t)
+	sink := devNull(t)
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-addr", addr}, sink, sink)
+	}()
+	waitHealthy(t, "http://"+addr, done)
+
+	var conns [4]net.Conn
+	var brs [4]*bufio.Reader
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i], brs[i] = c, bufio.NewReader(c)
+	}
+	start := time.Now()
+	postRaw(t, conns[1], brs[1], addr, "served before stalling")
+	postRaw(t, conns[3], brs[3], addr, "served at once")
+	for _, c := range conns[:2] {
+		if _, err := io.WriteString(c, "POST /v1/docs HTTP/1.1\r\nHost: "+addr+"\r\nContent-"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range conns[:2] {
+		if err := c.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		// Whatever the daemon answers, it must then close the connection.
+		_, err := io.Copy(io.Discard, brs[i])
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("connection %d with unfinished headers still open after %v", i, time.Since(start))
+		}
+	}
+
+	time.Sleep(time.Until(start.Add(readHeaderTimeout + time.Second)))
+	postRaw(t, conns[2], brs[2], addr, "first request after an idle wait")
+	postRaw(t, conns[3], brs[3], addr, "kept-alive request after an idle wait")
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("daemon exited %d", code)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// postRaw writes one document POST on c and requires a 200 reply, read
+// through br.
+func postRaw(t *testing.T, c net.Conn, br *bufio.Reader, addr, what string) {
+	t.Helper()
+	body := `{"text":"big sale call now"}`
+	req := fmt.Sprintf("POST /v1/docs HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		addr, len(body), body)
+	if _, err := io.WriteString(c, req); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d", what, resp.StatusCode)
 	}
 }
 

@@ -79,11 +79,11 @@ func benchDetector(b *testing.B) *stream.Detector {
 
 // benchSharded builds an S-shard serving front end, every shard
 // pre-loaded with the seeded template state.
-func benchSharded(b *testing.B, shards int, walDir string, opt Options) *Sharded {
+func benchSharded(b *testing.B, shards int, walDir string) *Sharded {
 	b.Helper()
 	benchDetector(b) // force the one-time seed (and fail early if it breaks)
 	sh, err := NewSharded(ShardedConfig{
-		Shards: shards, WALDir: walDir, WALNoSync: true, Coalescer: opt,
+		Shards: shards, WALDir: walDir, WALNoSync: true,
 		NewDetector: func() *stream.Detector {
 			det := stream.New(core.Options{})
 			det.BatchSize = 1 << 30
@@ -103,7 +103,7 @@ func benchSharded(b *testing.B, shards int, walDir string, opt Options) *Sharded
 // benchmarks on single-core machines: clients cannot overlap the
 // leader's commit, so natural batches rarely form and mode=coalesce
 // looks like mode=mutex. The *-slow modes inject a per-batch commit
-// delay (a WAL hook that sleeps, where a WAL fsync would run) so the
+// delay (a WAL device that sleeps, where a WAL fsync would run) so the
 // amortization is measurable anyway — clients queue while the leader
 // "commits", and docs/batch grows.
 func noteSingleCPU(b *testing.B) {
@@ -122,7 +122,7 @@ func noteSingleCPU(b *testing.B) {
 // AddBatch fan-out once per batch instead of once per document. The
 // *-slow pair replays the comparison with a synthetic slow commit (giant
 // template sets, WAL fsync on spinning disks): the mutex pays the delay
-// per document, the coalescer per batch.
+// per document, the group commit per batch.
 func BenchmarkServeCoalesce(b *testing.B) {
 	noteSingleCPU(b)
 	for _, clients := range []int{1, 4, 16, 64} {
@@ -137,7 +137,7 @@ func BenchmarkServeCoalesce(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("mode=coalesce/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
-			c := NewCoalescer(det, Options{})
+			c := newShard(det, 0)
 			runClients(b, clients, func(text string) { submit(c, []string{text}) })
 			b.StopTimer()
 			reportDocsPerBatch(b, c)
@@ -154,11 +154,11 @@ func BenchmarkServeCoalesce(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("mode=coalesce-slow/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
-			c := NewCoalescer(det, Options{})
-			c.walHook = func([]int, []string) error {
+			c := newShard(det, 0)
+			c.wal = fakeWAL(writerFunc(func(p []byte) (int, error) {
 				time.Sleep(benchCommitDelay) // per-batch commit cost
-				return nil
-			}
+				return len(p), nil
+			}))
 			runClients(b, clients, func(text string) { submit(c, []string{text}) })
 			b.StopTimer()
 			reportDocsPerBatch(b, c)
@@ -166,9 +166,9 @@ func BenchmarkServeCoalesce(b *testing.B) {
 	}
 }
 
-func reportDocsPerBatch(b *testing.B, c *Coalescer) {
+func reportDocsPerBatch(b *testing.B, c *shard) {
 	b.Helper()
-	if st := c.Stats(); st.Serve.Batches > 0 {
+	if st := c.stats(); st.Serve.Batches > 0 {
 		b.ReportMetric(float64(st.Serve.Docs)/float64(st.Serve.Batches), "docs/batch")
 	}
 }
@@ -197,13 +197,13 @@ func BenchmarkServeSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, clients := range []int{16, 64} {
 			b.Run(fmt.Sprintf("shards=%d/clients=%d", shards, clients), func(b *testing.B) {
-				run(b, benchSharded(b, shards, "", Options{}), clients)
+				run(b, benchSharded(b, shards, ""), clients)
 			})
 		}
 	}
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d/clients=64/wal=1", shards), func(b *testing.B) {
-			run(b, benchSharded(b, shards, b.TempDir(), Options{}), 64)
+			run(b, benchSharded(b, shards, b.TempDir()), 64)
 		})
 	}
 }
@@ -236,7 +236,7 @@ func runClients(b *testing.B, clients int, submit func(text string)) {
 // HTTP/JSON stack (routing, body decode, coalesce, encode) with 16
 // concurrent keep-alive clients.
 func BenchmarkServeHTTP(b *testing.B) {
-	sh := benchSharded(b, 1, "", Options{})
+	sh := benchSharded(b, 1, "")
 	ts := httptest.NewServer(NewServer(sh, "").Handler())
 	defer func() {
 		ts.Close()

@@ -37,7 +37,7 @@ func FuzzServe(f *testing.F) {
 		docs := fuzzDocs(payload)
 
 		const mineBatch = 8
-		sh := newTestSharded(t, ShardedConfig{Coalescer: Options{MaxBatch: 4}}, mineBatch)
+		sh := newTestSharded(t, ShardedConfig{MaxBatch: 4}, mineBatch)
 		ts := httptest.NewServer(NewServer(sh, "").Handler())
 		defer func() {
 			ts.Close()
@@ -171,7 +171,7 @@ func FuzzServeSharded(f *testing.F) {
 		const mineBatch = 8
 		cfg := ShardedConfig{
 			Shards: S, WALDir: walDir, WALNoSync: true, StatePath: statePath,
-			Coalescer: Options{MaxBatch: 4},
+			MaxBatch: 4,
 			NewDetector: func() *stream.Detector {
 				det := stream.New(core.Options{})
 				det.BatchSize = mineBatch

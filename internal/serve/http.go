@@ -201,7 +201,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// serveError maps coalescer errors to HTTP statuses: a closed queue is
+// serveError maps Sharded errors to HTTP statuses: a closed gate is
 // 503 (the daemon is shutting down), an id never issued 404, anything
 // else 500.
 func serveError(w http.ResponseWriter, err error) {

@@ -1,24 +1,24 @@
 // Package serve runs the streaming detector behind a concurrency-safe,
-// network-ready front end. Its core is a leader-follower group committer
-// (the write path of LevelDB's DBImpl::Write): concurrent submitters
-// append their requests to one queue, and the submitter that finds the
-// queue empty becomes the leader. The leader takes the commit lock, then
-// up to MaxBatch queued documents, runs one Detector.AddBatchTokens over
-// them (which fans matching across the detector's workers), hands every
-// follower its verdicts, and promotes the next queued request to lead.
-// The Coalescer has no goroutine of its own: whichever submitter leads
-// does the work.
+// network-ready front end. Sharded routes each document to one shard: a
+// serving column of detector, commit lock, group-commit queue, counters
+// and optional write-ahead log. A shard's write path is a
+// leader-follower group committer (the write path of LevelDB's
+// DBImpl::Write): the submitter that finds the queue empty leads. It
+// takes the commit lock, then up to MaxBatch queued documents, runs one
+// Detector.AddBatchTokens over them, appends their WAL records, hands
+// every follower its verdicts, and promotes the next queued request to
+// lead. A shard has no goroutine of its own.
 //
-// The commit lock keeps the detector single-writer: group commits,
-// flushes and snapshot steps hold its write side, reads (assignments,
-// templates, stats) its read side. Verdicts are byte-identical to
-// feeding the same documents to sequential Add in queue order — ids are
-// assigned in the order requests joined the queue, and AddBatch is
-// already gated equivalent to an Add loop — so determinism is testable
-// by replaying ids in order (see serve_test.go).
+// Group commits, flushes and snapshot steps hold the commit lock's write
+// side, reads its read side. Verdicts are byte-identical to feeding the
+// same documents to sequential Add in queue order — ids are assigned in
+// the order requests joined the queue, and AddBatch is already gated
+// equivalent to an Add loop — so determinism is testable by replaying
+// ids in order (see serve_test.go).
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"os"
@@ -41,23 +41,6 @@ type Verdict struct {
 	Pending bool `json:"pending"`
 }
 
-// Options tunes the coalescer. The zero value selects the default; no
-// setting changes verdicts, only batching behavior and latency.
-type Options struct {
-	// MaxBatch caps the documents one leader commits for itself and its
-	// followers (default 256). A single Submit larger than MaxBatch is
-	// still ingested as one batch — requests are never split, so one
-	// request's documents stay contiguous in arrival order.
-	MaxBatch int
-}
-
-func (o Options) maxBatch() int {
-	if o.MaxBatch > 0 {
-		return o.MaxBatch
-	}
-	return 256
-}
-
 // request is one queued Submit. done is closed exactly once: by the
 // leader that committed the request, after it filled in verdicts, or by
 // the leader that promoted it to lead, with verdicts still nil.
@@ -73,10 +56,10 @@ type request struct {
 // absorbs everything larger.
 const histBuckets = 16
 
-// Counters are the serve-side statistics the group commits accumulate —
-// the coalescer analogue of the detector's matcher counters.
+// Counters are the serve-side statistics a shard's group commits
+// accumulate — the serving analogue of the detector's matcher counters.
 type Counters struct {
-	// Docs counts documents ingested through the coalescer.
+	// Docs counts documents ingested through group commits.
 	Docs int64 `json:"docs"`
 	// Batches counts group commits. BatchesBySize counts those that
 	// reached MaxBatch, BatchesByDrain those that took the whole queue
@@ -127,7 +110,7 @@ type LifecycleStats struct {
 	ReuseRate float64 `json:"reuse_rate"`
 }
 
-// Stats is the full serving snapshot: detector state plus coalescer
+// Stats is the full serving snapshot: detector state plus group-commit
 // counters, taken atomically between group commits. Templates counts
 // live templates (lifecycle tombstones excluded).
 type Stats struct {
@@ -138,7 +121,7 @@ type Stats struct {
 	Serve       Counters       `json:"serve"`
 }
 
-// deriveRates fills st's ratios from its counters. Coalescer.Stats and
+// deriveRates fills st's ratios from its counters. A shard's stats and
 // the sharded rollup share it, so a total's rates are re-derived from
 // the summed counters, never averaged.
 func (st *Stats) deriveRates() {
@@ -154,16 +137,17 @@ func ratio[T int | int64](num, den T) float64 {
 	return float64(num) / float64(den)
 }
 
-// Coalescer is the group-commit ingest front end over one detector.
-type Coalescer struct {
+// shard is one serving column: a detector, the commit lock that keeps it
+// single-writer, the group-commit queue that feeds it, its counters and
+// its write-ahead log.
+type shard struct {
 	det      *stream.Detector
 	maxBatch int
-	// walHook, when set, runs after each group commit's AddBatch and
-	// before any submitter sees its verdicts: the write-ahead-log append,
-	// so a batch's records share one fsync. A returned error is counted
+	// wal (nil when off) is appended by each group commit before any
+	// submitter sees its verdicts. A failed append is counted
 	// (Counters.CommitErrs) but the batch is still acked: by then the
 	// detector has committed it.
-	walHook func(ids []int, texts []string) error
+	wal *wal
 
 	// commit serializes detector access: group commits, flushes and
 	// snapshot steps hold it exclusively, reads hold it shared. ctr and
@@ -183,36 +167,39 @@ type Coalescer struct {
 	queueHW int
 }
 
-// NewCoalescer wraps det. The caller hands over ownership: after this,
-// det must only be touched through the coalescer or under its commit
-// lock.
-func NewCoalescer(det *stream.Detector, opt Options) *Coalescer {
-	return &Coalescer{det: det, maxBatch: opt.maxBatch()}
+// newShard wraps det with no WAL; maxBatch <= 0 selects the default 256.
+// The caller hands over ownership: after this, det must only be touched
+// through the shard or under its commit lock.
+func newShard(det *stream.Detector, maxBatch int) *shard {
+	if maxBatch <= 0 {
+		maxBatch = 256
+	}
+	return &shard{det: det, maxBatch: maxBatch}
 }
 
-// Submit ingests texts and blocks until their batch commits, returning
+// submit ingests texts and blocks until their batch commits, returning
 // one verdict per text in order. words[i] must be the package
 // tokenizer's stream for texts[i]: the sharder tokenizes once to compute
 // each document's routing key and hands the streams down here, so the
 // detector's encode step never re-tokenizes. All of a call's documents
 // are assigned contiguous ids: requests are never split across batches.
-func (c *Coalescer) Submit(texts []string, words [][]string) []Verdict {
+func (sh *shard) submit(texts []string, words [][]string) []Verdict {
 	if len(texts) == 0 {
 		return []Verdict{}
 	}
 	r := &request{texts: texts, words: words, done: make(chan struct{})}
-	c.mu.Lock()
-	c.queue = append(c.queue, r)
-	lead := len(c.queue) == 1
-	c.queueHW = max(c.queueHW, len(c.queue))
-	c.mu.Unlock()
+	sh.mu.Lock()
+	sh.queue = append(sh.queue, r)
+	lead := len(sh.queue) == 1
+	sh.queueHW = max(sh.queueHW, len(sh.queue))
+	sh.mu.Unlock()
 	if !lead {
 		<-r.done
 		if r.verdicts != nil {
 			return r.verdicts
 		}
 	}
-	c.lead()
+	sh.lead()
 	return r.verdicts
 }
 
@@ -220,39 +207,39 @@ func (c *Coalescer) Submit(texts []string, words [][]string) []Verdict {
 // head. It takes the batch only after it holds the commit lock, so
 // requests keep gathering while a flush, a snapshot step or a reader
 // holds the lock.
-func (c *Coalescer) lead() {
-	c.commit.Lock()
+func (sh *shard) lead() {
+	sh.commit.Lock()
 	defer crashOnPanic()
 	start := time.Now()
 
-	reqs, docs := c.reqbuf[:0], 0
-	c.mu.Lock()
-	for _, r := range c.queue {
-		if docs >= c.maxBatch {
+	reqs, docs := sh.reqbuf[:0], 0
+	sh.mu.Lock()
+	for _, r := range sh.queue {
+		if docs >= sh.maxBatch {
 			break
 		}
 		reqs = append(reqs, r)
 		docs += len(r.texts)
 	}
-	c.mu.Unlock()
+	sh.mu.Unlock()
 
-	texts, words := c.textbuf[:0], c.wordbuf[:0]
+	texts, words := sh.textbuf[:0], sh.wordbuf[:0]
 	for _, r := range reqs {
 		texts = append(texts, r.texts...)
 		words = append(words, r.words...)
 	}
-	c.count(start, docs)
-	ids := c.det.AddBatchTokens(texts, words)
+	sh.count(start, docs)
+	ids := sh.det.AddBatchTokens(texts, words)
 	// Write-ahead of the ack: the log record lands (and syncs) before any
 	// submitter learns its verdict, so an acked document survives a crash.
-	if c.walHook != nil && c.walHook(ids, texts) != nil {
-		c.ctr.CommitErrs++
+	if sh.wal != nil && sh.wal.append(ids, texts) != nil {
+		sh.ctr.CommitErrs++
 	}
 	k := 0
 	for _, r := range reqs {
 		vs := make([]Verdict, len(r.texts))
 		for j := range vs {
-			a := c.det.Assignment(ids[k])
+			a := sh.det.Assignment(ids[k])
 			vs[j] = Verdict{ID: ids[k], Template: a.Template, Pending: a.Pending}
 			k++
 		}
@@ -264,20 +251,20 @@ func (c *Coalescer) lead() {
 	// promoted to lead. Only this leader may wake the new head, so the
 	// wake can run after mu drops.
 	wake := reqs[1:]
-	c.mu.Lock()
-	rest := copy(c.queue, c.queue[len(reqs):])
-	clear(c.queue[rest:])
-	c.queue = c.queue[:rest]
+	sh.mu.Lock()
+	rest := copy(sh.queue, sh.queue[len(reqs):])
+	clear(sh.queue[rest:])
+	sh.queue = sh.queue[:rest]
 	if rest > 0 {
-		wake = append(wake, c.queue[0])
+		wake = append(wake, sh.queue[0])
 	}
-	c.mu.Unlock()
+	sh.mu.Unlock()
 	for _, r := range wake {
 		close(r.done)
 	}
 	// The scratch belongs to the next leader as soon as the lock drops.
-	c.reqbuf, c.textbuf, c.wordbuf = reqs[:0], texts[:0], words[:0]
-	c.commit.Unlock()
+	sh.reqbuf, sh.textbuf, sh.wordbuf = reqs[:0], texts[:0], words[:0]
+	sh.commit.Unlock()
 	// Unlock only readies the goroutines this commit released: readers
 	// blocked on the read side, served followers, the promoted leader.
 	// Yield so they run now, not after this goroutine has written its own
@@ -286,13 +273,46 @@ func (c *Coalescer) lead() {
 	runtime.Gosched()
 }
 
-// exclusive runs fn, a detector mutation, under the commit lock's write
-// side, ending the process if fn panics (see crashOnPanic).
-func (c *Coalescer) exclusive(fn func()) {
-	c.commit.Lock()
+// flush runs a mining pass under the commit lock.
+func (sh *shard) flush() {
+	sh.commit.Lock()
 	defer crashOnPanic()
-	fn()
-	c.commit.Unlock()
+	sh.flushLocked()
+	sh.commit.Unlock()
+}
+
+// flushLocked runs a mining pass and logs its WAL marker, so the marker
+// sits between the same two group commits as the flush and crash replay
+// re-executes it. The caller holds the commit lock.
+func (sh *shard) flushLocked() {
+	sh.det.Flush()
+	if sh.wal != nil {
+		_ = sh.wal.appendFlush()
+	}
+}
+
+// snapshot is the shard's snapshot step: under the commit lock, flush
+// the pending buffer (logged like any other flush, so the mining pass
+// survives a crash even when the snapshot never commits) and save. The
+// hold is counted in Counters.SnapshotLockNs.
+func (sh *shard) snapshot() ([]byte, error) {
+	sh.commit.Lock()
+	defer crashOnPanic()
+	start := time.Now()
+	sh.flushLocked()
+	state, err := sh.save()
+	sh.ctr.SnapshotLockNs += time.Since(start).Nanoseconds()
+	sh.ctr.Snapshots++
+	sh.commit.Unlock()
+	return state, err
+}
+
+// save serializes the detector. The caller holds the commit lock or has
+// closed the accept gate.
+func (sh *shard) save() ([]byte, error) {
+	var buf bytes.Buffer
+	err := sh.det.Save(&buf)
+	return buf.Bytes(), err
 }
 
 // crashOnPanic, deferred right after a write-side commit.Lock, turns a
@@ -311,59 +331,64 @@ func crashOnPanic() {
 
 // count records one group commit of docs documents whose batch assembly
 // began at start.
-func (c *Coalescer) count(start time.Time, docs int) {
-	c.ctr.CoalesceWaitNs += time.Since(start).Nanoseconds()
-	c.ctr.Docs += int64(docs)
-	c.ctr.Batches++
-	if docs >= c.maxBatch {
-		c.ctr.BatchesBySize++
+func (sh *shard) count(start time.Time, docs int) {
+	sh.ctr.CoalesceWaitNs += time.Since(start).Nanoseconds()
+	sh.ctr.Docs += int64(docs)
+	sh.ctr.Batches++
+	if docs >= sh.maxBatch {
+		sh.ctr.BatchesBySize++
 	} else {
-		c.ctr.BatchesByDrain++
+		sh.ctr.BatchesByDrain++
 	}
-	c.ctr.MaxBatchDocs = max(c.ctr.MaxBatchDocs, docs)
-	c.ctr.BatchSizeHist[min(bits.Len(uint(docs-1)), histBuckets-1)]++
+	sh.ctr.MaxBatchDocs = max(sh.ctr.MaxBatchDocs, docs)
+	sh.ctr.BatchSizeHist[min(bits.Len(uint(docs-1)), histBuckets-1)]++
 }
 
-// Assignment returns the current verdict for a document id; ok is false
+// assignment returns the current verdict for a document id; ok is false
 // for an id the detector has not issued.
-func (c *Coalescer) Assignment(id int) (a stream.Assignment, ok bool) {
-	c.commit.RLock()
-	defer c.commit.RUnlock()
-	if id < 0 || id >= c.det.NextID() {
+func (sh *shard) assignment(id int) (a stream.Assignment, ok bool) {
+	sh.commit.RLock()
+	defer sh.commit.RUnlock()
+	if id < 0 || id >= sh.det.NextID() {
 		return stream.Assignment{}, false
 	}
-	return c.det.Assignment(id), true
+	return sh.det.Assignment(id), true
 }
 
-// Templates returns the mined templates rendered for reporting. The
+// templates returns the mined templates rendered for reporting. The
 // slice is indexed by template id and includes retired slots (Dead set)
 // so positions stay stable across evictions and merges; listings that
 // only want live templates filter on Dead.
-func (c *Coalescer) Templates() []stream.TemplateInfo {
-	c.commit.RLock()
-	defer c.commit.RUnlock()
-	out := make([]stream.TemplateInfo, c.det.NumTemplates())
+func (sh *shard) templates() []stream.TemplateInfo {
+	sh.commit.RLock()
+	defer sh.commit.RUnlock()
+	out := make([]stream.TemplateInfo, sh.det.NumTemplates())
 	for i := range out {
-		out[i] = c.det.TemplateInfo(i)
+		out[i] = sh.det.TemplateInfo(i)
 	}
 	return out
 }
 
-// Stats snapshots detector and coalescer counters between group commits.
-func (c *Coalescer) Stats() Stats {
-	c.commit.RLock()
-	defer c.commit.RUnlock()
-	d, ds := c.det, c.det.Stats()
-	st := Stats{
+// stats snapshots the detector, group-commit and WAL counters between
+// group commits. The caller sets Shard.
+func (sh *shard) stats() ShardStats {
+	sh.commit.RLock()
+	defer sh.commit.RUnlock()
+	d, ds := sh.det, sh.det.Stats()
+	st := ShardStats{Stats: Stats{
 		Templates:   d.NumLive(),
 		PendingDocs: d.Pending(),
 		Matcher:     MatcherStats{MatchStats: ds.MatchStats},
 		Lifecycle:   LifecycleStats{Live: d.NumLive(), MineStats: ds.MineStats},
-		Serve:       c.ctr,
-	}
+		Serve:       sh.ctr,
+	}}
 	st.deriveRates()
-	c.mu.Lock()
-	st.Serve.QueueHighWater = c.queueHW
-	c.mu.Unlock()
+	sh.mu.Lock()
+	st.Serve.QueueHighWater = sh.queueHW
+	sh.mu.Unlock()
+	if sh.wal != nil {
+		ws := sh.wal.stats()
+		st.WAL = &ws
+	}
 	return st
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -45,11 +47,22 @@ func corpusFor(seed int64, n int) []string {
 	return docs
 }
 
-// submit is Coalescer.Submit with the token streams computed here, as the
+// submit is shard.submit with the token streams computed here, as the
 // sharder computes them for routing.
-func submit(c *Coalescer, texts []string) []Verdict {
+func submit(c *shard, texts []string) []Verdict {
 	var tk tokenize.Tokenizer
-	return c.Submit(texts, tk.All(texts, 1))
+	return c.submit(texts, tk.All(texts, 1))
+}
+
+// writerFunc adapts a function to io.Writer: the device under fakeWAL.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// fakeWAL is a write-ahead log over w with fsync off. Its buffer holds
+// any test batch, so each append reaches w in one Write.
+func fakeWAL(w io.Writer) *wal {
+	return &wal{w: bufio.NewWriterSize(w, 1<<20)}
 }
 
 // compareToReplay replays texts (indexed by document id) through a fresh
@@ -96,17 +109,16 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 	if testing.Short() {
 		clients, perClient = 4, 25
 	}
-	for _, opt := range []Options{
-		{},            // natural batching
-		{MaxBatch: 8}, // tiny commit ceiling
-		{MaxBatch: 16},
+	for _, maxBatch := range []int{
+		0, // natural batching
+		8, // tiny commit ceiling
+		16,
 	} {
-		opt := opt
-		t.Run(fmt.Sprintf("maxBatch=%d", opt.MaxBatch), func(t *testing.T) {
+		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
 			det := stream.New(core.Options{})
 			const mineBatch = 32 // small, so mining fires mid-batch
 			det.BatchSize = mineBatch
-			c := NewCoalescer(det, opt)
+			c := newShard(det, maxBatch)
 
 			total := clients * perClient
 			texts := make([]string, total)
@@ -122,9 +134,9 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 						return
 					default:
 					}
-					c.Assignment(i % total)
-					c.Templates()
-					docs := c.Stats().Serve.Docs
+					c.assignment(i % total)
+					c.templates()
+					docs := c.stats().Serve.Docs
 					if docs < last {
 						t.Errorf("Stats().Serve.Docs fell from %d to %d", last, docs)
 						return
@@ -147,7 +159,7 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 						vs := submit(c, docs[i:i+k])
 						for j, v := range vs {
 							// A request's documents are contiguous in arrival
-							// order: the coalescer never splits a request.
+							// order: the shard never splits a request.
 							if v.ID != vs[0].ID+j {
 								t.Errorf("client %d: non-contiguous ids %v", cl, vs)
 								return
@@ -178,9 +190,9 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 	}
 }
 
-// holdCommit takes the coalescer's commit lock so the test can stage a
+// holdCommit takes the shard's commit lock so the test can stage a
 // deterministic queue behind a blocked leader, and returns the release.
-func holdCommit(c *Coalescer) (release func()) {
+func holdCommit(c *shard) (release func()) {
 	c.commit.Lock()
 	return c.commit.Unlock
 }
@@ -189,7 +201,7 @@ func holdCommit(c *Coalescer) (release func()) {
 // c's queue grows, pinning the enqueue order exactly. The first staged
 // request becomes the leader and blocks on the held commit lock; the
 // rest queue behind it.
-func enqueueOrdered(c *Coalescer, submit func() []Verdict, out chan<- []Verdict) {
+func enqueueOrdered(c *shard, submit func() []Verdict, out chan<- []Verdict) {
 	queued := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -211,7 +223,7 @@ func enqueueOrdered(c *Coalescer, submit func() []Verdict, out chan<- []Verdict)
 func TestCoalescePinnedBatch(t *testing.T) {
 	det := stream.New(core.Options{})
 	det.BatchSize = 7 // mining fires inside the coalesced batch
-	c := NewCoalescer(det, Options{MaxBatch: 12})
+	c := newShard(det, 12)
 
 	campaign := func(i int) string {
 		return fmt.Sprintf("limited offer buy the premium golden package today visit site%04d.example now", i)
@@ -244,7 +256,7 @@ func TestCoalescePinnedBatch(t *testing.T) {
 	}
 
 	// Serial replay over the same enqueue order, sampling every verdict at
-	// batch end — exactly what the coalescer reports.
+	// batch end — exactly what the shard reports.
 	var texts []string
 	for _, r := range reqs {
 		texts = append(texts, r...)
@@ -269,7 +281,7 @@ func TestCoalescePinnedBatch(t *testing.T) {
 		t.Fatal("no template mined — the mid-coalesce flush never fired")
 	}
 
-	st := c.Stats()
+	st := c.stats()
 	if st.Serve.Batches != 1 || st.Serve.BatchesBySize != 1 {
 		t.Fatalf("expected one size-triggered batch, got %+v", st.Serve)
 	}
@@ -289,8 +301,8 @@ func TestCoalescePinnedBatch(t *testing.T) {
 // were accepted, so Drain waits for them and every one gets full
 // verdicts; afterwards every entry point rejects with ErrClosed.
 func TestCoalesceShutdownDrain(t *testing.T) {
-	sh := newTestSharded(t, ShardedConfig{Coalescer: Options{MaxBatch: 8}}, 16)
-	c := sh.shards[0].co
+	sh := newTestSharded(t, ShardedConfig{MaxBatch: 8}, 16)
+	c := sh.shards[0]
 
 	release := holdCommit(c)
 	staged := make([]chan []Verdict, 10)
@@ -377,7 +389,7 @@ func TestCoalesceShutdownDrain(t *testing.T) {
 func TestCoalesceCounters(t *testing.T) {
 	det := stream.New(core.Options{})
 	det.BatchSize = 32
-	c := NewCoalescer(det, Options{MaxBatch: 8})
+	c := newShard(det, 8)
 
 	var wg sync.WaitGroup
 	for cl := 0; cl < 4; cl++ {
@@ -391,7 +403,7 @@ func TestCoalesceCounters(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
-	s := c.Stats().Serve
+	s := c.stats().Serve
 	if s.Docs != 160 {
 		t.Fatalf("docs %d, want 160", s.Docs)
 	}
@@ -415,14 +427,14 @@ const panicChildEnv = "INFOSHIELD_SERVE_COMMIT_PANIC_CHILD"
 
 // TestCommitPanicExits proves a panic under the commit lock ends the
 // process instead of leaving a half-applied detector behind a released
-// lock. The child serves a Coalescer whose WAL hook panics behind
+// lock. The child serves a shard whose WAL device panics on write behind
 // net/http, which recovers handler panics, and reports whether it
 // survived the request; the parent requires exit status 2 and the panic
 // on stderr.
 func TestCommitPanicExits(t *testing.T) {
 	if os.Getenv(panicChildEnv) == "1" {
-		c := NewCoalescer(stream.New(core.Options{}), Options{})
-		c.walHook = func([]int, []string) error { panic("wal hook failed") }
+		c := newShard(stream.New(core.Options{}), 0)
+		c.wal = fakeWAL(writerFunc(func([]byte) (int, error) { panic("wal hook failed") }))
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			submit(c, []string{"big sale call now"})
 		}))
@@ -448,5 +460,29 @@ func TestCommitPanicExits(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "wal hook failed") {
 		t.Fatalf("stderr lacks the panic value:\n%s", stderr.String())
+	}
+}
+
+// TestCommitWALFailure drives group commits into a write-ahead log whose
+// device fails every write. Each commit must raise serve.commit_errs and
+// wal.errors by one, and the shard must keep committing.
+func TestCommitWALFailure(t *testing.T) {
+	sh := newTestSharded(t, ShardedConfig{}, 0)
+	sh.shards[0].wal = fakeWAL(writerFunc(func([]byte) (int, error) {
+		return 0, errors.New("disk full")
+	}))
+	for i := int64(1); i <= 2; i++ {
+		if _, err := sh.Submit([]string{fmt.Sprintf("big sale call now %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sh.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := st.PerShard[0]
+		if ps.Serve.Docs != i || ps.Serve.CommitErrs != i || ps.WAL.Errors != i {
+			t.Fatalf("after commit %d: docs %d, commit_errs %d, wal.errors %d; want %d each",
+				i, ps.Serve.Docs, ps.Serve.CommitErrs, ps.WAL.Errors, i)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"infoshield/internal/core"
 	"infoshield/internal/stream"
@@ -26,12 +25,12 @@ var ErrClosed = errors.New("serve: closed")
 var ErrNotFound = errors.New("serve: no such document")
 
 // Sharded scales the serving daemon past one commit lock: S independent
-// detector shards, each owning its own stream.Detector, coalescer,
-// inverted index, write-ahead log, and snapshot file. A document routes
-// to exactly one shard by a pure function of its token stream
-// (RouteHash or RouteLang), so shards never coordinate on the ingest
-// path and aggregate throughput scales with S while each shard keeps
-// the single-writer, group-commit properties of the Coalescer.
+// shards, each owning its own stream.Detector, commit lock, group-commit
+// queue, write-ahead log, and snapshot file. A document routes to
+// exactly one shard by a pure function of its token stream (RouteHash or
+// RouteLang), so shards never coordinate on the ingest path and
+// aggregate throughput scales with S while each shard stays
+// single-writer with group commits.
 //
 // Ids are the shard boundary made visible: a global document id encodes
 // its shard as id = local*S + shard, and template ids likewise, so
@@ -43,13 +42,13 @@ var ErrNotFound = errors.New("serve: no such document")
 // all-or-nothing across shards: a request either reaches every shard it
 // routes to and gets full verdicts, or it gets ErrClosed — never a
 // partial commit. It is also the only shutdown gate: once Drain holds
-// it, no call is in flight on any shard, and the coalescers run no
+// it, no call is in flight on any shard, and the shards run no
 // goroutine of their own, so there is nothing left to stop.
 type Sharded struct {
 	n      int
 	route  string
 	tk     tokenize.Tokenizer
-	shards []*shardState
+	shards []*shard
 
 	// mu is the sharded accept gate (see type doc). It is not a hot-path
 	// data lock: readers only pin "not closed" across the fan-out.
@@ -63,12 +62,6 @@ type Sharded struct {
 	snapMu    sync.Mutex
 	gen       int
 	prevFiles []string
-}
-
-type shardState struct {
-	det *stream.Detector
-	co  *Coalescer
-	wal *wal // nil when the WAL is disabled
 }
 
 // ShardedConfig configures NewSharded. The zero value of every field
@@ -90,8 +83,10 @@ type ShardedConfig struct {
 	// StatePath, when set, is loaded at construction if present: a
 	// version-2 sharded manifest as Snapshot and Drain write it.
 	StatePath string
-	// Coalescer tunes every shard's coalescer identically.
-	Coalescer Options
+	// MaxBatch caps the documents one group commit ingests (default 256);
+	// a larger request is still one batch, never split. It changes
+	// batching and latency, never verdicts.
+	MaxBatch int
 	// NewDetector builds each shard's detector (default: stream.New with
 	// zero options). It must return a fresh, empty detector.
 	NewDetector func() *stream.Detector
@@ -127,11 +122,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	ok := false
 	defer func() {
 		if !ok {
-			for _, sh := range s.shards {
-				if sh.wal != nil {
-					_ = sh.wal.close()
-				}
-			}
+			_ = s.Close() // closes the WALs opened so far
 		}
 	}()
 	for k := 0; k < n; k++ {
@@ -141,14 +132,13 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 				return nil, fmt.Errorf("serve: shard %d state: %w", k, err)
 			}
 		}
-		sh := &shardState{det: det, co: NewCoalescer(det, cfg.Coalescer)}
+		sh := newShard(det, cfg.MaxBatch)
 		if cfg.WALDir != "" {
 			sh.wal, err = openWAL(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", k)),
 				det, det.NextID(), !cfg.WALNoSync)
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d: %w", k, err)
 			}
-			sh.co.walHook = sh.wal.append
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -207,7 +197,7 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 	// Fast path — every single-document request, and any batch that
 	// routes whole: no goroutines, one sub-request.
 	if oneShard {
-		vs := s.shards[homes[0]].co.Submit(texts, words)
+		vs := s.shards[homes[0]].submit(texts, words)
 		for i := range vs {
 			vs[i] = s.globalize(homes[0], vs[i])
 		}
@@ -237,7 +227,7 @@ func (s *Sharded) Submit(texts []string) ([]Verdict, error) {
 				st[j] = texts[p]
 				sw[j] = words[p]
 			}
-			for j, v := range s.shards[k].co.Submit(st, sw) {
+			for j, v := range s.shards[k].submit(st, sw) {
 				out[pos[j]] = s.globalize(k, v)
 			}
 		}(k)
@@ -259,7 +249,7 @@ func (s *Sharded) Assignment(id int) (Verdict, error) {
 		return Verdict{}, ErrNotFound
 	}
 	shard, local := id%s.n, id/s.n
-	a, ok := s.shards[shard].co.Assignment(local)
+	a, ok := s.shards[shard].assignment(local)
 	if !ok {
 		return Verdict{}, ErrNotFound
 	}
@@ -286,7 +276,7 @@ func (s *Sharded) Templates() ([]ShardTemplate, error) {
 	}
 	out := []ShardTemplate{}
 	for k, sh := range s.shards {
-		for i, ti := range sh.co.Templates() {
+		for i, ti := range sh.templates() {
 			if ti.Dead {
 				// Retired slot (evicted, aged out, or merged away): keep the
 				// position — global ids are positional — but drop the listing.
@@ -313,22 +303,13 @@ func (s *Sharded) Flush() error {
 		return ErrClosed
 	}
 	for _, sh := range s.shards {
-		sh.co.exclusive(sh.flush)
+		sh.flush()
 	}
 	return nil
 }
 
-// flush runs a mining pass and logs its WAL marker. The caller holds
-// the shard's commit lock.
-func (sh *shardState) flush() {
-	sh.det.Flush()
-	if sh.wal != nil {
-		_ = sh.wal.appendFlush()
-	}
-}
-
 // ShardStats is one shard's /v1/stats block: the per-shard detector and
-// coalescer snapshot plus its WAL counters.
+// group-commit snapshot plus its WAL counters.
 type ShardStats struct {
 	Shard int `json:"shard"`
 	Stats
@@ -358,14 +339,10 @@ func (s *Sharded) Stats() (ShardedStats, error) {
 	}
 	out := ShardedStats{Shards: s.n, Route: s.route}
 	for k, sh := range s.shards {
-		st := sh.co.Stats()
-		ps := ShardStats{Shard: k, Stats: st}
-		if sh.wal != nil {
-			ws := sh.wal.stats()
-			ps.WAL = &ws
-		}
+		ps := sh.stats()
+		ps.Shard = k
 		out.PerShard = append(out.PerShard, ps)
-		rollup(&out.Total, st)
+		rollup(&out.Total, ps.Stats)
 	}
 	out.Total.deriveRates()
 	out.DocsPerBatch = ratio(out.Total.Serve.Docs, out.Total.Serve.Batches)
@@ -496,49 +473,28 @@ func (s *Sharded) SnapshotTo(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	inline := make([]json.RawMessage, len(states))
-	for k, st := range states {
-		inline[k] = st
-	}
 	return json.NewEncoder(w).Encode(&manifestV2{
-		Version: 2, Shards: s.n, Route: s.route, States: inline,
+		Version: 2, Shards: s.n, Route: s.route, States: states,
 	})
 }
 
-// collect runs each shard's snapshot step under its commit lock: flush
-// the pending buffer and save. The flush is logged like any other, so
-// the mining pass survives a crash even when the manifest being written
-// here never commits (the streamed form, or a failed rename).
-func (s *Sharded) collect() (states [][]byte, err error) {
-	states = make([][]byte, s.n)
+// collect runs each shard's snapshot step in turn (see shard.snapshot).
+func (s *Sharded) collect() ([]json.RawMessage, error) {
+	states := make([]json.RawMessage, s.n)
 	for k, sh := range s.shards {
-		sh.co.exclusive(func() {
-			start := time.Now()
-			sh.flush()
-			states[k], err = sh.save()
-			sh.co.ctr.SnapshotLockNs += time.Since(start).Nanoseconds()
-			sh.co.ctr.Snapshots++
-		})
-		if err != nil {
+		var err error
+		if states[k], err = sh.snapshot(); err != nil {
 			return nil, err
 		}
 	}
 	return states, nil
 }
 
-// save serializes the shard's detector. The caller holds the commit lock
-// or has closed the accept gate.
-func (sh *shardState) save() ([]byte, error) {
-	var buf bytes.Buffer
-	err := sh.det.Save(&buf)
-	return buf.Bytes(), err
-}
-
 // writeManifest writes a new snapshot generation. Shard files get fresh
 // names (<base>.g<gen>.shard<k>), so the previous generation stays
 // intact until the manifest rename commits; the superseded files are
 // removed afterwards, best-effort.
-func (s *Sharded) writeManifest(path string, states [][]byte) (int64, error) {
+func (s *Sharded) writeManifest(path string, states []json.RawMessage) (int64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	dir, base := filepath.Split(path)
@@ -629,7 +585,7 @@ func (s *Sharded) Drain(path string) error {
 
 	var err error
 	if path != "" {
-		states := make([][]byte, s.n)
+		states := make([]json.RawMessage, s.n)
 		for k, sh := range s.shards {
 			sh.det.Flush()
 			if states[k], err = sh.save(); err != nil {

@@ -72,8 +72,8 @@ func TestRouteKey(t *testing.T) {
 
 // TestShardedEquivalence is the tentpole determinism gate.
 //
-// S=1 with hash routing must be *byte-identical* to the unsharded
-// coalescer: same verdicts for the same request sequence and the same
+// S=1 with hash routing must be *byte-identical* to a bare shard over
+// one detector: same verdicts for the same request sequence and the same
 // serialized detector state. S>1 must decompose exactly: each shard's
 // verdict stream equals a serial reference detector fed that shard's
 // subsequence of the input, with ids encoding shard and arrival order.
@@ -85,7 +85,7 @@ func TestShardedEquivalence(t *testing.T) {
 		sh := newTestSharded(t, ShardedConfig{Shards: 1, NewDetector: shardMineDetector(mineBatch)}, 0)
 		det := stream.New(core.Options{})
 		det.BatchSize = mineBatch
-		c := NewCoalescer(det, Options{})
+		c := newShard(det, 0)
 
 		for i := 0; i < len(docs); {
 			k := 1 + i%3

@@ -11,10 +11,10 @@ import (
 
 // wal is one shard's write-ahead log: an append-only file of JSON-lines
 // records, one per document, written by the shard's group-commit leader
-// through the Coalescer's WAL hook — all of a batch's records, one
-// buffered flush, one fsync, then the batch is acked. Because the hook
-// fires once per group commit, WAL batching rides the coalescer's
-// natural batching: under load, many documents share one fsync.
+// — all of a batch's records, one buffered flush, one fsync, then the
+// batch is acked. Because the leader appends once per group commit, WAL
+// batching rides the shard's natural batching: under load, many
+// documents share one fsync.
 //
 // Durability contract: a record is on disk before its submitter sees a
 // verdict, so a crash between snapshots loses nothing that was acked
@@ -51,7 +51,7 @@ type WALStats struct {
 	// Records and Bytes count what this process appended (replayed
 	// records are not re-appended; Replayed counts those separately).
 	Records int64 `json:"records"`
-	// Batches counts WAL-hook invocations — group commits — and Syncs
+	// Batches counts appended group commits and Syncs
 	// the fsyncs issued (equal unless fsync is disabled). Records/Batches
 	// is the WAL's amortization factor.
 	Batches int64 `json:"batches"`
@@ -168,8 +168,7 @@ func (w *wal) replay(det detectorReplay, hwm int) (good int64, replayed int, err
 
 // append logs one committed batch: every record, one writer flush, one
 // fsync (policy permitting). The shard's group-commit leader calls it
-// through the Coalescer's WAL hook, before the batch's submitters are
-// acked.
+// before the batch's submitters are acked.
 func (w *wal) append(ids []int, texts []string) error {
 	recs := w.recs[:0]
 	for i := range ids {

@@ -111,8 +111,9 @@ func (d *Detector) tryMerge(ti int) {
 	d.anyDead = true
 	d.liveCount--
 	bi.live--
+	sc := d.scratch(0)
 	var tmp MatchStats
-	other := d.match(seq, d.vocab.Size(), &d.sc, &tmp)
+	other := d.match(seq, d.vocab.Size(), sc, &tmp)
 	d.dead[ti] = false
 	d.anyDead = savedAny
 	d.liveCount++
@@ -130,9 +131,9 @@ func (d *Detector) tryMerge(ti int) {
 	seqO := d.probeSeq(other)
 	to, tn := &d.templates[other], &d.templates[ti]
 	costOther, _ := b.Cost(to.Tokens, to.Wild, seq, max(len(to.Tokens), len(seq)),
-		int(d.index.meta[other].slots), &d.sc.wild)
+		int(d.index.meta[other].slots), &sc.wild)
 	costNew, _ := b.Cost(tn.Tokens, tn.Wild, seqO, max(len(tn.Tokens), len(seqO)),
-		int(d.index.meta[ti].slots), &d.sc.wild)
+		int(d.index.meta[ti].slots), &sc.wild)
 	saveKeepOther := mdl.DocCost(len(seq), vocabSize) - costOther
 	saveKeepNew := mdl.DocCost(len(seqO), vocabSize) - costNew
 	keeper, loser := other, ti

@@ -372,7 +372,7 @@ func TestLifecycleEvictionAndRebuild(t *testing.T) {
 	for k := 0; k < 80; k++ {
 		ti := rng.Intn(180)
 		toks := d.vocab.Encode(d.tk.Tokens(set.Probe(rng, ti)))
-		got := d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats)
+		got := d.match(toks, d.vocab.Size(), d.scratch(0), &d.stats.MatchStats)
 		if want := liveReferenceMatch(d, toks); got != want {
 			t.Fatalf("probe of template %d: tiered %d != live reference %d", ti, got, want)
 		}
@@ -431,7 +431,7 @@ func TestLifecycleBounded(t *testing.T) {
 	// The steady-state matcher still agrees with the live reference scan.
 	for probe := 0; probe < 40; probe++ {
 		toks := d.vocab.Encode(d.tk.Tokens(drift.Doc(k + probe)))
-		got := d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats)
+		got := d.match(toks, d.vocab.Size(), d.scratch(0), &d.stats.MatchStats)
 		if want := liveReferenceMatch(d, toks); got != want {
 			t.Fatalf("probe %d: tiered %d != live reference %d", probe, got, want)
 		}

@@ -41,7 +41,7 @@ func TestStreamScaleSmoke(t *testing.T) {
 			text = set.Probe(rng, rng.Intn(len(set.Templates)))
 		}
 		toks := d.vocab.Encode(d.tk.Tokens(text))
-		verdict := d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats)
+		verdict := d.match(toks, d.vocab.Size(), d.scratch(0), &d.stats.MatchStats)
 		if ref := referenceMatch(d, toks); verdict != ref {
 			t.Fatalf("probe %d: tiered verdict %d != reference %d", k, verdict, ref)
 		}

@@ -140,9 +140,9 @@ type Detector struct {
 	// is the next document id.
 	verdicts []int32
 
-	sc      matchScratch    // serial probe scratch (Add)
-	batchSc []*matchScratch // per-worker probe scratches (AddBatch)
-	stats   Stats
+	// scratches holds one probe scratch per matching worker (see scratch).
+	scratches []*matchScratch
+	stats     Stats
 }
 
 // New creates an empty detector.
@@ -238,17 +238,18 @@ func (d *Detector) Assignment(id int) Assignment {
 // attaches to an existing template immediately or buffers for the next
 // mining pass (triggered automatically at BatchSize).
 func (d *Detector) Add(text string) int {
-	return d.AddTokens(text, d.tk.Tokens(text))
+	toks := d.vocab.Encode(d.tk.Tokens(text))
+	return d.apply(text, toks, d.match(toks, d.vocab.Size(), d.scratch(0), &d.stats.MatchStats))
 }
 
-// AddTokens is Add over a pre-tokenized document: words must be the
-// token stream the package tokenizer produces for text. Serving front
-// ends that already tokenized text — shard routing hashes or
-// language-detects the token stream — reuse that work here instead of
-// tokenizing a second time.
-func (d *Detector) AddTokens(text string, words []string) int {
-	toks := d.vocab.Encode(words)
-	return d.apply(text, toks, d.match(toks, d.vocab.Size(), &d.sc, &d.stats.MatchStats))
+// scratch returns worker w's probe scratch, growing the pool on demand.
+// Serial probes (Add, merge probes) borrow worker 0's; none runs while
+// matchRange's workers hold theirs.
+func (d *Detector) scratch(w int) *matchScratch {
+	for len(d.scratches) <= w {
+		d.scratches = append(d.scratches, &matchScratch{})
+	}
+	return d.scratches[w]
 }
 
 // NextID returns the id the next ingested document will receive: the
@@ -342,29 +343,23 @@ func (d *Detector) AddBatchTokens(texts []string, words [][]string) []int {
 // functions of (toks, vocab size, templates), so the fan-out only changes
 // scheduling; per-worker stats merge in ascending worker order.
 func (d *Detector) matchRange(toks [][]int, sizes, verdicts []int, start, end, workers int) {
-	n := end - start
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || len(d.templates) == 0 {
+	if len(d.templates) == 0 {
 		for i := start; i < end; i++ {
-			verdicts[i] = d.match(toks[i], sizes[i], &d.sc, &d.stats.MatchStats)
+			verdicts[i] = -1
 		}
 		return
 	}
-	for len(d.batchSc) < workers {
-		d.batchSc = append(d.batchSc, &matchScratch{})
-	}
+	workers = min(workers, end-start)
 	for w := 0; w < workers; w++ {
-		d.batchSc[w].stats = MatchStats{}
+		d.scratch(w).stats = MatchStats{}
 	}
 	par.Map(verdicts[start:end], workers,
-		func(w int) *matchScratch { return d.batchSc[w] },
+		func(w int) *matchScratch { return d.scratches[w] },
 		func(i int, sc *matchScratch) int {
 			return d.match(toks[start+i], sizes[start+i], sc, &sc.stats)
 		})
-	for w := 0; w < workers; w++ {
-		d.stats.MatchStats.Add(d.batchSc[w].stats)
+	for _, sc := range d.scratches[:workers] {
+		d.stats.MatchStats.Add(sc.stats)
 	}
 }
 

@@ -22,12 +22,10 @@ import (
 )
 
 // Tokenizer converts raw document text into token slices. The zero value is
-// ready to use. Tokenizer is stateless and safe for concurrent use.
-type Tokenizer struct {
-	// KeepCase disables lower-casing when true. The paper lower-cases
-	// everything (see Table X, where "PR Daily" becomes "pr daily").
-	KeepCase bool
-}
+// ready to use. Tokenizer is stateless and safe for concurrent use. Tokens
+// are always lower-cased, as in the paper (see Table X, where "PR Daily"
+// becomes "pr daily").
+type Tokenizer struct{}
 
 // Tokens splits text into tokens according to the rules documented on the
 // package. It never returns empty-string tokens.
@@ -68,9 +66,7 @@ func init() {
 // whole document tokenizes with at most one lower-casing copy plus the
 // output slice. FuzzTokensASCII pins it against the Unicode path.
 func (t Tokenizer) tokensASCII(text string) []string {
-	if !t.KeepCase {
-		text = lowerASCII(text)
-	}
+	text = lowerASCII(text)
 	// One sized allocation instead of append-doubling: tokens are
 	// space-separated, so len/8 under-counts only pathologically short
 	// words and the occasional growth is still amortized.
@@ -125,9 +121,7 @@ func lowerASCII(s string) string {
 // tokensUnicode is the general rune-by-rune path (and the reference the
 // ASCII fast path is fuzzed against).
 func (t Tokenizer) tokensUnicode(text string) []string {
-	if !t.KeepCase {
-		text = strings.ToLower(text)
-	}
+	text = strings.ToLower(text)
 	var out []string
 	field := make([]rune, 0, 32)
 	flush := func() {

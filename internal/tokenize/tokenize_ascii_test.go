@@ -7,19 +7,17 @@ import (
 )
 
 // checkASCIIEquiv pins the ASCII fast path against the rune-by-rune
-// reference for one input under both case modes.
+// reference for one input.
 func checkASCIIEquiv(t *testing.T, text string) {
 	t.Helper()
-	for _, keep := range []bool{false, true} {
-		tk := Tokenizer{KeepCase: keep}
-		got := tk.Tokens(text)
-		want := tk.tokensUnicode(text)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Tokens(%q, KeepCase=%v) = %q, reference = %q", text, keep, got, want)
-		}
+	var tk Tokenizer
+	got := tk.Tokens(text)
+	want := tk.tokensUnicode(text)
+	if len(got) == 0 && len(want) == 0 {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tokens(%q) = %q, reference = %q", text, got, want)
 	}
 }
 

@@ -35,15 +35,6 @@ func TestTokensBasic(t *testing.T) {
 	}
 }
 
-func TestTokensKeepCase(t *testing.T) {
-	tk := Tokenizer{KeepCase: true}
-	got := tk.Tokens("Hello World")
-	want := []string{"Hello", "World"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokens = %v, want %v", got, want)
-	}
-}
-
 func TestTokensCJK(t *testing.T) {
 	var tk Tokenizer
 	// Japanese text without spaces: each CJK rune becomes a token.
