@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-record bench-all experiments
+.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-vocab bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + infoshield-vet), build, and
 ## race-enabled tests.
@@ -98,6 +98,13 @@ bench-coarse:
 ## (BenchmarkFineSkewed).
 bench-fine:
 	$(GO) test -bench='BenchmarkFine$$|BenchmarkFineSkewed$$' -benchmem -run '^$$'
+
+## bench-vocab: the vocabulary's encode cost and footprint on a
+## daemon-shaped token stream (campaign documents over a word bank plus
+## fillers, and noise words that are almost all new): ns/word per encoded
+## token and live-B/word, the heap live after GC per interned word.
+bench-vocab:
+	$(GO) test -bench='BenchmarkVocabEncode$$' -benchmem -benchtime 400000x -run '^$$' ./internal/tokenize
 
 ## bench-record: the committed benchmark ledger. Runs every workload in
 ## BENCHMARK.json once, traced, at the harness's default seed (1) and run

@@ -60,20 +60,3 @@ func IndexedRanges(n, workers int, fn func(w, lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// Map fills out[i] = fn(i, scratch) for every index of out, fanning the
-// work over contiguous chunks like IndexedRanges with one scratch per
-// chunk from newScratch (called with the chunk index, so a caller keeping
-// per-worker state — stats counters, pooled DP buffers — can hand out
-// long-lived slots and later fold them in ascending chunk order). Results
-// land keyed by index, so the join is ascending by construction and the
-// output is identical for any worker count whenever fn(i) is a pure
-// function of i and its scratch is written by one goroutine at a time.
-func Map[T, S any](out []T, workers int, newScratch func(w int) S, fn func(i int, scratch S) T) {
-	IndexedRanges(len(out), workers, func(w, lo, hi int) {
-		scratch := newScratch(w)
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i, scratch)
-		}
-	})
-}

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -58,42 +56,4 @@ func TestWorkersDefault(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Error("explicit worker count not respected")
 	}
-}
-
-func TestMapDeterministicAcrossWorkers(t *testing.T) {
-	const n = 137
-	want := make([]int, n)
-	Map(want, 1, func(w int) *int { s := w; return &s }, func(i int, _ *int) int {
-		return i * i
-	})
-	for _, workers := range []int{2, 3, 8, 64} {
-		got := make([]int, n)
-		scratches := make(map[int]bool)
-		var mu sync.Mutex
-		Map(got, workers, func(w int) *int {
-			mu.Lock()
-			scratches[w] = true
-			mu.Unlock()
-			s := w
-			return &s
-		}, func(i int, sc *int) int {
-			return i * i
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: output differs", workers)
-		}
-		if len(scratches) > Workers(workers) {
-			t.Errorf("workers=%d: %d scratches created", workers, len(scratches))
-		}
-		for w := range scratches {
-			if w < 0 || w >= Workers(workers) {
-				t.Errorf("workers=%d: scratch index %d out of range", workers, w)
-			}
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	Map(nil, 4, func(int) struct{} { return struct{}{} },
-		func(int, struct{}) int { t.Fatal("fn called on empty out"); return 0 })
 }

@@ -211,7 +211,11 @@ func (d *Detector) Load(r io.Reader) error {
 	d.reserve(len(ds.templates))
 	// decode rejected table entries no token uses, so this hint never
 	// exceeds the state's token count.
-	d.vocab.Reserve(len(ds.words))
+	wordBytes := 0
+	for _, w := range ds.words {
+		wordBytes += len(w)
+	}
+	d.vocab.Reserve(len(ds.words), wordBytes)
 	var toks []int
 	var wild []bool
 	for _, ts := range ds.templates {

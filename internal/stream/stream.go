@@ -142,16 +142,30 @@ type Detector struct {
 
 	// scratches holds one probe scratch per matching worker (see scratch).
 	scratches []*matchScratch
-	stats     Stats
+	// job is the segment matchRange's workers match, and matchFn the
+	// worker body (matchChunk) bound once per detector, so a group commit
+	// allocates no closure.
+	job     matchJob
+	matchFn func(w, lo, hi int)
+	stats   Stats
+}
+
+// matchJob is one segment of encoded documents, each with the vocabulary
+// size it was encoded at, and the verdicts to fill, all indexed alike.
+type matchJob struct {
+	toks            [][]int
+	sizes, verdicts []int
 }
 
 // New creates an empty detector.
 func New(opt core.Options) *Detector {
-	return &Detector{
+	d := &Detector{
 		BatchSize: 512,
 		Options:   opt,
 		vocab:     tokenize.NewVocab(),
 	}
+	d.matchFn = d.matchChunk
+	return d
 }
 
 // Verdict column values below zero: verdictNoise for a document no
@@ -353,13 +367,20 @@ func (d *Detector) matchRange(toks [][]int, sizes, verdicts []int, start, end, w
 	for w := 0; w < workers; w++ {
 		d.scratch(w).stats = MatchStats{}
 	}
-	par.Map(verdicts[start:end], workers,
-		func(w int) *matchScratch { return d.scratches[w] },
-		func(i int, sc *matchScratch) int {
-			return d.match(toks[start+i], sizes[start+i], sc, &sc.stats)
-		})
+	d.job = matchJob{toks[start:end], sizes[start:end], verdicts[start:end]}
+	par.IndexedRanges(end-start, workers, d.matchFn)
+	d.job = matchJob{}
 	for _, sc := range d.scratches[:workers] {
 		d.stats.MatchStats.Add(sc.stats)
+	}
+}
+
+// matchChunk is worker w's share of matchRange: it matches the job's
+// documents lo..hi-1 with the worker's own scratch.
+func (d *Detector) matchChunk(w, lo, hi int) {
+	sc, job := d.scratches[w], &d.job
+	for i := lo; i < hi; i++ {
+		job.verdicts[i] = d.match(job.toks[i], job.sizes[i], sc, &sc.stats)
 	}
 }
 

@@ -29,6 +29,8 @@
 package tfidf
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 	"strings"
@@ -127,8 +129,11 @@ type Selector struct {
 	phraseIdf []float64 // per phrase of the document being selected
 	cand      []scored
 	covered   []bool
-	order     []int32 // the document's positions in word order
-	rank      []int32 // per position, the rank of its word in the document
+	seen      []int32  // open-addressing table: uniq index+1 per slot, 0 empty
+	uniq      []int    // the document's distinct word ids, first seen first
+	keys      []uint64 // per entry of uniq, its word's first 8 bytes (lexKey)
+	order     []int32  // indices into uniq in word order
+	rank      []int32  // per position, the rank of its word in the document
 }
 
 // scored is one candidate phrase of one document during selection.
@@ -246,33 +251,67 @@ func (s *Selector) Select(dst []PhraseID, ps []Phrase, ids []int, vocab *tokeniz
 // lexRanks returns, per position of ids, the rank of its word among the
 // document's distinct words in lexicographic order, so comparing phrases
 // rank by rank orders them as their joined string keys would. Only the
-// selecting document's words are ranked, never the whole vocabulary, so
-// the cost does not grow with a stream's vocabulary. This reproduces the
-// joined-string-key order for every token ordinary tokenization can emit
-// (tokens containing raw control bytes below U+001F, the key separator,
-// could in principle order differently; such bytes never survive
-// tokenization of text).
+// selecting document's distinct words are sorted by string, never its
+// every position or the whole vocabulary, so the cost does not grow with
+// a stream's vocabulary. This reproduces the joined-string-key order for
+// every token ordinary tokenization can emit (tokens containing raw
+// control bytes below U+001F, the key separator, could in principle order
+// differently; such bytes never survive tokenization of text).
 func (s *Selector) lexRanks(ids []int, vocab *tokenize.Vocab) []int32 {
-	order := s.order[:0]
-	for i := range ids {
-		order = append(order, int32(i))
+	// Number the distinct ids in first-seen order through a small
+	// open-addressing table; rank holds each position's number until it
+	// is replaced by the word's rank.
+	size := 16
+	for size < 2*len(ids) {
+		size *= 2
+	}
+	seen := slices.Grow(s.seen[:0], size)[:size]
+	clear(seen)
+	mask := uint64(size - 1)
+	uniq := s.uniq[:0]
+	rank := slices.Grow(s.rank[:0], len(ids))[:len(ids)]
+	for p, id := range ids {
+		i := mix64(uint64(id)) & mask
+		for seen[i] != 0 && uniq[seen[i]-1] != id {
+			i = (i + 1) & mask
+		}
+		if seen[i] == 0 {
+			uniq = append(uniq, id)
+			seen[i] = int32(len(uniq))
+		}
+		rank[p] = seen[i] - 1
+	}
+	keys, order := s.keys[:0], s.order[:0]
+	for j, id := range uniq {
+		keys = append(keys, lexKey(vocab.Word(id)))
+		order = append(order, int32(j))
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		if ids[a] == ids[b] {
-			return 0
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
 		}
-		return strings.Compare(vocab.Word(ids[a]), vocab.Word(ids[b]))
+		return strings.Compare(vocab.Word(uniq[a]), vocab.Word(uniq[b]))
 	})
-	rank := slices.Grow(s.rank[:0], len(ids))[:len(ids)]
-	r := int32(0)
-	for k, p := range order {
-		if k > 0 && ids[p] != ids[order[k-1]] {
-			r++
-		}
-		rank[p] = r
+	// The table is done with; its prefix takes each entry of uniq's rank.
+	uniqRank := seen[:len(uniq)]
+	for r, j := range order {
+		uniqRank[j] = int32(r)
 	}
-	s.order, s.rank = order, rank
+	for p, j := range rank {
+		rank[p] = uniqRank[j]
+	}
+	s.seen, s.uniq, s.keys, s.order, s.rank = seen, uniq, keys, order, rank
 	return rank
+}
+
+// lexKey packs w's first 8 bytes big-endian, zero-padded. Keys order as
+// their words do wherever they differ, so only words sharing an 8-byte
+// prefix (or differing in it only by trailing NULs) need the string
+// compare.
+func lexKey(w string) uint64 {
+	var b [8]byte
+	copy(b[:], w)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // countDF runs the extract and count passes: each worker dedupes a

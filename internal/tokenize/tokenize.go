@@ -1,5 +1,8 @@
 // Package tokenize provides the language-independent tokenizer and the
 // vocabulary (string interning) used by every other InfoShield component.
+// The vocabulary (Vocab) has one writer at a time and keeps its words in
+// an append-only byte arena indexed by one open-addressing table, so it
+// holds no pointers and an interned token never pins its document.
 //
 // The paper's method is deliberately language-agnostic: no stop-word lists,
 // no stemming, no syntax. Tokenization is therefore intentionally simple and
