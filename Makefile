@@ -40,8 +40,9 @@ fuzz:
 
 ## fuzz-stream: bounded bursts of the streaming fuzzers — the serve-path
 ## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,
-## serial vs batched-parallel equivalence, optionally with the
-## incremental miner and lifecycle on) and the state loader (arbitrary
+## serial vs batched-parallel equivalence and each tiered index against
+## a rebuild, optionally with the incremental miner and lifecycle on)
+## and the state loader (arbitrary
 ## bytes never panic Load; an accepted state reaches a Save fixpoint).
 ## Anchored patterns, as in fuzz-serve.
 fuzz-stream:

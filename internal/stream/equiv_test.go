@@ -361,8 +361,10 @@ func fuzzStreamDocs(data string) []string {
 // Workers: 4 — and requires identical verdicts, templates, and stats at
 // every step. This generalizes the two equivalence gates above from
 // pinned corpora to arbitrary interleavings. The lifecycle bit turns on
-// the incremental miner, MDL merge and a 3-template cap, whose window DF
-// table is checked against a fresh count after every step.
+// the incremental miner, MDL merge and a 3-template cap. After every
+// step, each detector's window DF table is checked against a fresh count
+// and its tiered index against a from-scratch rebuild (checkIndex), so
+// the index is checked through eviction, merge and state round trips.
 func FuzzStreamOps(f *testing.F) {
 	f.Add("big sale call now 555-0101\nbig sale call now 555-0102\nbig sale call now 555-0103\nunrelated chatter", uint32(0b10110), false)
 	f.Add("a b c d e\na b c d e\na b x d e\nnoise one two", uint32(0xffff), false)
@@ -442,6 +444,8 @@ func FuzzStreamOps(f *testing.F) {
 			}
 			checkMineDF(t, fmt.Sprintf("step %d serial", step), a)
 			checkMineDF(t, fmt.Sprintf("step %d batched", step), b)
+			checkIndex(t, fmt.Sprintf("step %d serial", step), a)
+			checkIndex(t, fmt.Sprintf("step %d batched", step), b)
 			i += k
 			step++
 		}

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"infoshield/internal/align"
@@ -20,10 +22,10 @@ import (
 //     candidate: its chunks are stepped over during the postings walk and
 //     its members are pruned wholesale, in O(1) per bucket.
 //
-//   - Tier 1 — flat postings. Surviving buckets are probed through
-//     token → chunk-chain offset tables over one flat chunk slab (no
-//     map[int][]posting: no hashing, no per-token list headers, cache-line
-//     sized chunks). Chunks are bucket-homogeneous so the walk tests the
+//   - Tier 1 — flat postings. Surviving buckets are probed through one
+//     token-keyed table of chunk-chain offsets over one flat chunk slab
+//     (no map[int][]posting: no per-token list headers, cache-line sized
+//     chunks). Chunks are bucket-homogeneous so the walk tests the
 //     bucket-skip bit once per chunk, not once per posting.
 //
 //   - Tier 2 — saturated tokens. A token carried by more than
@@ -54,8 +56,7 @@ const (
 	// chunkEntries sizes postingChunk to one 64-byte cache line.
 	chunkEntries = 7
 
-	noHead  = -1 // token has no postings
-	satHead = -2 // token is saturated (tier 2)
+	noHead = -1 // end of a chunk chain
 )
 
 // CandHistBuckets is the size of the per-probe candidate histogram:
@@ -114,45 +115,153 @@ type postingChunk struct {
 	cnt    [chunkEntries]int32
 }
 
-// postingStore holds every posting in one flat chunk slab with dense
-// token → head/tail offset tables — the tier-1 replacement for
-// map[int][]posting. Appends happen at registration only; probes are
-// read-only, so concurrent AddBatch workers share the store without
-// synchronization.
+// postingStore holds every posting in one flat chunk slab, reached
+// through an open-addressing table keyed by token id — the tier-1
+// replacement for map[int][]posting. The table holds only tokens that a
+// registered template carries, so its size follows the template set, not
+// the vocabulary: on an unbounded stream every slot filler and noise word
+// is a new token, and a table indexed by token id would span all of them.
+// Appends happen at registration only; probes are read-only, so
+// concurrent AddBatch workers share the store without synchronization.
+//
+// The table probes linearly from a multiplicative hash of the key and
+// doubles before its load passes 1/2. slots is what the probe reads: 8
+// bytes a slot, enough to skip or credit a token. chains runs parallel to
+// it and is read only for a chain the probe walks or registration
+// extends.
 type postingStore struct {
-	heads  []int32
-	tails  []int32
-	counts []int32 // postings per token, to trigger saturation
+	slots  []tokSlot
+	chains []tokChain
+	used   int   // occupied slots
+	shift  uint8 // 32 − lg len(slots): home keeps the hash's top bits
 	chunks []postingChunk
-	// bsets is the token → bucket-set bitmap (bit b set when the token's
-	// live chain holds at least one chunk in bucket b; numBuckets ≤ 32).
-	// A probe ANDs it with the tier-0 live-bucket mask to decide in one
-	// word test whether walking the chain can contribute anything — the
-	// rare-token bitmap skip. Saturation zeroes it: the chain is dead and
-	// the token's contribution moves to the overlap credit. Rebuilt with
-	// the rest of the index whenever registration replays (Load).
-	bsets []uint32
 }
 
-func (ps *postingStore) grow(tok int) {
-	for len(ps.heads) <= tok {
-		ps.heads = append(ps.heads, noHead)
-		ps.tails = append(ps.tails, noHead)
-		ps.counts = append(ps.counts, 0)
-		ps.bsets = append(ps.bsets, 0)
+// tokSlot is one hot table slot: key is tok+1 (0 marks an empty slot),
+// and bits packs the token's state into one word.
+//
+//   - Bits below numBuckets are the token → bucket-set bitmap: bit b is
+//     set when the token's chain holds at least one chunk in bucket b. A
+//     probe ANDs bits with the tier-0 live-bucket mask to decide in one
+//     word test whether walking the chain can contribute anything — the
+//     rare-token bitmap skip.
+//   - Bits from countShift up count the token's postings, which trigger
+//     saturation.
+//   - satBit marks a saturated token, and then it is the only bit set:
+//     the chain is dead and the token's contribution moves to the
+//     overlap credit.
+type tokSlot struct {
+	key  uint32
+	bits uint32
+}
+
+const (
+	countShift = 24
+	satBit     = 1 << 31
+	countOne   = 1 << countShift
+)
+
+// The bucket bits stay below the count, and a count up to satThreshold
+// stays below satBit.
+const (
+	_ uint = countShift - numBuckets
+	_ uint = 1<<(31-countShift) - 1 - satThreshold
+)
+
+// tokChain is a token's chain head and tail chunk offsets, both noHead
+// once the token is saturated.
+type tokChain struct {
+	head, tail int32
+}
+
+// home is key's first probe slot: Fibonacci hashing, which spreads the
+// dense, sequential ids a vocabulary hands out over the whole table.
+func (ps *postingStore) home(key uint32) uint32 {
+	return key * 0x9e3779b9 >> ps.shift
+}
+
+// find returns tok's slot, or -1 when no registered template carries
+// tok. Ids past the 32-bit key space are misses too: no vocabulary id
+// reaches them, only probeSeq's sentinels at a full vocabulary.
+func (ps *postingStore) find(tok int) int {
+	if len(ps.slots) == 0 || uint(tok) >= math.MaxUint32 {
+		return -1
+	}
+	key := uint32(tok + 1)
+	mask := uint32(len(ps.slots) - 1)
+	for i := ps.home(key); ; i = (i + 1) & mask {
+		switch ps.slots[i].key {
+		case key:
+			return int(i)
+		case 0:
+			return -1
+		}
 	}
 }
 
-// reset empties the store in place, keeping its tables and chunk slab so
-// that re-registering the live set allocates nothing for the tokens the
-// store has already seen. A token past the old tables and a reset token
-// read the same to a probe: no postings, not saturated.
+// slot returns tok's slot, claiming one with an empty chain when tok is
+// new. tok must be a vocabulary id (at most 2³²−2).
+func (ps *postingStore) slot(tok int) int {
+	if i := ps.find(tok); i >= 0 {
+		return i
+	}
+	if 2*(ps.used+1) > len(ps.slots) {
+		ps.grow(max(8, 2*len(ps.slots)))
+	}
+	i := ps.place(uint32(tok + 1))
+	ps.chains[i] = tokChain{head: noHead, tail: noHead}
+	ps.used++
+	return int(i)
+}
+
+// reserve sizes the table for n more tokens, so a bulk registration
+// does not double it step by step.
+func (ps *postingStore) reserve(n int) {
+	size := max(8, len(ps.slots))
+	for size < 2*(ps.used+n) {
+		size *= 2
+	}
+	if size > len(ps.slots) {
+		ps.grow(size)
+	}
+}
+
+// place claims the first empty slot of key's probe run for key.
+func (ps *postingStore) place(key uint32) uint32 {
+	mask := uint32(len(ps.slots) - 1)
+	i := ps.home(key)
+	for ps.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	ps.slots[i] = tokSlot{key: key}
+	return i
+}
+
+// grow re-places every entry into fresh tables of size slots, a power
+// of two.
+func (ps *postingStore) grow(size int) {
+	oldSlots, oldChains := ps.slots, ps.chains
+	ps.slots = make([]tokSlot, size)
+	ps.chains = make([]tokChain, size)
+	ps.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	for j, s := range oldSlots {
+		if s.key == 0 {
+			continue
+		}
+		i := ps.place(s.key)
+		ps.slots[i].bits = s.bits
+		ps.chains[i] = oldChains[j]
+	}
+}
+
+// reset empties the store in place, keeping its table and chunk slab so
+// that re-registering the live set allocates nothing for a template set
+// no larger than before. A cleared slot is empty, so a probe reads every
+// token as it reads a token no template ever carried: no postings, not
+// saturated. Chains need no clearing: slot initializes a claimed one.
 func (ps *postingStore) reset() {
-	for i := range ps.heads {
-		ps.heads[i], ps.tails[i] = noHead, noHead
-	}
-	clear(ps.counts)
-	clear(ps.bsets)
+	clear(ps.slots)
+	ps.used = 0
 	ps.chunks = ps.chunks[:0]
 }
 
@@ -160,28 +269,27 @@ func (ps *postingStore) reset() {
 // exceed satThreshold (the chain is abandoned in place; orphaned chunks
 // cost memory, not probe time).
 func (ps *postingStore) add(ti, bucket, tok, count int) {
-	ps.grow(tok)
-	if ps.heads[tok] == satHead {
+	i := ps.slot(tok)
+	s, c := &ps.slots[i], &ps.chains[i]
+	if s.bits&satBit != 0 {
 		return
 	}
-	if ps.counts[tok] >= satThreshold {
-		ps.heads[tok] = satHead
-		ps.tails[tok] = noHead
-		ps.bsets[tok] = 0
+	if s.bits>>countShift >= satThreshold {
+		s.bits = satBit
+		c.head, c.tail = noHead, noHead
 		return
 	}
-	ps.counts[tok]++
-	ps.bsets[tok] |= 1 << uint(bucket)
-	ci := ps.tails[tok]
+	s.bits = (s.bits + countOne) | 1<<uint(bucket)
+	ci := c.tail
 	if ci == noHead || int(ps.chunks[ci].n) == chunkEntries || ps.chunks[ci].bucket != int16(bucket) {
 		ps.chunks = append(ps.chunks, postingChunk{next: noHead, bucket: int16(bucket)})
 		ni := int32(len(ps.chunks) - 1)
 		if ci == noHead {
-			ps.heads[tok] = ni
+			c.head = ni
 		} else {
 			ps.chunks[ci].next = ni
 		}
-		ps.tails[tok] = ni
+		c.tail = ni
 		ci = ni
 	}
 	ch := &ps.chunks[ci]
@@ -193,10 +301,11 @@ func (ps *postingStore) add(ti, bucket, tok, count int) {
 // tmplIndex is the tiered candidate-pruning index over the mined template
 // set. Registration is single-writer (the detector's owning goroutine);
 // probes are read-only and run concurrently from AddBatch workers. The
-// reg* slices are the pooled registration scratch: dense per-token counts
-// and bit masks with sparse reset via the order list, so registering a
-// template — the Load hot loop at 100k templates — allocates nothing in
-// steady state.
+// reg* slices are the pooled registration scratch, each as long as one
+// template: its constant (token, position) pairs, and the distinct tokens
+// and position masks of its bit-parallel table. Registering a template —
+// the Load hot loop at 100k templates — allocates nothing in steady
+// state.
 type tmplIndex struct {
 	meta    []tmplMeta
 	buckets [numBuckets]bucketInfo
@@ -204,9 +313,7 @@ type tmplIndex struct {
 	eqTokA  arena[int32]
 	eqMaskA arena[uint64]
 
-	regCount []int32
-	regMask  []uint64
-	regOrder []int
+	regPairs []uint64
 	regToks  []int32
 	regMasks []uint64
 }
@@ -214,38 +321,27 @@ type tmplIndex struct {
 // add registers template ti's constant-token multiset, mask table, slot
 // count, and bucket membership. Wild positions are excluded from
 // postings: a slot's consensus token is matching decoration, not a
-// constant the document must supply.
+// constant the document must supply. The constants are sorted as
+// tok<<32 | position pairs — unsigned, so every id up to the
+// vocabulary's 2³²−2 limit sorts by value — and each run of one token
+// yields its count and its position mask, in ascending token order.
 func (ix *tmplIndex) add(ti int, tokens []int, wild []bool) {
 	refLen := len(tokens)
 	useBits := refLen <= align.WildBitCap
-	order := ix.regOrder[:0]
+	pairs := ix.regPairs[:0]
 	var wildMask uint64
-	slots := 0
 	for i, tok := range tokens {
-		if wild[i] {
-			slots++
-			if useBits {
-				wildMask |= 1 << uint(i)
-			}
-			continue
-		}
-		for len(ix.regCount) <= tok {
-			ix.regCount = append(ix.regCount, 0)
-			ix.regMask = append(ix.regMask, 0)
-		}
-		if ix.regCount[tok] == 0 {
-			order = append(order, tok)
-			ix.regMask[tok] = 0
-		}
-		ix.regCount[tok]++
-		if useBits {
-			ix.regMask[tok] |= 1 << uint(i)
+		if !wild[i] {
+			pairs = append(pairs, uint64(tok)<<32|uint64(i))
+		} else if useBits {
+			wildMask |= 1 << uint(i)
 		}
 	}
-	align.SortInts(order)
-	ix.regOrder = order
+	slices.Sort(pairs)
+	ix.regPairs = pairs
 
-	constCnt := refLen - slots
+	constCnt := len(pairs)
+	slots := refLen - constCnt
 	b := bucketOf(constCnt)
 	mt := tmplMeta{
 		refLen:   int32(refLen),
@@ -254,20 +350,25 @@ func (ix *tmplIndex) add(ti int, tokens []int, wild []bool) {
 		bucket:   int16(b),
 		wildMask: wildMask,
 	}
-	if useBits {
-		toks := ix.regToks[:0]
-		masks := ix.regMasks[:0]
-		for _, tok := range order {
-			toks = append(toks, int32(tok))
-			masks = append(masks, ix.regMask[tok])
+	toks, masks := ix.regToks[:0], ix.regMasks[:0]
+	for lo := 0; lo < len(pairs); {
+		tok := pairs[lo] >> 32
+		var mask uint64
+		hi := lo
+		for ; hi < len(pairs) && pairs[hi]>>32 == tok; hi++ {
+			mask |= 1 << (pairs[hi] & 63) // read only when useBits: positions < 64
 		}
-		ix.regToks, ix.regMasks = toks, masks
+		ix.store.add(ti, b, int(tok), hi-lo)
+		if useBits {
+			toks = append(toks, int32(tok))
+			masks = append(masks, mask)
+		}
+		lo = hi
+	}
+	ix.regToks, ix.regMasks = toks, masks
+	if useBits {
 		mt.eqToks = ix.eqTokA.copyIn(toks)
 		mt.eqMasks = ix.eqMaskA.copyIn(masks)
-	}
-	for _, tok := range order {
-		ix.store.add(ti, b, tok, int(ix.regCount[tok]))
-		ix.regCount[tok] = 0 // sparse reset; regMask re-zeroes on first touch
 	}
 
 	bi := &ix.buckets[b]
@@ -584,28 +685,29 @@ func (d *Detector) match(toks []int, vocabSize int, sc *matchScratch, st *MatchS
 	touched := sc.touched[:0]
 	credit := 0
 	walked := false
-	heads, chunks, bsets := ix.store.heads, ix.store.chunks, ix.store.bsets
+	store := &ix.store
+	slotTab, chains, chunks := store.slots, store.chains, store.chunks
 	for lo := 0; lo < len(sorted); {
 		hi := lo + 1
 		for hi < len(sorted) && sorted[hi] == sorted[lo] {
 			hi++
 		}
-		tok := sorted[lo]
 		dc := hi - lo
+		i := store.find(sorted[lo])
 		lo = hi
-		if tok >= len(heads) {
+		if i < 0 {
 			continue
 		}
-		if bsets[tok]&liveMask == 0 {
+		if bits := slotTab[i].bits; bits&liveMask == 0 {
 			// No live chunk anywhere in the chain: only the saturation
 			// credit (if any) survives of what the walk would have done.
-			if heads[tok] == satHead {
+			if bits&satBit != 0 {
 				credit += dc
 			}
 			continue
 		}
 		walked = true
-		for ci := heads[tok]; ci != noHead; ci = chunks[ci].next {
+		for ci := chains[i].head; ci != noHead; ci = chunks[ci].next {
 			ch := &chunks[ci]
 			if sc.skip[ch.bucket] {
 				continue

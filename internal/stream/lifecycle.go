@@ -68,10 +68,11 @@ func (d *Detector) kill(ti int, fwd int32) {
 // probeSeq renders template ti as a document: constants verbatim, each
 // slot as a fresh sentinel token at or above the vocabulary size.
 // Sentinels can never equal a registered constant (token ids are dense
-// below vocab.Size()) and never reach a postings chain (heads is at most
-// vocab.Size() long), so probing with the sequence measures exactly how
-// another template's constants align with this one's — slots stay
-// alignable but never fake a constant match.
+// below vocab.Size()) and never reach a postings chain (the posting
+// store's table holds only registered constants, and find treats ids
+// past its 32-bit keys as misses), so probing with the sequence measures
+// exactly how another template's constants align with this one's —
+// slots stay alignable but never fake a constant match.
 func (d *Detector) probeSeq(ti int) []int {
 	t := &d.templates[ti]
 	seq := make([]int, len(t.Tokens))
@@ -211,17 +212,15 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 // bucket aggregates, and arena bytes are actually reclaimed. Template
 // indices are preserved (tombstones keep a dead meta slot), so nothing
 // outside the index changes. The posting store is emptied in place rather
-// than reallocated: its token tables span the whole vocabulary, and
-// regrowing them on every rebuild was the largest allocation of a
-// continuously mining detector.
+// than reallocated, so re-registering the live set reuses its table and
+// chunk slab; the clear costs the table's size, which follows the
+// templates registered since the last rebuild, not the vocabulary.
 func (d *Detector) rebuildIndex() {
 	old := &d.index
 	old.store.reset()
 	fresh := tmplIndex{
 		store:    old.store,
-		regCount: old.regCount, // pooled registration scratch (all-zero between adds)
-		regMask:  old.regMask,
-		regOrder: old.regOrder,
+		regPairs: old.regPairs, // pooled registration scratch
 		regToks:  old.regToks,
 		regMasks: old.regMasks,
 	}

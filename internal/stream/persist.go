@@ -208,7 +208,15 @@ func (d *Detector) Load(r io.Reader) error {
 		return int(ids[k]) - 1
 	}
 	d.verdicts = append(d.verdicts, ds.verdicts...)
-	d.reserve(len(ds.templates))
+	// The live templates carry at most every word of the table and at
+	// most one word per token.
+	refs := 0
+	for _, ts := range ds.templates {
+		if !ts.dead {
+			refs += ts.hi - ts.lo
+		}
+	}
+	d.reserve(len(ds.templates), min(len(ds.words), refs))
 	// decode rejected table entries no token uses, so this hint never
 	// exceeds the state's token count.
 	wordBytes := 0

@@ -71,16 +71,34 @@ func checkIndex(t *testing.T, label string, d *Detector) {
 	t.Helper()
 	wantPost, wantSat, wantMembers := expectedIndex(d)
 
+	// Walk the token table: every occupied slot must be the one find
+	// reaches for its token (no duplicate key, no empty slot inside a
+	// probe run), and the occupied count must match used.
 	got := make(map[int][]refPosting)
 	st := &d.index.store
-	for tok := range st.heads {
-		h := st.heads[tok]
-		if h == satHead {
+	if len(st.chains) != len(st.slots) {
+		t.Fatalf("%s: %d chains for %d slots", label, len(st.chains), len(st.slots))
+	}
+	occupied := 0
+	for i, s := range st.slots {
+		if s.key == 0 {
+			continue
+		}
+		occupied++
+		tok := int(s.key) - 1
+		if f := st.find(tok); f != i {
+			t.Fatalf("%s: token %d sits in slot %d but find reaches %d", label, tok, i, f)
+		}
+		h := st.chains[i].head
+		if s.bits&satBit != 0 {
 			if !wantSat[tok] {
 				t.Fatalf("%s: token %d saturated in index but carried by ≤ %d templates",
 					label, tok, satThreshold)
 			}
 			continue
+		}
+		if h == noHead {
+			t.Fatalf("%s: token %d holds a slot but no postings", label, tok)
 		}
 		for ci := h; ci != noHead; ci = st.chunks[ci].next {
 			ch := &st.chunks[ci]
@@ -93,6 +111,12 @@ func checkIndex(t *testing.T, label string, d *Detector) {
 				got[tok] = append(got[tok], refPosting{template: x, count: int(ch.cnt[k])})
 			}
 		}
+		if n := int(s.bits >> countShift); n != len(got[tok]) {
+			t.Fatalf("%s: token %d counts %d postings, chain holds %d", label, tok, n, len(got[tok]))
+		}
+	}
+	if occupied != st.used {
+		t.Fatalf("%s: %d occupied slots, used says %d", label, occupied, st.used)
 	}
 	if len(wantPost) == 0 {
 		wantPost = nil
@@ -105,31 +129,36 @@ func checkIndex(t *testing.T, label string, d *Detector) {
 			label, len(got), len(wantPost))
 	}
 	for tok := range wantSat {
-		if tok >= len(st.heads) || st.heads[tok] != satHead {
+		if i := st.find(tok); i < 0 || st.slots[i].bits != satBit || st.chains[i].head != noHead {
 			t.Fatalf("%s: token %d carried by > %d templates but not saturated", label, tok, satThreshold)
 		}
 	}
 
 	// The rare-token bitmap must equal a from-scratch recomputation: each
 	// live token's bucket set is the OR of its carrying templates' buckets,
-	// and saturated or unindexed tokens carry the empty set (saturated
-	// tokens are handled by the credit path, not the bitmap).
-	if len(st.bsets) != len(st.heads) {
-		t.Fatalf("%s: %d bitmap entries for %d heads", label, len(st.bsets), len(st.heads))
-	}
-	for tok := range st.heads {
+	// and saturated tokens carry the empty set (they are handled by the
+	// credit path, not the bitmap). Unindexed tokens hold no slot, so a
+	// probe's find misses them.
+	for i, s := range st.slots {
+		if s.key == 0 {
+			if s.bits != 0 {
+				t.Fatalf("%s: empty slot %d has bits %#x", label, i, s.bits)
+			}
+			continue
+		}
+		tok := int(s.key) - 1
 		var want uint32
 		for _, p := range wantPost[tok] {
 			want |= 1 << uint(d.index.meta[p.template].bucket)
 		}
-		if st.bsets[tok] != want {
+		if bset := s.bits & (countOne - 1); bset != want {
 			t.Fatalf("%s: token %d bucket bitmap %#x, rebuild says %#x",
-				label, tok, st.bsets[tok], want)
+				label, tok, bset, want)
 		}
-		live := st.heads[tok] != noHead && st.heads[tok] != satHead
-		if (st.bsets[tok] != 0) != live {
-			t.Fatalf("%s: token %d bitmap %#x inconsistent with head %d",
-				label, tok, st.bsets[tok], st.heads[tok])
+		live := st.chains[i].head != noHead
+		if (s.bits&(countOne-1) != 0) != live {
+			t.Fatalf("%s: token %d bits %#x inconsistent with head %d",
+				label, tok, s.bits, st.chains[i].head)
 		}
 	}
 

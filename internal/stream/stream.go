@@ -412,14 +412,16 @@ func (d *Detector) register(t Template) {
 	d.index.add(ti, t.Tokens, t.Wild)
 }
 
-// reserve makes room for n more templates, so a bulk load grows each
-// template-parallel slice once.
-func (d *Detector) reserve(n int) {
+// reserve makes room for n more templates carrying at most tokens
+// distinct tokens, so a bulk load grows each template-parallel slice and
+// the posting store's table once.
+func (d *Detector) reserve(n, tokens int) {
 	d.templates = slices.Grow(d.templates, n)
 	d.dead = slices.Grow(d.dead, n)
 	d.forward = slices.Grow(d.forward, n)
 	d.lastMatch = slices.Grow(d.lastMatch, n)
 	d.index.meta = slices.Grow(d.index.meta, n)
+	d.index.store.reserve(tokens)
 }
 
 // Register adds one template directly, bypassing mining — the bulk-load
