@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-vocab bench-record bench-all experiments
 
-## check: the full gate — vet (go vet + infoshield-vet), build, and
-## race-enabled tests.
+## check: the full gate — vet (go vet + the static-analysis test), build,
+## and race-enabled tests.
 check: vet
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -11,14 +11,15 @@ check: vet
 build:
 	$(GO) build ./...
 
-## vet: go vet plus the project's own static-analysis suite
-## (cmd/infoshield-vet: maporder, floateq, ctxerr, and the
-## interprocedural scratchalias; copies of lock-bearing values are go
-## vet's copylocks pass, races and goroutine joins are the race
-## detector's). Must exit 0 with zero unsuppressed findings.
+## vet: go vet plus the project's own static-analysis suite, whose gate
+## is TestRepoSelfCheck in internal/analysis (maporder, floateq, ctxerr,
+## and the interprocedural scratchalias; copies of lock-bearing values
+## are go vet's copylocks pass, races and goroutine joins are the race
+## detector's). Fails on any unsuppressed finding; -v lists the
+## suppressed ones. `go test ./...` runs the same test.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/infoshield-vet
+	$(GO) test -v -count=1 -run '^TestRepoSelfCheck$$' ./internal/analysis
 
 test:
 	$(GO) test ./...

@@ -102,7 +102,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	walDir := fs.String("wal-dir", "", "write-ahead-log directory: every acked document is logged (and fsynced) before its verdict returns, and replayed on boot")
 	workers := fs.Int("workers", 0, "per-shard worker pool for batched matching and mining (0 = GOMAXPROCS); never changes verdicts")
 	mineBatch := fs.Int("mine-batch", 0, "buffered documents that trigger a mining pass (0 = detector default 512)")
-	maxBatch := fs.Int("max-batch", 0, "most documents one group commit ingests (0 = default 256)")
 	maxTemplates := fs.Int("max-templates", 0, "per-shard live-template cap; the least-recently-matched templates are evicted past it (0 = unbounded)")
 	templateTTL := fs.Int("template-ttl", 0, "retire a template after this many ingested documents without a match (0 = never)")
 	mergeTemplates := fs.Bool("merge-templates", false, "fold freshly mined templates into existing near-duplicates when the MDL cost favors one template")
@@ -121,7 +120,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		Route:     *route,
 		WALDir:    *walDir,
 		StatePath: *state,
-		MaxBatch:  *maxBatch,
 		NewDetector: func() *stream.Detector {
 			det := stream.New(core.Options{Workers: *workers})
 			if *mineBatch > 0 {

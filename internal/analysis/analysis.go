@@ -1,6 +1,8 @@
-// Package analysis is infoshield-vet: a stdlib-only static-analysis
-// suite (go/parser + go/ast + go/types, no golang.org/x/tools) that
-// enforces the invariants the pipeline's correctness argument rests on:
+// Package analysis is the project's stdlib-only static-analysis suite
+// (go/parser + go/ast + go/types, no golang.org/x/tools). Its gate is
+// TestRepoSelfCheck, which every `go test ./...` runs over the whole
+// module (and `make vet` runs beside go vet). The suite enforces the
+// invariants the pipeline's correctness argument rests on:
 //
 //   - maporder — byte-identical output must not depend on map iteration
 //     order: a range over a map may not append to a slice, write output,
@@ -46,15 +48,15 @@ import (
 // Diagnostic is one finding of one analyzer.
 type Diagnostic struct {
 	// Analyzer is the reporting analyzer's name.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the path of the offending file, relative to the module
 	// root when possible.
-	File string `json:"file"`
+	File string
 	// Line and Col locate the finding (1-based).
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Message states the violated invariant and the expected fix.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -100,10 +102,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name is the analyzer's flag and report name.
+	// Name is the analyzer's report name and its //vet:allow key.
 	Name string
-	// Doc is the one-paragraph description shown by -list.
-	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }

@@ -28,9 +28,7 @@ import (
 // excluded — flagging the read-path Close convention would be noise.
 var CtxErr = &Analyzer{
 	Name: "ctxerr",
-	Doc: "flags discarded error results and blanked (value, ok) returns " +
-		"in non-test files",
-	Run: runCtxErr,
+	Run:  runCtxErr,
 }
 
 func runCtxErr(pass *Pass) {

@@ -23,9 +23,7 @@ import (
 // provenance — are not flagged.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc: "flags exact ==/!= between float64 values that trace to " +
-		"mdl/slotinfo cost functions; use mdl.ApproxEq instead",
-	Run: runFloatEq,
+	Run:  runFloatEq,
 }
 
 func runFloatEq(pass *Pass) {

@@ -21,10 +21,7 @@ import (
 // sum — are not flagged: they are order-insensitive by construction.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "flags range-over-map whose iteration order can leak into output " +
-		"(appends, writes, hashing, channel sends) without a sort or a " +
-		"//vet:ordered justification",
-	Run: runMapOrder,
+	Run:  runMapOrder,
 }
 
 // writeMethods are method or function names that emit bytes somewhere

@@ -29,10 +29,7 @@ import (
 // the documented arena contract.
 var ScratchAlias = &Analyzer{
 	Name: "scratchalias",
-	Doc: "flags pooled scratch/arena memory escaping its owner: returned, " +
-		"stored into a global or caller-visible struct, sent on a channel, " +
-		"or used after Reset/Put",
-	Run: runScratchAlias,
+	Run:  runScratchAlias,
 }
 
 func runScratchAlias(pass *Pass) {

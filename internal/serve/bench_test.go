@@ -82,8 +82,8 @@ func benchDetector(b *testing.B) *stream.Detector {
 func benchSharded(b *testing.B, shards int, walDir string) *Sharded {
 	b.Helper()
 	benchDetector(b) // force the one-time seed (and fail early if it breaks)
-	sh, err := NewSharded(ShardedConfig{
-		Shards: shards, WALDir: walDir, WALNoSync: true,
+	sh, err := withoutFsync(NewSharded(ShardedConfig{
+		Shards: shards, WALDir: walDir,
 		NewDetector: func() *stream.Detector {
 			det := stream.New(core.Options{})
 			det.BatchSize = 1 << 30
@@ -92,7 +92,7 @@ func benchSharded(b *testing.B, shards int, walDir string) *Sharded {
 			}
 			return det
 		},
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func BenchmarkServeCoalesce(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("mode=coalesce/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
-			c := newShard(det, 0)
+			c := newShard(det)
 			runClients(b, clients, func(text string) { submit(c, []string{text}) })
 			b.StopTimer()
 			reportDocsPerBatch(b, c)
@@ -154,7 +154,7 @@ func BenchmarkServeCoalesce(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("mode=coalesce-slow/clients=%d", clients), func(b *testing.B) {
 			det := benchDetector(b)
-			c := newShard(det, 0)
+			c := newShard(det)
 			c.wal = fakeWAL(writerFunc(func(p []byte) (int, error) {
 				time.Sleep(benchCommitDelay) // per-batch commit cost
 				return len(p), nil

@@ -37,7 +37,7 @@ func FuzzServe(f *testing.F) {
 		docs := fuzzDocs(payload)
 
 		const mineBatch = 8
-		sh := newTestSharded(t, ShardedConfig{MaxBatch: 4}, mineBatch)
+		sh := setMaxBatch(newTestSharded(t, ShardedConfig{}, mineBatch), 4)
 		ts := httptest.NewServer(NewServer(sh, "").Handler())
 		defer func() {
 			ts.Close()
@@ -170,15 +170,21 @@ func FuzzServeSharded(f *testing.F) {
 		}
 		const mineBatch = 8
 		cfg := ShardedConfig{
-			Shards: S, WALDir: walDir, WALNoSync: true, StatePath: statePath,
-			MaxBatch: 4,
+			Shards: S, WALDir: walDir, StatePath: statePath,
 			NewDetector: func() *stream.Detector {
 				det := stream.New(core.Options{})
 				det.BatchSize = mineBatch
 				return det
 			},
 		}
-		sh, err := NewSharded(cfg)
+		boot := func() (*Sharded, error) {
+			sh, err := withoutFsync(NewSharded(cfg))
+			if err != nil {
+				return nil, err
+			}
+			return setMaxBatch(sh, 4), nil
+		}
+		sh, err := boot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +276,7 @@ func FuzzServeSharded(f *testing.F) {
 				if err := sh.Close(); err != nil {
 					t.Fatalf("op %d: close: %v", pc, err)
 				}
-				sh, err = NewSharded(cfg)
+				sh, err = boot()
 				if err != nil {
 					t.Fatalf("op %d: reboot: %v", pc, err)
 				}

@@ -35,6 +35,15 @@ func newTestSharded(t *testing.T, cfg ShardedConfig, mineBatch int) *Sharded {
 	return sh
 }
 
+// setMaxBatch lowers every shard's group-commit cap to n, so small
+// request mixes commit in more than one batch.
+func setMaxBatch(sh *Sharded, n int) *Sharded {
+	for _, s := range sh.shards {
+		s.maxBatch = n
+	}
+	return sh
+}
+
 // newTestServer wires a single-shard detector behind the HTTP front end
 // — the PR 5 daemon shape, which S=1 must reproduce byte-identically.
 func newTestServer(t *testing.T, mineBatch int, statePath string) (*httptest.Server, *Sharded) {

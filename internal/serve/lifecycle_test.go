@@ -51,11 +51,11 @@ func TestShardedLifecycleWALReplay(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := ShardedConfig{
-				Shards: tc.S, WALDir: dir, WALNoSync: true,
+				Shards: tc.S, WALDir: dir,
 				StatePath:   filepath.Join(dir, "state.json"),
 				NewDetector: lifecycleDetector(16),
 			}
-			sh, err := NewSharded(cfg)
+			sh, err := withoutFsync(NewSharded(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestShardedLifecycleWALReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sh2, err := NewSharded(cfg)
+			sh2, err := withoutFsync(NewSharded(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,10 +164,10 @@ func TestShardedLifecycleWALReplay(t *testing.T) {
 // vanish from, or be renamed in the operator-facing JSON.
 func TestShardedStatsRollup(t *testing.T) {
 	const S = 3
-	sh, err := NewSharded(ShardedConfig{
-		Shards: S, WALDir: t.TempDir(), WALNoSync: true,
+	sh, err := withoutFsync(NewSharded(ShardedConfig{
+		Shards: S, WALDir: t.TempDir(),
 		NewDetector: lifecycleDetector(16),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

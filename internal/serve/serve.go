@@ -4,7 +4,7 @@
 // and optional write-ahead log. A shard's write path is a
 // leader-follower group committer (the write path of LevelDB's
 // DBImpl::Write): the submitter that finds the queue empty leads. It
-// takes the commit lock, then up to MaxBatch queued documents, runs one
+// takes the commit lock, then up to batchCap queued documents, runs one
 // Detector.AddBatchTokens over them, appends their WAL records, hands
 // every follower its verdicts, and promotes the next queued request to
 // lead. A shard has no goroutine of its own.
@@ -62,7 +62,7 @@ type Counters struct {
 	// Docs counts documents ingested through group commits.
 	Docs int64 `json:"docs"`
 	// Batches counts group commits. BatchesBySize counts those that
-	// reached MaxBatch, BatchesByDrain those that took the whole queue
+	// reached the batch cap, BatchesByDrain those that took the whole queue
 	// short of it; the two partition Batches.
 	Batches        int64 `json:"batches"`
 	BatchesBySize  int64 `json:"batches_by_size"`
@@ -141,7 +141,8 @@ func ratio[T int | int64](num, den T) float64 {
 // single-writer, the group-commit queue that feeds it, its counters and
 // its write-ahead log.
 type shard struct {
-	det      *stream.Detector
+	det *stream.Detector
+	// maxBatch is batchCap; tests lower it to force small commits.
 	maxBatch int
 	// wal (nil when off) is appended by each group commit before any
 	// submitter sees its verdicts. A failed append is counted
@@ -167,14 +168,16 @@ type shard struct {
 	queueHW int
 }
 
-// newShard wraps det with no WAL; maxBatch <= 0 selects the default 256.
-// The caller hands over ownership: after this, det must only be touched
-// through the shard or under its commit lock.
-func newShard(det *stream.Detector, maxBatch int) *shard {
-	if maxBatch <= 0 {
-		maxBatch = 256
-	}
-	return &shard{det: det, maxBatch: maxBatch}
+// batchCap caps the documents one group commit takes from the queue. A
+// larger request is still one batch, never split. The cap changes
+// batching and latency, never verdicts.
+const batchCap = 256
+
+// newShard wraps det with no WAL. The caller hands over ownership: after
+// this, det must only be touched through the shard or under its commit
+// lock.
+func newShard(det *stream.Detector) *shard {
+	return &shard{det: det, maxBatch: batchCap}
 }
 
 // submit ingests texts and blocks until their batch commits, returning

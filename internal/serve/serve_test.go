@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -54,17 +53,6 @@ func submit(c *shard, texts []string) []Verdict {
 	return c.submit(texts, tk.All(texts, 1))
 }
 
-// writerFunc adapts a function to io.Writer: the device under fakeWAL.
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// fakeWAL is a write-ahead log over w with fsync off. Its buffer holds
-// any test batch, so each append reaches w in one Write.
-func fakeWAL(w io.Writer) *wal {
-	return &wal{w: bufio.NewWriterSize(w, 1<<20)}
-}
-
 // compareToReplay replays texts (indexed by document id) through a fresh
 // serial detector and fails unless det — a detector that ingested the
 // same documents in id order through any path — agrees on every
@@ -100,7 +88,7 @@ func compareToReplay(t *testing.T, det *stream.Detector, texts []string, mineBat
 
 // TestCoalesceConcurrentEquivalence is the headline determinism gate:
 // many clients submit concurrently (singles and small arrays, in every
-// MaxBatch mode), mining flushes fire mid-batch, a reader loops the
+// batch-cap mode), mining flushes fire mid-batch, a reader loops the
 // read side of the commit lock throughout, and the final detector state
 // must be byte-identical to feeding the same documents to a serial Add
 // loop in queue order — with ids as the arrival-order witness.
@@ -110,7 +98,7 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 		clients, perClient = 4, 25
 	}
 	for _, maxBatch := range []int{
-		0, // natural batching
+		0, // natural batching under the production cap
 		8, // tiny commit ceiling
 		16,
 	} {
@@ -118,7 +106,10 @@ func TestCoalesceConcurrentEquivalence(t *testing.T) {
 			det := stream.New(core.Options{})
 			const mineBatch = 32 // small, so mining fires mid-batch
 			det.BatchSize = mineBatch
-			c := newShard(det, maxBatch)
+			c := newShard(det)
+			if maxBatch > 0 {
+				c.maxBatch = maxBatch
+			}
 
 			total := clients * perClient
 			texts := make([]string, total)
@@ -216,14 +207,15 @@ func enqueueOrdered(c *shard, submit func() []Verdict, out chan<- []Verdict) {
 
 // TestCoalescePinnedBatch drives one exactly-known multi-request batch:
 // the commit lock is held, requests are enqueued in a pinned order
-// summing to MaxBatch, and the detector's mining threshold sits
+// summing to the batch cap, and the detector's mining threshold sits
 // mid-batch — the group-commit equivalent of a flush firing while the
 // batch coalesces. Verdicts must equal a serial replay sampled at batch
 // end, and the whole batch must commit by size.
 func TestCoalescePinnedBatch(t *testing.T) {
 	det := stream.New(core.Options{})
 	det.BatchSize = 7 // mining fires inside the coalesced batch
-	c := newShard(det, 12)
+	c := newShard(det)
+	c.maxBatch = 12
 
 	campaign := func(i int) string {
 		return fmt.Sprintf("limited offer buy the premium golden package today visit site%04d.example now", i)
@@ -301,7 +293,7 @@ func TestCoalescePinnedBatch(t *testing.T) {
 // were accepted, so Drain waits for them and every one gets full
 // verdicts; afterwards every entry point rejects with ErrClosed.
 func TestCoalesceShutdownDrain(t *testing.T) {
-	sh := newTestSharded(t, ShardedConfig{MaxBatch: 8}, 16)
+	sh := setMaxBatch(newTestSharded(t, ShardedConfig{}, 16), 8)
 	c := sh.shards[0]
 
 	release := holdCommit(c)
@@ -389,7 +381,8 @@ func TestCoalesceShutdownDrain(t *testing.T) {
 func TestCoalesceCounters(t *testing.T) {
 	det := stream.New(core.Options{})
 	det.BatchSize = 32
-	c := newShard(det, 8)
+	c := newShard(det)
+	c.maxBatch = 8
 
 	var wg sync.WaitGroup
 	for cl := 0; cl < 4; cl++ {
@@ -418,7 +411,7 @@ func TestCoalesceCounters(t *testing.T) {
 		t.Fatalf("histogram sum %d != batches %d", hist, s.Batches)
 	}
 	if s.MaxBatchDocs > 8+1 { // requests are never split, but arrive ≤2 docs
-		t.Fatalf("max batch %d exceeds MaxBatch growth bound", s.MaxBatchDocs)
+		t.Fatalf("max batch %d exceeds the maxBatch growth bound", s.MaxBatchDocs)
 	}
 }
 
@@ -433,7 +426,7 @@ const panicChildEnv = "INFOSHIELD_SERVE_COMMIT_PANIC_CHILD"
 // on stderr.
 func TestCommitPanicExits(t *testing.T) {
 	if os.Getenv(panicChildEnv) == "1" {
-		c := newShard(stream.New(core.Options{}), 0)
+		c := newShard(stream.New(core.Options{}))
 		c.wal = fakeWAL(writerFunc(func([]byte) (int, error) { panic("wal hook failed") }))
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			submit(c, []string{"big sale call now"})
@@ -484,5 +477,46 @@ func TestCommitWALFailure(t *testing.T) {
 			t.Fatalf("after commit %d: docs %d, commit_errs %d, wal.errors %d; want %d each",
 				i, ps.Serve.Docs, ps.Serve.CommitErrs, ps.WAL.Errors, i)
 		}
+	}
+}
+
+// TestCommitWALRecoversAfterFailedAppend drives three single-document
+// commits into a write-ahead log whose device tears the first append
+// (half its bytes land, then the write fails) and then recovers. The
+// failure is counted once, and the log must hold exactly the records of
+// commits 2 and 3: the torn bytes are rolled back, and the buffered
+// writer's error does not stick to later appends.
+func TestCommitWALRecoversAfterFailedAppend(t *testing.T) {
+	sh := newTestSharded(t, ShardedConfig{}, 0)
+	f := &memFile{failWrites: 1}
+	sh.shards[0].wal = newWAL("", f)
+	texts := []string{"big sale call now 1", "big sale call now 2", "big sale call now 3"}
+	for _, text := range texts {
+		if _, err := sh.Submit([]string{text}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := sh.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := st.PerShard[0]
+	if ps.Serve.Docs != 3 || ps.Serve.CommitErrs != 1 || ps.WAL.Errors != 1 || ps.WAL.Records != 2 {
+		t.Fatalf("docs %d, commit_errs %d, wal.errors %d, wal.records %d; want 3, 1, 1, 2",
+			ps.Serve.Docs, ps.Serve.CommitErrs, ps.WAL.Errors, ps.WAL.Records)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	// The log starts at document 1: replay it into a detector that holds
+	// document 0 already.
+	det := &stubDetector{next: 1}
+	good, replayed, err := newWAL("", f).replay(det, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good != int64(len(f.data)) || replayed != 2 || !reflect.DeepEqual(det.added, texts[1:]) {
+		t.Fatalf("replay read %d of %d bytes, %d records %q; want every byte and %q",
+			good, len(f.data), replayed, det.added, texts[1:])
 	}
 }

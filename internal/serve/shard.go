@@ -77,16 +77,9 @@ type ShardedConfig struct {
 	// disk before its submitter sees a verdict, and boot replays the log
 	// above the document count of the last snapshot's state.
 	WALDir string
-	// WALNoSync skips the per-commit fsync (tests and benchmarks; a
-	// production log should sync).
-	WALNoSync bool
 	// StatePath, when set, is loaded at construction if present: a
 	// version-2 sharded manifest as Snapshot and Drain write it.
 	StatePath string
-	// MaxBatch caps the documents one group commit ingests (default 256);
-	// a larger request is still one batch, never split. It changes
-	// batching and latency, never verdicts.
-	MaxBatch int
 	// NewDetector builds each shard's detector (default: stream.New with
 	// zero options). It must return a fresh, empty detector.
 	NewDetector func() *stream.Detector
@@ -132,10 +125,10 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 				return nil, fmt.Errorf("serve: shard %d state: %w", k, err)
 			}
 		}
-		sh := newShard(det, cfg.MaxBatch)
+		sh := newShard(det)
 		if cfg.WALDir != "" {
 			sh.wal, err = openWAL(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", k)),
-				det, det.NextID(), !cfg.WALNoSync)
+				det, det.NextID())
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d: %w", k, err)
 			}

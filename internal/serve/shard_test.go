@@ -85,7 +85,7 @@ func TestShardedEquivalence(t *testing.T) {
 		sh := newTestSharded(t, ShardedConfig{Shards: 1, NewDetector: shardMineDetector(mineBatch)}, 0)
 		det := stream.New(core.Options{})
 		det.BatchSize = mineBatch
-		c := newShard(det, 0)
+		c := newShard(det)
 
 		for i := 0; i < len(docs); {
 			k := 1 + i%3
@@ -248,11 +248,11 @@ func TestShardedWALReplay(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := ShardedConfig{
-				Shards: tc.S, WALDir: dir, WALNoSync: true,
+				Shards: tc.S, WALDir: dir,
 				StatePath:   filepath.Join(dir, "state.json"),
 				NewDetector: shardMineDetector(16),
 			}
-			sh, err := NewSharded(cfg)
+			sh, err := withoutFsync(NewSharded(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func TestShardedWALReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sh2, err := NewSharded(cfg)
+			sh2, err := withoutFsync(NewSharded(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,11 +363,11 @@ func TestShardedWALReplay(t *testing.T) {
 func TestShardedDrain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ShardedConfig{
-		Shards: 2, WALDir: dir, WALNoSync: true,
+		Shards: 2, WALDir: dir,
 		StatePath:   filepath.Join(dir, "state.json"),
 		NewDetector: shardMineDetector(1 << 30),
 	}
-	sh, err := NewSharded(cfg)
+	sh, err := withoutFsync(NewSharded(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestShardedDrain(t *testing.T) {
 		}
 	}
 
-	sh2, err := NewSharded(cfg)
+	sh2, err := withoutFsync(NewSharded(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,11 +433,11 @@ func TestShardedRestartKeepsVerdicts(t *testing.T) {
 			t.Run(fmt.Sprintf("S%d-%s", S, mode), func(t *testing.T) {
 				dir := t.TempDir()
 				cfg := ShardedConfig{
-					Shards: S, WALDir: dir, WALNoSync: true,
+					Shards: S, WALDir: dir,
 					StatePath:   filepath.Join(dir, "state.json"),
 					NewDetector: shardMineDetector(1 << 30),
 				}
-				sh, err := NewSharded(cfg)
+				sh, err := withoutFsync(NewSharded(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -506,7 +506,7 @@ func TestShardedRestartKeepsVerdicts(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				sh2, err := NewSharded(cfg)
+				sh2, err := withoutFsync(NewSharded(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -25,12 +26,16 @@ import (
 //
 // The log is only truncated by graceful drain, after the final snapshot
 // commits; live snapshots leave it intact and replay simply skips the
-// records the snapshot already absorbed.
+// records the snapshot already absorbed. A failed append is rolled back
+// to the end of the last commit written whole, so it leaves no partial
+// line behind and later appends still reach the file.
 type wal struct {
 	path string
-	f    *os.File
+	f    walFile
 	w    *bufio.Writer
-	sync bool
+	// end is the offset just past the last commit written whole: where
+	// the next append starts and where a failed one rolls back to.
+	end int64
 
 	// recs is append's record scratch, guarded by the commit lock.
 	recs []walRecord
@@ -51,9 +56,9 @@ type WALStats struct {
 	// Records and Bytes count what this process appended (replayed
 	// records are not re-appended; Replayed counts those separately).
 	Records int64 `json:"records"`
-	// Batches counts appended group commits and Syncs
-	// the fsyncs issued (equal unless fsync is disabled). Records/Batches
-	// is the WAL's amortization factor.
+	// Batches counts appended group commits and Syncs the fsyncs
+	// issued, one per append or flush marker. Records/Batches is the
+	// WAL's amortization factor.
 	Batches int64 `json:"batches"`
 	// Flushes counts explicit flush markers logged (operator-triggered
 	// mining passes are part of the event sequence replay reproduces).
@@ -62,7 +67,8 @@ type WALStats struct {
 	Syncs   int64 `json:"syncs"`
 	// Replayed counts records re-ingested at boot.
 	Replayed int64 `json:"replayed"`
-	// Errors counts append/fsync failures (durability degraded).
+	// Errors counts failed appends (their records are not on disk) and
+	// failed fsyncs.
 	Errors int64 `json:"errors"`
 }
 
@@ -79,35 +85,57 @@ type walRecord struct {
 	Flush bool   `json:"flush,omitempty"`
 }
 
+// walFile is the file under a wal. *os.File satisfies it; tests
+// substitute an in-memory file or wrap the opened one.
+type walFile interface {
+	io.ReadWriteSeeker
+	io.Closer
+	Truncate(size int64) error
+	Sync() error
+}
+
+// newWAL returns a log that appends to f from its current offset.
+func newWAL(path string, f walFile) *wal {
+	return &wal{path: path, f: f, w: bufio.NewWriter(f)}
+}
+
 // openWAL opens (creating if absent) the shard WAL at path, replays
 // records with id >= hwm into det — verifying the detector reassigns
 // exactly the logged ids — truncates any torn tail, and leaves the file
 // positioned for appends. hwm is det's document count (its NextID): the
 // records below it are already in det's restored state.
-func openWAL(path string, det detectorReplay, hwm int, fsync bool) (*wal, error) {
+func openWAL(path string, det detectorReplay, hwm int) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{path: path, f: f, sync: fsync}
+	w := newWAL(path, f)
 	good, replayed, err := w.replay(det, hwm)
+	if err == nil {
+		// Drop the torn tail (and anything after a corrupt line) so the
+		// next append starts at a record boundary.
+		err = w.rewind(good)
+	}
 	if err != nil {
 		_ = f.Close()
 		return nil, err
 	}
-	// Drop the torn tail (and anything after a corrupt line) so the next
-	// append starts at a record boundary.
-	if err := f.Truncate(good); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
 	w.replayed.Store(int64(replayed))
-	w.w = bufio.NewWriter(f)
 	return w, nil
+}
+
+// rewind truncates the file to off, moves the append offset there and
+// discards anything buffered.
+func (w *wal) rewind(off int64) error {
+	w.w.Reset(w.f)
+	if err := w.f.Truncate(off); err != nil {
+		return err
+	}
+	if _, err := w.f.Seek(off, io.SeekStart); err != nil {
+		return err
+	}
+	w.end = off
+	return nil
 }
 
 // detectorReplay is the slice of stream.Detector replay needs; a narrow
@@ -167,8 +195,8 @@ func (w *wal) replay(det detectorReplay, hwm int) (good int64, replayed int, err
 }
 
 // append logs one committed batch: every record, one writer flush, one
-// fsync (policy permitting). The shard's group-commit leader calls it
-// before the batch's submitters are acked.
+// fsync. The shard's group-commit leader calls it before the batch's
+// submitters are acked.
 func (w *wal) append(ids []int, texts []string) error {
 	recs := w.recs[:0]
 	for i := range ids {
@@ -195,51 +223,56 @@ func (w *wal) appendFlush() error {
 }
 
 // write appends recs as JSON lines, flushes the buffered writer, and
-// fsyncs (policy permitting). Any failure counts as a WAL error.
+// fsyncs. Any failure counts as a WAL error. A failed write or flush
+// rewinds the file to the end of the last commit written whole: the
+// buffered writer keeps its first error forever, and a partial line
+// would end the next replay's scan there.
 func (w *wal) write(recs []walRecord) (err error) {
 	defer func() {
 		if err != nil {
 			w.errs.Add(1)
 		}
 	}()
+	n, err := w.encode(recs)
+	if err == nil {
+		err = w.w.Flush()
+	}
+	if err != nil {
+		return errors.Join(err, w.rewind(w.end))
+	}
+	w.end += n
+	w.bytes.Add(n)
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.syncs.Add(1)
+	return nil
+}
+
+// encode buffers recs as JSON lines and returns the bytes buffered.
+func (w *wal) encode(recs []walRecord) (int64, error) {
 	n := int64(0)
 	for _, rec := range recs {
 		b, err := json.Marshal(rec)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if _, err := w.w.Write(b); err != nil {
-			return err
+			return 0, err
 		}
 		if err := w.w.WriteByte('\n'); err != nil {
-			return err
+			return 0, err
 		}
 		n += int64(len(b)) + 1
 	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		w.syncs.Add(1)
-	}
-	w.bytes.Add(n)
-	return nil
+	return n, nil
 }
 
 // truncate empties the log. Only called after a drain snapshot has
 // committed (so every logged record is absorbed by the on-disk state)
 // and after the accept gate has closed (so no append races it).
 func (w *wal) truncate() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+	if err := w.rewind(0); err != nil {
 		return err
 	}
 	return w.f.Sync()

@@ -1,11 +1,110 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// writerFunc adapts a function to io.Writer: the device under fakeWAL.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// fakeWAL is a write-ahead log whose file is the bare device w.
+func fakeWAL(w io.Writer) *wal { return newWAL("", deviceFile{w}) }
+
+// deviceFile is a walFile that only writes: reads see an empty file, and
+// seeks, truncations, fsyncs and Close do nothing.
+type deviceFile struct{ io.Writer }
+
+func (deviceFile) Read([]byte) (int, error)       { return 0, io.EOF }
+func (deviceFile) Seek(int64, int) (int64, error) { return 0, nil }
+func (deviceFile) Truncate(int64) error           { return nil }
+func (deviceFile) Sync() error                    { return nil }
+func (deviceFile) Close() error                   { return nil }
+
+// memFile is an in-memory walFile. While failWrites is positive, each
+// Write lands the first half of its bytes, fails, and decrements it: a
+// torn append on a device that then recovers.
+type memFile struct {
+	data       []byte
+	pos        int64
+	failWrites int
+}
+
+func (f *memFile) Read(p []byte) (int, error) {
+	if f.pos >= int64(len(f.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data[f.pos:])
+	f.pos += int64(n)
+	return n, nil
+}
+
+func (f *memFile) Write(p []byte) (int, error) {
+	var err error
+	if f.failWrites > 0 {
+		f.failWrites--
+		p, err = p[:len(p)/2], errors.New("disk full")
+	}
+	if end := f.pos + int64(len(p)); end > int64(len(f.data)) {
+		f.data = append(f.data, make([]byte, end-int64(len(f.data)))...)
+	}
+	f.pos += int64(copy(f.data[f.pos:], p))
+	return len(p), err
+}
+
+func (f *memFile) Seek(off int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekCurrent:
+		off += f.pos
+	case io.SeekEnd:
+		off += int64(len(f.data))
+	}
+	if off < 0 {
+		return 0, errors.New("memFile: negative offset")
+	}
+	f.pos = off
+	return off, nil
+}
+
+func (f *memFile) Truncate(size int64) error {
+	if size <= int64(len(f.data)) {
+		f.data = f.data[:size]
+	} else {
+		f.data = append(f.data, make([]byte, size-int64(len(f.data)))...)
+	}
+	return nil
+}
+
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }
+
+// noSyncFile is a WAL file whose fsync does nothing.
+type noSyncFile struct{ walFile }
+
+func (noSyncFile) Sync() error { return nil }
+
+// withoutFsync wraps every WAL file NewSharded opened in a noSyncFile.
+// These tests never lose the host, so the device's durability is not
+// under test, and an fsync per group commit slows the sharded fuzzer
+// from thousands of programs a burst to a handful.
+func withoutFsync(sh *Sharded, err error) (*Sharded, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range sh.shards {
+		if w := s.wal; w != nil {
+			w.f = noSyncFile{w.f}
+			w.w.Reset(w.f)
+		}
+	}
+	return sh, nil
+}
 
 // stubDetector records the replay calls the WAL makes, standing in for a
 // stream.Detector restored from a state holding some number of documents.
@@ -26,7 +125,7 @@ func (s *stubDetector) Flush() { s.flushes++ }
 func TestWALAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 
-	w, err := openWAL(path, &stubDetector{}, 0, false)
+	w, err := openWAL(path, &stubDetector{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +148,7 @@ func TestWALAppendReplay(t *testing.T) {
 
 	// Full replay from scratch: every record, in order, flush included.
 	det := &stubDetector{}
-	w2, err := openWAL(path, det, 0, false)
+	w2, err := openWAL(path, det, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +170,7 @@ func TestWALAppendReplay(t *testing.T) {
 	// skip (the flush marker below hwm too — it is folded into the
 	// snapshot), the detector resumes at hwm.
 	det3 := &stubDetector{next: 4}
-	w3, err := openWAL(path, det3, 4, false)
+	w3, err := openWAL(path, det3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +184,7 @@ func TestWALAppendReplay(t *testing.T) {
 // snapshot point is re-executed (pos >= hwm) while one before it is not.
 func TestWALFlushMarkerAtBoundary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWAL(path, &stubDetector{}, 0, false)
+	w, err := openWAL(path, &stubDetector{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +197,7 @@ func TestWALFlushMarkerAtBoundary(t *testing.T) {
 	}
 
 	det := &stubDetector{next: 2}
-	w2, err := openWAL(path, det, 2, false)
+	w2, err := openWAL(path, det, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +215,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 
 	det := &stubDetector{}
-	w, err := openWAL(path, det, 0, false)
+	w, err := openWAL(path, det, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +235,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 
 	det2 := &stubDetector{}
-	w2, err := openWAL(path, det2, 0, false)
+	w2, err := openWAL(path, det2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +253,14 @@ func TestWALStateLogMismatch(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"id":7,"text":"aa"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openWAL(path, &stubDetector{}, 0, false); err == nil {
+	if _, err := openWAL(path, &stubDetector{}, 0); err == nil {
 		t.Fatal("id mismatch replay did not error")
 	}
 }
 
 func TestWALTruncate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWAL(path, &stubDetector{}, 0, false)
+	w, err := openWAL(path, &stubDetector{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +279,7 @@ func TestWALTruncate(t *testing.T) {
 		t.Fatalf("truncated log size %d, want 0", info.Size())
 	}
 	det := &stubDetector{}
-	w2, err := openWAL(path, det, 0, false)
+	w2, err := openWAL(path, det, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,12 +356,38 @@ func fuzzStreamDocs(data string) []string {
 	return texts
 }
 
+// derivedTemplates is the number of templates FuzzStreamOps registers
+// in lifecycle mode: evicting all but the 3-template cap leaves at least
+// rebuildMinTombs tombstones.
+const derivedTemplates = rebuildMinTombs + 8
+
+// registerDerived registers derivedTemplates templates built from the
+// fuzz documents' words. Every token carries an upper-case prefix, which
+// the lower-casing tokenizer never emits, so no document matches them
+// and the first mining pass still sees every buffered document. Template
+// i is a unique marker token followed by document i's words, so
+// templates of the same document share postings chains.
+func registerDerived(t *testing.T, d *Detector, texts []string) {
+	t.Helper()
+	for i := 0; i < derivedTemplates; i++ {
+		words := []string{fmt.Sprintf("R%d", i)}
+		for _, w := range strings.Fields(texts[i%len(texts)]) {
+			words = append(words, "R"+w)
+		}
+		if _, err := d.Register(words, make([]bool, len(words))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // FuzzStreamOps drives interleaved Add / AddBatch / Flush / persist
 // round-trips on two detectors — one fed serially, one in batches with
 // Workers: 4 — and requires identical verdicts, templates, and stats at
 // every step. This generalizes the two equivalence gates above from
 // pinned corpora to arbitrary interleavings. The lifecycle bit turns on
-// the incremental miner, MDL merge and a 3-template cap. After every
+// the incremental miner, MDL merge and a 3-template cap, and first
+// registers derivedTemplates templates on both detectors, so the first
+// mining pass evicts enough of them to rebuild the index. After every
 // step, each detector's window DF table is checked against a fresh count
 // and its tiered index against a from-scratch rebuild (checkIndex), so
 // the index is checked through eviction, merge and state round trips.
@@ -397,6 +423,10 @@ func FuzzStreamOps(f *testing.F) {
 		b := New(core.Options{Workers: 4})
 		b.BatchSize = 4
 		b.Lifecycle = lc
+		if lifecycle {
+			registerDerived(t, a, texts)
+			registerDerived(t, b, texts)
+		}
 
 		roundTrip := func(d *Detector) *Detector {
 			// No flush: Save carries the pending buffer (texts + ids), so

@@ -40,14 +40,25 @@ import (
 	"infoshield/internal/tokenize"
 )
 
-// Default parameter values. MaxN and TopFraction come from the paper;
-// RelativeFloor is this implementation's selection-quality guard (see the
-// Extractor field docs).
+// Default parameter values, from the paper.
 const (
-	DefaultMaxN          = 5
-	DefaultTopFraction   = 0.10
-	DefaultRelativeFloor = 0.4
+	DefaultMaxN        = 5
+	DefaultTopFraction = 0.10
 )
+
+// DefaultRelativeFloor is this implementation's selection-quality guard,
+// a constant rather than a setting: selection drops phrases whose idf
+// falls below this fraction of the document's best phrase idf
+// (equivalently, a document-frequency cap near N^0.6 when the document
+// has unique phrases). "Top phrases" means phrases comparably rare to the
+// document's rarest, not a quota filled with whatever ranks next: without
+// the floor, high-entropy documents spend leftover budget on ubiquitous
+// fillers (single CJK particles, common unigrams) whose hub-like document
+// frequency wires unrelated documents into one giant component. The floor
+// is on idf, not tf·idf, so a repeated common filler cannot buy its way
+// back in — while a large legitimate near-duplicate cluster (df = cluster
+// size, still sublinear in N) stays selectable.
+const DefaultRelativeFloor = 0.4
 
 // sep joins n-gram tokens into a single phrase-key string. US (unit
 // separator) cannot appear in tokens, which never contain control
@@ -67,19 +78,6 @@ type Extractor struct {
 	// (paper: top 10%). At least one phrase is always kept for non-empty
 	// documents.
 	TopFraction float64
-	// RelativeFloor drops phrases whose idf falls below this fraction of
-	// the document's best phrase idf (default 0.4 — equivalently, a
-	// document-frequency cap near N^0.6 when the document has unique
-	// phrases). "Top phrases" means phrases comparably rare to the
-	// document's rarest, not a quota filled with whatever ranks next:
-	// without the floor, high-entropy documents spend leftover budget on
-	// ubiquitous fillers (single CJK particles, common unigrams) whose
-	// hub-like document frequency wires unrelated documents into one
-	// giant component. The floor is on idf, not tf·idf, so a repeated
-	// common filler cannot buy its way back in — while a large legitimate
-	// near-duplicate cluster (df = cluster size, still sublinear in N)
-	// stays selectable.
-	RelativeFloor float64
 	// Workers bounds the extraction worker pool (<= 0: GOMAXPROCS). Any
 	// value produces identical output.
 	Workers int
@@ -100,13 +98,6 @@ func (e *Extractor) topFraction() float64 {
 	return e.TopFraction
 }
 
-func (e *Extractor) relativeFloor() float64 {
-	if e.RelativeFloor <= 0 {
-		return DefaultRelativeFloor
-	}
-	return e.RelativeFloor
-}
-
 // Selection is the output of TopPhraseIDs: each document's selected
 // phrases and per-stage wall times.
 type Selection struct {
@@ -123,8 +114,8 @@ type Selection struct {
 // holds reusable scratch, so one serves one goroutine; the zero value
 // must be Reset before use.
 type Selector struct {
-	frac, floor float64
-	idf         []float64 // idf[d] = log(n/d) for 1 ≤ d ≤ n; idf[0] = 0
+	frac float64
+	idf  []float64 // idf[d] = log(n/d) for 1 ≤ d ≤ n; idf[0] = 0
 
 	phraseIdf []float64 // per phrase of the document being selected
 	cand      []scored
@@ -143,11 +134,10 @@ type scored struct {
 	i      int32 // index of the phrase in the document's phrase list
 }
 
-// Reset prepares s to select with e's budget fraction and idf floor
-// against a DF table over n documents. The idf of every possible document
+// Reset prepares s to select with e's budget fraction against a DF table over n documents. The idf of every possible document
 // frequency is computed here, once, instead of once per phrase.
 func (s *Selector) Reset(e *Extractor, n int) {
-	s.frac, s.floor = e.topFraction(), e.relativeFloor()
+	s.frac = e.topFraction()
 	s.idf = slices.Grow(s.idf[:0], n+1)[:n+1]
 	s.idf[0] = 0
 	for d := 1; d <= n; d++ {
@@ -199,7 +189,7 @@ func (s *Selector) Select(dst []PhraseID, ps []Phrase, ids []int, vocab *tokeniz
 		}
 		maxIdf = max(maxIdf, idf[i])
 	}
-	floor := maxIdf * s.floor
+	floor := maxIdf * DefaultRelativeFloor
 	cand := s.cand[:0]
 	for i := range ps {
 		if p := &ps[i]; idf[i] > 0 && idf[i] >= floor {

@@ -474,7 +474,7 @@ func referenceTopPhrases(e *Extractor, docs [][]string) [][]string {
 			k = 1
 		}
 		covered := make([]bool, len(docs[i]))
-		floor := maxIdf * e.relativeFloor()
+		floor := maxIdf * DefaultRelativeFloor
 		var top []string
 		for _, c := range cand {
 			if len(top) >= k {
@@ -549,7 +549,7 @@ func TestHashedSelectionMatchesStringReference(t *testing.T) {
 	extractors := []Extractor{
 		{},
 		{MaxN: 2, TopFraction: 0.3},
-		{MaxN: 5, TopFraction: 0.05, RelativeFloor: 0.8},
+		{MaxN: 5, TopFraction: 0.05},
 	}
 	for name, docs := range corpora {
 		for _, base := range extractors {

@@ -3,7 +3,11 @@ package infoshield
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"infoshield/internal/datagen"
+	"infoshield/internal/stream"
 )
 
 func TestStreamDetectorFacade(t *testing.T) {
@@ -90,5 +94,52 @@ func TestStreamDetectorFacade(t *testing.T) {
 	id = s2.Add("flash sale grab the deluxe winter bundle now at shop0042.example today")
 	if tpl, pending := s2.Template(id); tpl < 0 || pending {
 		t.Errorf("loaded facade failed to match: tpl=%d pending=%v", tpl, pending)
+	}
+}
+
+// TestStreamDetectorSetLifecycle configures a facade detector through
+// SetLifecycle and an internal detector with the same Lifecycle. On a
+// drifting campaign stream both must assign every document alike, the
+// facade's live template count must never exceed the cap, and both the
+// cap and the incremental miner must have acted.
+func TestStreamDetectorSetLifecycle(t *testing.T) {
+	const maxTemplates, mineBatch = 4, 32
+	lc := StreamLifecycle{MaxTemplates: maxTemplates, Merge: true, Incremental: true}
+	s := NewStreamDetector(Config{}, mineBatch)
+	s.SetLifecycle(lc)
+	ref := stream.New(Config{}.toCore())
+	ref.BatchSize = mineBatch
+	ref.Lifecycle = lc
+
+	drift := datagen.NewDriftStream(datagen.DriftConfig{Seed: 5, Active: 6, ChurnEvery: 48})
+	docs := drift.Docs(0, 720)
+	check := func(step string, ids []int) {
+		t.Helper()
+		for _, id := range ids {
+			got, gotPending := s.Template(id)
+			if want := ref.Assignment(id); got != want.Template || gotPending != want.Pending {
+				t.Fatalf("%s doc %d: facade (%d, pending %v), stream.Detector %+v",
+					step, id, got, gotPending, want)
+			}
+		}
+		if live := s.NumLive(); live > maxTemplates {
+			t.Fatalf("%s: %d live templates, cap %d", step, live, maxTemplates)
+		}
+	}
+	var ids []int
+	for i := 0; i < len(docs); i += 16 {
+		chunk := docs[i:min(i+16, len(docs))]
+		got, want := s.AddBatch(chunk), ref.AddBatch(chunk)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("docs %d..: ids %v vs %v", i, got, want)
+		}
+		ids = append(ids, got...)
+		check(fmt.Sprintf("after doc %d", i+len(chunk)), got)
+	}
+	s.Flush()
+	ref.Flush()
+	check("final", ids)
+	if st := s.Stats(); st.Evicted == 0 || st.MineReused == 0 {
+		t.Fatalf("the cap evicted nothing or the incremental miner reused nothing: %+v", st.MineStats)
 	}
 }
