@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-vocab bench-record bench-all experiments
+.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-vocab bench-compact bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + the static-analysis test), build,
 ## and race-enabled tests.
@@ -42,7 +42,8 @@ fuzz:
 ## fuzz-stream: bounded bursts of the streaming fuzzers — the serve-path
 ## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,
 ## serial vs batched-parallel equivalence and each tiered index against
-## a rebuild, optionally with the incremental miner and lifecycle on)
+## a rebuild, optionally with the incremental miner and lifecycle on,
+## vocabulary compaction included)
 ## and the state loader (arbitrary
 ## bytes never panic Load; an accepted state reaches a Save fixpoint).
 ## Anchored patterns, as in fuzz-serve.
@@ -107,6 +108,12 @@ bench-fine:
 ## token and live-B/word, the heap live after GC per interned word.
 bench-vocab:
 	$(GO) test -bench='BenchmarkVocabEncode$$' -benchmem -benchtime 400000x -run '^$$' ./internal/tokenize
+
+## bench-compact: one lifecycle vocabulary compaction of a mine-drift
+## detector holding 64 live templates and a full 2,048-document retained
+## window: ns per compaction, the words before it and the words kept.
+bench-compact:
+	$(GO) test -bench='BenchmarkVocabCompact$$' -benchmem -run '^$$' ./internal/stream
 
 ## bench-record: the committed benchmark ledger. Runs every workload in
 ## BENCHMARK.json once, traced, at the harness's default seed (1) and run

@@ -213,7 +213,8 @@ func TestShardedStatsRollup(t *testing.T) {
 		"matcher": "band_retries band_runs bitdp_ns bitdp_pruned bitdp_runs bitmap_skips bound_ns " +
 			"cand_per_probe_hist_log2 candidates dp_pruned dp_runs dp_skip_rate exactdp_ns examined " +
 			"postings_walks probes walk_ns",
-		"lifecycle": "aged_out evicted flush_docs flushes live merged mine_clustered mine_reused mined reuse_rate",
+		"lifecycle": "aged_out evicted flush_docs flushes live merged mine_clustered mine_reused mined reuse_rate " +
+			"vocab_compactions vocab_dropped vocab_words",
 		"serve": "batch_size_hist batches batches_by_drain batches_by_size coalesce_wait_ns commit_errs " +
 			"docs max_batch_docs queue_high_water snapshot_lock_ns snapshots",
 		"wal": "batches bytes errors flushes records replayed syncs",
@@ -282,7 +283,8 @@ func TestShardedStatsRollup(t *testing.T) {
 
 	// The sums must be over live counters, not zeros.
 	lc := total["lifecycle"].(map[string]any)
-	if lc["evicted"].(float64)+lc["aged_out"].(float64)+lc["merged"].(float64) == 0 || lc["mine_reused"].(float64) == 0 {
+	if lc["evicted"].(float64)+lc["aged_out"].(float64)+lc["merged"].(float64) == 0 || lc["mine_reused"].(float64) == 0 ||
+		lc["vocab_words"].(float64) == 0 {
 		t.Fatalf("no lifecycle activity to roll up: %v", lc)
 	}
 	for k, b := range shards {

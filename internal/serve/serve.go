@@ -104,6 +104,9 @@ type LifecycleStats struct {
 	// Live is the live template count (Stats.Templates minus lifecycle
 	// tombstones).
 	Live int `json:"live"`
+	// VocabWords is the vocabulary's size, the V every cost is priced
+	// against; a bounded lifecycle keeps it near the live word count.
+	VocabWords int `json:"vocab_words"`
 	stream.MineStats
 	// ReuseRate is MineReused / MineClustered, 0 before any incremental
 	// flush.
@@ -382,7 +385,7 @@ func (sh *shard) stats() ShardStats {
 		Templates:   d.NumLive(),
 		PendingDocs: d.Pending(),
 		Matcher:     MatcherStats{MatchStats: ds.MatchStats},
-		Lifecycle:   LifecycleStats{Live: d.NumLive(), MineStats: ds.MineStats},
+		Lifecycle:   LifecycleStats{Live: d.NumLive(), VocabWords: d.VocabSize(), MineStats: ds.MineStats},
 		Serve:       sh.ctr,
 	}}
 	st.deriveRates()

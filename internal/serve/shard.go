@@ -348,6 +348,7 @@ func rollup(t *Stats, st Stats) {
 	t.PendingDocs += st.PendingDocs
 	t.Matcher.Add(st.Matcher.MatchStats)
 	t.Lifecycle.Live += st.Lifecycle.Live
+	t.Lifecycle.VocabWords += st.Lifecycle.VocabWords
 	t.Lifecycle.Add(st.Lifecycle.MineStats)
 	v, sv := &t.Serve, st.Serve
 	v.Docs += sv.Docs

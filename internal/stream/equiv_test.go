@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -380,110 +379,146 @@ func registerDerived(t *testing.T, d *Detector, texts []string) {
 	}
 }
 
+// fuzzCompactFloor is the compaction floor of FuzzStreamOps' lifecycle
+// mode: low enough that its seed corpus compacts the vocabulary.
+const fuzzCompactFloor = 8
+
+// checkDocTokens requires every pending and retained document's token
+// ids to decode to its text's tokens; texts[id] is document id's text.
+// A compaction or Load that renumbers the vocabulary must carry every
+// live document's words across.
+func checkDocTokens(t *testing.T, label string, d *Detector, texts []string) {
+	t.Helper()
+	check := func(kind string, id int, toks []int) {
+		if got, want := d.vocab.Decode(toks), d.tk.Tokens(texts[id]); !slices.Equal(got, want) {
+			t.Fatalf("%s: %s document %d decodes to %q, want %q", label, kind, id, got, want)
+		}
+	}
+	for i, id := range d.pendingIDs {
+		check("pending", id, d.pendingToks[i])
+	}
+	if d.mine != nil {
+		for _, doc := range d.mine.docs {
+			check("retained", doc.id, doc.toks)
+		}
+	}
+}
+
+// fuzzCampaigns is a FuzzStreamOps seed: four campaigns against a
+// 3-template cap. It mines and reuses the window across flushes, and
+// evicts (one doc per step) or snapshots the window mid-stream.
+const fuzzCampaigns = "win a cruise to bahamas call 555 now code a1\nnq1a nq1b nq1c nq1d\n" +
+	"win a cruise to bahamas call 555 now code b2\nnq2a nq2b nq2c nq2d\n" +
+	"win a cruise to bahamas call 555 now code c3\ncheap pills online fast ship rx 11\n" +
+	"nq3a nq3b nq3c\ncheap pills online fast ship rx 22\ncheap pills online fast ship rx 33\n" +
+	"hot singles near you tap here z1\nhot singles near you tap here z2\nnq4a nq4b nq4c\n" +
+	"hot singles near you tap here z3\nfree bitcoin giveaway send wallet now t1\n" +
+	"free bitcoin giveaway send wallet now t2\nfree bitcoin giveaway send wallet now t3"
+
 // FuzzStreamOps drives interleaved Add / AddBatch / Flush / persist
 // round-trips on two detectors — one fed serially, one in batches with
 // Workers: 4 — and requires identical verdicts, templates, and stats at
 // every step. This generalizes the two equivalence gates above from
 // pinned corpora to arbitrary interleavings. The lifecycle bit turns on
-// the incremental miner, MDL merge and a 3-template cap, and first
-// registers derivedTemplates templates on both detectors, so the first
-// mining pass evicts enough of them to rebuild the index. After every
-// step, each detector's window DF table is checked against a fresh count
-// and its tiered index against a from-scratch rebuild (checkIndex), so
-// the index is checked through eviction, merge and state round trips.
+// the incremental miner, MDL merge and a 3-template cap, lowers the
+// vocabulary compaction floor to fuzzCompactFloor, and first registers
+// derivedTemplates templates on both detectors, so the first mining pass
+// evicts enough of them to rebuild the index and passes compact the
+// vocabulary. After every step, each detector's window DF table is
+// checked against a fresh count, its tiered index against a
+// from-scratch rebuild (checkIndex), and its live documents' tokens
+// against their texts (checkDocTokens), so the index and the vocabulary
+// are checked through eviction, merge, compaction and state round trips.
 func FuzzStreamOps(f *testing.F) {
 	f.Add("big sale call now 555-0101\nbig sale call now 555-0102\nbig sale call now 555-0103\nunrelated chatter", uint32(0b10110), false)
 	f.Add("a b c d e\na b c d e\na b x d e\nnoise one two", uint32(0xffff), false)
 	f.Add("", uint32(1), false)
 	f.Add("big sale call now 555-0101\nbig sale call now 555-0102\nbig sale call now 555-0103\nunrelated chatter", uint32(0b10110), true)
-	// Four campaigns against a 3-template cap: mines and reuses the
-	// window across flushes, and evicts (one doc per step) or snapshots
-	// the window mid-stream.
-	campaigns := "win a cruise to bahamas call 555 now code a1\nnq1a nq1b nq1c nq1d\n" +
-		"win a cruise to bahamas call 555 now code b2\nnq2a nq2b nq2c nq2d\n" +
-		"win a cruise to bahamas call 555 now code c3\ncheap pills online fast ship rx 11\n" +
-		"nq3a nq3b nq3c\ncheap pills online fast ship rx 22\ncheap pills online fast ship rx 33\n" +
-		"hot singles near you tap here z1\nhot singles near you tap here z2\nnq4a nq4b nq4c\n" +
-		"hot singles near you tap here z3\nfree bitcoin giveaway send wallet now t1\n" +
-		"free bitcoin giveaway send wallet now t2\nfree bitcoin giveaway send wallet now t3"
-	f.Add(campaigns, uint32(0), true)
-	f.Add(campaigns, uint32(0x24924924), true)
+	f.Add(fuzzCampaigns, uint32(0), true)
+	f.Add(fuzzCampaigns, uint32(0x24924924), true)
 	f.Fuzz(func(t *testing.T, data string, schedule uint32, lifecycle bool) {
 		texts := fuzzStreamDocs(data)
 		if len(texts) == 0 {
 			t.Skip("no docs")
 		}
-		var lc Lifecycle
-		if lifecycle {
-			lc = Lifecycle{Incremental: true, Merge: true, MaxTemplates: 3}
-		}
-		a := New(core.Options{})
-		a.BatchSize = 4
-		a.Lifecycle = lc
-		b := New(core.Options{Workers: 4})
-		b.BatchSize = 4
-		b.Lifecycle = lc
-		if lifecycle {
-			registerDerived(t, a, texts)
-			registerDerived(t, b, texts)
-		}
+		streamOps(t, texts, schedule, lifecycle)
+	})
+}
 
-		roundTrip := func(d *Detector) *Detector {
+// TestStreamOpsSeedCompacts requires FuzzStreamOps' campaign seed to
+// compact the vocabulary, so the fuzzer's gates cover compaction. (The
+// seed's other schedule round-trips the state mid-stream, and each Load
+// starts the doubling afresh from the words it kept.)
+func TestStreamOpsSeedCompacts(t *testing.T) {
+	if n := streamOps(t, fuzzStreamDocs(fuzzCampaigns), 0, true); n == 0 {
+		t.Error("no vocabulary compaction")
+	}
+}
+
+// streamOps is FuzzStreamOps' body: it runs one schedule over texts and
+// returns the vocabulary compactions the serial detector ran.
+func streamOps(t *testing.T, texts []string, schedule uint32, lifecycle bool) int {
+	var lc Lifecycle
+	if lifecycle {
+		lc = Lifecycle{Incremental: true, Merge: true, MaxTemplates: 3}
+	}
+	a := New(core.Options{})
+	a.BatchSize = 4
+	a.Lifecycle = lc
+	b := New(core.Options{Workers: 4})
+	b.BatchSize = 4
+	b.Lifecycle = lc
+	if lifecycle {
+		a.compactFloor, b.compactFloor = fuzzCompactFloor, fuzzCompactFloor
+		registerDerived(t, a, texts)
+		registerDerived(t, b, texts)
+	}
+
+	step, compactions := 0, 0
+	for i := 0; i < len(texts); {
+		k := 1 + int(schedule>>(uint(step*3)%29)&3)
+		if i+k > len(texts) {
+			k = len(texts) - i
+		}
+		chunk := texts[i : i+k]
+		var aIDs []int
+		for _, tx := range chunk {
+			aIDs = append(aIDs, a.Add(tx))
+		}
+		bIDs := b.AddBatch(chunk)
+		if !reflect.DeepEqual(aIDs, bIDs) {
+			t.Fatalf("step %d: ids %v vs %v", step, aIDs, bIDs)
+		}
+		for _, id := range aIDs {
+			if av, bv := a.Assignment(id), b.Assignment(id); av != bv {
+				t.Fatalf("step %d doc %d: %+v vs %+v", step, id, av, bv)
+			}
+		}
+		switch schedule >> (uint(step) % 31) & 3 {
+		case 1:
+			a.Flush()
+			b.Flush()
+		case 2:
+			compactions += a.stats.VocabCompactions // Load starts the counters afresh
 			// No flush: Save carries the pending buffer (texts + ids), so
 			// the fuzzer exercises mid-buffer snapshots.
-			var buf bytes.Buffer
-			if err := d.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			fresh := New(d.Options)
-			fresh.BatchSize = d.BatchSize
-			fresh.Lifecycle = d.Lifecycle
-			if err := fresh.Load(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return fresh
+			a = restarted(t, a)
+			b = restarted(t, b)
 		}
-
-		step := 0
-		for i := 0; i < len(texts); {
-			k := 1 + int(schedule>>(uint(step*3)%29)&3)
-			if i+k > len(texts) {
-				k = len(texts) - i
-			}
-			chunk := texts[i : i+k]
-			var aIDs []int
-			for _, tx := range chunk {
-				aIDs = append(aIDs, a.Add(tx))
-			}
-			bIDs := b.AddBatch(chunk)
-			if !reflect.DeepEqual(aIDs, bIDs) {
-				t.Fatalf("step %d: ids %v vs %v", step, aIDs, bIDs)
-			}
-			for _, id := range aIDs {
-				if av, bv := a.Assignment(id), b.Assignment(id); av != bv {
-					t.Fatalf("step %d doc %d: %+v vs %+v", step, id, av, bv)
-				}
-			}
-			switch schedule >> (uint(step) % 31) & 3 {
-			case 1:
-				a.Flush()
-				b.Flush()
-			case 2:
-				a = roundTrip(a)
-				b = roundTrip(b)
-			}
-			checkMineDF(t, fmt.Sprintf("step %d serial", step), a)
-			checkMineDF(t, fmt.Sprintf("step %d batched", step), b)
-			checkIndex(t, fmt.Sprintf("step %d serial", step), a)
-			checkIndex(t, fmt.Sprintf("step %d batched", step), b)
-			i += k
-			step++
-		}
-		a.Flush()
-		b.Flush()
-		compareDetectors(t, "final", a, b)
-		if a.Stats().Counters() != b.Stats().Counters() {
-			t.Fatalf("stats %+v vs %+v", a.Stats(), b.Stats())
-		}
-	})
+		checkMineDF(t, fmt.Sprintf("step %d serial", step), a)
+		checkMineDF(t, fmt.Sprintf("step %d batched", step), b)
+		checkIndex(t, fmt.Sprintf("step %d serial", step), a)
+		checkIndex(t, fmt.Sprintf("step %d batched", step), b)
+		checkDocTokens(t, fmt.Sprintf("step %d serial", step), a, texts)
+		checkDocTokens(t, fmt.Sprintf("step %d batched", step), b, texts)
+		i += k
+		step++
+	}
+	a.Flush()
+	b.Flush()
+	compareDetectors(t, "final", a, b)
+	if a.Stats().Counters() != b.Stats().Counters() {
+		t.Fatalf("stats %+v vs %+v", a.Stats(), b.Stats())
+	}
+	return compactions + a.stats.VocabCompactions
 }

@@ -514,6 +514,11 @@ type MineStats struct {
 	// window would count every retained document every flush.
 	MineReused    int `json:"mine_reused"`
 	MineClustered int `json:"mine_clustered"`
+	// VocabCompactions counts lifecycle vocabulary compactions;
+	// VocabDropped the words they dropped, so words interned = the
+	// vocabulary size + VocabDropped.
+	VocabCompactions int `json:"vocab_compactions"`
+	VocabDropped     int `json:"vocab_dropped"`
 }
 
 // Add folds o's counters into s.
@@ -526,6 +531,8 @@ func (s *MineStats) Add(o MineStats) {
 	s.AgedOut += o.AgedOut
 	s.MineReused += o.MineReused
 	s.MineClustered += o.MineClustered
+	s.VocabCompactions += o.VocabCompactions
+	s.VocabDropped += o.VocabDropped
 }
 
 // Counters returns s with the wall-clock timing fields zeroed — the

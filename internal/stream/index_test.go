@@ -6,7 +6,6 @@ import (
 	"time"
 	"unsafe"
 
-	"infoshield/internal/core"
 	"infoshield/internal/datagen"
 )
 
@@ -175,35 +174,48 @@ func indexBytes(ix *tmplIndex) int {
 
 // TestIndexMemoryBoundedOnDrift streams the mine-drift configuration —
 // DriftStream seed 1, BatchSize 256, a 64-template cap, TTL 50000,
-// merge, incremental — to 25k and then 100k documents. The vocabulary
-// grows about 4× over that span; the index, whose live template set is
-// capped, must not grow with it. The set is still filling toward its cap
+// merge, incremental — to 25k and then 100k documents. The words
+// interned grow about 4× over that span; neither the index, whose live
+// template set is capped, nor the vocabulary, which the lifecycle
+// compacts, may grow with them. The set is still filling toward its cap
 // at 25k, and the table doubles once after that (1,024 to 2,048 slots);
 // the 1.25× bound leaves room for that one step, not for growth with the
-// vocabulary.
+// vocabulary. Every mining pass leaves the vocabulary under the
+// compaction trigger, so after each AddBatch it holds at most that plus
+// the words interned since the last call that flushed.
 func TestIndexMemoryBoundedOnDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 100k documents")
 	}
 	const first, n = 25000, 100000
 	docs := datagen.NewDriftStream(datagen.DriftConfig{Seed: 1}).Docs(0, n)
-	d := New(core.Options{})
-	d.BatchSize = 256
-	d.Lifecycle = Lifecycle{MaxTemplates: 64, TTL: 50000, Merge: true, Incremental: true}
+	d := driftDetector(defaultCompactFloor)
 	start := time.Now()
+	interned := func() int { return d.vocab.Size() + d.stats.VocabDropped }
+	sinceFlush, peak := interned(), 0
 	feed := func(lo, hi int) {
 		for ; lo < hi; lo += 16 {
+			before, flushes := interned(), d.stats.Flushes
 			d.AddBatch(docs[lo:min(lo+16, hi)])
+			if d.stats.Flushes != flushes {
+				sinceFlush = before
+			}
+			trigger := max(d.compactFloor, 2*d.vocabKept)
+			if size := d.vocab.Size(); size >= trigger+interned()-sinceFlush {
+				t.Fatalf("doc %d: vocabulary %d, over the trigger %d by more than the %d words interned since the last flush",
+					lo, size, trigger, interned()-sinceFlush)
+			}
+			peak = max(peak, d.vocab.Size())
 		}
 	}
 	feed(0, first)
-	bytes0, vocab0 := indexBytes(&d.index), d.vocab.Size()
+	bytes0, words0 := indexBytes(&d.index), interned()
 	feed(first, n)
-	bytes1, vocab1 := indexBytes(&d.index), d.vocab.Size()
-	t.Logf("%d docs: index %d B, vocabulary %d; %d docs: index %d B, vocabulary %d (%v)",
-		first, bytes0, vocab0, n, bytes1, vocab1, time.Since(start))
-	if vocab1 < 3*vocab0 {
-		t.Fatalf("vocabulary grew %d → %d: the stream no longer exercises growth", vocab0, vocab1)
+	bytes1, words1 := indexBytes(&d.index), interned()
+	t.Logf("%d docs: index %d B, %d words interned; %d docs: index %d B, %d words interned, vocabulary %d (peak %d, %d compactions) (%v)",
+		first, bytes0, words0, n, bytes1, words1, d.vocab.Size(), peak, d.stats.VocabCompactions, time.Since(start))
+	if words1 < 3*words0 {
+		t.Fatalf("words interned grew %d → %d: the stream no longer exercises growth", words0, words1)
 	}
 	if 4*bytes1 > 5*bytes0 {
 		t.Fatalf("index grew %d → %d B (> 1.25×) while the template set stayed capped", bytes0, bytes1)

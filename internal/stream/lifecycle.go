@@ -33,6 +33,9 @@ const (
 	// rebuildFraction triggers a rebuild once tombstones accumulated
 	// since the last one exceed 1/rebuildFraction of the live set.
 	rebuildFraction = 4
+	// defaultCompactFloor is the vocabulary size below which the
+	// lifecycle never compacts the vocabulary.
+	defaultCompactFloor = 1 << 17
 )
 
 // isDead reports whether template ti is a lifecycle tombstone.
@@ -151,7 +154,8 @@ func (d *Detector) tryMerge(ti int) {
 }
 
 // lifecyclePass runs after every mining pass: merge each new template,
-// age out stale ones, evict down to the cap, and compact the index when
+// age out stale ones, evict down to the cap, then compact the vocabulary
+// once it has doubled since the last compaction, or else the index when
 // tombstones pile up. Order matters and is fixed — merge first (a new
 // near-duplicate should fold into its twin, not evict it), then TTL,
 // then the cap — so replay reproduces the exact retirement sequence.
@@ -202,13 +206,40 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 			d.stats.Evicted++
 		}
 	}
-	if d.tombSinceRebuild >= rebuildMinTombs && d.tombSinceRebuild*rebuildFraction >= d.liveCount {
+	if d.vocab.Size() >= max(d.compactFloor, 2*d.vocabKept) {
+		d.compactVocab() // restore registers the live set into a fresh index
+	} else if d.tombSinceRebuild >= rebuildMinTombs && d.tombSinceRebuild*rebuildFraction >= d.liveCount {
 		d.rebuildIndex()
 	}
 }
 
+// compactVocab rebuilds the detector around a vocabulary of only the
+// words its live templates, pending buffer and retained window
+// reference: a fresh detector restores this one's capture — Load's own
+// path, so compaction and Save→Load are one operation — and takes over
+// its settings, counters, probe scratches and the miner's emptied
+// tables. The verdict column moves across uncopied, so a compaction
+// costs the live state, not the stream length. The old vocabulary is
+// dropped whole, never rewritten, and with it every id the old state
+// handed out; V falls to the live word count.
+func (d *Detector) compactVocab() {
+	ds := d.capture()
+	fresh := New(d.Options)
+	if d.mine != nil {
+		d.mine.reset()
+		fresh.mine = d.mine
+	}
+	fresh.restore(ds)
+	fresh.BatchSize, fresh.Lifecycle, fresh.compactFloor = d.BatchSize, d.Lifecycle, d.compactFloor
+	fresh.stats, fresh.scratches = d.stats, d.scratches
+	fresh.stats.VocabCompactions++
+	fresh.stats.VocabDropped += d.vocab.Size() - fresh.vocab.Size()
+	*d = *fresh
+	d.matchFn = d.matchChunk
+}
+
 // rebuildIndex re-registers every live template into a fresh tiered
-// index and fresh arenas, zeroing tombstoned payloads so their postings,
+// index and fresh arenas, dropping tombstoned payloads so their postings,
 // bucket aggregates, and arena bytes are actually reclaimed. Template
 // indices are preserved (tombstones keep a dead meta slot), so nothing
 // outside the index changes. The posting store is emptied in place rather
@@ -229,7 +260,9 @@ func (d *Detector) rebuildIndex() {
 	d.index = fresh
 	for ti := range d.templates {
 		if d.dead[ti] {
-			d.templates[ti] = Template{}
+			// Drop the payload; the historical count stays, as Load
+			// restores it.
+			d.templates[ti] = Template{DocCount: d.templates[ti].DocCount}
 			d.index.addDead()
 			continue
 		}

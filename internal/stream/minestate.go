@@ -134,6 +134,14 @@ func (ms *mineState) retain(slab []uint64, i, id int, toks []int, sel []uint64, 
 	return slab[len(sel):]
 }
 
+// reset empties the window and its DF table, keeping their storage and
+// the scratch, and restarts the flush epoch.
+func (ms *mineState) reset() {
+	ms.df.Reset()
+	ms.setDocs(ms.docs[:0])
+	ms.epoch = 0
+}
+
 // setDocs replaces the window with keep, a prefix of its own backing
 // array, dropping the references the array's tail still holds.
 func (ms *mineState) setDocs(keep []mineDoc) {

@@ -43,10 +43,13 @@ import (
 // JSON string. Derived state (the tiered index, slot vectors, DF table,
 // phrase selections) is rebuilt deterministically at load. Restored
 // state is a pure function of the file, so snapshot + write-ahead-log
-// replay is deterministic — it does not reproduce the pre-crash process
-// byte-for-byte (vocabulary ids, and with them phrase hashes, are
-// re-assigned at load). Earlier versions (1: templates only; 2: no
-// verdicts; 3: words spelled out per token) are rejected.
+// replay is deterministic. Load re-assigns vocabulary ids (and with them
+// phrase hashes and the vocabulary size V) to the live words only, which
+// is exactly what the lifecycle's vocabulary compaction does in process:
+// both run restore, so a restart reproduces a process that has just
+// compacted id for id (TestCompactRestartEquivalence). Earlier versions
+// (1: templates only; 2: no verdicts; 3: words spelled out per token)
+// are rejected.
 type stateV4 struct {
 	Version   int            `json:"version"`
 	Words     []byte         `json:"words,omitempty"`
@@ -64,107 +67,156 @@ type pendingState struct {
 // stateVersion is the only state version Load reads.
 const stateVersion = 4
 
-// wordTable numbers vocabulary ids by first use while Save walks the
-// state, and accumulates the Words blob.
+// wordTable numbers vocabulary ids by first use while capture walks
+// the state. Its words alias the vocabulary's arena.
 type wordTable struct {
 	vocab *tokenize.Vocab
-	ref   []uint32 // vocabulary id → table entry + 1; 0 until first use
-	n     uint32
-	words []byte
+	ids   []uint32 // vocabulary id → table entry + 1; 0 until first use
+	words []string
 }
 
-// appendToken appends tok's table reference to b, adding the word to the
-// table on first use.
-func (wt *wordTable) appendToken(b []byte, tok int) []byte {
-	if wt.ref[tok] == 0 {
-		w := wt.vocab.Word(tok)
-		wt.words = binary.AppendUvarint(wt.words, uint64(len(w)))
-		wt.words = append(wt.words, w...)
-		wt.n++
-		wt.ref[tok] = wt.n
+// ref returns tok's table reference, adding the word on first use.
+func (wt *wordTable) ref(tok int) uint32 {
+	if wt.ids[tok] == 0 {
+		wt.words = append(wt.words, wt.vocab.Word(tok))
+		wt.ids[tok] = uint32(len(wt.words))
 	}
-	return binary.AppendUvarint(b, uint64(wt.ref[tok]))
+	return wt.ids[tok]
+}
+
+// capture builds the detector's state as decode would read it back:
+// templates (including lifecycle tombstones), the pending buffer, the
+// incremental miner's retained window and every document's verdict, with
+// each token a reference into a word table numbered by first use over
+// the live templates and then the window. The words alias the
+// vocabulary, and the verdict column is the detector's own, not a copy.
+func (d *Detector) capture() *decodedState {
+	wt := wordTable{vocab: d.vocab, ids: make([]uint32, d.vocab.Size())}
+	ds := &decodedState{verdicts: d.verdicts, anyDead: d.anyDead}
+	n := 0
+	for ti := range d.templates {
+		n += len(d.templates[ti].Tokens)
+	}
+	if d.mine != nil {
+		for i := range d.mine.docs {
+			n += len(d.mine.docs[i].toks)
+		}
+	}
+	ds.refs = make([]uint32, 0, n)
+	wt.words = make([]string, 0, min(n, d.vocab.Size()))
+	ds.templates = make([]savedTemplate, len(d.templates))
+	for ti := range d.templates {
+		t := &d.templates[ti]
+		ts := &ds.templates[ti]
+		*ts = savedTemplate{docCount: t.DocCount, lastMatch: d.lastMatch[ti], forward: -1}
+		if d.isDead(ti) {
+			ts.dead, ts.forward = true, int(d.forward[ti])
+			continue
+		}
+		ts.lo = len(ds.refs)
+		for i, tok := range t.Tokens {
+			if t.Wild[i] {
+				ds.refs = append(ds.refs, 0)
+				continue
+			}
+			ds.refs = append(ds.refs, wt.ref(tok))
+		}
+		ts.hi = len(ds.refs)
+	}
+	if d.mine != nil {
+		ds.retained = make([]savedDoc, len(d.mine.docs))
+		for i := range d.mine.docs {
+			doc := &d.mine.docs[i]
+			rd := savedDoc{id: doc.id, age: d.mine.epoch - doc.epoch, lo: len(ds.refs)}
+			for _, tok := range doc.toks {
+				ds.refs = append(ds.refs, wt.ref(tok))
+			}
+			rd.hi = len(ds.refs)
+			ds.retained[i] = rd
+		}
+	}
+	ds.words = wt.words
+	ds.pending = make([]pendingState, len(d.pendingTexts))
+	for i, text := range d.pendingTexts {
+		ds.pending[i] = pendingState{ID: d.pendingIDs[i], Text: text}
+	}
+	return ds
+}
+
+// encode lays the state out in the version-4 blobs. Each blob is sized
+// up front for the common varint widths (a word reference under 2²¹
+// takes at most 3 bytes), so encoding a large state does not regrow it.
+func (ds *decodedState) encode() *stateV4 {
+	st := &stateV4{Version: stateVersion, Pending: ds.pending}
+	wordBytes := 0
+	for _, w := range ds.words {
+		wordBytes += len(w)
+	}
+	st.Words = countPrefix(len(ds.words), wordBytes+2*len(ds.words))
+	for _, w := range ds.words {
+		st.Words = binary.AppendUvarint(st.Words, uint64(len(w)))
+		st.Words = append(st.Words, w...)
+	}
+	split := len(ds.refs) // template references precede the window's
+	if len(ds.retained) > 0 {
+		split = ds.retained[0].lo
+	}
+	st.Templates = countPrefix(len(ds.templates), 12*len(ds.templates)+3*split)
+	for _, ts := range ds.templates {
+		st.Templates = binary.AppendUvarint(st.Templates, uint64(ts.docCount))
+		st.Templates = binary.AppendVarint(st.Templates, int64(ts.lastMatch))
+		if ts.dead {
+			st.Templates = binary.AppendUvarint(st.Templates, uint64(ts.forward+2))
+			continue
+		}
+		st.Templates = append(st.Templates, 0)
+		st.Templates = appendRefs(st.Templates, ds.refs[ts.lo:ts.hi])
+	}
+	st.Retained = countPrefix(len(ds.retained), 8*len(ds.retained)+3*(len(ds.refs)-split))
+	for _, rd := range ds.retained {
+		st.Retained = binary.AppendUvarint(st.Retained, uint64(rd.id))
+		st.Retained = binary.AppendUvarint(st.Retained, uint64(rd.age))
+		st.Retained = appendRefs(st.Retained, ds.refs[rd.lo:rd.hi])
+	}
+	st.Verdicts = countPrefix(len(ds.verdicts), 2*len(ds.verdicts))
+	for _, v := range ds.verdicts {
+		st.Verdicts = binary.AppendVarint(st.Verdicts, int64(v))
+	}
+	return st
+}
+
+// appendRefs appends a record's token count and its references.
+func appendRefs(b []byte, refs []uint32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(refs)))
+	for _, ref := range refs {
+		b = binary.AppendUvarint(b, uint64(ref))
+	}
+	return b
 }
 
 // Save serializes the detector: templates (including lifecycle
 // tombstones), the pending buffer, the incremental miner's retained
 // window, and every document's verdict — nothing is lost without a
-// flush. Records are written straight from the template arenas.
+// flush. It encodes exactly the state Load restores (see capture).
 func (d *Detector) Save(w io.Writer) error {
-	wt := wordTable{vocab: d.vocab, ref: make([]uint32, d.vocab.Size())}
-	tb := countPrefix(len(d.templates))
-	for ti := range d.templates {
-		t := &d.templates[ti]
-		tb = binary.AppendUvarint(tb, uint64(t.DocCount))
-		tb = binary.AppendVarint(tb, int64(d.lastMatch[ti]))
-		if d.isDead(ti) {
-			tb = binary.AppendUvarint(tb, uint64(d.forward[ti]+2))
-			continue
-		}
-		tb = append(tb, 0)
-		tb = binary.AppendUvarint(tb, uint64(len(t.Tokens)))
-		for i, tok := range t.Tokens {
-			if t.Wild[i] {
-				tb = append(tb, 0)
-				continue
-			}
-			tb = wt.appendToken(tb, tok)
-		}
-	}
-	var rb []byte
-	if d.mine != nil {
-		rb = countPrefix(len(d.mine.docs))
-		for i := range d.mine.docs {
-			doc := &d.mine.docs[i]
-			rb = binary.AppendUvarint(rb, uint64(doc.id))
-			rb = binary.AppendUvarint(rb, uint64(d.mine.epoch-doc.epoch))
-			rb = binary.AppendUvarint(rb, uint64(len(doc.toks)))
-			for _, tok := range doc.toks {
-				rb = wt.appendToken(rb, tok)
-			}
-		}
-	}
-	vb := countPrefix(len(d.verdicts))
-	for _, v := range d.verdicts {
-		vb = binary.AppendVarint(vb, int64(v))
-	}
-	st := stateV4{
-		Version:   stateVersion,
-		Words:     append(countPrefix(int(wt.n)), wt.words...),
-		Templates: tb,
-		Retained:  rb,
-		Verdicts:  vb,
-	}
-	for i, text := range d.pendingTexts {
-		st.Pending = append(st.Pending, pendingState{ID: d.pendingIDs[i], Text: text})
-	}
-	return json.NewEncoder(w).Encode(&st)
+	return json.NewEncoder(w).Encode(d.capture().encode())
 }
 
-// countPrefix starts a blob of n records with its count. A blob of no
-// records is empty, and its field is omitted.
-func countPrefix(n int) []byte {
+// countPrefix starts a blob of n records with its count, with room for
+// size more bytes. A blob of no records is empty, and its field is
+// omitted.
+func countPrefix(n, size int) []byte {
 	if n == 0 {
 		return nil
 	}
-	return binary.AppendUvarint(nil, uint64(n))
+	return binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+size), uint64(n))
 }
 
 // Load restores state saved by Save into a (typically fresh) detector,
-// merging after any templates it already holds. Document counts,
-// recency clocks and verdicts resume from the saved values. The tiered
-// index, slot vectors, DF table, and phrase selections are derived
-// state, not persisted: templates re-enter through register, pending
-// texts re-tokenize, and the retained window re-extracts — all
-// deterministic functions of the file, so a restored detector replays a
-// write-ahead log to the same verdicts every time. Vocabulary ids are
-// assigned on a word's first use, walking the templates, then the
-// pending texts, then the retained window, so the vocabulary size and
-// every posting come out as if each token had been added in that order.
-//
-// A state carrying documents or tombstones describes a whole detector —
-// its verdicts and forward pointers index its own templates by position
-// — and only loads into an empty one; template-only states merge
+// merging after any templates it already holds; see restore. A state
+// carrying documents or tombstones describes a whole detector — its
+// verdicts and forward pointers index its own templates by position —
+// and only loads into an empty one; template-only states merge
 // anywhere. The file is outside input: Load rejects it, before changing
 // anything, unless every blob decodes exactly, every index in it is in
 // range and every forward chain ends.
@@ -196,7 +248,24 @@ func (d *Detector) Load(r io.Reader) error {
 	if whole && (len(d.templates) > 0 || len(d.verdicts) > 0) {
 		return fmt.Errorf("stream: a state carrying documents or tombstones loads only into an empty detector")
 	}
+	d.restore(ds)
+	return nil
+}
 
+// restore appends a decoded (or captured) state to the detector. It is
+// the only code that assigns vocabulary ids to restored state, and both
+// Load and vocabulary compaction run it. Document counts, recency clocks
+// and verdicts resume from the state's values; the verdict column is
+// taken over, not copied, when the detector holds none. The tiered
+// index, slot vectors, DF table, and phrase selections are derived state:
+// templates re-enter through register, pending texts re-tokenize, and
+// the retained window re-extracts — all deterministic functions of the
+// state, so a restored detector replays a write-ahead log to the same
+// verdicts every time. Vocabulary ids are assigned on a word's first
+// use, walking the templates, then the pending texts, then the retained
+// window, so the vocabulary size and every posting come out as if each
+// token had been added in that order.
+func (d *Detector) restore(ds *decodedState) {
 	// ids maps a word-table entry to its vocabulary id + 1, assigned on
 	// first use.
 	ids := make([]int32, len(ds.words))
@@ -207,7 +276,11 @@ func (d *Detector) Load(r io.Reader) error {
 		}
 		return int(ids[k]) - 1
 	}
-	d.verdicts = append(d.verdicts, ds.verdicts...)
+	if len(d.verdicts) == 0 {
+		d.verdicts = ds.verdicts
+	} else {
+		d.verdicts = append(d.verdicts, ds.verdicts...)
+	}
 	// The live templates carry at most every word of the table and at
 	// most one word per token.
 	refs := 0
@@ -217,7 +290,8 @@ func (d *Detector) Load(r io.Reader) error {
 		}
 	}
 	d.reserve(len(ds.templates), min(len(ds.words), refs))
-	// decode rejected table entries no token uses, so this hint never
+	// Every table entry is used by some token (decode rejects one that
+	// is not, and capture lists only used words), so this hint never
 	// exceeds the state's token count.
 	wordBytes := 0
 	for _, w := range ds.words {
@@ -250,22 +324,28 @@ func (d *Detector) Load(r io.Reader) error {
 		d.register(Template{Tokens: toks, Wild: wild, DocCount: ts.docCount})
 		d.lastMatch[i] = ts.lastMatch
 	}
-	for _, p := range st.Pending {
+	for _, p := range ds.pending {
 		d.pendingTexts = append(d.pendingTexts, p.Text)
 		d.pendingToks = append(d.pendingToks, d.vocab.Encode(d.tk.Tokens(p.Text)))
 		d.pendingIDs = append(d.pendingIDs, p.ID)
 	}
 	if len(ds.retained) > 0 {
 		rtoks := make([][]int, len(ds.retained))
+		flat := make([]int, ds.retained[len(ds.retained)-1].hi-ds.retained[0].lo)
 		for i, rd := range ds.retained {
-			rtoks[i] = make([]int, rd.hi-rd.lo)
+			rtoks[i], flat = flat[:rd.hi-rd.lo:rd.hi-rd.lo], flat[rd.hi-rd.lo:]
 			for j, ref := range ds.refs[rd.lo:rd.hi] {
 				rtoks[i][j] = vocabID(ref)
 			}
 		}
 		// Selections are recomputed against the restored window — a
-		// deterministic function of the file, like everything above.
-		ms := &mineState{}
+		// deterministic function of the state, like everything above.
+		// Compaction hands over the old window's emptied tables, so
+		// re-admitting the window does not regrow them.
+		ms := d.mine
+		if ms == nil {
+			ms = &mineState{}
+		}
 		sels := ms.admit(rtoks, len(rtoks), d.mineExtractor(), d.vocab)
 		slab := make([]uint64, len(ms.phr.All())+len(ms.sel))
 		for i, rd := range ds.retained {
@@ -273,12 +353,14 @@ func (d *Detector) Load(r io.Reader) error {
 		}
 		d.mine = ms
 	}
-	return nil
+	d.vocabKept = d.vocab.Size()
 }
 
-// decodedState is a state's blobs decoded and bounds-checked, before any
-// of it touches the detector. Template and retained tokens share refs,
-// holding word-table entry + 1, or 0 for a slot.
+// decodedState is a detector's state independent of its vocabulary ids:
+// either a file's blobs decoded and bounds-checked, before any of it
+// touches the detector, or a live detector's capture. Template and
+// retained tokens share refs, holding word-table entry + 1, or 0 for a
+// slot.
 type decodedState struct {
 	words     []string
 	templates []savedTemplate

@@ -49,11 +49,16 @@ type Template struct {
 }
 
 // Lifecycle bounds the template set of a long-running detector so an
-// unbounded stream runs at bounded memory. The zero value disables every
-// mechanism, and a disabled lifecycle is gated byte-identical to the
-// pre-lifecycle detector (see TestLifecycleOffByteIdentical). All
-// decisions are clocked by document ids — pure functions of the ingest
-// sequence — so write-ahead-log replay reproduces them exactly.
+// unbounded stream runs at bounded memory. While any retiring mechanism
+// is on it bounds the vocabulary too: once the vocabulary has doubled
+// since it last kept only the words live state references (and holds at
+// least 2¹⁷ words), the mining pass rebuilds the detector from those
+// words, exactly as Load would (see compactVocab). The zero value
+// disables every mechanism, and a disabled lifecycle is gated
+// byte-identical to the pre-lifecycle detector (see
+// TestLifecycleOffByteIdentical). All decisions are clocked by document
+// ids — pure functions of the ingest sequence — so write-ahead-log
+// replay reproduces them exactly.
 type Lifecycle struct {
 	// MaxTemplates caps the live template count; each mining pass evicts
 	// least-recently-matched templates (ties: lowest DocCount, then
@@ -125,6 +130,12 @@ type Detector struct {
 	// first incremental flush).
 	mine *mineState
 
+	// compactFloor is the vocabulary size below which the lifecycle never
+	// compacts (defaultCompactFloor; tests lower it), and vocabKept the
+	// size restore left, at the last compaction or Load.
+	compactFloor int
+	vocabKept    int
+
 	// Template payloads are packed into arenas (contiguous blocks shared
 	// across templates) so the probe hot loop reads sequential memory.
 	tokA  arena[int]
@@ -160,9 +171,10 @@ type matchJob struct {
 // New creates an empty detector.
 func New(opt core.Options) *Detector {
 	d := &Detector{
-		BatchSize: 512,
-		Options:   opt,
-		vocab:     tokenize.NewVocab(),
+		BatchSize:    512,
+		Options:      opt,
+		vocab:        tokenize.NewVocab(),
+		compactFloor: defaultCompactFloor,
 	}
 	d.matchFn = d.matchChunk
 	return d
@@ -190,6 +202,10 @@ func (d *Detector) Templates() []Template { return d.templates }
 
 // Pending returns how many documents wait for the next mining pass.
 func (d *Detector) Pending() int { return len(d.pendingTexts) }
+
+// VocabSize returns the number of words the vocabulary holds: the V
+// every description length is priced against.
+func (d *Detector) VocabSize() int { return d.vocab.Size() }
 
 // TemplateInfo is a reporting view of one mined template: the pattern
 // renders constants verbatim and slots as "*", matching the batch

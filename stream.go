@@ -34,9 +34,10 @@ func NewStreamDetector(cfg Config, batchSize int) *StreamDetector {
 // ages out templates no document matched within the last TTL ingested,
 // Merge folds a freshly mined template into an existing near-duplicate
 // when MDL favors one template, and Incremental carries document
-// frequencies and recent unmatched documents across flushes. The zero
-// value keeps every mined template forever and re-mines only the
-// pending buffer.
+// frequencies and recent unmatched documents across flushes. With any
+// of the first three set, the vocabulary is periodically compacted to
+// the words live state uses. The zero value keeps every mined template
+// and word forever and re-mines only the pending buffer.
 type StreamLifecycle = stream.Lifecycle
 
 // SetLifecycle configures template aging, eviction, merging, and
