@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-vocab bench-compact bench-record bench-all experiments
+.PHONY: check test build loc vet race race-short fuzz fuzz-stream fuzz-serve fuzz-tfidf fuzz-align bench bench-coarse bench-fine bench-vocab bench-compact bench-record bench-all experiments
 
 ## check: the full gate — vet (go vet + the static-analysis test), build,
 ## and race-enabled tests.
@@ -10,6 +10,11 @@ check: vet
 
 build:
 	$(GO) build ./...
+
+## loc: the non-test Go line count (bench/ and testdata excluded), the
+## one size figure simplification changes report.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 ## vet: go vet plus the project's own static-analysis suite, whose gate
 ## is TestRepoSelfCheck in internal/analysis (maporder, floateq, ctxerr,

@@ -109,7 +109,13 @@ func run(args []string, stdout, stderr *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 0 {
+	// A negative cap or TTL would silently switch its bound off (only a
+	// positive value enables one), so every count flag must be 0 or more.
+	negative := min(*workers, *mineBatch, *maxTemplates, *templateTTL) < 0
+	if negative {
+		fmt.Fprintln(stderr, "infoshieldd: -workers, -mine-batch, -max-templates and -template-ttl must not be negative")
+	}
+	if negative || fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "usage: infoshieldd [flags]")
 		fs.PrintDefaults()
 		return 2

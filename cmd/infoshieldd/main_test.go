@@ -257,6 +257,33 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 }
 
+// TestDaemonNegativeFlags: a negative count flag exits 2 with the usage
+// text before anything starts; a negative cap or TTL would otherwise
+// switch its bound off. The state file is corrupt, so a daemon that
+// accepted the flag would exit 1 at boot instead of serving.
+func TestDaemonNegativeFlags(t *testing.T) {
+	dir := t.TempDir()
+	state := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(state, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"-max-templates", "-template-ttl", "-mine-batch", "-workers"} {
+		stderr, err := os.Create(filepath.Join(dir, "stderr"+name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := run([]string{"-state", state, name, "-1"}, devNull(t), stderr)
+		stderr.Close()
+		out, err := os.ReadFile(stderr.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 || !strings.Contains(string(out), "usage: infoshieldd") {
+			t.Errorf("%s -1: exit %d, stderr %q; want 2 and the usage text", name, code, out)
+		}
+	}
+}
+
 func TestDaemonBadStateFile(t *testing.T) {
 	sink := devNull(t)
 	path := filepath.Join(t.TempDir(), "corrupt.json")

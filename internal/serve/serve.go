@@ -306,18 +306,11 @@ func (sh *shard) snapshot() ([]byte, error) {
 	defer crashOnPanic()
 	start := time.Now()
 	sh.flushLocked()
-	state, err := sh.save()
+	var buf bytes.Buffer
+	err := sh.det.Save(&buf)
 	sh.ctr.SnapshotLockNs += time.Since(start).Nanoseconds()
 	sh.ctr.Snapshots++
 	sh.commit.Unlock()
-	return state, err
-}
-
-// save serializes the detector. The caller holds the commit lock or has
-// closed the accept gate.
-func (sh *shard) save() ([]byte, error) {
-	var buf bytes.Buffer
-	err := sh.det.Save(&buf)
 	return buf.Bytes(), err
 }
 

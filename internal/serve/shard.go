@@ -562,12 +562,12 @@ func atomicWrite(path string, b []byte) error {
 // Drain is the graceful-shutdown protocol, in order: (1) the accept
 // gate closes — taking it exclusively waits out every call in flight,
 // so every accepted request has its verdicts and its WAL records landed
-// before the ack, and no new request can reach any shard; (2) with the
-// detectors quiescent, each shard final-flushes its pending buffer;
-// (3) when path is set, the snapshot manifest is written (tmp+rename,
-// manifest last); (4) only after the manifest commits are the WALs
-// truncated — a crash anywhere earlier leaves a log that replays. Safe
-// to call after Close (no-op).
+// before the ack, and no new request can reach any shard; (2) when path
+// is set, each shard runs the snapshot step Snapshot runs — final-flush
+// its pending buffer (logged to its WAL) and save — and the manifest is
+// written (tmp+rename, manifest last); (3) only after the manifest
+// commits are the WALs truncated — a crash anywhere earlier leaves a log
+// that replays. Safe to call after Close (no-op).
 func (s *Sharded) Drain(path string) error {
 	s.mu.Lock()
 	if s.closed {
@@ -579,14 +579,8 @@ func (s *Sharded) Drain(path string) error {
 
 	var err error
 	if path != "" {
-		states := make([]json.RawMessage, s.n)
-		for k, sh := range s.shards {
-			sh.det.Flush()
-			if states[k], err = sh.save(); err != nil {
-				break
-			}
-		}
-		if err == nil {
+		var states []json.RawMessage
+		if states, err = s.collect(); err == nil {
 			_, err = s.writeManifest(path, states)
 		}
 		if err == nil {

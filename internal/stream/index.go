@@ -93,7 +93,7 @@ type tmplMeta struct {
 // bucket-level bound admissible for every member. live counts members
 // that are not lifecycle tombstones; the extrema are not tightened when a
 // member dies (they still dominate every live member, so the bound stays
-// admissible — merely looser until rebuildIndex compacts the bucket).
+// admissible — merely looser until a compaction rebuilds the bucket).
 type bucketInfo struct {
 	members []int32
 	live    int
@@ -254,17 +254,6 @@ func (ps *postingStore) grow(size int) {
 	}
 }
 
-// reset empties the store in place, keeping its table and chunk slab so
-// that re-registering the live set allocates nothing for a template set
-// no larger than before. A cleared slot is empty, so a probe reads every
-// token as it reads a token no template ever carried: no postings, not
-// saturated. Chains need no clearing: slot initializes a claimed one.
-func (ps *postingStore) reset() {
-	clear(ps.slots)
-	ps.used = 0
-	ps.chunks = ps.chunks[:0]
-}
-
 // add appends one posting, saturating the token once its chain would
 // exceed satThreshold (the chain is abandoned in place; orphaned chunks
 // cost memory, not probe time).
@@ -394,9 +383,9 @@ func (ix *tmplIndex) add(ti int, tokens []int, wild []bool) {
 }
 
 // addDead appends a tombstone slot to the meta table so template indices
-// stay aligned when rebuildIndex re-registers a template set that holds
-// retired templates: the slot joins no bucket and no postings chain, so
-// probes can never surface it.
+// stay aligned when restore registers a template set that holds retired
+// templates: the slot joins no bucket and no postings chain, so probes
+// can never surface it.
 func (ix *tmplIndex) addDead() {
 	ix.meta = append(ix.meta, tmplMeta{bucket: -1})
 }

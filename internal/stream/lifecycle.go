@@ -14,9 +14,9 @@ import (
 // Retirement never reindexes: a retired template becomes a tombstone
 // (dead[ti] = true) whose slot survives, so template ids handed to
 // callers stay stable across merges and evictions. The tiered index
-// skips tombstones at probe time (see match); once tombstones are a
-// meaningful fraction of the live set, rebuildIndex compacts postings,
-// bucket aggregates, and arenas in one pass.
+// skips tombstones at probe time (see match); once tombstones match the
+// live set in number, compact rebuilds the detector — postings, bucket
+// aggregates, arenas and vocabulary — from its live state in one pass.
 //
 // Every lifecycle decision is a pure function of the ingest sequence:
 // the recency clock is the document id (not wall time), merge candidates
@@ -26,13 +26,10 @@ import (
 // logging beyond the documents themselves.
 
 const (
-	// rebuildMinTombs is the tombstone count below which the index is
-	// never rebuilt (a handful of tombstones costs a few skipped
-	// postings, not a rebuild).
+	// rebuildMinTombs is the tombstone count below which tombstones
+	// never trigger a compaction (a handful of them costs a few skipped
+	// postings, not a compaction).
 	rebuildMinTombs = 32
-	// rebuildFraction triggers a rebuild once tombstones accumulated
-	// since the last one exceed 1/rebuildFraction of the live set.
-	rebuildFraction = 4
 	// defaultCompactFloor is the vocabulary size below which the
 	// lifecycle never compacts the vocabulary.
 	defaultCompactFloor = 1 << 17
@@ -56,13 +53,13 @@ func (d *Detector) resolve(ti int) int {
 
 // kill retires template ti into a tombstone, forwarding its assignments
 // to fwd (-1 for none). The index is not rebuilt here — probes skip the
-// tombstone via dead[] until rebuildIndex compacts it away.
+// tombstone via dead[] until compact drops it from the index.
 func (d *Detector) kill(ti int, fwd int32) {
 	d.dead[ti] = true
 	d.forward[ti] = fwd
 	d.anyDead = true
 	d.liveCount--
-	d.tombSinceRebuild++
+	d.tombSinceCompact++
 	if b := d.index.meta[ti].bucket; b >= 0 {
 		d.index.buckets[b].live--
 	}
@@ -154,11 +151,12 @@ func (d *Detector) tryMerge(ti int) {
 }
 
 // lifecyclePass runs after every mining pass: merge each new template,
-// age out stale ones, evict down to the cap, then compact the vocabulary
-// once it has doubled since the last compaction, or else the index when
-// tombstones pile up. Order matters and is fixed — merge first (a new
-// near-duplicate should fold into its twin, not evict it), then TTL,
-// then the cap — so replay reproduces the exact retirement sequence.
+// age out stale ones, evict down to the cap, then compact once the
+// vocabulary has doubled since the last compaction or the tombstones
+// retired since then reach max(rebuildMinTombs, live templates). Order
+// matters and is fixed — merge first (a new near-duplicate should fold
+// into its twin, not evict it), then TTL, then the cap — so replay
+// reproduces the exact retirement sequence.
 func (d *Detector) lifecyclePass(newTIs []int) {
 	lc := d.Lifecycle
 	if !lc.bounded() {
@@ -206,23 +204,24 @@ func (d *Detector) lifecyclePass(newTIs []int) {
 			d.stats.Evicted++
 		}
 	}
-	if d.vocab.Size() >= max(d.compactFloor, 2*d.vocabKept) {
-		d.compactVocab() // restore registers the live set into a fresh index
-	} else if d.tombSinceRebuild >= rebuildMinTombs && d.tombSinceRebuild*rebuildFraction >= d.liveCount {
-		d.rebuildIndex()
+	if d.vocab.Size() >= max(d.compactFloor, 2*d.vocabKept) ||
+		d.tombSinceCompact >= max(rebuildMinTombs, d.liveCount) {
+		d.compact()
 	}
 }
 
-// compactVocab rebuilds the detector around a vocabulary of only the
-// words its live templates, pending buffer and retained window
-// reference: a fresh detector restores this one's capture — Load's own
-// path, so compaction and Save→Load are one operation — and takes over
-// its settings, counters, probe scratches and the miner's emptied
-// tables. The verdict column moves across uncopied, so a compaction
+// compact rebuilds the detector from its live state: a fresh detector
+// restores this one's capture — Load's own path, so compaction and
+// Save→Load are one operation — and takes over its settings, counters,
+// probe scratches and the miner's emptied tables. restore registers only
+// the live templates into a fresh index and arenas (a tombstone keeps
+// its slot, its DocCount and a meta entry in no bucket), and interns only
+// the words the live templates, pending buffer and retained window
+// reference. The verdict column moves across uncopied, so a compaction
 // costs the live state, not the stream length. The old vocabulary is
 // dropped whole, never rewritten, and with it every id the old state
 // handed out; V falls to the live word count.
-func (d *Detector) compactVocab() {
+func (d *Detector) compact() {
 	ds := d.capture()
 	fresh := New(d.Options)
 	if d.mine != nil {
@@ -236,42 +235,4 @@ func (d *Detector) compactVocab() {
 	fresh.stats.VocabDropped += d.vocab.Size() - fresh.vocab.Size()
 	*d = *fresh
 	d.matchFn = d.matchChunk
-}
-
-// rebuildIndex re-registers every live template into a fresh tiered
-// index and fresh arenas, dropping tombstoned payloads so their postings,
-// bucket aggregates, and arena bytes are actually reclaimed. Template
-// indices are preserved (tombstones keep a dead meta slot), so nothing
-// outside the index changes. The posting store is emptied in place rather
-// than reallocated, so re-registering the live set reuses its table and
-// chunk slab; the clear costs the table's size, which follows the
-// templates registered since the last rebuild, not the vocabulary.
-func (d *Detector) rebuildIndex() {
-	old := &d.index
-	old.store.reset()
-	fresh := tmplIndex{
-		store:    old.store,
-		regPairs: old.regPairs, // pooled registration scratch
-		regToks:  old.regToks,
-		regMasks: old.regMasks,
-	}
-	var tokA arena[int]
-	var wildA arena[bool]
-	d.index = fresh
-	for ti := range d.templates {
-		if d.dead[ti] {
-			// Drop the payload; the historical count stays, as Load
-			// restores it.
-			d.templates[ti] = Template{DocCount: d.templates[ti].DocCount}
-			d.index.addDead()
-			continue
-		}
-		t := &d.templates[ti]
-		t.Tokens = tokA.copyIn(t.Tokens)
-		t.Wild = wildA.copyIn(t.Wild)
-		d.index.add(ti, t.Tokens, t.Wild)
-	}
-	d.tokA = tokA
-	d.wildA = wildA
-	d.tombSinceRebuild = 0
 }

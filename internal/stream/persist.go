@@ -92,7 +92,7 @@ func (wt *wordTable) ref(tok int) uint32 {
 // vocabulary, and the verdict column is the detector's own, not a copy.
 func (d *Detector) capture() *decodedState {
 	wt := wordTable{vocab: d.vocab, ids: make([]uint32, d.vocab.Size())}
-	ds := &decodedState{verdicts: d.verdicts, anyDead: d.anyDead}
+	ds := &decodedState{verdicts: d.verdicts}
 	n := 0
 	for ti := range d.templates {
 		n += len(d.templates[ti].Tokens)
@@ -212,15 +212,18 @@ func countPrefix(n, size int) []byte {
 	return binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+size), uint64(n))
 }
 
-// Load restores state saved by Save into a (typically fresh) detector,
-// merging after any templates it already holds; see restore. A state
-// carrying documents or tombstones describes a whole detector — its
-// verdicts and forward pointers index its own templates by position —
-// and only loads into an empty one; template-only states merge
-// anywhere. The file is outside input: Load rejects it, before changing
-// anything, unless every blob decodes exactly, every index in it is in
-// range and every forward chain ends.
+// Load restores state saved by Save into an empty detector (no
+// templates, no documents); see restore. A state describes a whole
+// detector — its verdicts and forward pointers index its own templates
+// by position — so Load never merges one into another. The file is
+// outside input: Load rejects it, before changing anything, unless every
+// blob decodes exactly, every index in it is in range and every forward
+// chain ends.
 func (d *Detector) Load(r io.Reader) error {
+	if len(d.templates) > 0 || len(d.verdicts) > 0 {
+		return fmt.Errorf("stream: state loads only into an empty detector, not one holding %d templates and %d documents",
+			len(d.templates), len(d.verdicts))
+	}
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("stream: read state: %w", err)
@@ -244,27 +247,22 @@ func (d *Detector) Load(r io.Reader) error {
 	if err := ds.validate(); err != nil {
 		return err
 	}
-	whole := len(ds.verdicts) > 0 || ds.anyDead
-	if whole && (len(d.templates) > 0 || len(d.verdicts) > 0) {
-		return fmt.Errorf("stream: a state carrying documents or tombstones loads only into an empty detector")
-	}
 	d.restore(ds)
 	return nil
 }
 
-// restore appends a decoded (or captured) state to the detector. It is
-// the only code that assigns vocabulary ids to restored state, and both
-// Load and vocabulary compaction run it. Document counts, recency clocks
-// and verdicts resume from the state's values; the verdict column is
-// taken over, not copied, when the detector holds none. The tiered
-// index, slot vectors, DF table, and phrase selections are derived state:
-// templates re-enter through register, pending texts re-tokenize, and
-// the retained window re-extracts — all deterministic functions of the
-// state, so a restored detector replays a write-ahead log to the same
-// verdicts every time. Vocabulary ids are assigned on a word's first
-// use, walking the templates, then the pending texts, then the retained
-// window, so the vocabulary size and every posting come out as if each
-// token had been added in that order.
+// restore builds a decoded (or captured) state into an empty detector.
+// It is the only code that assigns vocabulary ids to restored state, and
+// both Load and compaction run it. Document counts, recency clocks and
+// verdicts resume from the state's values; the verdict column is taken
+// over, not copied. The tiered index, slot vectors, DF table, and phrase
+// selections are derived state: templates re-enter through register,
+// pending texts re-tokenize, and the retained window re-extracts — all
+// deterministic functions of the state, so a restored detector replays
+// a write-ahead log to the same verdicts every time. Vocabulary ids are
+// assigned on a word's first use, walking the templates, then the
+// pending texts, then the retained window, so the vocabulary size and
+// every posting come out as if each token had been added in that order.
 func (d *Detector) restore(ds *decodedState) {
 	// ids maps a word-table entry to its vocabulary id + 1, assigned on
 	// first use.
@@ -276,11 +274,7 @@ func (d *Detector) restore(ds *decodedState) {
 		}
 		return int(ids[k]) - 1
 	}
-	if len(d.verdicts) == 0 {
-		d.verdicts = ds.verdicts
-	} else {
-		d.verdicts = append(d.verdicts, ds.verdicts...)
-	}
+	d.verdicts = ds.verdicts
 	// The live templates carry at most every word of the table and at
 	// most one word per token.
 	refs := 0
@@ -368,7 +362,6 @@ type decodedState struct {
 	refs      []uint32
 	verdicts  []int32
 	pending   []pendingState
-	anyDead   bool
 }
 
 type savedTemplate struct {
@@ -506,7 +499,6 @@ func (st *stateV4) decode() (*decodedState, error) {
 		ts := savedTemplate{docCount: tr.int(), lastMatch: int(tr.varint()), forward: -1}
 		if f := tr.int(); f > 0 {
 			ts.dead, ts.forward = true, f-2
-			ds.anyDead = true
 		} else {
 			n := tr.length(1)
 			ts.lo = len(ds.refs)

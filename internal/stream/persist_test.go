@@ -21,10 +21,9 @@ type refPosting struct{ template, count int }
 // probe reads: token → postings (template ascending, as registration
 // appends), the saturated-token set, and the per-bucket membership.
 // Templates whose meta bucket is -1 never entered the current index
-// build (tombstones compacted away by rebuildIndex, or dead slots
-// restored by Load) and are excluded; tombstones killed since the last
-// rebuild still hold postings and membership, exactly as the live index
-// does.
+// build (dead slots restored by Load or a compaction) and are excluded;
+// tombstones killed since the last compaction still hold postings and
+// membership, exactly as the live index does.
 func expectedIndex(d *Detector) (post map[int][]refPosting, sat map[int]bool, members [numBuckets][]int32) {
 	templates := d.templates
 	post = make(map[int][]refPosting)

@@ -50,10 +50,12 @@ type Template struct {
 
 // Lifecycle bounds the template set of a long-running detector so an
 // unbounded stream runs at bounded memory. While any retiring mechanism
-// is on it bounds the vocabulary too: once the vocabulary has doubled
-// since it last kept only the words live state references (and holds at
-// least 2¹⁷ words), the mining pass rebuilds the detector from those
-// words, exactly as Load would (see compactVocab). The zero value
+// is on it bounds the vocabulary and the index too: once the vocabulary
+// has doubled since it last kept only the words live state references
+// (and holds at least 2¹⁷ words), or the templates retired since then
+// match the live ones in number (and are at least 32), the mining pass
+// rebuilds the detector from its live state, exactly as Load would (see
+// compact). The zero value
 // disables every mechanism, and a disabled lifecycle is gated
 // byte-identical to the pre-lifecycle detector (see
 // TestLifecycleOffByteIdentical). All decisions are clocked by document
@@ -121,10 +123,10 @@ type Detector struct {
 	lastMatch []int
 	liveCount int
 	anyDead   bool
-	// tombSinceRebuild counts tombstones accumulated since the tiered
-	// index was last rebuilt; rebuildIndex compacts their postings away
-	// once they are a meaningful fraction of the live set.
-	tombSinceRebuild int
+	// tombSinceCompact counts tombstones retired since the last
+	// compaction (or Load); once they match the live set in number, the
+	// lifecycle pass compacts their postings and payloads away.
+	tombSinceCompact int
 
 	// mine is the incremental miner's cross-flush state (nil until the
 	// first incremental flush).
@@ -216,8 +218,8 @@ type TemplateInfo struct {
 	DocCount int
 	// Dead marks a lifecycle tombstone (merged away, aged out, or
 	// evicted); its slot survives so template ids stay stable, but it no
-	// longer matches documents and its pattern may be empty after an
-	// index rebuild reclaims the payload.
+	// longer matches documents and its pattern may be empty after a
+	// compaction or Load reclaims the payload.
 	Dead bool
 }
 

@@ -224,25 +224,29 @@ func TestLoadRejectsBadState(t *testing.T) {
 			d.NumTemplates(), d.NextID(), d.Pending())
 	}
 
-	// Template ids are positional, so a state carrying documents or
-	// tombstones loads only into an empty detector; a template-only state
-	// merges after existing templates.
+	// Template ids are positional, so any state — with documents,
+	// tombstones or templates only — loads only into an empty detector:
+	// one holding a template or a document rejects it unchanged.
 	docs := stateJSON(stateV4{Words: a, Templates: records(live), Verdicts: verdictBlob(0, -1)})
 	tomb := stateJSON(stateV4{Words: a, Templates: records(live, deadRec(0))})
 	only := stateJSON(stateV4{Words: a, Templates: records(live)})
-	for _, state := range []string{docs, tomb} {
-		held := New(core.Options{})
+	for _, state := range []string{docs, tomb, only} {
+		held, fed := New(core.Options{}), New(core.Options{})
 		if _, err := held.Register([]string{"b"}, []bool{false}); err != nil {
 			t.Fatal(err)
 		}
-		if err := held.Load(strings.NewReader(state)); err == nil || !strings.Contains(err.Error(), "empty detector") {
-			t.Errorf("state %s into a detector holding templates: err = %v, want empty-detector rejection", state, err)
+		fed.Add("b")
+		for _, full := range []*Detector{held, fed} {
+			if err := full.Load(strings.NewReader(state)); err == nil || !strings.Contains(err.Error(), "empty detector") {
+				t.Errorf("state %s into a detector holding %d templates, %d documents: err = %v, want empty-detector rejection",
+					state, full.NumTemplates(), full.NextID(), err)
+			}
+			if full.NumTemplates()+full.NextID() != 1 {
+				t.Errorf("a rejected state changed the detector: %d templates, %d documents", full.NumTemplates(), full.NextID())
+			}
 		}
 		if err := New(core.Options{}).Load(strings.NewReader(state)); err != nil {
 			t.Errorf("state %s into an empty detector: %v", state, err)
-		}
-		if err := held.Load(strings.NewReader(only)); err != nil || held.NumTemplates() != 2 {
-			t.Errorf("template-only state after a rejection: err = %v, %d templates", err, held.NumTemplates())
 		}
 	}
 	fresh := New(core.Options{})

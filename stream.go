@@ -35,8 +35,9 @@ func NewStreamDetector(cfg Config, batchSize int) *StreamDetector {
 // Merge folds a freshly mined template into an existing near-duplicate
 // when MDL favors one template, and Incremental carries document
 // frequencies and recent unmatched documents across flushes. With any
-// of the first three set, the vocabulary is periodically compacted to
-// the words live state uses. The zero value keeps every mined template
+// of the first three set, the detector is periodically compacted to its
+// live state: retired templates' payloads and every word live state no
+// longer uses are dropped. The zero value keeps every mined template
 // and word forever and re-mines only the pending buffer.
 type StreamLifecycle = stream.Lifecycle
 
@@ -120,11 +121,10 @@ func (s *StreamDetector) RegisterTemplate(words []string, wild []bool) (int, err
 // on the detector's vocabulary ids.
 func (s *StreamDetector) Save(w io.Writer) error { return s.d.Save(w) }
 
-// Load restores state saved by Save; the candidate-pruning index is
-// rebuilt over the loading detector's vocabulary. A state holding only
-// templates merges after any templates the detector already holds. A
-// state carrying documents or retired templates numbers its templates
-// by position, so it loads only into an empty detector (no templates,
-// no documents). Malformed state — including any version other than 4 —
-// is rejected before anything changes.
+// Load restores state saved by Save into an empty detector (no
+// templates, no documents): a state numbers its templates and documents
+// by position, so it is never merged into another detector's. The
+// candidate-pruning index is rebuilt over the loading detector's
+// vocabulary. Malformed state — including any version other than 4 —
+// and a non-empty detector are rejected before anything changes.
 func (s *StreamDetector) Load(r io.Reader) error { return s.d.Load(r) }

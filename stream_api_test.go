@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"infoshield/internal/datagen"
@@ -101,7 +103,11 @@ func TestStreamDetectorFacade(t *testing.T) {
 // SetLifecycle and an internal detector with the same Lifecycle. On a
 // drifting campaign stream both must assign every document alike, the
 // facade's live template count must never exceed the cap, and both the
-// cap and the incremental miner must have acted.
+// cap and the incremental miner must have acted. The drift stream never
+// mines a template that merges, so a second case registers a template
+// with two slots and feeds near-duplicates whose slot fills run five
+// words each: the template mined from them must merge into the
+// registered one on both detectors, with incremental mining off and on.
 func TestStreamDetectorSetLifecycle(t *testing.T) {
 	const maxTemplates, mineBatch = 4, 32
 	lc := StreamLifecycle{MaxTemplates: maxTemplates, Merge: true, Incremental: true}
@@ -141,5 +147,47 @@ func TestStreamDetectorSetLifecycle(t *testing.T) {
 	check("final", ids)
 	if st := s.Stats(); st.Evicted == 0 || st.MineReused == 0 {
 		t.Fatalf("the cap evicted nothing or the incremental miner reused nothing: %+v", st.MineStats)
+	}
+
+	words := strings.Fields("mega casino bonus spin the lucky wheel tonight and claim your prize now at club royale")
+	wild := make([]bool, len(words))
+	wild[5], wild[11] = true, true
+	var merge []string
+	for i := range 10 {
+		doc := slices.Clone(words[:5])
+		for k := range 5 {
+			doc = append(doc, fmt.Sprintf("fa%dx%d", i, k))
+		}
+		doc = append(doc, words[6:11]...)
+		for k := range 5 {
+			doc = append(doc, fmt.Sprintf("fb%dx%d", i, k))
+		}
+		merge = append(merge, strings.Join(append(doc, words[12:]...), " "))
+	}
+	for i := range 30 {
+		merge = append(merge, fmt.Sprintf("noise%da noise%db noise%dc noise%dd noise%de", i, i, i, i, i))
+	}
+	for _, incremental := range []bool{false, true} {
+		lc := StreamLifecycle{Merge: true, Incremental: incremental}
+		// check reads s and ref, so they are reassigned, not shadowed.
+		s = NewStreamDetector(Config{}, len(merge)+1)
+		s.SetLifecycle(lc)
+		ref = stream.New(Config{}.toCore())
+		ref.BatchSize = len(merge) + 1
+		ref.Lifecycle = lc
+		if _, err := s.RegisterTemplate(words, wild); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Register(words, wild); err != nil {
+			t.Fatal(err)
+		}
+		ids := s.AddBatch(merge)
+		ref.AddBatch(merge)
+		s.Flush()
+		ref.Flush()
+		check(fmt.Sprintf("merge, incremental %v", incremental), ids)
+		if got, want := s.Stats().Merged, ref.Stats().Merged; got < 1 || want < 1 {
+			t.Fatalf("incremental %v: facade merged %d, stream.Detector %d; want at least 1", incremental, got, want)
+		}
 	}
 }
