@@ -100,7 +100,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	shards := fs.Int("shards", 1, "detector shard count; each shard has its own commit lock, coalescer, and WAL")
 	route := fs.String("route", serve.RouteHash, `shard routing: "hash" (balanced) or "lang" (keeps each language's templates on one shard)`)
 	walDir := fs.String("wal-dir", "", "write-ahead-log directory: every acked document is logged (and fsynced) before its verdict returns, and replayed on boot")
-	workers := fs.Int("workers", 0, "per-shard worker pool for batched matching and mining (0 = GOMAXPROCS); never changes verdicts")
 	mineBatch := fs.Int("mine-batch", 0, "buffered documents that trigger a mining pass (0 = detector default 512)")
 	maxTemplates := fs.Int("max-templates", 0, "per-shard live-template cap; the least-recently-matched templates are evicted past it (0 = unbounded)")
 	templateTTL := fs.Int("template-ttl", 0, "retire a template after this many ingested documents without a match (0 = never)")
@@ -111,9 +110,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	// A negative cap or TTL would silently switch its bound off (only a
 	// positive value enables one), so every count flag must be 0 or more.
-	negative := min(*workers, *mineBatch, *maxTemplates, *templateTTL) < 0
+	negative := min(*mineBatch, *maxTemplates, *templateTTL) < 0
 	if negative {
-		fmt.Fprintln(stderr, "infoshieldd: -workers, -mine-batch, -max-templates and -template-ttl must not be negative")
+		fmt.Fprintln(stderr, "infoshieldd: -mine-batch, -max-templates and -template-ttl must not be negative")
 	}
 	if negative || fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "usage: infoshieldd [flags]")
@@ -127,7 +126,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		WALDir:    *walDir,
 		StatePath: *state,
 		NewDetector: func() *stream.Detector {
-			det := stream.New(core.Options{Workers: *workers})
+			det := stream.New(core.Options{})
 			if *mineBatch > 0 {
 				det.BatchSize = *mineBatch
 			}

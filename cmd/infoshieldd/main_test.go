@@ -255,6 +255,11 @@ func TestDaemonBadFlags(t *testing.T) {
 	if code := run([]string{"positional"}, sink, sink); code != 2 {
 		t.Errorf("positional arg: exit %d, want 2", code)
 	}
+	// Every shard's detector sizes its worker pool to GOMAXPROCS; the
+	// daemon has no -workers flag.
+	if code := run([]string{"-workers", "2"}, sink, sink); code != 2 {
+		t.Errorf("-workers 2: exit %d, want 2", code)
+	}
 }
 
 // TestDaemonNegativeFlags: a negative count flag exits 2 with the usage
@@ -267,7 +272,7 @@ func TestDaemonNegativeFlags(t *testing.T) {
 	if err := os.WriteFile(state, []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"-max-templates", "-template-ttl", "-mine-batch", "-workers"} {
+	for _, name := range []string{"-max-templates", "-template-ttl", "-mine-batch"} {
 		stderr, err := os.Create(filepath.Join(dir, "stderr"+name))
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,9 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -101,4 +103,33 @@ func FuzzSortInts(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkSortInts times SortInts against its slices.Sort twin at the
+// probe's sizes: a document's token ids (16–64) and a candidate batch
+// (up to 128). Each op sorts a fresh copy of one of 64 random inputs
+// drawn from a 2^17-word vocabulary, so both twins pay the same copy.
+func BenchmarkSortInts(b *testing.B) {
+	for _, n := range []int{16, 32, 64, 128} {
+		rng := rand.New(rand.NewSource(1))
+		inputs := make([][]int, 64)
+		for i := range inputs {
+			inputs[i] = make([]int, n)
+			for j := range inputs[i] {
+				inputs[i][j] = rng.Intn(1 << 17)
+			}
+		}
+		buf := make([]int, n)
+		for _, impl := range []struct {
+			name string
+			sort func([]int)
+		}{{"introsort", SortInts}, {"slices", slices.Sort[[]int]}} {
+			b.Run(fmt.Sprintf("impl=%s/n=%d", impl.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(buf, inputs[i%len(inputs)])
+					impl.sort(buf)
+				}
+			})
+		}
+	}
 }

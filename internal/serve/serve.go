@@ -78,8 +78,9 @@ type Counters struct {
 	// from taking the commit lock to starting the commit; divided by
 	// Batches it is the mean latency batch assembly adds.
 	CoalesceWaitNs int64 `json:"coalesce_wait_ns"`
-	// CommitErrs counts write-ahead-log failures; any nonzero value means
-	// durability is degraded and the log needs operator attention.
+	// CommitErrs counts write-ahead-log failures, of group commits and of
+	// flush markers alike; any nonzero value means durability is degraded
+	// and the log needs operator attention.
 	CommitErrs int64 `json:"commit_errs"`
 	// SnapshotLockNs is the total time snapshot steps (flush + save) held
 	// the commit lock, over Snapshots steps. Every write and read on the
@@ -292,8 +293,8 @@ func (sh *shard) flush() {
 // re-executes it. The caller holds the commit lock.
 func (sh *shard) flushLocked() {
 	sh.det.Flush()
-	if sh.wal != nil {
-		_ = sh.wal.appendFlush()
+	if sh.wal != nil && sh.wal.appendFlush() != nil {
+		sh.ctr.CommitErrs++
 	}
 }
 

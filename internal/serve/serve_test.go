@@ -480,6 +480,42 @@ func TestCommitWALFailure(t *testing.T) {
 	}
 }
 
+// TestCommitWALFlushMarkerFailure flushes a shard with pending documents
+// into a write-ahead log whose device fails only the flush marker's
+// write. Replay will not re-run that flush, so the failure must raise
+// serve.commit_errs and wal.errors by one each, as a failed append does.
+func TestCommitWALFlushMarkerFailure(t *testing.T) {
+	sh := newTestSharded(t, ShardedConfig{}, 0)
+	sh.shards[0].wal = fakeWAL(writerFunc(func(p []byte) (int, error) {
+		if strings.Contains(string(p), `"flush":true`) {
+			return 0, errors.New("disk full")
+		}
+		return len(p), nil
+	}))
+	if _, err := sh.Submit([]string{"big sale call now"}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sh.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := sh.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, a := before.PerShard[0], after.PerShard[0]
+	if b.PendingDocs == 0 {
+		t.Fatal("no pending documents before the flush")
+	}
+	if a.Serve.CommitErrs != b.Serve.CommitErrs+1 || a.WAL.Errors != b.WAL.Errors+1 || a.WAL.Flushes != b.WAL.Flushes {
+		t.Fatalf("commit_errs %d -> %d, wal.errors %d -> %d, wal.flushes %d -> %d; want +1, +1, +0",
+			b.Serve.CommitErrs, a.Serve.CommitErrs, b.WAL.Errors, a.WAL.Errors, b.WAL.Flushes, a.WAL.Flushes)
+	}
+}
+
 // TestCommitWALRecoversAfterFailedAppend drives three single-document
 // commits into a write-ahead log whose device tears the first append
 // (half its bytes land, then the write fails) and then recovers. The

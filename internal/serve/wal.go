@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,8 +13,8 @@ import (
 
 // wal is one shard's write-ahead log: an append-only file of JSON-lines
 // records, one per document, written by the shard's group-commit leader
-// — all of a batch's records, one buffered flush, one fsync, then the
-// batch is acked. Because the leader appends once per group commit, WAL
+// — all of a batch's records in one write, one fsync, then the batch
+// is acked. Because the leader appends once per group commit, WAL
 // batching rides the shard's natural batching: under load, many
 // documents share one fsync.
 //
@@ -32,16 +33,17 @@ import (
 type wal struct {
 	path string
 	f    walFile
-	w    *bufio.Writer
 	// end is the offset just past the last commit written whole: where
 	// the next append starts and where a failed one rolls back to.
 	end int64
 
-	// recs is append's record scratch, guarded by the commit lock.
-	recs []walRecord
+	// buf holds the commit being encoded, through enc; both are guarded
+	// by the commit lock. Nothing stays in buf between commits.
+	buf bytes.Buffer
+	enc *json.Encoder
 
-	// Counters are atomics: appended under the shard's commit lock, read
-	// by Stats, which holds only the accept gate.
+	// Counters are added under the shard's commit lock and read by
+	// shard.stats under its read side.
 	records  atomic.Int64
 	batches  atomic.Int64
 	flushes  atomic.Int64
@@ -96,7 +98,9 @@ type walFile interface {
 
 // newWAL returns a log that appends to f from its current offset.
 func newWAL(path string, f walFile) *wal {
-	return &wal{path: path, f: f, w: bufio.NewWriter(f)}
+	w := &wal{path: path, f: f}
+	w.enc = json.NewEncoder(&w.buf)
+	return w
 }
 
 // openWAL opens (creating if absent) the shard WAL at path, replays
@@ -124,10 +128,8 @@ func openWAL(path string, det detectorReplay, hwm int) (*wal, error) {
 	return w, nil
 }
 
-// rewind truncates the file to off, moves the append offset there and
-// discards anything buffered.
+// rewind truncates the file to off and moves the append offset there.
 func (w *wal) rewind(off int64) error {
-	w.w.Reset(w.f)
 	if err := w.f.Truncate(off); err != nil {
 		return err
 	}
@@ -194,16 +196,15 @@ func (w *wal) replay(det detectorReplay, hwm int) (good int64, replayed int, err
 	}
 }
 
-// append logs one committed batch: every record, one writer flush, one
-// fsync. The shard's group-commit leader calls it before the batch's
+// append logs one committed batch: every record, one write, one fsync.
+// The shard's group-commit leader calls it before the batch's
 // submitters are acked.
 func (w *wal) append(ids []int, texts []string) error {
-	recs := w.recs[:0]
-	for i := range ids {
-		recs = append(recs, walRecord{ID: ids[i], Text: texts[i]})
+	var err error
+	for i := 0; i < len(ids) && err == nil; i++ {
+		err = w.enc.Encode(walRecord{ID: ids[i], Text: texts[i]})
 	}
-	w.recs = recs[:0]
-	if err := w.write(recs); err != nil {
+	if err := w.write(err); err != nil {
 		return err
 	}
 	w.records.Add(int64(len(ids)))
@@ -215,57 +216,39 @@ func (w *wal) append(ids []int, texts []string) error {
 // commit lock right after the flush runs, so the marker sits exactly
 // where the flush does in the event sequence.
 func (w *wal) appendFlush() error {
-	if err := w.write([]walRecord{{Flush: true}}); err != nil {
+	if err := w.write(w.enc.Encode(walRecord{Flush: true})); err != nil {
 		return err
 	}
 	w.flushes.Add(1)
 	return nil
 }
 
-// write appends recs as JSON lines, flushes the buffered writer, and
-// fsyncs. Any failure counts as a WAL error. A failed write or flush
-// rewinds the file to the end of the last commit written whole: the
-// buffered writer keeps its first error forever, and a partial line
+// write hands the commit encoded in buf to the file in one Write and
+// fsyncs, then empties buf; encErr is the encoding's error, which skips
+// the write. Any failure counts as a WAL error. A failed write rewinds
+// the file to the end of the last commit written whole: a partial line
 // would end the next replay's scan there.
-func (w *wal) write(recs []walRecord) (err error) {
+func (w *wal) write(encErr error) (err error) {
 	defer func() {
+		w.buf.Reset()
 		if err != nil {
 			w.errs.Add(1)
 		}
 	}()
-	n, err := w.encode(recs)
-	if err == nil {
-		err = w.w.Flush()
+	if encErr != nil {
+		return encErr
 	}
+	n, err := w.f.Write(w.buf.Bytes())
 	if err != nil {
 		return errors.Join(err, w.rewind(w.end))
 	}
-	w.end += n
-	w.bytes.Add(n)
+	w.end += int64(n)
+	w.bytes.Add(int64(n))
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	w.syncs.Add(1)
 	return nil
-}
-
-// encode buffers recs as JSON lines and returns the bytes buffered.
-func (w *wal) encode(recs []walRecord) (int64, error) {
-	n := int64(0)
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := w.w.Write(b); err != nil {
-			return 0, err
-		}
-		if err := w.w.WriteByte('\n'); err != nil {
-			return 0, err
-		}
-		n += int64(len(b)) + 1
-	}
-	return n, nil
 }
 
 // truncate empties the log. Only called after a drain snapshot has
@@ -278,14 +261,8 @@ func (w *wal) truncate() error {
 	return w.f.Sync()
 }
 
-// close flushes buffered appends and closes the file.
-func (w *wal) close() error {
-	err := w.w.Flush()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// close closes the file. Nothing is buffered between commits.
+func (w *wal) close() error { return w.f.Close() }
 
 // stats snapshots the counters.
 func (w *wal) stats() WALStats {

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -100,10 +103,68 @@ func withoutFsync(sh *Sharded, err error) (*Sharded, error) {
 	for _, s := range sh.shards {
 		if w := s.wal; w != nil {
 			w.f = noSyncFile{w.f}
-			w.w.Reset(w.f)
 		}
 	}
 	return sh, nil
+}
+
+// countingFile is a walFile that counts its Writes and Syncs.
+type countingFile struct {
+	walFile
+	writes, syncs int
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	f.writes++
+	return f.walFile.Write(p)
+}
+
+func (f *countingFile) Sync() error {
+	f.syncs++
+	return f.walFile.Sync()
+}
+
+// TestWALOneWritePerCommit: a 64-document group commit of ~137-byte
+// records, the ingest-bulk shape, reaches the file in one Write and one
+// Sync, and so does a flush marker; the log holds each record as
+// json.Marshal writes it, one per line.
+func TestWALOneWritePerCommit(t *testing.T) {
+	mem := &memFile{}
+	f := &countingFile{walFile: mem}
+	w := newWAL("", f)
+	ids, texts := make([]int, 64), make([]string, 64)
+	var want []byte
+	for i := range ids {
+		ids[i] = 1000 + i
+		texts[i] = fmt.Sprintf("%03d big sale <call> now & save \u2028 \u00e9 ", i) + strings.Repeat("x", 59)
+		b, err := json.Marshal(walRecord{ID: ids[i], Text: texts[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	if per := len(want) / len(ids); per < 130 || per > 145 {
+		t.Fatalf("%d bytes per record, want about 137", per)
+	}
+	if err := w.append(ids, texts); err != nil {
+		t.Fatal(err)
+	}
+	if f.writes != 1 || f.syncs != 1 {
+		t.Fatalf("group commit: %d writes, %d syncs; want 1 each", f.writes, f.syncs)
+	}
+	if err := w.appendFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if f.writes != 2 || f.syncs != 2 {
+		t.Fatalf("after a flush marker: %d writes, %d syncs; want 2 each", f.writes, f.syncs)
+	}
+	want = append(want, `{"id":0,"flush":true}`+"\n"...)
+	if !bytes.Equal(mem.data, want) {
+		t.Fatalf("log holds %d bytes that differ from the %d json.Marshal lines hold", len(mem.data), len(want))
+	}
+	if st := w.stats(); st.Bytes != int64(len(want)) || st.Syncs != 2 || st.Errors != 0 {
+		t.Fatalf("stats %+v, want %d bytes, 2 syncs, no errors", st, len(want))
+	}
 }
 
 // stubDetector records the replay calls the WAL makes, standing in for a

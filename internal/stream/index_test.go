@@ -2,10 +2,12 @@ package stream
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 	"unsafe"
 
+	"infoshield/internal/align"
 	"infoshield/internal/datagen"
 )
 
@@ -204,5 +206,51 @@ func TestIndexMemoryBoundedOnDrift(t *testing.T) {
 	}
 	if 4*bytes1 > 5*bytes0 {
 		t.Fatalf("index grew %d → %d B (> 1.25×) while the template set stayed capped", bytes0, bytes1)
+	}
+}
+
+// TestBucketBoundAdmissible checks the tier-0 bound directly: for random
+// buckets of random members, random documents and random (t, V), the
+// bucket's bound at its overlap cap OV = min(cmax, docLen) is at most
+// every member's align.WildBounder.Bound at any overlap the member can
+// reach (at most OV and at most its constants). A bucket bound above a
+// member's would let tier 0 prune a template the scan would pick.
+func TestBucketBoundAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const cases = 200000
+	var d Detector
+	type member struct{ consts, slots int }
+	members := make([]member, 0, 8)
+	for c := 0; c < cases; c++ {
+		// Members share one ⌈lg constants⌉ bucket, as registration files
+		// them: constants in [2^(b-1), 2^b), or 0 in bucket 0.
+		b := rng.Intn(10)
+		lo, hi := 0, 1
+		if b > 0 {
+			lo, hi = 1<<(b-1), 1<<b
+		}
+		members = members[:0]
+		bi := bucketInfo{rmin: math.MaxInt, smin: math.MaxInt}
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			mb := member{consts: lo + rng.Intn(hi-lo), slots: rng.Intn(12)}
+			members = append(members, mb)
+			bi.cmax = max(bi.cmax, mb.consts)
+			bi.rmin = min(bi.rmin, mb.consts+mb.slots)
+			bi.smin = min(bi.smin, mb.slots)
+			bi.smax = max(bi.smax, mb.slots)
+		}
+		docLen := 1 + rng.Intn(600)
+		numT := 1 + rng.Intn(200000)
+		vocab := 1 + rng.Intn(1<<20)
+		bounder := align.NewWildBounder(docLen, numT, vocab)
+		ov := min(bi.cmax, docLen)
+		got := d.bucketBound(bounder, &bi, docLen, ov)
+		for _, mb := range members {
+			overlap := rng.Intn(min(ov, mb.consts) + 1)
+			if want := bounder.Bound(mb.consts+mb.slots, overlap, mb.slots); got > want {
+				t.Fatalf("case %d: bucket %+v, doc %d, t %d, V %d: bucket bound %v > member (consts %d, slots %d, overlap %d) bound %v",
+					c, bi, docLen, numT, vocab, got, mb.consts, mb.slots, overlap, want)
+			}
+		}
 	}
 }
