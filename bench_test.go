@@ -253,8 +253,8 @@ func BenchmarkFine(b *testing.B) {
 
 // BenchmarkFineSkewed runs the fine pass on the straggler-shaped corpus
 // (one mega cluster plus many small ones): the case the largest-first
-// schedule exists for. The mega-cluster is screened serially by one
-// worker, so it bounds the fine pass's wall clock at any worker count.
+// schedule exists for. At Workers > 1 the mega-cluster is a straggler,
+// so its rounds are pipelined across the pool (core.Straggler).
 func BenchmarkFineSkewed(b *testing.B) {
 	clusters, tokens, top, v := fineInputs(skewedTexts())
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -13,14 +13,15 @@ const WildBitCap = 64
 // has bit i set when position i holds constant eqToks[k]. A document token
 // c therefore matches reference position i iff bit i is set in
 // wildMask | eqMasks[index of c], which is the Eq vector the bit-parallel
-// recurrence consumes. len(ref) must be at most WildBitCap.
+// recurrence consumes. A nil wild means no slots, as in
+// PairwiseWildScratch. len(ref) must be at most WildBitCap.
 //
 // The streaming detector precomputes this table once per template at
 // registration (into arenas); this allocating form serves tests and
 // callers without a pooling story.
 func WildEqMasks(ref []int, wild []bool) (wildMask uint64, eqToks []int32, eqMasks []uint64) {
 	for i, tok := range ref {
-		if wild[i] {
+		if wild != nil && wild[i] {
 			wildMask |= 1 << uint(i)
 			continue
 		}

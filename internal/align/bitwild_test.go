@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,23 @@ func TestWildEqMasksTable(t *testing.T) {
 	}
 	if eqMasks[0] != 1<<1|1<<4 || eqMasks[1] != 1<<0 || eqMasks[2] != 1<<3 {
 		t.Fatalf("eqMasks = %b", eqMasks)
+	}
+}
+
+// A nil wild means no slots, as it does for PairwiseWildScratch.
+func TestWildEqMasksNilWild(t *testing.T) {
+	ref := []int{7, 3, 7, 9, 3}
+	wantMask, wantToks, wantMasks := WildEqMasks(ref, make([]bool, len(ref)))
+	wildMask, eqToks, eqMasks := WildEqMasks(ref, nil)
+	if wildMask != wantMask || !reflect.DeepEqual(eqToks, wantToks) || !reflect.DeepEqual(eqMasks, wantMasks) {
+		t.Fatalf("nil wild: (%b, %v, %b), want the all-constant table (%b, %v, %b)",
+			wildMask, eqToks, eqMasks, wantMask, wantToks, wantMasks)
+	}
+	doc := []int{3, 7, 9, 9}
+	var sc Scratch
+	if got, want := WildDistanceMasked(len(ref), wildMask, eqToks, eqMasks, doc),
+		PairwiseWildScratch(ref, nil, doc, &sc).Distance(); got != want {
+		t.Errorf("nil-wild distance = %d, want %d", got, want)
 	}
 }
 

@@ -100,8 +100,10 @@ type Result struct {
 	// CoarseStages breaks CoarseDuration into its parallel sub-stages
 	// (tokenize / extract / score / components).
 	CoarseStages CoarseTimings
-	// FineStages breaks FineDuration into its sub-stages (screen / align
-	// / consensus / slots), summed across concurrent cluster workers.
+	// FineStages breaks the fine pass into its sub-stages (screen / align
+	// / consensus / slots), each the elapsed time of every goroutine that
+	// ran it added up, waits for a CPU included; FineDuration is the pass's
+	// wall time.
 	FineStages FineTimings
 }
 
@@ -178,16 +180,20 @@ func RunTokens(texts []string, words [][]string, opt Options) *Result {
 
 // Refine runs InfoShield-Fine over every coarse cluster on a bounded
 // worker pool and returns the per-cluster template lists (indexed like
-// coarse) plus the aggregated stage timings.
+// coarse) plus the stage timings, each the per-goroutine elapsed time of
+// every goroutine that ran the stage, added up.
 //
 // Scheduling is straggler-aware without affecting output: exactly
 // min(Workers, clusters) goroutines pull clusters largest-first from a
-// size-sorted queue — no goroutine-per-cluster fan-out, so the goroutine
-// count stays O(Workers) however many clusters the coarse pass produced —
-// and results land in refined[ci], keyed by cluster index, so the merge
-// order is deterministic regardless of which worker ran what. Each
-// cluster is refined serially by the worker that took it, so Workers
-// changes wall clock, never results. One worker runs the same loop.
+// size-sorted queue — no goroutine-per-cluster fan-out — and results land
+// in refined[ci], keyed by cluster index, so the merge order is
+// deterministic regardless of which worker ran what. Every cluster is
+// refined serially by the worker that took it, except the largest when it
+// is a straggler (see straggler): its worker runs the screen chain, hands
+// MSA builds to Workers−1 helper goroutines and acceptance to one more
+// (fineClusterPipelined). At most one cluster per pass is pipelined, so
+// the pass runs at most 2·Workers goroutines. Workers changes wall clock,
+// never results. One worker runs every cluster serially.
 func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize int, opt Options) ([][]TemplateResult, FineTimings) {
 	refined := make([][]TemplateResult, len(coarse))
 	var total FineTimings
@@ -198,8 +204,10 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 	// (Lemma 2's Σ k·S·log S·l² is cluster-size-skewed on real corpora),
 	// so it must start first, not land on whichever worker frees up last.
 	order := make([]int, len(coarse))
+	clustered := 0
 	for i := range order {
 		order[i] = i
+		clustered += len(coarse[i])
 	}
 	sort.Slice(order, func(a, b int) bool {
 		ca, cb := order[a], order[b]
@@ -208,7 +216,11 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 		}
 		return ca < cb
 	})
-	workers := min(par.Workers(opt.Workers), len(coarse))
+	poolSize := par.Workers(opt.Workers)
+	workers := min(poolSize, len(coarse))
+	if straggler(len(coarse[order[0]]), clustered, poolSize) {
+		total.Pipelined = 1
+	}
 	perWorker := make([]FineTimings, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -224,7 +236,13 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 					break
 				}
 				ci := order[k]
-				out, t := fineCluster(coarse[ci], tokens, top, vocabSize, opt, sc)
+				var out []TemplateResult
+				var t FineTimings
+				if k == 0 && total.Pipelined == 1 {
+					out, t = fineClusterPipelined(coarse[ci], tokens, top, vocabSize, opt, poolSize-1, sc)
+				} else {
+					out, t = fineCluster(coarse[ci], tokens, top, vocabSize, opt, sc)
+				}
 				refined[ci] = out
 				acc.add(t)
 			}
@@ -236,6 +254,25 @@ func Refine(coarse [][]int, tokens [][]int, top [][]tfidf.PhraseID, vocabSize in
 		total.add(t)
 	}
 	return refined, total
+}
+
+// minPipelined is the smallest cluster Refine pipelines. Mining flushes
+// in the serving daemon refine clusters of 3 to 67 documents (mine-drift,
+// seeds 1–3) while matching keeps the other CPUs busy, and there the
+// pipeline gained nothing: over 265 seed-1 flushes, refined both ways,
+// it took 201 ms against the serial loop's 197. Batch Detect's straggler
+// is the detect-batch corpus's 4,699-document campaign, which the pipeline
+// refines 43% faster with a free CPU; 10 of 11 other Twitter clusters of
+// 123 to 11,669 documents ran 23–47% faster (2-vCPU Xeon).
+const minPipelined = 128
+
+// straggler reports whether Refine pipelines a cluster of size documents
+// out of clustered documents in all on a pool of workers: it does when the
+// cluster holds more than 1/workers of them, more than one worker's share
+// of the pass, and at least minPipelined. The rule reads only the input's
+// cluster sizes, and never fires for one worker.
+func straggler(size, clustered, workers int) bool {
+	return workers > 1 && size >= minPipelined && size*workers > clustered
 }
 
 // mergeRefined folds the per-cluster template lists into Clusters and

@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"infoshield/internal/datagen"
+	"infoshield/internal/tokenize"
 )
 
 // toyDocs is the paper's full toy example (Tables II and III).
@@ -349,3 +353,48 @@ func TestRunWorkerInvariance(t *testing.T) {
 
 // NumDocs returns the number of documents the cluster's templates encode.
 func (c *Cluster) NumDocs() int { return len(c.Docs) }
+
+// TestPipelinedClusterMatchesSerial refines the largest coarse cluster of
+// a Twitter corpus serially and down the pipeline, with one and with three
+// MSA helpers: the template lists must be deeply equal, costs bit for bit.
+// The worker-equivalence gates compare whole runs; this one pins the
+// pipeline itself, whichever clusters Refine's straggler rule picks.
+func TestPipelinedClusterMatchesSerial(t *testing.T) {
+	texts := datagen.Twitter(datagen.TwitterConfig{Seed: 1, GenuineAccounts: 8, BotAccounts: 8}).Texts()
+	var tk tokenize.Tokenizer
+	words := tk.All(texts, 1)
+	vocab := tokenize.NewVocab()
+	tokens := make([][]int, len(words))
+	for i, w := range words {
+		tokens[i] = vocab.Encode(w)
+	}
+	clusters, top := Coarse(words, Options{})
+	big := clusters[0]
+	for _, c := range clusters {
+		if len(c) > len(big) {
+			big = c
+		}
+	}
+	sc := &fineScratch{}
+	for _, opt := range []Options{{}, {UseStarMSA: true}, {DisableSlots: true}} {
+		want, _ := fineCluster(big, tokens, top, vocab.Size(), opt, sc)
+		if len(want) < 2 {
+			t.Fatalf("opt %+v: the %d-document cluster mined %d templates; the comparison is vacuous", opt, len(big), len(want))
+		}
+		for _, helpers := range []int{1, 3} {
+			got, _ := fineClusterPipelined(big, tokens, top, vocab.Size(), opt, helpers, sc)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("opt %+v, %d helpers: pipelined templates differ from the serial refinement", opt, helpers)
+				continue
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if math.Float64bits(g.CostBefore) != math.Float64bits(w.CostBefore) ||
+					math.Float64bits(g.CostAfter) != math.Float64bits(w.CostAfter) {
+					t.Errorf("opt %+v, %d helpers: template %d costs (%v, %v), serial (%v, %v)",
+						opt, helpers, i, g.CostBefore, g.CostAfter, w.CostBefore, w.CostAfter)
+				}
+			}
+		}
+	}
+}

@@ -520,8 +520,8 @@ func TestCommitWALFlushMarkerFailure(t *testing.T) {
 // commits into a write-ahead log whose device tears the first append
 // (half its bytes land, then the write fails) and then recovers. The
 // failure is counted once, and the log must hold exactly the records of
-// commits 2 and 3: the torn bytes are rolled back, and the buffered
-// writer's error does not stick to later appends.
+// commits 2 and 3: the failed commit is truncated away, and later
+// appends land after the last commit written whole.
 func TestCommitWALRecoversAfterFailedAppend(t *testing.T) {
 	sh := newTestSharded(t, ShardedConfig{}, 0)
 	f := &memFile{failWrites: 1}

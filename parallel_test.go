@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"infoshield/internal/core"
 	"infoshield/internal/datagen"
 )
 
@@ -17,11 +18,20 @@ import (
 // dominates fine-pass wall clock, many small campaigns, and unclusterable
 // background noise. Shared by the determinism/goroutine tests and the
 // BenchmarkFineSkewed straggler benchmark.
+//
+// The campaign is one coarse cluster of 260 of the 500 clustered
+// documents, over Refine's straggler share at every pool size above one
+// and over its 128-document floor.
+// Its two slots, a phone number (13 values) and a promo code (20 values),
+// sit more than MaxNgram tokens apart, so no phrase holds both and no
+// campaign phrase is unique: each document selects a phone phrase and a
+// promo phrase, and since 13 and 20 are coprime those edges join the
+// whole campaign. Fine mines 13 templates from it.
 func skewedTexts() []string {
 	var texts []string
 	for i := 0; i < 260; i++ {
 		texts = append(texts, fmt.Sprintf(
-			"mega sale best deals call now 555-01%02d visit mega.example promo%d today", i%100, i))
+			"call 555-01%02d now for mega sale best deals today visit mega.example promo%d", i%13, i%20))
 	}
 	for g := 0; g < 60; g++ {
 		for k := 0; k < 4; k++ {
@@ -126,6 +136,21 @@ func TestDetectSkewedWorkersEquivalence(t *testing.T) {
 	}
 }
 
+// TestRefinePipelinesStraggler keeps the worker-equivalence gates from
+// passing vacuously on Refine's pipelined path: on the skewed corpus that
+// TestDetectSkewedWorkersEquivalence, TestFineGoroutineBound and
+// BenchmarkFineSkewed read, Refine must run one cluster down the straggler
+// pipeline at Workers 2, 3 and 8, and none at Workers 1.
+func TestRefinePipelinesStraggler(t *testing.T) {
+	clusters, tokens, top, v := fineInputs(skewedTexts())
+	for _, w := range []int{1, 2, 3, 8} {
+		_, tm := core.Refine(clusters, tokens, top, v, core.Options{Workers: w})
+		if want := min(w-1, 1); tm.Pipelined != want {
+			t.Errorf("Workers %d: Refine pipelined %d clusters, want %d", w, tm.Pipelined, want)
+		}
+	}
+}
+
 // TestFineGoroutineBound is the regression gate for the worker-pool
 // rewrite: the old fine stage spawned one goroutine per coarse cluster
 // up front (hundreds parked behind a semaphore on corpora like this
@@ -166,6 +191,69 @@ func TestFineGoroutineBound(t *testing.T) {
 	if extra > workers+12 {
 		t.Errorf("goroutine peak %d above baseline (want <= Workers+12 = %d): fine stage is not O(Workers)",
 			extra, workers+12)
+	}
+}
+
+// manyStragglerTexts is seven campaigns of 400 documents each, built as
+// skewedTexts' campaign over disjoint vocabularies: each is one coarse
+// cluster holding more than 1/8 of the clustered documents, so at Workers
+// 8 all seven are stragglers by share.
+func manyStragglerTexts() []string {
+	var texts []string
+	for c, name := range []string{"mega", "ultra", "super", "hyper", "giga", "turbo", "prime"} {
+		for i := 0; i < 400; i++ {
+			texts = append(texts, fmt.Sprintf(
+				"call 555-%d1%02d now for %s sale best%d deals today visit %s.example promo%d%s",
+				c, i%13, name, c, name, i%20, name))
+		}
+	}
+	return texts
+}
+
+// TestFineGoroutineBoundManyStragglers extends TestFineGoroutineBound to
+// a pass with several straggler-sized clusters: Refine pipelines only the
+// largest, so the fine pass stays within its pool, Workers−1 helpers and
+// one acceptor. Pipelining every straggler would peak near Workers² here.
+func TestFineGoroutineBoundManyStragglers(t *testing.T) {
+	texts := manyStragglerTexts()
+	clusters, _, _, _ := fineInputs(texts)
+	big := 0
+	for _, c := range clusters {
+		if len(c) >= 128 {
+			big++
+		}
+	}
+	if len(clusters) != 7 || big != 7 {
+		t.Fatalf("corpus has %d coarse clusters, %d of at least 128 documents; want 7 and 7", len(clusters), big)
+	}
+	const workers = 8
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	Detect(texts, Config{Workers: workers})
+	close(done)
+	<-sampled
+	// The pool, the pipelined cluster's helpers and acceptor (2·Workers in
+	// all; the coarse stage runs at most Workers), the sampler, and slack
+	// for runtime goroutines. Pipelining every straggler peaked 30–48
+	// above baseline here.
+	if extra := peak.Load() - int64(base); extra > 2*workers+6 {
+		t.Errorf("goroutine peak %d above baseline (want <= 2·Workers+6 = %d)", extra, 2*workers+6)
 	}
 }
 

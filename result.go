@@ -110,12 +110,13 @@ type Timings struct {
 	// counting; CoarseScore the tf-idf scoring and top-phrase selection;
 	// CoarseComponents the phrase graph and connected components.
 	CoarseExtract, CoarseScore, CoarseComponents time.Duration
-	// FineScreen covers candidate screening (overlap bound plus the
-	// conditional-alignment test); FineAlign the MSA construction;
-	// FineConsensus the consensus search; FineSlots slot detection.
-	// Fine-stage durations are summed across concurrent cluster workers,
-	// so with Workers > 1 they measure aggregate CPU time and may exceed
-	// the Fine wall-clock total.
+	// FineScreen covers candidate screening (overlap bound, bit-parallel
+	// distance and the conditional-alignment test); FineAlign the MSA
+	// construction; FineConsensus the consensus search; FineSlots slot
+	// detection. Each fine-stage duration is the elapsed time of every
+	// goroutine that ran the stage, added up with any wait for a CPU
+	// included, so with Workers > 1 it may exceed Fine, the wall-clock
+	// total.
 	FineScreen, FineAlign, FineConsensus, FineSlots time.Duration
 	// Coarse and Fine are the two pipeline halves' totals.
 	Coarse, Fine time.Duration
