@@ -434,13 +434,32 @@ func BenchmarkStreamAddScale(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenizer measures raw tokenization throughput.
+// BenchmarkTokenizer measures raw tokenization throughput: one mixed
+// sentence, and every text of the detect-batch corpus (about 45% of its
+// tweets are non-ASCII and take the Unicode path), reported per document.
 func BenchmarkTokenizer(b *testing.B) {
 	var tk tokenize.Tokenizer
-	text := "Honestly we watched the golden sunset near the misty harbor, call 123-456.7890 or visit example.test 今日は映画"
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk.Tokens(text)
-	}
+	b.Run("sentence", func(b *testing.B) {
+		text := "Honestly we watched the golden sunset near the misty harbor, call 123-456.7890 or visit example.test 今日は映画"
+		b.SetBytes(int64(len(text)))
+		for i := 0; i < b.N; i++ {
+			tk.Tokens(text)
+		}
+	})
+	b.Run("detect-batch", func(b *testing.B) {
+		texts := detectBatchTexts()
+		bytes := 0
+		for _, t := range texts {
+			bytes += len(t)
+		}
+		b.SetBytes(int64(bytes))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, t := range texts {
+				tk.Tokens(t)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/doc")
+	})
 }

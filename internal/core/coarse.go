@@ -12,7 +12,8 @@ import (
 
 // CoarseTimings breaks the coarse pass into its pipeline stages so the
 // effect of the worker pool is measurable per stage. Tokenize covers
-// word-splitting plus vocabulary encoding (filled in by Run; the Coarse
+// word-splitting plus vocabulary encoding (filled in by Run; RunTokens,
+// given words already split, times only the encode; the Coarse
 // convenience wrapper leaves it zero). Under UseLSHCoarse, Components
 // covers signatures plus banding and the tf-idf stages stay zero.
 type CoarseTimings struct {

@@ -136,8 +136,9 @@ func (r *Result) Suspicious() []bool {
 // first-seen assignment. Phrase extraction and scoring parallelize inside
 // coarseEncoded; cluster refinement parallelizes per coarse cluster.
 func Run(texts []string, opt Options) *Result {
+	start := time.Now()
 	var tk tokenize.Tokenizer
-	return RunTokens(texts, tk.All(texts, par.Workers(opt.Workers)), opt)
+	return run(start, texts, tk.All(texts, par.Workers(opt.Workers)), opt)
 }
 
 // RunTokens is Run over pre-tokenized documents: words[i] must be the
@@ -147,7 +148,12 @@ func Run(texts []string, opt Options) *Result {
 // tokenizer is a pure function of the text, the results are
 // byte-identical to Run.
 func RunTokens(texts []string, words [][]string, opt Options) *Result {
-	start := time.Now()
+	return run(time.Now(), texts, words, opt)
+}
+
+// run is RunTokens with the clock started at start, so Run counts its word
+// split in the Tokenize stage and in CoarseDuration.
+func run(start time.Time, texts []string, words [][]string, opt Options) *Result {
 	vocab := tokenize.NewVocab()
 	tokens := make([][]int, len(texts))
 	for i, w := range words {

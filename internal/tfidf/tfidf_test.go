@@ -1,6 +1,7 @@
 package tfidf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -535,16 +536,55 @@ func fixtureCorpus(seed int64, campaigns, perCampaign, noise int) [][]string {
 	return docs
 }
 
+// longCorpus builds documents of hundreds of tokens, the length of
+// trafficking ads: campaigns that repeat a long base with a few slot
+// substitutions, and noise over a small vocabulary, so long documents
+// repeat phrases (tf > 1) and tie on score.
+func longCorpus(seed int64, campaigns, perCampaign, noise int) [][]string {
+	rng := rand.New(rand.NewSource(seed))
+	word := func() string { return fmt.Sprintf("w%d", rng.Intn(60)) }
+	var docs [][]string
+	for c := 0; c < campaigns; c++ {
+		base := make([]string, 150+rng.Intn(250))
+		for i := range base {
+			base[i] = word()
+		}
+		for k := 0; k < perCampaign; k++ {
+			dup := append([]string(nil), base...)
+			for s := 0; s < 1+rng.Intn(8); s++ {
+				dup[rng.Intn(len(dup))] = word()
+			}
+			docs = append(docs, dup)
+		}
+	}
+	for k := 0; k < noise; k++ {
+		doc := make([]string, 100+rng.Intn(300))
+		for i := range doc {
+			doc[i] = word()
+		}
+		docs = append(docs, doc)
+	}
+	return docs
+}
+
 // TestHashedSelectionMatchesStringReference is the rewrite's equivalence
 // gate: on fixture corpora, the hashed-key parallel extractor must select
 // exactly the phrases the old string-key serial extractor selected, in
-// the same order, for several parameterizations and worker counts.
+// the same order, for several parameterizations and worker counts. The
+// reference sorts every candidate, so it also gates Select's prune of the
+// candidates that can never be picked: "longDocs" makes the prune's
+// (position, length) table large, and in "containedEarlier" phrases such
+// as "a b" first occur before, not inside, a longer phrase that contains
+// their tokens ("a b x a b c"), so only first-occurrence spans may count.
 func TestHashedSelectionMatchesStringReference(t *testing.T) {
 	corpora := map[string][][]string{
 		"mixed":      fixtureCorpus(42, 3, 5, 30),
 		"dupHeavy":   fixtureCorpus(7, 6, 8, 4),
 		"noiseOnly":  fixtureCorpus(13, 0, 0, 25),
 		"tinyAndDup": {tok("a b a b a"), tok("a b a b a"), nil, tok("z")},
+		"longDocs":   longCorpus(5, 3, 4, 12),
+		"containedEarlier": {tok("a b x a b c"), tok("a b x a b c"), tok("a b y"), tok("a b z"),
+			tok("x a q"), tok("b c r"), tok("c x a b c a b"), tok("q r s"), tok("a b c")},
 	}
 	extractors := []Extractor{
 		{},
@@ -648,6 +688,48 @@ func TestSelectionTablesMatchMapCount(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPruneMatchesBruteForce holds Select's prune to its rule, pair by
+// pair: a candidate is dropped exactly when the first occurrence of a
+// candidate earlier in the selection order lies strictly inside its own.
+// The selection gates cannot see a prune that drops too little (the
+// output stays the same); this test can. Scores come from three values,
+// so most comparisons fall through to the lexicographic tie-break.
+func TestPruneMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vocab := tokenize.NewVocab()
+	var ph Phrases
+	var s Selector
+	for it := 0; it < 3000; it++ {
+		doc := make([]string, 1+rng.Intn(60))
+		for i := range doc {
+			doc[i] = string(rune('a' + rng.Intn(2+it%6)))
+		}
+		ids := vocab.Encode(doc)
+		ph.Extract([][]int{ids}, 1+rng.Intn(DefaultMaxN))
+		var cand []scored
+		for i, p := range ph.Doc(0) {
+			if rng.Intn(4) > 0 {
+				cand = append(cand, scored{float64(rng.Intn(3)), p.Pos, p.N, int32(i)})
+			}
+		}
+		if len(cand) == 0 {
+			continue
+		}
+		rank := s.lexRanks(ids, vocab)
+		var want []scored
+		for _, c := range cand {
+			if !slices.ContainsFunc(cand, func(o scored) bool {
+				return o != c && o.pos >= c.pos && o.pos+o.n <= c.pos+c.n && order(rank, o, c) < 0
+			}) {
+				want = append(want, c)
+			}
+		}
+		if got := s.prune(slices.Clone(cand), len(ids), rank); !slices.Equal(got, want) {
+			t.Fatalf("doc %q: prune kept %v, want %v", doc, got, want)
 		}
 	}
 }

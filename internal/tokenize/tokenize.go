@@ -14,6 +14,10 @@
 //     so "scam.com", "123-456.7890" and mangled URLs survive as one token,
 //   - runs of CJK characters (which carry no spaces) are split into
 //     single-character tokens, the standard language-independent fallback.
+//
+// Every token is a substring of the lower-cased text, so a document
+// tokenizes with at most one copy plus its token slice, on both the ASCII
+// and the Unicode path.
 package tokenize
 
 import (
@@ -50,7 +54,8 @@ func isASCII(s string) bool {
 }
 
 // asciiSpace and asciiWord are unicode.IsSpace and isWordRune restricted
-// to ASCII — byte-indexed so the fast path never decodes a rune.
+// to ASCII — byte-indexed, so the fast path never decodes a rune and the
+// Unicode path answers ASCII runes without a table search.
 var asciiSpace, asciiWord [utf8.RuneSelf]bool
 
 func init() {
@@ -67,7 +72,8 @@ func init() {
 // is CJK, ASCII lower-casing is a byte table, and trimming surrounding
 // punctuation keeps tokens as substrings of one backing string, so the
 // whole document tokenizes with at most one lower-casing copy plus the
-// output slice. FuzzTokensASCII pins it against the Unicode path.
+// output slice. FuzzTokensASCII pins it against the rune-by-rune
+// reference tokenizer.
 func (t Tokenizer) tokensASCII(text string) []string {
 	text = lowerASCII(text)
 	// One sized allocation instead of append-doubling: tokens are
@@ -121,32 +127,89 @@ func lowerASCII(s string) string {
 	return string(b)
 }
 
-// tokensUnicode is the general rune-by-rune path (and the reference the
-// ASCII fast path is fuzzed against).
+// tokensUnicode is the general path. strings.ToLower turns every invalid
+// byte into U+FFFD, so its output is valid UTF-8 and each token is a
+// substring of it, equal to the token a rune-by-rune split would build:
+// the whole document costs one lower-casing copy plus the output slice.
+// ASCII runes are answered from the byte tables, and runes below U+2E80,
+// where no Han, Hiragana or Katakana rune lies, skip the script lookups.
+// FuzzTokensUnicode pins it against a rune-by-rune reference.
 func (t Tokenizer) tokensUnicode(text string) []string {
 	text = strings.ToLower(text)
-	var out []string
-	field := make([]rune, 0, 32)
-	flush := func() {
-		if len(field) == 0 {
-			return
-		}
-		for _, tok := range splitField(field) {
-			if tok != "" {
-				out = append(out, tok)
-			}
-		}
-		field = field[:0]
-	}
-	for _, r := range text {
-		if unicode.IsSpace(r) {
-			flush()
+	out := make([]string, 0, len(text)/8+4)
+	for i := 0; i < len(text); {
+		r, w := decode(text, i)
+		if isSpace(r) {
+			i += w
 			continue
 		}
-		field = append(field, r)
+		j := i + w
+		for j < len(text) {
+			r, w := decode(text, j)
+			if isSpace(r) {
+				break
+			}
+			j += w
+		}
+		out = appendField(out, text[i:j])
+		i = j
 	}
-	flush()
+	if len(out) == 0 {
+		return nil
+	}
 	return out
+}
+
+// appendField appends the tokens of one whitespace-delimited field: each
+// run between CJK runes with its surrounding punctuation trimmed, and each
+// CJK letter as a single-character token. Radicals and symbols in CJK
+// blocks are not letters; they are dropped like any other punctuation.
+func appendField(out []string, field string) []string {
+	lo := 0
+	for k := 0; k < len(field); {
+		r, w := decode(field, k)
+		if isCJK(r) {
+			out = appendTrimmed(out, field[lo:k])
+			if isWordRune(r) {
+				out = append(out, field[k:k+w])
+			}
+			lo = k + w
+		}
+		k += w
+	}
+	return appendTrimmed(out, field[lo:])
+}
+
+// appendTrimmed appends s without the leading and trailing runes that
+// cannot begin or end a token, unless nothing is left.
+func appendTrimmed(out []string, s string) []string {
+	for len(s) > 0 {
+		r, w := decode(s, 0)
+		if isWordRune(r) {
+			break
+		}
+		s = s[w:]
+	}
+	for len(s) > 0 {
+		r, w := utf8.DecodeLastRuneInString(s)
+		if isWordRune(r) {
+			break
+		}
+		s = s[:len(s)-w]
+	}
+	if s == "" {
+		return out
+	}
+	return append(out, s)
+}
+
+// decode returns the rune at s[i] and its width, without a call for an
+// ASCII byte.
+func decode(s string, i int) (rune, int) {
+	if s[i] < utf8.RuneSelf {
+		return rune(s[i]), 1
+	}
+	return utf8.DecodeRuneInString(s[i:])
 }
 
 // All tokenizes every text concurrently across workers goroutines
@@ -163,78 +226,28 @@ func (t Tokenizer) All(texts []string, workers int) [][]string {
 	return out
 }
 
-// splitField handles one whitespace-delimited field: trims surrounding
-// punctuation and splits out CJK runes as single-character tokens.
-func splitField(field []rune) []string {
-	// Trim leading/trailing non-letter/digit runes, keeping interior ones.
-	start, end := 0, len(field)
-	for start < end && !isWordRune(field[start]) {
-		start++
+// isSpace is unicode.IsSpace, answered from a table for ASCII.
+func isSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiSpace[r]
 	}
-	for end > start && !isWordRune(field[end-1]) {
-		end--
-	}
-	field = field[start:end]
-	if len(field) == 0 {
-		return nil
-	}
-	// Fast path: no CJK runes.
-	hasCJK := false
-	for _, r := range field {
-		if isCJK(r) {
-			hasCJK = true
-			break
-		}
-	}
-	if !hasCJK {
-		return []string{string(field)}
-	}
-	var toks []string
-	cur := make([]rune, 0, len(field))
-	emit := func() {
-		if tok := trimNonWord(cur); tok != "" {
-			toks = append(toks, tok)
-		}
-		cur = cur[:0]
-	}
-	for _, r := range field {
-		if isCJK(r) {
-			emit()
-			// Radicals and symbols in CJK blocks are not letters; drop
-			// them like any other punctuation.
-			if isWordRune(r) {
-				toks = append(toks, string(r))
-			}
-			continue
-		}
-		cur = append(cur, r)
-	}
-	emit()
-	return toks
-}
-
-// trimNonWord strips leading/trailing runes that cannot begin or end a
-// token and returns the remainder, possibly empty.
-func trimNonWord(rs []rune) string {
-	start, end := 0, len(rs)
-	for start < end && !isWordRune(rs[start]) {
-		start++
-	}
-	for end > start && !isWordRune(rs[end-1]) {
-		end--
-	}
-	return string(rs[start:end])
+	return unicode.IsSpace(r)
 }
 
 // isWordRune reports whether r can begin or end a token.
 func isWordRune(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiWord[r]
+	}
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // isCJK reports whether r belongs to a script written without spaces
-// (Han, Hiragana, Katakana). Hangul is spaced and is left alone.
+// (Han, Hiragana, Katakana). Hangul is spaced and is left alone. No rune
+// of the three scripts lies below U+2E80 (TestCJKFloor), so most
+// non-ASCII text skips the lookups.
 func isCJK(r rune) bool {
-	return unicode.Is(unicode.Han, r) ||
+	return r >= 0x2E80 && (unicode.Is(unicode.Han, r) ||
 		unicode.Is(unicode.Hiragana, r) ||
-		unicode.Is(unicode.Katakana, r)
+		unicode.Is(unicode.Katakana, r))
 }

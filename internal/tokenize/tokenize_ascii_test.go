@@ -10,15 +10,7 @@ import (
 // reference for one input.
 func checkASCIIEquiv(t *testing.T, text string) {
 	t.Helper()
-	var tk Tokenizer
-	got := tk.Tokens(text)
-	want := tk.tokensUnicode(text)
-	if len(got) == 0 && len(want) == 0 {
-		return
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Tokens(%q) = %q, reference = %q", text, got, want)
-	}
+	checkReference(t, text)
 }
 
 // TestTokensASCIIEquiv covers the fast path's edge shapes directly.
@@ -80,6 +72,7 @@ func FuzzTokensASCII(f *testing.F) {
 	f.Add("Hello, World! call 123-456.7890")
 	f.Add("  ..mixed--  CASE  tokens.. ")
 	f.Add("héllo 今日は ascii tail")
+	f.Add("ascii words　split by an ideographic space")
 	f.Fuzz(func(t *testing.T, text string) {
 		checkASCIIEquiv(t, text)
 	})
