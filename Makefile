@@ -41,8 +41,11 @@ race-short:
 	$(GO) test -race -short ./...
 
 ## fuzz: a bounded burst of the Workers:1-vs-Workers:4 determinism fuzzer.
+## Every fuzz target caps the minimizing of a new input at 2 s
+## (-fuzzminimizetime): the default 60 s can stall a short burst at
+## 0 execs/s while it minimizes.
 fuzz:
-	$(GO) test -fuzz FuzzDetectDeterminism -fuzztime 30s .
+	$(GO) test -fuzz FuzzDetectDeterminism -fuzztime 30s -fuzzminimizetime 2s .
 
 ## fuzz-stream: bounded bursts of the streaming fuzzers — the serve-path
 ## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,
@@ -53,8 +56,8 @@ fuzz:
 ## bytes never panic Load; an accepted state reaches a Save fixpoint).
 ## Anchored patterns, as in fuzz-serve.
 fuzz-stream:
-	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 30s ./internal/stream
-	$(GO) test -fuzz 'FuzzLoad$$' -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz 'FuzzStreamOps$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/stream
+	$(GO) test -fuzz 'FuzzLoad$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/stream
 
 ## fuzz-serve: bounded bursts of both daemon fuzzers — the single-shard
 ## HTTP fuzzer (interleaved single/batch/flush/snapshot requests,
@@ -63,8 +66,8 @@ fuzz-stream:
 ## crash recovery against per-shard serial references). The patterns
 ## are anchored: Go refuses a -fuzz that matches more than one target.
 fuzz-serve:
-	$(GO) test -fuzz 'FuzzServe$$' -fuzztime 30s ./internal/serve
-	$(GO) test -fuzz 'FuzzServeSharded$$' -fuzztime 30s ./internal/serve
+	$(GO) test -fuzz 'FuzzServe$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/serve
+	$(GO) test -fuzz 'FuzzServeSharded$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/serve
 
 ## fuzz-tfidf: bounded bursts of the phrase-substrate fuzzers shared by
 ## batch Coarse and the incremental miner — the extractor fuzzer (random
@@ -74,8 +77,8 @@ fuzz-serve:
 ## whose probe runs wrap the table's end). Anchored patterns, as in
 ## fuzz-serve.
 fuzz-tfidf:
-	$(GO) test -fuzz 'FuzzTopPhraseIDs$$' -fuzztime 30s ./internal/tfidf
-	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s ./internal/tfidf
+	$(GO) test -fuzz 'FuzzTopPhraseIDs$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/tfidf
+	$(GO) test -fuzz 'FuzzMineDF$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/tfidf
 
 ## fuzz-align: bounded bursts of the alignment fuzzers. Fine's screen,
 ## the matcher and the merge probe price every C(d|T) through one call
@@ -85,9 +88,9 @@ fuzz-tfidf:
 ## against the cost of its alignment.
 ## Anchored patterns, as in fuzz-serve.
 fuzz-align:
-	$(GO) test -fuzz 'FuzzWildBanded$$' -fuzztime 30s ./internal/align
-	$(GO) test -fuzz 'FuzzWildBitParallel$$' -fuzztime 30s ./internal/align
-	$(GO) test -fuzz 'FuzzWildLowerBoundAdmissible$$' -fuzztime 30s ./internal/align
+	$(GO) test -fuzz 'FuzzWildBanded$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/align
+	$(GO) test -fuzz 'FuzzWildBitParallel$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/align
+	$(GO) test -fuzz 'FuzzWildLowerBoundAdmissible$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/align
 
 ## bench: the end-to-end pipeline benchmark at both corpus sizes,
 ## repeated for stable numbers.

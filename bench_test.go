@@ -167,25 +167,9 @@ func BenchmarkCoarseParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTopPhrases isolates the tf-idf phrase extraction through the
-// string-keyed compatibility wrapper (the pre-rewrite measurement point).
-func BenchmarkTopPhrases(b *testing.B) {
-	texts := twitterTexts(b, 50)
-	var tk tokenize.Tokenizer
-	words := make([][]string, len(texts))
-	for i, t := range texts {
-		words[i] = tk.Tokens(t)
-	}
-	ex := &tfidf.Extractor{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.TopPhrases(words)
-	}
-}
-
-// BenchmarkTopPhraseIDs measures the hashed-key extraction path the
-// pipeline actually runs (no string materialization at all), on the mixed
+// BenchmarkTopPhraseIDs measures the phrase admission batch Coarse and
+// the streaming miner run (hashed keys, no string materialization at
+// all), into a fresh DF table as batch Coarse calls it, on the mixed
 // 50-account corpus and at the detect-batch benchmark's shape.
 func BenchmarkTopPhraseIDs(b *testing.B) {
 	corpora := []struct {
@@ -207,7 +191,7 @@ func BenchmarkTopPhraseIDs(b *testing.B) {
 			ex := &tfidf.Extractor{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ex.TopPhraseIDs(tokens, vocab)
+				ex.TopPhraseIDs(tokens, vocab, new(tfidf.HashTable), len(tokens))
 			}
 		})
 	}

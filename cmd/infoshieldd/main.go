@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	maxTemplates := fs.Int("max-templates", 0, "per-shard live-template cap; the least-recently-matched templates are evicted past it (0 = unbounded)")
 	templateTTL := fs.Int("template-ttl", 0, "retire a template after this many ingested documents without a match (0 = never)")
 	mergeTemplates := fs.Bool("merge-templates", false, "fold freshly mined templates into existing near-duplicates when the MDL cost favors one template")
-	incrementalMine := fs.Bool("incremental-mine", false, "carry document-frequency counts and recent unmatched documents across flushes so each mining pass clusters only new and touched documents")
+	incrementalMine := fs.Bool("incremental-mine", false, "keep recent unmatched documents and their document-frequency counts across flushes, so a later mining pass can still cluster them with new documents")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -39,9 +39,11 @@ type Config struct {
 	TopPhraseFraction float64
 	// MinSharedPhrases requires documents to share this many top phrases
 	// to be joined coarsely (default 1, the paper's permissive setting).
+	// Batch Detect only: a StreamDetector ignores it.
 	MinSharedPhrases int
 	// UseLSHCoarse swaps the coarse pass's tf-idf phrase graph for
-	// MinHash-LSH banding (recall-leaning alternative).
+	// MinHash-LSH banding (recall-leaning alternative). Batch Detect only:
+	// a StreamDetector ignores it.
 	UseLSHCoarse bool
 	// UseStarMSA swaps Partial Order Alignment for a cheaper star MSA.
 	UseStarMSA bool

@@ -12,8 +12,7 @@ import (
 
 // CoarseTimings breaks the coarse pass into its pipeline stages so the
 // effect of the worker pool is measurable per stage. Tokenize covers
-// word-splitting plus vocabulary encoding (filled in by Run; RunTokens,
-// given words already split, times only the encode; the Coarse
+// word-splitting plus vocabulary encoding (filled in by Run; the Coarse
 // convenience wrapper leaves it zero). Under UseLSHCoarse, Components
 // covers signatures plus banding and the tf-idf stages stay zero.
 type CoarseTimings struct {
@@ -49,7 +48,7 @@ func coarseEncoded(words [][]string, tokens [][]int, vocab *tokenize.Vocab, opt 
 		return coarseLSH(words, opt)
 	}
 	ex := &tfidf.Extractor{MaxN: opt.MaxNgram, TopFraction: opt.TopFraction, Workers: opt.Workers}
-	sel := ex.TopPhraseIDs(tokens, vocab)
+	sel := ex.TopPhraseIDs(tokens, vocab, new(tfidf.HashTable), len(tokens))
 	top = sel.Top
 	t.Extract, t.Score = sel.Extract, sel.Score
 	start := time.Now()

@@ -138,22 +138,7 @@ func (r *Result) Suspicious() []bool {
 func Run(texts []string, opt Options) *Result {
 	start := time.Now()
 	var tk tokenize.Tokenizer
-	return run(start, texts, tk.All(texts, par.Workers(opt.Workers)), opt)
-}
-
-// RunTokens is Run over pre-tokenized documents: words[i] must be the
-// package tokenizer's stream for texts[i]. Callers that already hold the
-// token streams — the streaming detector buffers the tokens it encoded
-// at ingest time — skip the tokenization stage entirely; because the
-// tokenizer is a pure function of the text, the results are
-// byte-identical to Run.
-func RunTokens(texts []string, words [][]string, opt Options) *Result {
-	return run(time.Now(), texts, words, opt)
-}
-
-// run is RunTokens with the clock started at start, so Run counts its word
-// split in the Tokenize stage and in CoarseDuration.
-func run(start time.Time, texts []string, words [][]string, opt Options) *Result {
+	words := tk.All(texts, par.Workers(opt.Workers))
 	vocab := tokenize.NewVocab()
 	tokens := make([][]int, len(texts))
 	for i, w := range words {

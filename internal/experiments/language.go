@@ -7,7 +7,6 @@ import (
 	"infoshield/internal/core"
 	"infoshield/internal/datagen"
 	"infoshield/internal/metrics"
-	"infoshield/internal/tfidf"
 	"infoshield/internal/tokenize"
 )
 
@@ -63,9 +62,9 @@ func AblationTopFraction(w io.Writer, scale Scale) {
 	for _, frac := range []float64{0.02, 0.05, 0.10, 0.20, 0.40} {
 		res := core.Run(c.Texts(), core.Options{TopFraction: frac})
 		conf := metrics.NewConfusion(res.Suspicious(), tr)
-		ex := &tfidf.Extractor{TopFraction: frac}
+		_, top := core.Coarse(words, core.Options{TopFraction: frac})
 		edges := 0
-		for _, ps := range ex.TopPhrases(words) {
+		for _, ps := range top {
 			edges += len(ps)
 		}
 		fmt.Fprintf(w, "%10.2f %8.3f %8.3f %8.3f %10.2f\n",

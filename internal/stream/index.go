@@ -481,7 +481,8 @@ func (s *MatchStats) Add(o MatchStats) {
 }
 
 // MineStats counts mining passes and template lifecycle activity. With
-// the lifecycle disabled only Flushes, FlushDocs and Mined move.
+// the lifecycle disabled only Flushes, FlushDocs, Mined and MineClustered
+// move.
 type MineStats struct {
 	// Flushes counts mining passes; FlushDocs the pending documents they
 	// consumed (Σ per-flush buffer size).
@@ -498,7 +499,7 @@ type MineStats struct {
 	// MineReused counts retained documents the incremental miner
 	// re-clustered from its cross-flush window without re-extracting
 	// their phrases; MineClustered counts all documents handed to the
-	// clustering stage across incremental flushes (reused + new). Their
+	// clustering stage across flushes (reused + new). Their
 	// ratio is the incremental-coarse reuse rate; re-clustering the whole
 	// window would count every retained document every flush.
 	MineReused    int `json:"mine_reused"`

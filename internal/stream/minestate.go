@@ -5,51 +5,46 @@ import (
 
 	"infoshield/internal/core"
 	"infoshield/internal/tfidf"
-	"infoshield/internal/tokenize"
 )
 
-// The incremental miner replaces the from-scratch batch pipeline on
-// Flush when Lifecycle.Incremental is set. Instead of re-running
-// coarse+fine over an ever-growing buffer, it keeps cross-flush state —
-// a document-frequency table and a bounded window of recent unmatched
-// documents — and per flush only:
+// Every Flush runs one mining pass, the miner below. It keeps
+// cross-flush state — a document-frequency table and a bounded window of
+// recent unmatched documents — and per flush:
 //
-//  1. extracts phrases for the *new* pending documents (the tokens were
-//     already encoded at ingest; nothing is re-tokenized),
-//  2. selects their top phrases against the window-wide DF table,
-//  3. re-clusters only the documents whose selections share a phrase
-//     with a new document (plus the new documents themselves), and
-//  4. hands those components to the same fine pass (core.Refine) the
+//  1. admits the new pending documents through tfidf's one admission
+//     call (TopPhraseIDs): their phrases (from the tokens encoded at
+//     ingest; nothing is re-tokenized) join the window DF table, and
+//     each selects its top phrases against the window,
+//  2. re-clusters only the retained documents whose selections share a
+//     phrase with a new document, plus the new documents themselves, and
+//  3. hands those components to the same fine pass (core.Refine) the
 //     batch pipeline uses.
 //
-// Amortized flush cost is proportional to the batch, not the history,
-// and campaigns that trickle in below BatchSize per flush still
-// assemble: their early members wait in the window and join the
+// Lifecycle.Incremental decides only whether unmatched documents stay in
+// the window. With it on, flush cost is proportional to the batch, not
+// the history, and campaigns that trickle in below BatchSize per flush
+// still assemble: their early members wait in the window and join the
 // component the moment a later flush re-touches their phrases —
-// upgrading their noise verdicts, which the batch path would have
-// frozen at -1.
+// upgrading their noise verdicts. With it off, the pass empties the
+// window and its DF table at its end, so each flush mines its buffer
+// alone and an unmatched document's noise verdict is final.
 //
-// The flush path runs on the tf-idf kernel's phrase substrate, the same
-// one batch Coarse uses, and holds no Go map. Each document's
-// 1..MaxN-grams are deduped through tfidf.Phrases; the window DF table is
-// a tfidf.HashTable, whose zero-count entries leave by backward shift, so
-// the table never holds tombstones and its size stays bounded by the
-// retained window; and selection is the batch extractor's own rule
-// (tfidf.Selector: budget, idf floor, positional diversity and the
-// lexicographic tie-break) against the window DF. The phrases the new
+// The window DF table is a tfidf.HashTable, whose zero-count entries
+// leave by backward shift, so the table never holds tombstones and its
+// size stays bounded by the retained window. The phrases the new
 // documents select (the touched set) live in a second HashTable, which
 // then serves as the anchor table of tfidf.Components — the components
 // step batch Coarse runs too.
 //
-// Two deliberate differences from the batch coarse pass remain, both
-// deterministic. Component growth always uses the permissive
-// single-shared-phrase rule (Options.MinSharedPhrases is a
-// batch-pipeline ablation knob), and idf is computed over the retained
-// window rather than the whole history. Incremental mining is therefore
-// equivalent in mechanism, not byte-identical in output, to the batch
-// path — the byte-identity gate covers the default (non-incremental)
-// configuration. Over an empty window, a flush selects exactly the
-// phrases TopPhraseIDs selects (TestMinerSelectionMatchesBatch).
+// Three deliberate differences from batch Detect over the same documents
+// remain, all deterministic. Description lengths are priced at the
+// detector's vocabulary size, the V the matcher uses, not the buffer's.
+// Streaming ignores the batch-only ablations Options.MinSharedPhrases and
+// Options.UseLSHCoarse: components always use the permissive
+// single-shared-phrase rule over tf-idf phrases. And with Incremental on,
+// idf is computed over the retained window as well as the buffer. Over an
+// empty window, a flush selects exactly the phrases batch Coarse selects
+// (TestMinerSelectionMatchesBatch).
 
 // The retained window's bounds: an unmatched document leaves it after
 // retainFlushes mining passes, and the window keeps at most
@@ -79,11 +74,7 @@ type mineState struct {
 	docs  []mineDoc // retained unmatched docs, ascending id
 	epoch int
 
-	// Scratch reused across flushes (and by Load).
-	phr     tfidf.Phrases    // the admitted documents' phrases
-	pick    tfidf.Selector   // the selection rule's scratch
-	sel     []tfidf.PhraseID // the admitted documents' selections, flat
-	touched tfidf.HashTable  // the new documents' selections, then Components' anchors
+	touched tfidf.HashTable // the new documents' selections, then Components' anchors
 }
 
 func (ms *mineState) decDF(dist []uint64) {
@@ -92,46 +83,10 @@ func (ms *mineState) decDF(dist []uint64) {
 	}
 }
 
-// admit extracts docs' phrases, counts them into the window DF table, and
-// selects each document's top phrases against a window of n documents
-// (docs included). Row i of the result is document i's selection; the
-// rows share ms.sel's storage.
-func (ms *mineState) admit(docs [][]int, n int, ex *tfidf.Extractor, vocab *tokenize.Vocab) [][]tfidf.PhraseID {
-	ms.phr.Extract(docs, ex.MaxNgram())
-	for _, p := range ms.phr.All() {
-		ms.df.Inc(p.Hash)
-	}
-	ms.pick.Reset(ex, n)
-	ms.sel = ms.sel[:0]
-	sels := make([][]tfidf.PhraseID, len(docs))
-	for i, toks := range docs {
-		start := len(ms.sel)
-		ms.sel = ms.pick.Select(ms.sel, ms.phr.Doc(i), toks, vocab, &ms.df)
-		sels[i] = ms.sel[start:len(ms.sel):len(ms.sel)]
-	}
-	return sels
-}
-
 // mineExtractor is the phrase extractor configured by the detector's
 // options, as the batch pipeline configures its own.
 func (d *Detector) mineExtractor() *tfidf.Extractor {
-	return &tfidf.Extractor{MaxN: d.Options.MaxNgram, TopFraction: d.Options.TopFraction}
-}
-
-// retain appends admitted document i to the window with selection sel.
-// Its dist and sel are copied into the front of slab, which must have
-// room; the rest of slab is returned.
-func (ms *mineState) retain(slab []uint64, i, id int, toks []int, sel []uint64, epoch int) []uint64 {
-	ps := ms.phr.Doc(i)
-	dist := slab[:len(ps):len(ps)]
-	for j := range ps {
-		dist[j] = ps[j].Hash
-	}
-	slab = slab[len(ps):]
-	kept := slab[:len(sel):len(sel)]
-	copy(kept, sel)
-	ms.docs = append(ms.docs, mineDoc{id: id, toks: toks, dist: dist, sel: kept, epoch: epoch})
-	return slab[len(sel):]
+	return &tfidf.Extractor{MaxN: d.Options.MaxNgram, TopFraction: d.Options.TopFraction, Workers: d.Options.Workers}
 }
 
 // reset empties the window and its DF table, keeping their storage and
@@ -149,10 +104,10 @@ func (ms *mineState) setDocs(keep []mineDoc) {
 	ms.docs = keep
 }
 
-// flushIncremental is the incremental mining pass; see the package
-// comment above for the shape. It returns the newly registered template
-// indices for the lifecycle pass.
-func (d *Detector) flushIncremental() []int {
+// minePass is Flush's mining pass; see the comment at the top of this
+// file for its shape. It returns the newly registered template indices
+// for the lifecycle pass.
+func (d *Detector) minePass() []int {
 	if d.mine == nil {
 		d.mine = &mineState{}
 	}
@@ -180,9 +135,9 @@ func (d *Detector) flushIncremental() []int {
 	// Admit the new batch: its phrases join the DF table before
 	// selection, so new near-duplicates see each other's df; then the
 	// phrases the new documents select make up the touched set.
-	newSel := ms.admit(d.pendingToks, len(ms.docs)+len(d.pendingToks), d.mineExtractor(), d.vocab)
+	adm := d.mineExtractor().TopPhraseIDs(d.pendingToks, d.vocab, &ms.df, len(ms.docs)+len(d.pendingToks))
 	ms.touched.Reset()
-	for _, sel := range newSel {
+	for _, sel := range adm.Top {
 		for _, h := range sel {
 			ms.touched.Insert(h, 1)
 		}
@@ -209,35 +164,38 @@ func (d *Detector) flushIncremental() []int {
 	reused := len(candIdx)
 	newBase := len(localIDs)
 	localToks = append(localToks, d.pendingToks...)
-	localSel = append(localSel, newSel...)
+	localSel = append(localSel, adm.Top...)
 	localIDs = append(localIDs, d.pendingIDs...)
 	d.stats.MineReused += reused
 	d.stats.MineClustered += len(localIDs)
 
 	// Components of ≥ 2 members over the shared-phrase graph, as batch
 	// Coarse builds them.
-	nLocal := len(localIDs)
 	coarse := tfidf.Components(localSel, 2, &ms.touched)
 
 	// Fine pass: same MDL mining as the batch pipeline, over detector-
 	// vocab tokens, so accepted templates register without re-encoding.
 	refined, _ := core.Refine(coarse, localToks, localSel, d.vocab.Size(), d.Options)
 
-	matched := make([]bool, nLocal)
+	matched := make([]bool, len(localIDs))
 	var newTIs []int
 	for ci := range refined {
 		for k := range refined[ci] {
 			tr := &refined[ci][k]
-			newTIs = d.registerMined(newTIs, tr, localIDs, func(tid int) int { return tid })
+			newTIs = d.registerMined(newTIs, tr, localIDs)
 			for _, l := range tr.Docs {
 				matched[l] = true
 			}
 		}
 	}
+	if !d.Lifecycle.Incremental {
+		ms.reset()
+		return newTIs
+	}
 
 	// Matched documents leave the window (with their DF contributions);
-	// unmatched new documents join it, their dist and sel copied into one
-	// slab per flush. candIdx ascends, so one walk pairs it with docs.
+	// unmatched new documents join it. candIdx ascends, so one walk pairs
+	// it with docs.
 	keep, k := ms.docs[:0], 0
 	for i := range ms.docs {
 		if k < reused && candIdx[k] == i {
@@ -250,21 +208,12 @@ func (d *Detector) flushIncremental() []int {
 		keep = append(keep, ms.docs[i])
 	}
 	ms.setDocs(keep)
-	size := 0
-	for i := range d.pendingToks {
-		if !matched[newBase+i] {
-			size += len(ms.phr.Doc(i)) + len(newSel[i])
-		}
-	}
-	slab := make([]uint64, size)
-	for i := range d.pendingToks {
+	for i, toks := range d.pendingToks {
 		if matched[newBase+i] {
-			for _, p := range ms.phr.Doc(i) {
-				ms.df.Dec(p.Hash)
-			}
+			ms.decDF(adm.Dist[i])
 			continue
 		}
-		slab = ms.retain(slab, i, d.pendingIDs[i], d.pendingToks[i], newSel[i], ms.epoch)
+		ms.docs = append(ms.docs, mineDoc{id: d.pendingIDs[i], toks: toks, dist: adm.Dist[i], sel: adm.Top[i], epoch: ms.epoch})
 	}
 	return newTIs
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -34,10 +35,11 @@ func checkMineDF(t *testing.T, label string, d *Detector) {
 }
 
 // TestMinerSelectionMatchesBatch: the miner and batch Coarse share one
-// selection rule. Over an empty window with every document pending, the
-// miner's selections must equal TopPhraseIDs' at any worker count, on
-// the same token streams: a multilingual tweet corpus and a stretch of
-// the drift stream, under default and non-default phrase options.
+// admission call. Over an empty window with every document pending, an
+// incremental flush must leave each retained document with the selection
+// core.Coarse makes for it, at any worker count, on the same token
+// streams: a multilingual tweet corpus and a stretch of the drift stream,
+// under default and non-default phrase options.
 func TestMinerSelectionMatchesBatch(t *testing.T) {
 	tw := datagen.Twitter(datagen.TwitterConfig{Seed: 3, GenuineAccounts: 30, BotAccounts: 30,
 		TweetsPerAccountMin: 10, TweetsPerAccountMax: 10})
@@ -47,25 +49,26 @@ func TestMinerSelectionMatchesBatch(t *testing.T) {
 	}
 	var tk tokenize.Tokenizer
 	for name, texts := range corpora {
-		vocab := tokenize.NewVocab()
-		docs := make([][]int, len(texts))
-		for i, w := range tk.All(texts, 1) {
-			docs[i] = vocab.Encode(w)
-		}
+		words := tk.All(texts, 1)
 		for _, opt := range []core.Options{{}, {MaxNgram: 3, TopFraction: 0.25}} {
-			ex := New(opt).mineExtractor()
-			var ms mineState
-			got := ms.admit(docs, len(docs), ex, vocab)
+			_, want := core.Coarse(words, opt)
 			for _, workers := range []int{1, 2, 5} {
-				e := *ex
-				e.Workers = workers
-				want := e.TopPhraseIDs(docs, vocab).Top
-				for i := range docs {
-					if !slices.Equal(got[i], want[i]) {
-						t.Fatalf("%s maxN=%d frac=%v workers=%d: doc %d: miner selected %x, batch %x",
-							name, opt.MaxNgram, opt.TopFraction, workers, i, got[i], want[i])
+				opt.Workers = workers
+				d := New(opt)
+				d.BatchSize = len(texts) + 1
+				d.Lifecycle.Incremental = true
+				d.AddBatch(texts)
+				d.Flush()
+				label := fmt.Sprintf("%s maxN=%d frac=%v workers=%d", name, opt.MaxNgram, opt.TopFraction, workers)
+				if len(d.mine.docs) == 0 {
+					t.Fatalf("%s: the flush retained no document", label)
+				}
+				for _, doc := range d.mine.docs {
+					if !slices.Equal(doc.sel, want[doc.id]) {
+						t.Fatalf("%s: doc %d: miner selected %x, batch %x", label, doc.id, doc.sel, want[doc.id])
 					}
 				}
+				checkMineDF(t, label, d)
 			}
 		}
 	}

@@ -340,10 +340,9 @@ func (d *Detector) restore(ds *decodedState) {
 		if ms == nil {
 			ms = &mineState{}
 		}
-		sels := ms.admit(rtoks, len(rtoks), d.mineExtractor(), d.vocab)
-		slab := make([]uint64, len(ms.phr.All())+len(ms.sel))
+		adm := d.mineExtractor().TopPhraseIDs(rtoks, d.vocab, &ms.df, len(rtoks))
 		for i, rd := range ds.retained {
-			slab = ms.retain(slab, i, rd.id, rtoks[i], sels[i], -rd.age)
+			ms.docs = append(ms.docs, mineDoc{id: rd.id, toks: rtoks[i], dist: adm.Dist[i], sel: adm.Top[i], epoch: -rd.age})
 		}
 		d.mine = ms
 	}

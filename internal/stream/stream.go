@@ -6,9 +6,9 @@
 // New documents are first tested against the already-mined templates with
 // the same MDL criterion the batch pipeline uses (C(d|T) < C(d), with
 // slots as wildcards); matches attach immediately. The rest buffer, and
-// when the buffer reaches BatchSize the full coarse+fine pipeline runs
-// over it to mine new templates. Everything stays deterministic for a
-// given input order.
+// when the buffer reaches BatchSize a mining pass (the coarse and fine
+// stages of the batch pipeline, see minestate.go) runs over it to mine
+// new templates. Everything stays deterministic for a given input order.
 //
 // The serving hot path scales sublinearly with the template set: a tiered
 // postings index over constant tokens (bucket-level bound skips, flat
@@ -78,12 +78,13 @@ type Lifecycle struct {
 	// description-length criterion the batch pipeline accepts templates
 	// with.
 	Merge bool
-	// Incremental switches Flush from the batch pipeline to the
-	// streaming-native miner: document frequencies and unmatched
-	// documents persist across flushes (see minestate.go), so a flush
-	// extracts phrases for the new batch only and re-clusters only the
-	// components those phrases touch. Costs are amortized per batch, and
-	// campaigns that trickle in across flush boundaries still assemble.
+	// Incremental keeps unmatched documents, and their document
+	// frequencies, in the miner's window across flushes (see
+	// minestate.go): a later flush re-clusters them with the new
+	// documents whose phrases they share, so campaigns that trickle in
+	// across flush boundaries still assemble. Off, each flush mines its
+	// buffer alone and an unmatched document's noise verdict is final.
+	// Every flush runs the same mining pass either way.
 	Incremental bool
 }
 
@@ -128,8 +129,7 @@ type Detector struct {
 	// lifecycle pass compacts their postings and payloads away.
 	tombSinceCompact int
 
-	// mine is the incremental miner's cross-flush state (nil until the
-	// first incremental flush).
+	// mine is the miner's cross-flush state (nil until the first flush).
 	mine *mineState
 
 	// compactFloor is the vocabulary size below which the lifecycle never
@@ -472,14 +472,12 @@ func (d *Detector) Register(words []string, wild []bool) (int, error) {
 
 // Flush mines the buffered documents, appending any accepted templates
 // and assigning their member documents. Every buffered document's
-// verdict first becomes noise; the mining pass then writes the new
-// template into its members' verdicts. With Lifecycle.Incremental off
-// the batch pipeline runs over the buffer (buffered documents that end
-// in no template are released as noise, and that verdict is final);
-// with it on, the incremental miner extends its cross-flush state
-// instead (see minestate.go) and unmatched documents are retained for a
-// bounded number of later passes. Either way the lifecycle pass (merge,
-// age-out, cap eviction) runs after mining.
+// verdict first becomes noise; the mining pass (see minestate.go) then
+// writes the new template into its members' verdicts. With
+// Lifecycle.Incremental on, unmatched documents stay in the miner's
+// window for a bounded number of later passes, which may still upgrade
+// their verdicts; with it off, their noise verdicts are final. Either way
+// the lifecycle pass (merge, age-out, cap eviction) runs after mining.
 func (d *Detector) Flush() {
 	if len(d.pendingTexts) == 0 {
 		return
@@ -489,57 +487,24 @@ func (d *Detector) Flush() {
 	for _, id := range d.pendingIDs {
 		d.verdicts[id] = verdictNoise
 	}
-	var newTIs []int
-	if d.Lifecycle.Incremental {
-		newTIs = d.flushIncremental()
-	} else {
-		newTIs = d.flushBatch()
-	}
+	newTIs := d.minePass()
 	d.pendingTexts = nil
 	d.pendingToks = nil
 	d.pendingIDs = nil
 	d.lifecyclePass(newTIs)
 }
 
-// flushBatch mines the buffer with the batch pipeline. The pipeline is
-// fed the token streams buffered at ingest time (decoded back to words —
-// a slice lookup per token) rather than re-tokenizing the raw texts;
-// because the tokenizer is pure, the verdicts are byte-identical to
-// core.Run over the texts.
-func (d *Detector) flushBatch() []int {
-	words := make([][]string, len(d.pendingToks))
-	for i, toks := range d.pendingToks {
-		w := make([]string, len(toks))
-		for j, tok := range toks {
-			w[j] = d.vocab.Word(tok)
-		}
-		words[i] = w
-	}
-	res := core.RunTokens(d.pendingTexts, words, d.Options)
-	toDetector := func(tid int) int { return d.vocab.Add(res.Vocab.Word(tid)) }
-	var newTIs []int
-	for ci := range res.Clusters {
-		for k := range res.Clusters[ci].Templates {
-			newTIs = d.registerMined(newTIs, &res.Clusters[ci].Templates[k], d.pendingIDs, toDetector)
-		}
-	}
-	return newTIs
-}
-
-// registerMined registers one template a mining pass accepted and
-// appends its index to newTIs. tok maps the template's token ids into
-// the detector's vocabulary (a slot keeps its consensus token when it
-// has one); the template is registered with its member count and counted
-// as Mined, and each member — ids maps a member's local index to its
-// document id — gets the template as its verdict.
-func (d *Detector) registerMined(newTIs []int, tr *core.TemplateResult, ids []int, tok func(int) int) []int {
+// registerMined registers one template a mining pass accepted, with its
+// member count, counts it as Mined, and appends its index to newTIs. The
+// template's token ids are the detector's (a slot without a consensus
+// token keeps id 0), and each member — ids maps a member's local index to
+// its document id — gets the template as its verdict.
+func (d *Detector) registerMined(newTIs []int, tr *core.TemplateResult, ids []int) []int {
 	n := tr.Template.Len()
 	tokens, wild := make([]int, n), make([]bool, n)
 	for i, tid := range tr.Template.TokenIDs {
 		wild[i] = tr.Template.IsSlot[i]
-		if !wild[i] || tid >= 0 {
-			tokens[i] = tok(tid)
-		}
+		tokens[i] = max(tid, 0)
 	}
 	ti := len(d.templates)
 	d.register(Template{Wild: wild, Tokens: tokens, DocCount: len(tr.Docs)})

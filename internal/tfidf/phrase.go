@@ -6,8 +6,8 @@ import (
 	"infoshield/internal/graph"
 )
 
-// The phrase substrate both Coarse paths share: hashed phrase identity,
-// the per-document dedupe and the document-frequency table. A phrase is
+// The phrase substrate of TopPhraseIDs: hashed phrase identity, the
+// per-document dedupe and the document-frequency table. A phrase is
 // keyed by a rolling 64-bit hash over its token ids, extended one token
 // at a time, so all MaxN n-grams starting at a position cost one
 // multiply-add each and zero allocations.
@@ -117,42 +117,9 @@ func (t *docTable) addDoc(ps []Phrase, ids []int, maxN int) []Phrase {
 	return ps
 }
 
-// Phrases holds the distinct phrases of a run of documents, document by
-// document, each in its order of first occurrence. Extract refills it
-// through one reused dedupe table; the zero value is ready to use.
-type Phrases struct {
-	tab    docTable
-	all    []Phrase
-	bounds []int32 // document i owns all[bounds[i]:bounds[i+1]]
-}
-
-// Extract replaces the contents with the distinct 1..maxN-grams of docs.
-func (p *Phrases) Extract(docs [][]int, maxN int) {
-	occ := 0
-	for _, ids := range docs {
-		occ += occurrences(len(ids), maxN)
-	}
-	p.all = slices.Grow(p.all[:0], occ)
-	p.bounds = append(p.bounds[:0], 0)
-	for _, ids := range docs {
-		p.all = p.tab.addDoc(p.all, ids, maxN)
-		p.bounds = append(p.bounds, int32(len(p.all)))
-	}
-}
-
-// Len returns the number of documents extracted.
-func (p *Phrases) Len() int { return max(0, len(p.bounds)-1) }
-
-// Doc returns document i's distinct phrases.
-func (p *Phrases) Doc(i int) []Phrase { return p.all[p.bounds[i]:p.bounds[i+1]] }
-
-// All returns every document's phrases, document after document: one
-// entry per distinct (document, phrase) pair, as DF counting needs.
-func (p *Phrases) All() []Phrase { return p.all }
-
 // HashTable is a dense open-addressing table from a 64-bit phrase hash to
 // a nonzero int32 (linear probing; value 0 marks an empty slot). It is
-// the document-frequency table of both Coarse paths. It stays at most
+// the document-frequency table TopPhraseIDs counts into. It stays at most
 // half full, doubling as it grows, and Dec deletes by backward shift, so
 // lookups never step over tombstones and a sliding window's table never
 // needs a rebuild. The zero value is an empty table; Get is safe for
@@ -264,7 +231,7 @@ func (t *HashTable) Reset() {
 // never built. anchor is Reset, then maps each phrase to its first holder,
 // and every later holder unions with that anchor, which yields the same
 // components as the explicit bipartite graph in O(E α(N)). Batch Coarse
-// and the incremental miner both call it; the miner reuses one anchor
+// and the streaming miner both call it; the miner reuses one anchor
 // table across flushes.
 func Components(sels [][]PhraseID, minSize int, anchor *HashTable) [][]int {
 	uf := graph.NewUnionFind(len(sels))

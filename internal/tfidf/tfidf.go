@@ -4,17 +4,20 @@
 // and the top ~10% of each document's phrases, making the count a function
 // of document size so results are not dominated by document length.
 //
-// The batch extractor (TopPhraseIDs) and the streaming incremental miner
-// run on one substrate (see phrase.go): the per-document dedupe
-// (Phrases), one hash-keyed DF table (HashTable) and one selection rule
-// (Selector). Phrases are keyed by rolling 64-bit hashes over token ids,
-// never by joined strings. TopPhraseIDs runs three passes:
+// Batch Coarse and the streaming miner admit documents through one call,
+// TopPhraseIDs, which counts a batch's phrases into the caller's DF table
+// (HashTable) and selects each document's top phrases against it
+// (Selector). Batch Coarse passes an empty table; the miner passes its
+// window's, so the batch is scored against the retained documents too.
+// Phrases are keyed by rolling 64-bit hashes over token ids, never by
+// joined strings (see phrase.go). TopPhraseIDs runs three passes:
 //
 //   - Extract: each worker dedupes a contiguous document range's n-grams
 //     through one reusable open-addressing table and keeps only a flat
-//     array of the phrase hashes.
+//     array of the phrase hashes, which it returns as each document's
+//     distinct phrases.
 //   - Count: every range's hashes are counted, serially and in document
-//     order, into one DF table.
+//     order, into the DF table.
 //   - Score: per range in parallel, each document is deduped again and
 //     its phrases (hash, tf, first position, length) go through the
 //     Selector: tf times idf, the idf floor, a prune of the phrases that
@@ -61,15 +64,6 @@ const (
 // size, still sublinear in N) stays selectable.
 const DefaultRelativeFloor = 0.4
 
-// sep joins n-gram tokens into a single phrase-key string. US (unit
-// separator) cannot appear in tokens, which never contain control
-// characters after tokenization of ordinary text; even if it did, a
-// collision only merges two phrases, never corrupts state.
-const sep = "\x1f"
-
-// Key converts an n-gram token slice into its canonical phrase key.
-func Key(tokens []string) string { return strings.Join(tokens, sep) }
-
 // Extractor computes per-document top phrases by tf-idf.
 // The zero value uses the paper's defaults.
 type Extractor struct {
@@ -99,9 +93,12 @@ func (e *Extractor) topFraction() float64 {
 	return e.TopFraction
 }
 
-// Selection is the output of TopPhraseIDs: each document's selected
-// phrases and per-stage wall times.
+// Selection is the output of TopPhraseIDs: each document's distinct and
+// selected phrases and per-stage wall times.
 type Selection struct {
+	// Dist[i] holds document i's distinct phrase hashes in order of first
+	// occurrence: the counts it added to the DF table.
+	Dist [][]uint64
 	// Top[i] holds document i's selected phrases, best first.
 	Top [][]PhraseID
 	// Extract and Score time the two halves (phrase hashes + DF
@@ -109,7 +106,7 @@ type Selection struct {
 	Extract, Score time.Duration
 }
 
-// Selector is the phrase-selection rule of both Coarse paths: it scores
+// Selector is the phrase-selection rule TopPhraseIDs applies: it scores
 // a document's distinct phrases by tf·idf against a DF table over a
 // corpus of n documents and keeps the document's top ones. A Selector
 // holds reusable scratch, so one serves one goroutine; the zero value
@@ -155,7 +152,7 @@ func (s *Selector) budget(distinct int) int {
 }
 
 // Select appends one document's top phrases to dst, best first, and
-// returns dst. ps are the document's distinct phrases (Phrases.Doc), ids
+// returns dst. ps are the document's distinct phrases, ids
 // its tokens, vocab the vocabulary that spells them, and df counts, per
 // phrase hash, the corpus documents containing the phrase.
 //
@@ -364,57 +361,56 @@ func lexKey(w string) uint64 {
 }
 
 // countDF runs the extract and count passes: each worker dedupes a
-// contiguous range of documents, keeping only the phrase hashes and each
-// document's distinct-phrase count, and the hashes are then counted,
-// serially and in document order, into one DF table (each distinct
-// (document, phrase) pair adds one to its hash's count). It returns the
-// table and the per-document distinct counts.
-func countDF(docs [][]int, workers, maxN int) (*HashTable, []int32) {
-	distinct := make([]int32, len(docs))
-	hashes := make([][]uint64, min(workers, len(docs)))
-	par.IndexedRanges(len(docs), workers, func(w, lo, hi int) {
+// contiguous range of documents into one flat array of phrase hashes, and
+// dist[i] becomes document i's slice of its range's array. The hashes are
+// then counted into df serially, in document order (each distinct
+// (document, phrase) pair adds one to its hash's count).
+func countDF(dist [][]uint64, docs [][]int, df *HashTable, workers, maxN int) {
+	par.Ranges(len(docs), workers, func(lo, hi int) {
 		occ := 0
 		for _, ids := range docs[lo:hi] {
 			occ += occurrences(len(ids), maxN)
 		}
 		hs := make([]uint64, 0, occ)
-		var ph Phrases
+		var tab docTable
+		var ps []Phrase
 		for i := lo; i < hi; i++ {
-			ph.Extract(docs[i:i+1], maxN)
-			for _, p := range ph.Doc(0) {
+			ps = tab.addDoc(ps[:0], docs[i], maxN)
+			row := len(hs)
+			for _, p := range ps {
 				hs = append(hs, p.Hash)
 			}
-			distinct[i] = int32(len(ph.Doc(0)))
+			dist[i] = hs[row:len(hs):len(hs)]
 		}
-		hashes[w] = hs
 	})
-	df := &HashTable{}
-	for _, hs := range hashes {
+	for _, hs := range dist {
 		for _, h := range hs {
 			df.Inc(h)
 		}
 	}
-	return df, distinct
 }
 
-// TopPhraseIDs returns, for each tokenized document, its highest-tf-idf
-// phrases under the Selector rule. Ties break lexicographically so output
-// is deterministic, and the result is identical for any Workers setting.
-func (e *Extractor) TopPhraseIDs(docs [][]int, vocab *tokenize.Vocab) *Selection {
-	n := len(docs)
-	sel := &Selection{Top: make([][]PhraseID, n)}
-	if n == 0 {
+// TopPhraseIDs admits a batch of tokenized documents: it counts their
+// distinct phrases into df, then selects each document's top phrases
+// under the Selector rule against df as the DF table of a corpus of n
+// documents, the batch included. Batch Coarse passes an empty table and
+// n = len(docs); the streaming miner passes its window's table and the
+// window's size. Ties break lexicographically, so output is deterministic
+// and identical for any Workers setting.
+func (e *Extractor) TopPhraseIDs(docs [][]int, vocab *tokenize.Vocab, df *HashTable, n int) *Selection {
+	sel := &Selection{Dist: make([][]uint64, len(docs)), Top: make([][]PhraseID, len(docs))}
+	if len(docs) == 0 {
 		return sel
 	}
 	workers := par.Workers(e.Workers)
 
 	start := time.Now()
-	df, distinct := countDF(docs, workers, e.MaxNgram())
+	countDF(sel.Dist, docs, df, workers, e.MaxNgram())
 	sel.Extract = time.Since(start)
 
 	start = time.Now()
-	par.Ranges(n, workers, func(lo, hi int) {
-		e.selectRange(sel.Top, docs, vocab, df, distinct, lo, hi)
+	par.Ranges(len(docs), workers, func(lo, hi int) {
+		e.selectRange(sel, docs, vocab, df, n, lo, hi)
 	})
 	sel.Score = time.Since(start)
 	return sel
@@ -422,52 +418,24 @@ func (e *Extractor) TopPhraseIDs(docs [][]int, vocab *tokenize.Vocab) *Selection
 
 // selectRange fills the Top rows of documents lo..hi-1, which share one
 // backing array sized by the budgets, deduping each document again.
-func (e *Extractor) selectRange(top [][]PhraseID, docs [][]int, vocab *tokenize.Vocab, df *HashTable, distinct []int32, lo, hi int) {
+func (e *Extractor) selectRange(sel *Selection, docs [][]int, vocab *tokenize.Vocab, df *HashTable, n, lo, hi int) {
 	var s Selector
-	s.Reset(e, len(docs))
+	s.Reset(e, n)
 	room := 0
-	for _, d := range distinct[lo:hi] {
-		if d > 0 {
-			room += s.budget(int(d))
+	for _, dist := range sel.Dist[lo:hi] {
+		if len(dist) > 0 {
+			room += s.budget(len(dist))
 		}
 	}
 	picked := make([]PhraseID, 0, room)
-	var ph Phrases
+	var tab docTable
+	var ps []Phrase
 	for i := lo; i < hi; i++ {
-		ph.Extract(docs[i:i+1], e.MaxNgram())
+		ps = tab.addDoc(ps[:0], docs[i], e.MaxNgram())
 		row := len(picked)
-		picked = s.Select(picked, ph.Doc(0), docs[i], vocab, df)
+		picked = s.Select(picked, ps, docs[i], vocab, df)
 		if len(picked) > row {
-			top[i] = picked[row:len(picked):len(picked)]
+			sel.Top[i] = picked[row:len(picked):len(picked)]
 		}
 	}
-}
-
-// TopPhrases is the string-keyed compatibility form of TopPhraseIDs: it
-// interns the documents through a private vocabulary, runs the hashed
-// extraction, and spells each selected phrase from the tokens of the
-// document that selected it.
-func (e *Extractor) TopPhrases(docs [][]string) [][]string {
-	vocab := tokenize.NewVocab()
-	ids := make([][]int, len(docs))
-	for i, d := range docs {
-		ids[i] = vocab.Encode(d)
-	}
-	sel := e.TopPhraseIDs(ids, vocab)
-	var ph Phrases
-	out := make([][]string, len(docs))
-	for i, top := range sel.Top {
-		if len(top) == 0 {
-			continue
-		}
-		ph.Extract(ids[i:i+1], e.MaxNgram())
-		ps := ph.Doc(0)
-		row := make([]string, len(top))
-		for j, id := range top {
-			p := ps[slices.IndexFunc(ps, func(p Phrase) bool { return p.Hash == id })]
-			row[j] = Key(docs[i][p.Pos : p.Pos+p.N])
-		}
-		out[i] = row
-	}
-	return out
 }

@@ -207,7 +207,7 @@ func TestForgedCollisionMergesDF(t *testing.T) {
 	e := &Extractor{MaxN: 3, TopFraction: 0.3}
 	var ref [][]PhraseID
 	for _, workers := range []int{1, 2, 5} {
-		if _, top := forgedTop(e, docs, vocab, workers, hashIDs); !reflect.DeepEqual(top, e.TopPhraseIDs(docs, vocab).Top) {
+		if _, top := forgedTop(e, docs, vocab, workers, hashIDs); !reflect.DeepEqual(top, e.TopPhraseIDs(docs, vocab, new(HashTable), len(docs)).Top) {
 			t.Fatalf("workers=%d: the unforged mirror diverged from TopPhraseIDs", workers)
 		}
 		df, top := forgedTop(e, docs, vocab, workers, forge)
@@ -615,9 +615,9 @@ func TestTopPhraseIDsWorkerInvariance(t *testing.T) {
 	for i, d := range docs {
 		ids[i] = vocab.Encode(d)
 	}
-	ref := (&Extractor{Workers: 1}).TopPhraseIDs(ids, vocab)
+	ref := (&Extractor{Workers: 1}).TopPhraseIDs(ids, vocab, new(HashTable), len(ids))
 	for _, workers := range []int{2, 5, 16} {
-		got := (&Extractor{Workers: workers}).TopPhraseIDs(ids, vocab)
+		got := (&Extractor{Workers: workers}).TopPhraseIDs(ids, vocab, new(HashTable), len(ids))
 		if !reflect.DeepEqual(got.Top, ref.Top) {
 			t.Fatalf("workers=%d: selection differs from workers=1", workers)
 		}
@@ -675,7 +675,8 @@ func TestSelectionTablesMatchMapCount(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3} {
-		tab, _ := countDF(docs, workers, DefaultMaxN)
+		tab := new(HashTable)
+		countDF(make([][]uint64, len(docs)), docs, tab, workers, DefaultMaxN)
 		if tab.Len() != len(df) {
 			t.Errorf("workers=%d: %d DF keys, want %d distinct phrases", workers, tab.Len(), len(df))
 		}
@@ -701,7 +702,7 @@ func TestSelectionTablesMatchMapCount(t *testing.T) {
 func TestPruneMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vocab := tokenize.NewVocab()
-	var ph Phrases
+	var tab docTable
 	var s Selector
 	for it := 0; it < 3000; it++ {
 		doc := make([]string, 1+rng.Intn(60))
@@ -709,9 +710,8 @@ func TestPruneMatchesBruteForce(t *testing.T) {
 			doc[i] = string(rune('a' + rng.Intn(2+it%6)))
 		}
 		ids := vocab.Encode(doc)
-		ph.Extract([][]int{ids}, 1+rng.Intn(DefaultMaxN))
 		var cand []scored
-		for i, p := range ph.Doc(0) {
+		for i, p := range tab.addDoc(nil, ids, 1+rng.Intn(DefaultMaxN)) {
 			if rng.Intn(4) > 0 {
 				cand = append(cand, scored{float64(rng.Intn(3)), p.Pos, p.N, int32(i)})
 			}

@@ -9,8 +9,9 @@ import (
 // StreamDetector ingests documents incrementally: each document either
 // attaches to an already-mined template immediately (the same MDL
 // criterion as the batch pipeline, with slots matching as wildcards) or
-// buffers until BatchSize documents accumulate, at which point the full
-// pipeline mines new templates from the buffer.
+// buffers until BatchSize documents accumulate, at which point a mining
+// pass (the pipeline's coarse and fine stages) mines new templates from
+// the buffer.
 //
 // This is the deployment shape of the paper's application: ads and tweets
 // arrive continuously, and known campaigns should be recognized without
@@ -20,7 +21,9 @@ type StreamDetector struct {
 }
 
 // NewStreamDetector creates an empty incremental detector. batchSize <= 0
-// selects the default (512).
+// selects the default (512). Mining passes price description lengths at
+// the detector's vocabulary size and ignore the batch-only ablations
+// cfg.MinSharedPhrases and cfg.UseLSHCoarse.
 func NewStreamDetector(cfg Config, batchSize int) *StreamDetector {
 	d := stream.New(cfg.toCore())
 	if batchSize > 0 {
@@ -38,7 +41,9 @@ func NewStreamDetector(cfg Config, batchSize int) *StreamDetector {
 // of the first three set, the detector is periodically compacted to its
 // live state: retired templates' payloads and every word live state no
 // longer uses are dropped. The zero value keeps every mined template
-// and word forever and re-mines only the pending buffer.
+// and word forever and mines each pending buffer alone. Every setting
+// mines through one pass, which ignores the batch-only ablations
+// Config.MinSharedPhrases and Config.UseLSHCoarse.
 type StreamLifecycle = stream.Lifecycle
 
 // SetLifecycle configures template aging, eviction, merging, and
