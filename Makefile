@@ -40,12 +40,15 @@ race:
 race-short:
 	$(GO) test -race -short ./...
 
-## fuzz: a bounded burst of the Workers:1-vs-Workers:4 determinism fuzzer.
+## fuzz: bounded bursts of the Workers:1-vs-Workers:4 determinism fuzzer
+## and of the pipeline fuzzer (arbitrary document sets through Run: no
+## panic, every accepted cluster compresses within its Lemma 1 bound).
 ## Every fuzz target caps the minimizing of a new input at 2 s
 ## (-fuzzminimizetime): the default 60 s can stall a short burst at
 ## 0 execs/s while it minimizes.
 fuzz:
 	$(GO) test -fuzz FuzzDetectDeterminism -fuzztime 30s -fuzzminimizetime 2s .
+	$(GO) test -fuzz 'FuzzRun$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/core
 
 ## fuzz-stream: bounded bursts of the streaming fuzzers — the serve-path
 ## fuzzer (interleaved Add / AddBatch / Flush / persist round-trips,

@@ -37,21 +37,13 @@ type Config struct {
 	// TopPhraseFraction is the fraction of each document's phrases kept
 	// as graph edges in the coarse pass (default 0.10).
 	TopPhraseFraction float64
-	// MinSharedPhrases requires documents to share this many top phrases
-	// to be joined coarsely (default 1, the paper's permissive setting).
-	// Batch Detect only: a StreamDetector ignores it.
-	MinSharedPhrases int
-	// UseLSHCoarse swaps the coarse pass's tf-idf phrase graph for
-	// MinHash-LSH banding (recall-leaning alternative). Batch Detect only:
-	// a StreamDetector ignores it.
-	UseLSHCoarse bool
 	// UseStarMSA swaps Partial Order Alignment for a cheaper star MSA.
 	UseStarMSA bool
 	// DisableSlots turns slot detection off.
 	DisableSlots bool
 	// Workers bounds the worker pool used across the whole pipeline:
-	// tokenization, coarse phrase extraction and scoring, LSH signature
-	// computation, and concurrent cluster refinement (default GOMAXPROCS).
+	// tokenization, coarse phrase extraction and scoring, and concurrent
+	// cluster refinement (default GOMAXPROCS).
 	// Output is identical for any value — parallelism never changes what
 	// Detect returns, only how fast it returns it.
 	Workers int
@@ -59,13 +51,11 @@ type Config struct {
 
 func (c Config) toCore() core.Options {
 	return core.Options{
-		MaxNgram:         c.MaxNgram,
-		TopFraction:      c.TopPhraseFraction,
-		MinSharedPhrases: c.MinSharedPhrases,
-		UseLSHCoarse:     c.UseLSHCoarse,
-		UseStarMSA:       c.UseStarMSA,
-		DisableSlots:     c.DisableSlots,
-		Workers:          c.Workers,
+		MaxNgram:     c.MaxNgram,
+		TopFraction:  c.TopPhraseFraction,
+		UseStarMSA:   c.UseStarMSA,
+		DisableSlots: c.DisableSlots,
+		Workers:      c.Workers,
 	}
 }
 

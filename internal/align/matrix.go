@@ -33,19 +33,6 @@ func (m *Matrix) ColumnCounts(c int) map[int]int {
 	return counts
 }
 
-// Majority returns the most frequent non-gap token of column c and its
-// count. Ties break toward the smaller token id. ok is false for an
-// all-gap column.
-func (m *Matrix) Majority(c int) (token, count int, ok bool) {
-	token, count = Gap, 0
-	for t, n := range m.ColumnCounts(c) {
-		if n > count || (n == count && t < token) {
-			token, count = t, n
-		}
-	}
-	return token, count, count > 0
-}
-
 // Validate checks structural invariants: rectangular shape and no
 // all-gap rows. It returns false with a reason when violated; tests use it.
 func (m *Matrix) Validate() (bool, string) {

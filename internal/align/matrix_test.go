@@ -15,14 +15,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.NumRows() != 2 || m.NumCols() != 4 {
 		t.Fatalf("shape %dx%d", m.NumRows(), m.NumCols())
 	}
-	tok, cnt, ok := m.Majority(0)
-	if !ok || tok != 1 || cnt != 2 {
-		t.Errorf("Majority(0) = %d,%d,%v", tok, cnt, ok)
-	}
-	tok, cnt, ok = m.Majority(1)
-	if !ok || cnt != 1 || tok != 2 { // tie breaks toward smaller id
-		t.Errorf("Majority(1) = %d,%d,%v", tok, cnt, ok)
-	}
 	if got := m.Sequence(0); !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Errorf("Sequence(0) = %v", got)
 	}

@@ -26,23 +26,15 @@ type Options struct {
 	// TopFraction is the fraction of each document's phrases kept in the
 	// coarse pass (default 0.10).
 	TopFraction float64
-	// MinSharedPhrases is the number of top phrases two documents must
-	// share to be joined in the coarse graph (default 1 — the paper's
-	// permissive setting; >1 is the strictness ablation).
-	MinSharedPhrases int
-	// UseLSHCoarse swaps the tf-idf phrase graph for MinHash-LSH banding
-	// in the coarse pass (ablation; the paper notes Coarse is replaceable
-	// by "similar algorithms achieving the same end goal", Advantage 2).
-	UseLSHCoarse bool
 	// UseStarMSA swaps Partial Order Alignment for the cheaper star MSA
 	// (ablation; the paper notes Fine works with any MSA).
 	UseStarMSA bool
 	// DisableSlots turns slot detection off (ablation).
 	DisableSlots bool
 	// Workers bounds the worker pool for every parallel stage of the
-	// pipeline — tokenization, phrase extraction and scoring, LSH
-	// signatures, and concurrent cluster refinement (default:
-	// GOMAXPROCS). Any value produces identical output.
+	// pipeline — tokenization, phrase extraction and scoring, and
+	// concurrent cluster refinement (default: GOMAXPROCS). Any value
+	// produces identical output.
 	Workers int
 }
 
@@ -154,7 +146,7 @@ func Run(texts []string, opt Options) *Result {
 	}
 	tokenizeDone := time.Now()
 
-	coarse, top, stages := coarseEncoded(words, tokens, vocab, opt)
+	coarse, top, stages := coarseEncoded(tokens, vocab, opt)
 	stages.Tokenize = tokenizeDone.Sub(start)
 	res.CoarseStages = stages
 	res.CoarseClusters = len(coarse)

@@ -178,26 +178,6 @@ func TestCoarseGroupsBySharedPhrase(t *testing.T) {
 	}
 }
 
-func TestCoarseStrictRequiresMoreOverlap(t *testing.T) {
-	shared := "red fox jumps over the lazy dog near the misty river bank"
-	docs := [][]string{
-		strings.Fields("aardvark1 " + shared + " zebra1"),
-		strings.Fields("aardvark2 " + shared + " zebra2"),
-	}
-	for i := 0; i < 10; i++ {
-		docs = append(docs, strings.Fields(fmt.Sprintf(
-			"bgy%da bgy%db bgy%dc bgy%dd bgy%de bgy%df", i, i, i, i, i, i)))
-	}
-	permissive, _ := Coarse(docs, Options{})
-	strict, _ := Coarse(docs, Options{MinSharedPhrases: 50})
-	if len(permissive) == 0 {
-		t.Error("permissive coarse should join docs 0,1")
-	}
-	if len(strict) != 0 {
-		t.Errorf("strict coarse joined docs sharing few phrases: %v", strict)
-	}
-}
-
 func TestClusterAccounting(t *testing.T) {
 	res := Run(toyCorpus(), Options{})
 	for ci := range res.Clusters {
@@ -294,59 +274,18 @@ func TestDocTemplateConsistency(t *testing.T) {
 	}
 }
 
-func TestRunLSHCoarseAblation(t *testing.T) {
-	res := Run(toyCorpus(), Options{UseLSHCoarse: true})
-	sus := res.Suspicious()
-	// The exact-duplicate-heavy part of the toy must still be found; the
-	// LSH coarse pass is shingle-based, so near-exact docs 0-2 group.
-	if !sus[0] || !sus[1] || !sus[2] {
-		t.Errorf("LSH coarse missed the product cluster: %v", sus[:7])
-	}
-	if sus[6] {
-		t.Error("doc 6 wrongly clustered under LSH coarse")
-	}
-	for i := 7; i < len(sus); i++ {
-		if sus[i] {
-			t.Errorf("background doc %d clustered under LSH coarse", i)
-		}
-	}
-}
-
-func TestCoarseStrictJoinsExactDuplicates(t *testing.T) {
-	// Exact duplicates select identical top phrases, so they clear any
-	// small MinSharedPhrases threshold — exercising the canonicalized
-	// pair counting of coarseStrict.
-	doc := strings.Fields(
-		"alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu nu xi omicron pi")
-	docs := [][]string{doc, doc}
-	for i := 0; i < 10; i++ {
-		docs = append(docs, strings.Fields(fmt.Sprintf(
-			"bgz%da bgz%db bgz%dc bgz%dd bgz%de bgz%df", i, i, i, i, i, i)))
-	}
-	clusters, _ := Coarse(docs, Options{MinSharedPhrases: 2})
-	if len(clusters) != 1 || !reflect.DeepEqual(clusters[0], []int{0, 1}) {
-		t.Errorf("strict(2) clusters = %v, want [[0 1]]", clusters)
-	}
-}
-
 func TestRunWorkerInvariance(t *testing.T) {
 	// The whole pipeline — tokenize, coarse, fine — must produce the
-	// same Result for any worker count, including LSH and strict modes.
+	// same Result for any worker count.
 	docs := toyCorpus()
-	for _, opt := range []Options{{}, {UseLSHCoarse: true}, {MinSharedPhrases: 2}} {
-		o1 := opt
-		o1.Workers = 1
-		ref := Run(docs, o1)
-		for _, w := range []int{2, 8} {
-			ow := opt
-			ow.Workers = w
-			got := Run(docs, ow)
-			if !reflect.DeepEqual(got.DocTemplate, ref.DocTemplate) {
-				t.Errorf("opt %+v workers=%d: DocTemplate differs", opt, w)
-			}
-			if !reflect.DeepEqual(got.Clusters, ref.Clusters) {
-				t.Errorf("opt %+v workers=%d: Clusters differ", opt, w)
-			}
+	ref := Run(docs, Options{Workers: 1})
+	for _, w := range []int{2, 8} {
+		got := Run(docs, Options{Workers: w})
+		if !reflect.DeepEqual(got.DocTemplate, ref.DocTemplate) {
+			t.Errorf("workers=%d: DocTemplate differs", w)
+		}
+		if !reflect.DeepEqual(got.Clusters, ref.Clusters) {
+			t.Errorf("workers=%d: Clusters differ", w)
 		}
 	}
 }

@@ -56,33 +56,11 @@ type fineScratch struct {
 	seqs       [][]int
 }
 
-func growInts(p *[]int, n int) []int {
+// grow returns (*p)[:n], reallocating only when capacity is short.
+// Contents are garbage; callers initialize what they read.
+func grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]int, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func growBools(p *[]bool, n int) []bool {
-	if cap(*p) < n {
-		*p = make([]bool, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func growFloats(p *[]float64, n int) []float64 {
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func growSeqs(p *[][]int, n int) [][]int {
-	if cap(*p) < n {
-		*p = make([][]int, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return *p
@@ -127,9 +105,9 @@ func newFineScreen(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSi
 	for _, d := range docIDs {
 		arenaLen += len(tokens[d])
 	}
-	arena := growInts(&sc.arena, arenaLen)
-	sorted := growSeqs(&sc.sorted, n)
-	saCost := growFloats(&sc.saCost, n)
+	arena := grow(&sc.arena, arenaLen)
+	sorted := grow(&sc.sorted, n)
+	saCost := grow(&sc.saCost, n)
 	off := 0
 	for i, d := range docIDs {
 		s := arena[off : off+len(tokens[d]) : off+len(tokens[d])]
@@ -142,11 +120,11 @@ func newFineScreen(docIDs []int, tokens [][]int, top [][]tfidf.PhraseID, vocabSi
 			postings[p] = append(postings[p], i)
 		}
 	}
-	alive := growBools(&sc.alive, n)
+	alive := grow(&sc.alive, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	stamp := growInts(&sc.stamp, n)
+	stamp := grow(&sc.stamp, n)
 	for i := range stamp {
 		stamp[i] = 0
 	}
@@ -369,7 +347,7 @@ func screenVerdict(model align.WildBounder, seed, sortedSeed, toks, sortedDoc []
 // its time to t.Align.
 func buildMSA(candidates []int, tokens [][]int, opt Options, sc *fineScratch, t *FineTimings) *align.Matrix {
 	start := time.Now()
-	seqs := growSeqs(&sc.seqs, len(candidates))
+	seqs := grow(&sc.seqs, len(candidates))
 	for i, d := range candidates {
 		seqs[i] = tokens[d]
 	}

@@ -126,18 +126,19 @@ func AblationCoarseMethod(w io.Writer, scale Scale) {
 	c := twitterTestSet(707, scale.pick(50, 120, 300))
 	tr := truth(c)
 	fmt.Fprintf(w, "%-8s %10s %8s %8s %8s %8s\n", "coarse", "seconds", "Prec", "Rec", "F1", "tmpls")
-	for _, useLSH := range []bool{false, true} {
-		start := time.Now()
-		res := core.Run(c.Texts(), core.Options{UseLSHCoarse: useLSH})
-		secs := time.Since(start).Seconds()
-		conf := metrics.NewConfusion(res.Suspicious(), tr)
-		name := "tfidf"
-		if useLSH {
-			name = "lsh"
-		}
+	row := func(name string, secs float64, sus []bool, templates int) {
+		conf := metrics.NewConfusion(sus, tr)
 		fmt.Fprintf(w, "%-8s %10.2f %8.3f %8.3f %8.3f %8d\n",
-			name, secs, conf.Precision(), conf.Recall(), conf.F1(), res.NumTemplates())
+			name, secs, conf.Precision(), conf.Recall(), conf.F1(), templates)
 	}
+	start := time.Now()
+	res := core.Run(c.Texts(), core.Options{})
+	row("tfidf", time.Since(start).Seconds(), res.Suspicious(), res.NumTemplates())
+	start = time.Now()
+	refined := runLSH(c.Texts(), 0)
+	secs := time.Since(start).Seconds()
+	sus, templates := labels(refined, c.Len())
+	row("lsh", secs, sus, templates)
 }
 
 // AblationCoarseStrictness measures the recall cost of requiring more
@@ -149,16 +150,9 @@ func AblationCoarseStrictness(w io.Writer, scale Scale) {
 	tr := truth(c)
 	fmt.Fprintf(w, "%12s %8s %8s %8s\n", "min.shared", "Prec", "Rec", "F1")
 	for _, minShared := range []int{1, 2, 3, 5} {
-		res := core.Run(c.Texts(), core.Options{MinSharedPhrases: minShared})
-		conf := metrics.NewConfusion(res.Suspicious(), tr)
+		sus, _ := labels(runStrict(c.Texts(), minShared, 0), c.Len())
+		conf := metrics.NewConfusion(sus, tr)
 		fmt.Fprintf(w, "%12d %8.3f %8.3f %8.3f\n",
 			minShared, conf.Precision(), conf.Recall(), conf.F1())
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

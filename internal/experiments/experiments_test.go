@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -223,10 +224,31 @@ func TestAblations(t *testing.T) {
 	AblationMSA(&buf, Small)
 	AblationConsensusSearch(&buf, Small)
 	AblationCoarseStrictness(&buf, Small)
+	AblationCoarseMethod(&buf, Small)
 	out := buf.String()
-	for _, want := range []string{"slot detection", "POA vs star", "dichotomous", "strictness"} {
+	for _, want := range []string{"slot detection", "POA vs star", "dichotomous", "strictness", "coarse method"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing ablation %q", want)
+		}
+	}
+	// The two coarse ablations run the alternative coarse passes end to
+	// end; pin their small-scale rows (Prec, Rec, F1 and, for the method
+	// rows, the template count; the seconds column is wall clock).
+	for header, want := range map[string][]string{
+		"coarse edge strictness": {
+			"1 0.987 0.972 0.980",
+			"2 0.993 0.884 0.935",
+			"3 0.995 0.735 0.846",
+			"5 1.000 0.586 0.739",
+		},
+		"coarse method": {
+			"tfidf 0.998 0.980 0.989 74",
+			"lsh 0.993 0.991 0.992 75",
+		},
+	} {
+		got := sectionRows(out, header)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s rows = %q, want %q:\n%s", header, got, want, out)
 		}
 	}
 	// Dichotomous search should be optimal on the large majority of real
@@ -240,4 +262,30 @@ func TestAblations(t *testing.T) {
 	if pct, _ := strconv.ParseFloat(m[1], 64); pct < 80 {
 		t.Errorf("dichotomous optimal only %v%%:\n%s", pct, out)
 	}
+}
+
+// sectionRows returns the data rows of the output section whose header
+// contains header, each as its space-joined fields, with the seconds
+// column dropped where the section has one.
+func sectionRows(out, header string) []string {
+	i := strings.Index(out, header)
+	if i < 0 {
+		return nil
+	}
+	lines := strings.Split(out[i:], "\n")
+	cols := strings.Fields(lines[1])
+	var rows []string
+	for _, l := range lines[2:] {
+		f := strings.Fields(l)
+		if len(f) != len(cols) {
+			break
+		}
+		for c := len(cols) - 1; c >= 0; c-- {
+			if cols[c] == "seconds" {
+				f = append(f[:c], f[c+1:]...)
+			}
+		}
+		rows = append(rows, strings.Join(f, " "))
+	}
+	return rows
 }

@@ -56,9 +56,9 @@ type Scratch struct {
 
 // grow returns (*p)[:n], reallocating only when capacity is short.
 // Contents are garbage; callers initialize what they read.
-func grow(p *[]int, n int) []int {
+func grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]int, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return *p
@@ -193,7 +193,7 @@ func (g *Graph) Add(seq []int) {
 	// order[r] with seq[:j]. Row 0 is the virtual start. The buffer is
 	// reused across Adds, so row 0 (the only row read before written) is
 	// initialized explicitly, including the virtual-start cell.
-	cells := growCells(&sc.cells, (len(order)+1)*width)
+	cells := grow(&sc.cells, (len(order)+1)*width)
 	cells[0] = dpCell{score: 0, move: moveNone, prevN: -1}
 	for j := 1; j <= m; j++ {
 		cells[j] = dpCell{score: int32(j), move: moveIns, prevN: -1}
@@ -317,15 +317,6 @@ func rankOf(n int32, rank []int) int {
 		return -1
 	}
 	return rank[n]
-}
-
-// growCells is grow for the dpCell buffer.
-func growCells(p *[]dpCell, n int) []dpCell {
-	if cap(*p) < n {
-		*p = make([]dpCell, n)
-	}
-	*p = (*p)[:n]
-	return *p
 }
 
 // Matrix flattens the graph into an alignment matrix: columns are the

@@ -36,15 +36,12 @@ import (
 // then serves as the anchor table of tfidf.Components — the components
 // step batch Coarse runs too.
 //
-// Three deliberate differences from batch Detect over the same documents
-// remain, all deterministic. Description lengths are priced at the
+// Two deliberate differences from batch Detect over the same documents
+// remain, both deterministic. Description lengths are priced at the
 // detector's vocabulary size, the V the matcher uses, not the buffer's.
-// Streaming ignores the batch-only ablations Options.MinSharedPhrases and
-// Options.UseLSHCoarse: components always use the permissive
-// single-shared-phrase rule over tf-idf phrases. And with Incremental on,
-// idf is computed over the retained window as well as the buffer. Over an
-// empty window, a flush selects exactly the phrases batch Coarse selects
-// (TestMinerSelectionMatchesBatch).
+// And with Incremental on, idf is computed over the retained window as
+// well as the buffer. Over an empty window, a flush selects exactly the
+// phrases batch Coarse selects (TestMinerSelectionMatchesBatch).
 
 // The retained window's bounds: an unmatched document leaves it after
 // retainFlushes mining passes, and the window keeps at most

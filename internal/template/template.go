@@ -18,6 +18,8 @@
 package template
 
 import (
+	"slices"
+
 	"infoshield/internal/align"
 	"infoshield/internal/mdl"
 	"infoshield/internal/search"
@@ -37,63 +39,84 @@ type Fit struct {
 	// before consensus position x (x = len(Cols) is the trailing gap).
 	InsSlots []bool
 
+	majTok []int  // per matrix column: majority token (align.Gap if all-gap)
+	majCnt []int  // per matrix column: the majority token's count
 	isCons []bool // per matrix column: part of the consensus?
 	pos    []int  // per matrix column: consensus position (pooling target)
 
 	// DataCost scratch: slot index maps and the per-row slot-word counts,
-	// reused across rows and Reset calls (DataCost is the inner loop of
-	// both the consensus search and slot detection).
+	// reused across rows and threshold probes (DataCost is the inner loop
+	// of both the consensus search and slot detection).
 	insIdx, convIdx, slotWords []int
 }
 
 // New builds the consensus Sel(m, h): consensus positions are the matrix
 // columns whose majority token occurs more than h times. No slots yet.
+// A column's majority (its most frequent non-gap token, ties broken
+// toward the smaller id) does not depend on h, so New counts each column
+// once and every threshold the consensus search probes reuses it.
 func New(m *align.Matrix, h int) *Fit {
-	f := &Fit{}
-	f.Reset(m, h)
+	cols := m.NumCols()
+	f := &Fit{M: m, majTok: make([]int, cols), majCnt: make([]int, cols)}
+	col := make([]int, 0, m.NumRows())
+	for c := 0; c < cols; c++ {
+		col = col[:0]
+		for _, row := range m.Rows {
+			if t := row[c]; t != align.Gap {
+				col = append(col, t)
+			}
+		}
+		// Sorted, the runs ascend by token id, so a later run must be
+		// strictly longer to win a tie.
+		slices.Sort(col)
+		f.majTok[c] = align.Gap
+		run := 0
+		for i, t := range col {
+			run++
+			if i > 0 && t != col[i-1] {
+				run = 1
+			}
+			if run > f.majCnt[c] {
+				f.majTok[c], f.majCnt[c] = t, run
+			}
+		}
+	}
+	f.consensus(h)
 	return f
 }
 
-func growInts(p *[]int, n int) []int {
+// grow returns (*p)[:n], reallocating only when capacity is short.
+// Contents are garbage; callers initialize what they read.
+func grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]int, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return *p
 }
 
-func growBools(p *[]bool, n int) []bool {
-	if cap(*p) < n {
-		*p = make([]bool, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-// Reset rebuilds f as the consensus Sel(m, h) with no slots, reusing f's
-// buffers. Equivalent to *f = *New(m, h) without the allocations; the
-// dichotomous search calls this once per probed threshold.
-func (f *Fit) Reset(m *align.Matrix, h int) {
-	f.M = m
-	cols := m.NumCols()
-	f.isCons = growBools(&f.isCons, cols)
-	f.pos = growInts(&f.pos, cols)
+// consensus rebuilds f as Sel(f.M, h) with no slots from the column
+// majorities, reusing f's buffers; the dichotomous search calls it once
+// per probed threshold.
+func (f *Fit) consensus(h int) {
+	cols := len(f.majTok)
+	f.isCons = grow(&f.isCons, cols)
+	f.pos = grow(&f.pos, cols)
 	f.Cols = f.Cols[:0]
 	f.Tokens = f.Tokens[:0]
-	for c := 0; c < cols; c++ {
-		tok, cnt, ok := m.Majority(c)
+	for c, cnt := range f.majCnt {
 		f.pos[c] = len(f.Cols) // pooling target: next consensus position
-		f.isCons[c] = ok && cnt > h
+		f.isCons[c] = cnt > 0 && cnt > h
 		if f.isCons[c] {
 			f.Cols = append(f.Cols, c)
-			f.Tokens = append(f.Tokens, tok)
+			f.Tokens = append(f.Tokens, f.majTok[c])
 		}
 	}
-	f.Slots = growBools(&f.Slots, len(f.Cols))
+	f.Slots = grow(&f.Slots, len(f.Cols))
 	for i := range f.Slots {
 		f.Slots[i] = false
 	}
-	f.InsSlots = growBools(&f.InsSlots, len(f.Cols)+1)
+	f.InsSlots = grow(&f.InsSlots, len(f.Cols)+1)
 	for i := range f.InsSlots {
 		f.InsSlots[i] = false
 	}
@@ -138,8 +161,8 @@ func (f *Fit) TemplateStats() mdl.TemplateStats {
 // template reading order.
 func (f *Fit) slotIndex() (insIdx, convIdx []int, total int) {
 	nc := len(f.Cols)
-	insIdx = growInts(&f.insIdx, nc+1)
-	convIdx = growInts(&f.convIdx, nc)
+	insIdx = grow(&f.insIdx, nc+1)
+	convIdx = grow(&f.convIdx, nc)
 	for x := 0; x <= nc; x++ {
 		insIdx[x] = -1
 		if f.InsSlots[x] {
@@ -218,7 +241,7 @@ func (f *Fit) docStats(row int, insIdx, convIdx, slotWords []int) mdl.AlignStats
 // every row, assuming numTemplates templates exist in the model.
 func (f *Fit) DataCost(numTemplates, vocabSize int) float64 {
 	insIdx, convIdx, slots := f.slotIndex()
-	slotWords := growInts(&f.slotWords, slots)
+	slotWords := grow(&f.slotWords, slots)
 	total := 0.0
 	for row := range f.M.Rows {
 		total += mdl.DataCostMatched(f.docStats(row, insIdx, convIdx, slotWords), numTemplates, vocabSize)
@@ -242,10 +265,10 @@ func ConsensusSearch(m *align.Matrix, numTemplates, vocabSize int) *Fit {
 		return f
 	}
 	h := search.Dichotomous(0, n-1, func(h int) float64 {
-		f.Reset(m, h)
+		f.consensus(h)
 		return f.TotalCost(numTemplates, vocabSize)
 	})
-	f.Reset(m, h)
+	f.consensus(h)
 	return f
 }
 

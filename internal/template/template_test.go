@@ -3,6 +3,7 @@ package template
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -311,5 +312,68 @@ func TestDuplicateClustersCompress(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMajoritiesMatchColumnCounts checks the per-matrix majorities, and
+// the consensus New selects from them, against a ColumnCounts reference
+// on random matrices over a four-token alphabet, so count ties and
+// all-gap columns are common.
+func TestMajoritiesMatchColumnCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ties, allGap := 0, 0
+	for iter := 0; iter < 500; iter++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(10)
+		gapCol := rng.Intn(cols + 1) // cols: no forced all-gap column
+		m := &align.Matrix{Rows: make([][]int, rows)}
+		for r := range m.Rows {
+			m.Rows[r] = make([]int, cols)
+			for c := range m.Rows[r] {
+				m.Rows[r][c] = align.Gap
+				if c != gapCol && rng.Intn(3) > 0 {
+					m.Rows[r][c] = 7 * rng.Intn(4)
+				}
+			}
+		}
+		wantTok, wantCnt := make([]int, cols), make([]int, cols)
+		for c := 0; c < cols; c++ {
+			wantTok[c] = align.Gap
+			counts := m.ColumnCounts(c)
+			for tok, n := range counts {
+				if n > wantCnt[c] || (n == wantCnt[c] && tok < wantTok[c]) {
+					wantTok[c], wantCnt[c] = tok, n
+				}
+			}
+			if len(counts) == 0 {
+				allGap++
+			}
+			for tok, n := range counts {
+				if n == wantCnt[c] && tok != wantTok[c] {
+					ties++
+					break
+				}
+			}
+		}
+		for h := 0; h < rows; h++ {
+			f := New(m, h)
+			if !reflect.DeepEqual(f.majTok, wantTok) || !reflect.DeepEqual(f.majCnt, wantCnt) {
+				t.Fatalf("matrix %v: majorities %v/%v, want %v/%v",
+					m.Rows, f.majTok, f.majCnt, wantTok, wantCnt)
+			}
+			var cons, toks []int
+			for c := range wantCnt {
+				if wantCnt[c] > h {
+					cons = append(cons, c)
+					toks = append(toks, wantTok[c])
+				}
+			}
+			if !slices.Equal(f.Cols, cons) || !slices.Equal(f.Tokens, toks) {
+				t.Fatalf("matrix %v h=%d: consensus %v/%v, want %v/%v",
+					m.Rows, h, f.Cols, f.Tokens, cons, toks)
+			}
+		}
+	}
+	if ties == 0 || allGap == 0 {
+		t.Fatalf("random matrices hit %d ties and %d all-gap columns; want both", ties, allGap)
 	}
 }

@@ -101,8 +101,7 @@ func (r *Result) VocabSize() int { return r.res.Vocab.Size() }
 // Timings reports the wall-clock durations of a Detect run's pipeline
 // stages. Coarse is the whole front half (and includes the four
 // sub-stage durations); Fine is the MDL refinement of the candidate
-// clusters. Under Config.UseLSHCoarse the tf-idf sub-stages are zero and
-// CoarseComponents covers signatures plus banding.
+// clusters.
 type Timings struct {
 	// Tokenize covers word-splitting and vocabulary encoding.
 	Tokenize time.Duration

@@ -22,8 +22,7 @@ type StreamDetector struct {
 
 // NewStreamDetector creates an empty incremental detector. batchSize <= 0
 // selects the default (512). Mining passes price description lengths at
-// the detector's vocabulary size and ignore the batch-only ablations
-// cfg.MinSharedPhrases and cfg.UseLSHCoarse.
+// the detector's vocabulary size.
 func NewStreamDetector(cfg Config, batchSize int) *StreamDetector {
 	d := stream.New(cfg.toCore())
 	if batchSize > 0 {
@@ -42,8 +41,7 @@ func NewStreamDetector(cfg Config, batchSize int) *StreamDetector {
 // live state: retired templates' payloads and every word live state no
 // longer uses are dropped. The zero value keeps every mined template
 // and word forever and mines each pending buffer alone. Every setting
-// mines through one pass, which ignores the batch-only ablations
-// Config.MinSharedPhrases and Config.UseLSHCoarse.
+// mines through one pass.
 type StreamLifecycle = stream.Lifecycle
 
 // SetLifecycle configures template aging, eviction, merging, and
